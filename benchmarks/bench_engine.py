@@ -42,7 +42,8 @@ objects so only the first-ever run pays the compiler.  Compilation happens
 during the (untimed) parity pass — the same treatment the python kernels
 get — so the timed phase measures steady-state execution; the compile cost
 and artifact-cache hit split are reported as ``native_compile_seconds`` /
-``native_cache_hits``.  The aggregate ``native_speedup`` (over the python
+``native_cache_hits``, and the C units rendered on kernel-index misses as
+``native_render_count`` (zero on a warm rerun).  The aggregate ``native_speedup`` (over the python
 kernel phase) can be gated with ``--min-native-speedup``; the phase is
 skipped with a note when no working C compiler exists, and the gate then
 fails loudly rather than vacuously passing.
@@ -619,6 +620,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "native_compile_count": native_module.compile_count,
         "native_compile_seconds": round(native_module.compile_seconds, 3),
         "native_cache_hits": native_module.cache_hits,
+        "native_render_count": native_module.render_count,
         "service_seconds": round(service_total, 3),
         "scheduler_seconds": round(scheduler_total, 3),
         "service_overhead_seconds": round(service_overhead, 4),

@@ -177,14 +177,19 @@ class SubprocessShardBackend(ExecutionBackend):
         ]
 
     @staticmethod
-    def _worker_env() -> Dict[str, str]:
-        """The parent's environment with ``repro``'s source tree importable."""
+    def _worker_env(cache_root: Optional[str] = None) -> Dict[str, str]:
+        """The parent's environment with ``repro``'s source tree importable
+        and, given the pipeline's cache root, the workers' compiled native
+        kernels kept under it."""
         import repro
+        from repro.pipeline.artifacts import CACHE_DIR_ENV
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         parts = [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         env["PYTHONPATH"] = os.pathsep.join(parts)
+        if cache_root:
+            env[CACHE_DIR_ENV] = cache_root
         return env
 
     def _run_workers(
@@ -210,6 +215,8 @@ class SubprocessShardBackend(ExecutionBackend):
         the last live worker dies with work outstanding.
         """
         workers = max(1, min(jobs, len(pending)))
+        cache = artifacts[next(iter(pending))].cache
+        worker_env = self._worker_env(cache.root if cache is not None else None)
         queue: List[str] = list(pending)
         failures: Dict[str, int] = {}
         outcomes: Dict[str, List] = {}
@@ -256,7 +263,7 @@ class SubprocessShardBackend(ExecutionBackend):
                 self._worker_command(),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                env=self._worker_env(),
+                env=worker_env,
             )
             current: Optional[str] = None
             try:

@@ -216,6 +216,7 @@ def simulate_batch(
     trace: Optional[LoweredTrace] = None,
     program_name: Optional[str] = None,
     batch_stats: Optional[BatchStats] = None,
+    cache_dir: Optional[str] = None,
 ) -> List["SimulationResult"]:  # noqa: F821 - imported lazily (cycle guard)
     """Simulate every point over one shared lowering; results in point order.
 
@@ -224,6 +225,9 @@ def simulate_batch(
     ``DynamicInstruction`` object stream — in which case every point's policy
     must lower to an engine spec (the object-loop fallback replays
     ``result.dynamic``, which does not exist on the wire).
+
+    ``cache_dir`` is the artifact-cache root the native tier keeps its
+    compiled kernels under (default: ``$REPRO_CACHE_DIR`` or the user cache).
     """
     from repro.uarch.core import CoreModel, SimulationResult  # lazy: core imports the engine
 
@@ -651,10 +655,15 @@ def simulate_batch(
                         icache_resident=icache_ok,
                         dcache_resident=dcache_ok,
                         btu_elide=btu_elide,
+                        cache_dir=cache_dir,
                     )
                     if kernel is not None and (flush_private or forwarding_private):
                         warm_kernel = native.get_native_kernel(
-                            spec, point_config, flush_active, collect_stats=False
+                            spec,
+                            point_config,
+                            flush_active,
+                            collect_stats=False,
+                            cache_dir=cache_dir,
                         )
                         if warm_kernel is None:
                             kernel = None

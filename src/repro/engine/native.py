@@ -12,10 +12,20 @@ layer's kernel call sites:
 * **Compiled-artifact caching** — each kernel's ``.so`` bytes are
   content-addressed in the pipeline's :class:`~repro.pipeline.artifacts
   .ArtifactCache` under kind ``native-kernel``, keyed on (source digest ×
-  toolchain fingerprint × compiler flags).  Warm runs never invoke the
-  compiler: the bytes are materialized into a per-process directory and
+  toolchain fingerprint × compiler flags).  Finding that digest would mean
+  rendering the C unit, so lookups go through a *kernel index* first: one
+  entry per (C ABI × :func:`~repro.pipeline.hashing.code_fingerprint` ×
+  toolchain × flags), next to the ``.so`` files, mapping each render key —
+  the plain values :func:`~repro.engine.emit.c.c_kernel_source` depends on
+  — to its artifact digest.  An index hit loads the ``.so`` with no
+  render; only a miss renders, digests, loads or compiles, and merges its
+  entry into the on-disk index.  Warm runs neither render nor compile:
+  the bytes are materialized into a per-process directory and
   ``dlopen``-ed.  :data:`compile_count` / :data:`compile_seconds` /
-  :data:`cache_hits` expose the split to the batch stats and benchmarks.
+  :data:`cache_hits` / :data:`render_count` expose the split to the batch
+  stats and benchmarks.  The cache root is the ``cache_dir`` the caller
+  passes (the pipeline's, for ``--cache-dir``), else
+  :func:`~repro.pipeline.artifacts.default_cache_dir`.
 * **The session bridge** — a compiled kernel is one call
   ``int64_t kernel(int64_t *a)`` over machine addresses
   (:data:`repro.engine.emit.c.ARG_SLOTS`).  :class:`NativeKernel` presents
@@ -41,6 +51,7 @@ state, not geometry.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -55,6 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.engine.emit.c import (
     ARG,
     ARG_SLOTS,
+    C_ABI_VERSION,
     C_FLAGS,
     c_kernel_source,
     source_digest,
@@ -75,8 +87,13 @@ ARTIFACT_KIND = "native-kernel"
 #: Compilers probed, in order, when ``REPRO_NATIVE_CC`` is unset.
 DEFAULT_COMPILERS = ("cc", "gcc", "clang")
 
+#: ArtifactCache name of the kernel index entries (see the module docstring).
+INDEX_NAME = "index"
+
 #: Kernels compiled (not served from the artifact cache) by this process.
 compile_count = 0
+#: C units rendered by this process — kernel-index misses only.
+render_count = 0
 #: Wall-clock seconds spent inside the C compiler by this process.
 compile_seconds = 0.0
 #: Compiled kernels served warm — from the artifact cache or the in-process
@@ -181,7 +198,8 @@ def compiler_available() -> bool:
 # --------------------------------------------------------------------------- #
 # Compile + artifact cache + load
 # --------------------------------------------------------------------------- #
-_ARTIFACTS: Optional[Any] = None
+#: Artifact caches by root directory.
+_ARTIFACTS: Dict[str, Any] = {}
 
 #: Loaded kernel entry points by artifact digest (the ``CDLL`` objects are
 #: pinned in ``_LIBS`` — a collected library would leave dangling pointers).
@@ -189,21 +207,25 @@ _LOADED: Dict[str, Callable] = {}
 _LIBS: Dict[str, ctypes.CDLL] = {}
 _SO_DIR: Optional[str] = None
 
-#: ``NativeKernel`` instances (or ``None`` for a memoized failure) keyed like
-#: the python kernel cache plus the toolchain fingerprint.
+#: ``NativeKernel`` instances (or ``None`` for a memoized failure) keyed on
+#: the render key plus the toolchain fingerprint.
 _KERNEL_MEMO: Dict[Tuple, Optional["NativeKernel"]] = {}
 
+#: Kernel-index entries (render key → artifact digest) as this process last
+#: read or wrote them, by (cache root, index digest).
+_INDEX: Dict[Tuple[str, str], Dict[Tuple, str]] = {}
 
-def _artifact_cache():
+
+def _artifact_cache(root: Optional[str] = None):
     # Imported lazily: repro.pipeline pulls in the experiment runner, which
     # imports the batch layer, which imports this module.
     from repro.pipeline.artifacts import ArtifactCache, default_cache_dir
 
-    global _ARTIFACTS
-    root = default_cache_dir()
-    if _ARTIFACTS is None or _ARTIFACTS.root != root:
-        _ARTIFACTS = ArtifactCache(root=root)
-    return _ARTIFACTS
+    root = root or default_cache_dir()
+    cache = _ARTIFACTS.get(root)
+    if cache is None:
+        cache = _ARTIFACTS[root] = ArtifactCache(root=root)
+    return cache
 
 
 def _artifact_digest(source: str, toolchain: Toolchain) -> str:
@@ -216,6 +238,72 @@ def _artifact_digest(source: str, toolchain: Toolchain) -> str:
     return h.hexdigest()
 
 
+# --------------------------------------------------------------------------- #
+# The kernel index: render key → artifact digest, without rendering
+# --------------------------------------------------------------------------- #
+def _index_digest(toolchain: Toolchain) -> str:
+    """One index per (C ABI × code fingerprint × toolchain × flags).
+
+    The code fingerprint covers the emitter and the IR, so any ``.py`` edit
+    starts a fresh index: one re-render per kernel, but no recompile while
+    the rendered unit (and so its ``.so`` digest) is unchanged.
+    """
+    from repro.pipeline import hashing
+
+    return hashing.stable_digest(
+        C_ABI_VERSION, hashing.code_fingerprint(), toolchain.fingerprint, C_FLAGS
+    )
+
+
+def _read_index(artifacts, digest: str) -> Dict[Tuple, str]:
+    # A corrupt entry is quarantined by the cache and reads as a miss.
+    entries = artifacts.reload(ARTIFACT_KIND, INDEX_NAME, digest)
+    return dict(entries) if isinstance(entries, dict) else {}
+
+
+def _index(artifacts, digest: str) -> Dict[Tuple, str]:
+    key = (artifacts.root, digest)
+    entries = _INDEX.get(key)
+    if entries is None:
+        entries = _INDEX[key] = _read_index(artifacts, digest)
+    return entries
+
+
+@contextlib.contextmanager
+def _index_lock(artifacts, digest: str):
+    """Serialize read-merge-write of one index across processes."""
+    try:
+        import fcntl
+    except ImportError:  # pragma: no cover - non-POSIX: merges may race
+        yield
+        return
+    path = artifacts.path_for(ARTIFACT_KIND, INDEX_NAME, digest) + ".lock"
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "a") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
+
+
+def _record_index(artifacts, digest: str, render_key: Tuple, artifact: str) -> None:
+    """Merge one entry into the on-disk index and write it back atomically.
+
+    Best effort: an unwritable cache only costs later processes a render.
+    """
+    entries = _index(artifacts, digest)
+    entries[render_key] = artifact
+    try:
+        with _index_lock(artifacts, digest):
+            merged = _read_index(artifacts, digest)
+            merged.update(entries)
+            artifacts.put(ARTIFACT_KIND, INDEX_NAME, digest, merged)
+    except OSError:
+        return
+    _INDEX[(artifacts.root, digest)] = dict(merged)
+
+
+# --------------------------------------------------------------------------- #
+# Compile + load
+# --------------------------------------------------------------------------- #
 def _compile_so(source: str, toolchain: Toolchain) -> bytes:
     tmpdir = tempfile.mkdtemp(prefix="repro-native-cc-")
     try:
@@ -257,6 +345,20 @@ def _load_kernel(digest: str, so_bytes: bytes) -> Callable:
     fn.restype = ctypes.c_int64
     fn.argtypes = (ctypes.c_void_p,)
     _LIBS[digest] = lib
+    _LOADED[digest] = fn
+    return fn
+
+
+def _load_cached(artifacts, kind: str, digest: str) -> Optional[Callable]:
+    """The kernel for one artifact digest if already loaded or cached."""
+    global cache_hits
+    fn = _LOADED.get(digest)
+    if fn is None:
+        so_bytes = artifacts.get(ARTIFACT_KIND, kind, digest)
+        if so_bytes is None:
+            return None
+        fn = _load_kernel(digest, so_bytes)
+    cache_hits += 1
     return fn
 
 
@@ -268,59 +370,65 @@ def get_native_kernel(
     dcache_resident: bool = False,
     btu_elide: bool = False,
     collect_stats: bool = True,
+    cache_dir: Optional[str] = None,
 ) -> Optional["NativeKernel"]:
     """The compiled native kernel for one specialization point, or ``None``.
 
     ``None`` (memoized, so a point retries nothing) means the tier cannot
     serve this point — no working compiler, or the toolchain rejected the
     unit — and the caller should fall back to :func:`repro.engine.kernels
-    .get_kernel`.  Warm process restarts pay one artifact-cache read per
-    kernel, never a compile.
+    .get_kernel`.  Warm process restarts pay one kernel-index lookup and one
+    artifact-cache read per kernel, never a render or a compile.
+    ``cache_dir`` is the artifact-cache root (default:
+    :func:`~repro.pipeline.artifacts.default_cache_dir`).
     """
-    global compile_count, compile_seconds, cache_hits, last_error
+    global compile_count, compile_seconds, render_count, last_error
     toolchain = find_toolchain()
     if toolchain is None:
         return None
-    key = (
-        spec,
+    render_key = (
+        spec.kind,
+        spec.gate_mask,
+        bool(spec.allow_store_forwarding),
+        bool(spec.lite),
         config.digest(),
         bool(flush_active),
         bool(icache_resident),
         bool(dcache_resident),
         bool(btu_elide),
         bool(collect_stats),
-        toolchain.fingerprint,
     )
+    key = (render_key, toolchain.fingerprint)
     if key in _KERNEL_MEMO:
         return _KERNEL_MEMO[key]
     kernel: Optional[NativeKernel] = None
-    source = c_kernel_source(
-        spec,
-        config,
-        flush_active,
-        icache_resident=icache_resident,
-        dcache_resident=dcache_resident,
-        btu_elide=btu_elide,
-        collect_stats=collect_stats,
-    )
-    digest = _artifact_digest(source, toolchain)
     try:
-        fn = _LOADED.get(digest)
+        artifacts = _artifact_cache(cache_dir)
+        index = _index_digest(toolchain)
+        digest = _index(artifacts, index).get(render_key)
+        fn = None if digest is None else _load_cached(artifacts, spec.kind, digest)
         if fn is None:
-            so_bytes = _artifact_cache().get(ARTIFACT_KIND, spec.kind, digest)
-            if so_bytes is None:
+            source = c_kernel_source(
+                spec,
+                config,
+                flush_active,
+                icache_resident=icache_resident,
+                dcache_resident=dcache_resident,
+                btu_elide=btu_elide,
+                collect_stats=collect_stats,
+            )
+            render_count += 1
+            digest = _artifact_digest(source, toolchain)
+            fn = _load_cached(artifacts, spec.kind, digest)
+            if fn is None:
                 start = time.perf_counter()
                 so_bytes = _compile_so(source, toolchain)
                 compile_seconds += time.perf_counter() - start
                 compile_count += 1
-                _artifact_cache().put(ARTIFACT_KIND, spec.kind, digest, so_bytes)
-            else:
-                cache_hits += 1
-            fn = _load_kernel(digest, so_bytes)
-            _LOADED[digest] = fn
-        else:
-            cache_hits += 1
-        kernel = NativeKernel(fn, spec, config, bool(collect_stats), source, digest)
+                artifacts.put(ARTIFACT_KIND, spec.kind, digest, so_bytes)
+                fn = _load_kernel(digest, so_bytes)
+            _record_index(artifacts, index, render_key, digest)
+        kernel = NativeKernel(fn, spec, config, bool(collect_stats), digest)
     except (NativeCompileError, OSError) as exc:
         last_error = f"native kernel unavailable for {spec.kind}: {exc}"
         kernel = None
@@ -334,7 +442,8 @@ def counters_snapshot() -> Tuple[int, float, int]:
 
 
 def clear_native_memo() -> None:
-    """Drop the per-process kernel memo, trace payloads, and scratch pools.
+    """Drop the per-process kernel memo, kernel-index memo, trace payloads,
+    and scratch pools.
 
     Chained from :func:`repro.engine.kernels.clear_kernel_cache` so bench
     per-repetition timing exercises the whole pipeline.  Loaded libraries
@@ -342,6 +451,7 @@ def clear_native_memo() -> None:
     as a :data:`cache_hits` warm hit, exactly like an artifact-cache read.
     """
     _KERNEL_MEMO.clear()
+    _INDEX.clear()
     _TRACE_PAYLOADS.clear()
     _SCRATCH.clear()
 
@@ -777,15 +887,14 @@ class NativeKernel:
     entirely.
     """
 
-    __slots__ = ("fn", "spec", "config", "collect_stats", "digest", "__repro_source__")
+    __slots__ = ("fn", "spec", "config", "collect_stats", "digest")
 
-    def __init__(self, fn, spec, config, collect_stats, source, digest) -> None:
+    def __init__(self, fn, spec, config, collect_stats, digest) -> None:
         self.fn = fn
         self.spec = spec
         self.config = config
         self.collect_stats = collect_stats
         self.digest = digest
-        self.__repro_source__ = source
 
     def __call__(
         self,

@@ -233,6 +233,7 @@ class WorkloadArtifacts:
                 trace=self.lowered_trace(),
                 program_name=self.kernel.program.name,
                 batch_stats=batch_stats,
+                cache_dir=self.cache.root if self.cache is not None else None,
             )
             for point, simulation in zip(pending, simulations):
                 cache_key = point.key()

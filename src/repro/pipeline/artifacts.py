@@ -132,6 +132,15 @@ class ArtifactCache:
         self._memo[memo_key] = payload
         return payload
 
+    def reload(self, kind: str, name: str, digest: str) -> Any:
+        """``get`` that bypasses the memo: the entry as it is on disk now.
+
+        For entries other processes rewrite in place (merge-on-write
+        indexes), where a memoized copy may be stale.
+        """
+        self._memo.pop(self._memo_key(kind, name, digest), None)
+        return self.get(kind, name, digest)
+
     def _quarantine(self, path: str, error: Exception) -> None:
         """Move a corrupt entry to ``<path>.corrupt`` and log once."""
         try:

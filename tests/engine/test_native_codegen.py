@@ -12,10 +12,16 @@ Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
   product must pass ``cc -fsyntax-only`` (the parity suite exercises real
   compiles; this pins the long tail of variants no fuzz case selects);
 * the **degraded path** (an unresolvable ``REPRO_NATIVE_CC`` must disable
-  the tier without raising) and the ``clear_kernel_cache`` chain.
+  the tier without raising) and the ``clear_kernel_cache`` chain;
+* the **kernel index** — warm lookups never render, a code edit re-renders
+  without recompiling, stale and corrupt entries recover, concurrent
+  writers merge, and native artifacts land under the service's
+  ``cache_dir``.
 """
 
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +30,11 @@ from engine.test_kernel_codegen import CONFIGS, SPECS, _variants
 from repro.engine import native
 from repro.engine.emit import c as emit_c
 from repro.engine.emit.c import ARG, c_kernel_source, source_digest
-from repro.engine.kernels import clear_kernel_cache, get_kernel
+from repro.engine.batch import BatchStats, PointSpec, simulate_batch
+from repro.engine.kernels import TIER_ENV, clear_kernel_cache, get_kernel
+from repro.experiments.runner import DESIGN_BUILDERS
+from repro.pipeline import hashing
+from repro.pipeline.artifacts import CACHE_DIR_ENV
 from repro.uarch.config import GOLDEN_COVE_LIKE
 
 needs_compiler = pytest.mark.skipif(
@@ -184,12 +194,182 @@ def test_clear_kernel_cache_chains_every_layer():
     get_kernel(SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False)
     emit_c.build_c_kernel_ir(SPECS["unsafe"], GOLDEN_COVE_LIKE)
     native._KERNEL_MEMO[("sentinel",)] = None
+    native._INDEX[("sentinel-root", "sentinel-digest")] = {}
     assert kernels._KERNEL_CACHE and ir._IR_CACHE and emit_c._C_IR_CACHE
     clear_kernel_cache()
     assert not kernels._KERNEL_CACHE
     assert not ir._IR_CACHE
     assert not emit_c._C_IR_CACHE
     assert not native._KERNEL_MEMO
+    assert not native._INDEX
+
+
+# --------------------------------------------------------------------------- #
+# The kernel index
+# --------------------------------------------------------------------------- #
+def _fresh_process(monkeypatch):
+    """Forget every in-process native layer, as a new process would."""
+    native.clear_native_memo()
+    monkeypatch.setattr(native, "_LOADED", {})
+    monkeypatch.setattr(native, "_LIBS", {})
+    monkeypatch.setattr(native, "_ARTIFACTS", {})
+
+
+@pytest.fixture()
+def native_cache(tmp_path, monkeypatch):
+    """An empty native artifact cache, seen from a fresh process."""
+    root = tmp_path / "cache"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(root))
+    _fresh_process(monkeypatch)
+    yield root / "v1" / native.ARTIFACT_KIND
+    native.clear_native_memo()
+
+
+def _index_files(kernel_dir):
+    return sorted(
+        p for p in kernel_dir.iterdir()
+        if p.name.startswith(native.INDEX_NAME + "-") and p.suffix == ".pkl"
+    )
+
+
+def _so_files(kernel_dir):
+    return sorted(
+        p for p in kernel_dir.iterdir()
+        if not p.name.startswith(native.INDEX_NAME + "-") and p.suffix == ".pkl"
+    )
+
+
+def _lookup():
+    return native.get_native_kernel(SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False)
+
+
+def _counts():
+    return native.render_count, native.compile_count
+
+
+def _run_native(execution, bundle, monkeypatch):
+    """Every design on the toy program, natively; returns per-point stats."""
+    points = [PointSpec(policy=build(bundle)) for build in DESIGN_BUILDERS.values()]
+    monkeypatch.setenv(TIER_ENV, "native")
+    stats = BatchStats()
+    results = simulate_batch(execution, bundle, points, batch_stats=stats)
+    assert stats.native_points == len(points), native.last_error
+    return [sim.stats.as_dict() for sim in results]
+
+
+def _run_python(execution, bundle, monkeypatch):
+    points = [PointSpec(policy=build(bundle)) for build in DESIGN_BUILDERS.values()]
+    monkeypatch.setenv(TIER_ENV, "python")
+    return [sim.stats.as_dict() for sim in simulate_batch(execution, bundle, points)]
+
+
+@needs_compiler
+def test_warm_lookup_never_renders(native_cache, monkeypatch, toy_execution, toy_bundle):
+    cold = _run_native(toy_execution, toy_bundle, monkeypatch)
+    assert len(_index_files(native_cache)) == 1
+    _fresh_process(monkeypatch)
+
+    def no_render(*args, **kwargs):
+        raise AssertionError("a warm kernel lookup rendered C")
+
+    monkeypatch.setattr(native, "c_kernel_source", no_render)
+    before, hits = _counts(), native.cache_hits
+    warm = _run_native(toy_execution, toy_bundle, monkeypatch)
+    assert _counts() == before
+    assert native.cache_hits > hits
+    assert warm == cold == _run_python(toy_execution, toy_bundle, monkeypatch)
+
+
+@needs_compiler
+def test_code_edit_rerenders_without_recompiling(native_cache, monkeypatch):
+    assert _lookup() is not None
+    renders, compiles = _counts()
+    _fresh_process(monkeypatch)
+    monkeypatch.setattr(hashing, "code_fingerprint", lambda: "edited-source-tree")
+    hits = native.cache_hits
+    assert _lookup() is not None
+    assert _counts() == (renders + 1, compiles)
+    assert native.cache_hits == hits + 1
+    # One index per code fingerprint; the .so stays content-addressed.
+    assert len(_index_files(native_cache)) == 2
+    assert len(_so_files(native_cache)) == 1
+
+
+@needs_compiler
+def test_index_entry_for_missing_so_recompiles(
+    native_cache, monkeypatch, toy_execution, toy_bundle
+):
+    _run_native(toy_execution, toy_bundle, monkeypatch)
+    for path in _so_files(native_cache):
+        path.unlink()
+    _fresh_process(monkeypatch)
+    renders, compiles = _counts()
+    native_stats = _run_native(toy_execution, toy_bundle, monkeypatch)
+    assert native.render_count > renders
+    assert native.compile_count > compiles
+    assert native_stats == _run_python(toy_execution, toy_bundle, monkeypatch)
+
+
+@needs_compiler
+def test_corrupt_index_is_quarantined(native_cache, monkeypatch):
+    assert _lookup() is not None
+    (index,) = _index_files(native_cache)
+    index.write_bytes(b"not a pickle")
+    _fresh_process(monkeypatch)
+    renders, compiles = _counts()
+    kernel = _lookup()
+    assert kernel is not None
+    assert _counts() == (renders + 1, compiles)
+    assert index.with_name(index.name + ".corrupt").exists()
+    # The re-render rewrote a readable index: the next process skips it.
+    _fresh_process(monkeypatch)
+    assert _lookup().digest == kernel.digest
+    assert _counts() == (renders + 1, compiles)
+
+
+_WRITER = """
+import sys
+from repro.engine import native
+artifacts = native._artifact_cache(sys.argv[1])
+for i in range(int(sys.argv[3])):
+    native._record_index(artifacts, "merge-test", (sys.argv[2], i), f"{sys.argv[2]}{i}")
+"""
+
+
+def test_concurrent_index_writers_merge(tmp_path):
+    root = str(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, root, name, "40"], env=env)
+        for name in ("a", "b")
+    ]
+    assert [writer.wait() for writer in writers] == [0, 0]
+    native.clear_native_memo()
+    merged = native._read_index(native._artifact_cache(root), "merge-test")
+    assert merged == {
+        (name, i): f"{name}{i}" for name in ("a", "b") for i in range(40)
+    }
+
+
+@needs_compiler
+@pytest.mark.parametrize("backend", ["serial", "fork", "shard"])
+def test_native_artifacts_honour_cache_dir(tmp_path, monkeypatch, backend):
+    from repro.api import ScenarioMatrix, build_service
+
+    chosen, ambient = tmp_path / "chosen", tmp_path / "ambient"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(ambient))
+    monkeypatch.setenv(TIER_ENV, "native")
+    _fresh_process(monkeypatch)
+    try:
+        with build_service(
+            workloads="ChaCha20_ct", cache_dir=str(chosen), backend=backend, jobs=2
+        ) as service:
+            service.run(ScenarioMatrix(designs=("cassandra", "spt")))
+    finally:
+        native.clear_native_memo()
+    kernel_dir = chosen / "v1" / native.ARTIFACT_KIND
+    assert _index_files(kernel_dir) and _so_files(kernel_dir)
+    assert not ambient.exists()
 
 
 # --------------------------------------------------------------------------- #
