@@ -1,21 +1,19 @@
 #!/usr/bin/env python
-"""Benchmark the engine stack: legacy loop vs PR-2 interpreter vs kernels.
+"""Benchmark the engine stack: legacy reference loop vs generated kernels.
 
 Times the *simulation phase* of the quick suite over the evaluation's point
 product — every built-in design at one and two warm-up passes, plus the
-interrupt study's BTU-flush point — three ways:
+interrupt study's BTU-flush point — two ways:
 
 * **legacy** — the seed per-point path: the object-based reference loop
   (:meth:`CoreModel.run_reference`) with full per-policy warm-up passes;
-* **engine** — the PR-2 columnar interpreter: one
-  :func:`repro.engine.batch.simulate_batch` call per workload with
-  ``REPRO_ENGINE_TIER=interp`` (shared lowering + component warm-up,
-  measured passes on :func:`repro.engine.engine.run_trace`);
-* **kernels** — the same batch call with the generated per-(policy × config)
-  kernels active (flat-array state, residency proofs, static counters,
-  measured-pass dedup).
+* **kernels** — one :func:`repro.engine.batch.simulate_batch` call per
+  workload on the python tier (``REPRO_ENGINE_TIER=python``): shared
+  lowering and component warm-up, generated per-(policy × config) kernels
+  over flat-array state, residency proofs, static counters, measured-pass
+  dedup.  Their ratio is ``speedup``, gated with ``--min-speedup``.
 
-A fourth timed phase, **service**, answers "what does the declarative
+A third timed phase, **service**, answers "what does the declarative
 ``repro.api`` layer cost?": the same per-workload point set expressed as
 :class:`~repro.api.request.SimulationRequest` batches through a
 :class:`~repro.api.service.SimulationService` with the serial backend
@@ -27,7 +25,7 @@ submit → dispatch → result round trip.  The difference against the direct
 with ``--max-service-overhead-pct`` (the CI bound asserts the facade adds
 under 2%).
 
-A fifth phase, **scheduler**, prices the full job machinery end to end:
+A fourth phase, **scheduler**, prices the full job machinery end to end:
 ``service.submit(...)`` with a live ``events()`` consumer draining every
 typed :class:`~repro.api.jobs.JobEvent` (queued / prepared / per-point /
 done) before ``result()``.  Its delta over the same direct kernel phase is
@@ -35,7 +33,7 @@ done) before ``result()``.  Its delta over the same direct kernel phase is
 ``--max-scheduler-overhead-pct`` (CI: 2%) — streaming progress must stay
 effectively free.
 
-A sixth phase, **native**, times the same quick-suite point set under
+A fifth phase, **native**, times the same quick-suite point set under
 ``REPRO_ENGINE_TIER=native``: the generated C kernels compiled through the
 system toolchain (:mod:`repro.engine.native`), artifact-cached as shared
 objects so only the first-ever run pays the compiler.  Compilation happens
@@ -48,7 +46,7 @@ kernel phase) can be gated with ``--min-native-speedup``; the phase is
 skipped with a note when no working C compiler exists, and the gate then
 fails loudly rather than vacuously passing.
 
-A seventh phase, **columns sweep**, measures what the NumPy columns tier is
+A sixth phase, **columns sweep**, measures what the NumPy columns tier is
 *for*: a wide design-space sweep — ``SWEEP_DESIGNS`` × a
 ``SWEEP_CONFIGS``-point config grid over the axes the evaluation varies
 (ROB size, pipeline widths, predictor geometry, penalties, forwarding
@@ -64,18 +62,19 @@ parity mismatch, same as the legacy paths), and the aggregate
 bound asserts ≥2×).  Skipped with a note when NumPy is not installed.
 
 Preparation (sequential execution + trace generation) is shared and
-untimed, exactly as in the PR-2 protocol.  The columnar lowering — also
-byte-identical shared input for the engine and kernel paths — is timed once
-per workload and reported as ``lowering_seconds`` instead of being charged
-to either path; kernel compilation happens during the (untimed) parity
-pass and is a process-constant cost (``compile_count`` kernels).  All
-three phases take the best of ``--repeat`` cold repetitions (each
-repetition rebuilds warm state and re-simulates every point; only the
-lowering memo persists), so every reported ratio compares like quantities.
+untimed.  The columnar lowering — byte-identical shared input for every
+batch phase — is timed once per workload and reported as
+``lowering_seconds`` instead of being charged to any of them; kernel
+compilation happens during the (untimed) parity pass and is a
+process-constant cost (``compile_count`` kernels).  Every phase takes the
+best of ``--repeat`` cold repetitions (each repetition rebuilds warm state
+and re-simulates every point; only the lowering memo persists), so every
+reported ratio compares like quantities.
 
-The script verifies bit-for-bit parity across all three paths on every
-point and **exits non-zero on any mismatch**, which is the CI gate; the
-timing JSON (written to ``--output``) records both speedups::
+The script verifies bit-for-bit parity of every batch path against the
+legacy reference loop on every point and **exits non-zero on any
+mismatch**, which is the CI gate; the timing JSON (written to ``--output``)
+records every speedup::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --output BENCH_engine.json
 """
@@ -94,7 +93,7 @@ from repro.engine import kernels as kernels_module
 from repro.engine import native as native_module
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.emit import columns as emit_columns
-from repro.engine.kernels import KERNELS_ENV, TIER_ENV, clear_kernel_cache
+from repro.engine.kernels import TIER_ENV, clear_kernel_cache
 from repro.experiments.interrupts import DEFAULT_FLUSH_INTERVAL
 from repro.experiments.runner import DESIGN_BUILDERS, QUICK_WORKLOADS, prepare_workload
 from repro.pipeline.artifacts import ArtifactCache
@@ -102,7 +101,7 @@ from repro.uarch.config import CoreConfig
 from repro.uarch.core import CoreModel
 
 #: Schema of the report (and of trajectory entries).  Bump on layout change.
-BENCH_SCHEMA_VERSION = 6
+BENCH_SCHEMA_VERSION = 7
 
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
 
@@ -207,8 +206,8 @@ def run_service(service, artifact) -> Dict[tuple, Dict[str, object]]:
     """The same point set through the declarative request surface.
 
     One :class:`SimulationRequest` batch per workload, serial backend,
-    kernels active — so the delta against :func:`run_batch` in ``on`` mode
-    is purely the api layer: request expansion, memo bookkeeping, and
+    kernels active — so the delta against :func:`run_batch` on the python
+    tier is purely the api layer: request expansion, memo bookkeeping, and
     ResultSet assembly.
     """
     from repro.api import SimulationRequest
@@ -235,7 +234,7 @@ def run_scheduler(service, artifact) -> Dict[tuple, Dict[str, object]]:
 
     ``submit`` → drain ``events()`` (every queued / prepared /
     point-started / point-done frame) → ``result()``: the delta against
-    :func:`run_batch` in ``on`` mode is the whole job-oriented machinery —
+    :func:`run_batch` on the python tier is the whole job-oriented machinery —
     queueing, dispatch threads, per-point event emission, and stream
     delivery.
     """
@@ -282,13 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--min-speedup",
         type=float,
         default=0.0,
-        help="fail unless the engine-over-legacy speedup reaches this (0 disables)",
-    )
-    parser.add_argument(
-        "--min-kernel-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless the kernels-over-engine speedup reaches this (0 disables)",
+        help="fail unless the kernels-over-legacy speedup reaches this (0 disables)",
     )
     parser.add_argument(
         "--max-service-overhead-pct",
@@ -329,25 +322,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = ArtifactCache(root=args.cache_dir) if args.cache_dir else None
     repeat = max(args.repeat, 1)
-    saved_mode = os.environ.get(KERNELS_ENV)
     saved_tier = os.environ.get(TIER_ENV)
 
     prepare_start = time.perf_counter()
     artifacts = [prepare_workload(name, cache=cache) for name in QUICK_WORKLOADS]
     prepare_seconds = time.perf_counter() - prepare_start
 
-    # Verify three-way parity on every point; this pass also compiles
-    # every kernel the suite needs, so the timed phases below measure the
-    # steady state (compilation is a process-constant cost; its magnitude is
-    # visible as ``compile_count`` kernels).
+    # Verify parity against the legacy loop on every point; this pass also
+    # compiles every kernel the suite needs, so the timed phases below
+    # measure the steady state (compilation is a process-constant cost; its
+    # magnitude is visible as ``compile_count`` kernels).
     parity_start = time.perf_counter()
     native_ok = native_module.compiler_available()
     mismatches = []
     for artifact in artifacts:
         legacy = run_legacy(artifact)
-        engine = run_batch(artifact, "interp")
-        kernels = run_batch(artifact, "python")
-        others = [("engine", engine), ("kernels", kernels)]
+        others = [("kernels", run_batch(artifact, "python"))]
         if native_ok:
             native_stats = BatchStats()
             others.append(("native", run_batch(artifact, "native", native_stats)))
@@ -391,10 +381,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     service = SimulationService(service_pipeline, backend=SerialBackend())
 
     per_workload = []
-    legacy_total = engine_total = kernel_total = lowering_total = 0.0
+    legacy_total = kernel_total = lowering_total = 0.0
     service_total = scheduler_total = native_total = 0.0
     for artifact in artifacts:
-        # The lowering is byte-identical shared input for both batch paths:
+        # The lowering is byte-identical shared input for every batch path:
         # timed once, then left memoized for the phase timings below.
         if hasattr(artifact.result, "_lowered_trace"):
             del artifact.result._lowered_trace
@@ -406,9 +396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         legacy_seconds = min(
             _timed(lambda: run_legacy(artifact)) for _ in range(repeat)
-        )
-        engine_seconds = min(
-            _timed(lambda: run_batch(artifact, "interp")) for _ in range(repeat)
         )
         # The kernel, service, and scheduler phases are interleaved within
         # each repetition: the service/scheduler overheads are small
@@ -456,7 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         assert kernel_seconds is not None and inner_kernel is not None
 
         legacy_total += legacy_seconds
-        engine_total += engine_seconds
         kernel_total += kernel_seconds
         if native_seconds is not None:
             native_total += native_seconds
@@ -470,7 +456,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "points": len(POINTS),
                 "lowering_seconds": round(lowering_seconds, 4),
                 "legacy_seconds": round(legacy_seconds, 4),
-                "engine_seconds": round(engine_seconds, 4),
                 "kernel_seconds": round(kernel_seconds, 4),
                 "native_seconds": round(native_seconds, 4)
                 if native_seconds is not None
@@ -498,10 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "overhead_seconds": round(
                     max(kernel_seconds - inner_kernel.kernel_seconds, 0.0), 4
                 ),
-                "speedup": round(legacy_seconds / engine_seconds, 2)
-                if engine_seconds
-                else None,
-                "kernel_speedup": round(engine_seconds / kernel_seconds, 2)
+                "speedup": round(legacy_seconds / kernel_seconds, 2)
                 if kernel_seconds
                 else None,
                 "batch": inner_kernel.as_dict(),
@@ -577,17 +559,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         sweep_python_total / sweep_columns_total if sweep_columns_total else 0.0
     )
 
-    if saved_mode is None:
-        os.environ.pop(KERNELS_ENV, None)
-    else:
-        os.environ[KERNELS_ENV] = saved_mode
     if saved_tier is None:
         os.environ.pop(TIER_ENV, None)
     else:
         os.environ[TIER_ENV] = saved_tier
 
-    speedup = legacy_total / engine_total if engine_total else 0.0
-    kernel_speedup = engine_total / kernel_total if kernel_total else 0.0
+    speedup = legacy_total / kernel_total if kernel_total else 0.0
     native_speedup = kernel_total / native_total if native_total else 0.0
     service_overhead = max(service_total - kernel_total, 0.0)
     service_overhead_pct = (
@@ -611,7 +588,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "parity_check_seconds": round(parity_seconds, 3),
         "lowering_seconds": round(lowering_total, 3),
         "legacy_seconds": round(legacy_total, 3),
-        "engine_seconds": round(engine_total, 3),
         "kernel_seconds": round(kernel_total, 3),
         # The native phase (absent numbers mean no working C toolchain).
         "native_available": native_ok,
@@ -628,7 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scheduler_overhead_seconds": round(scheduler_overhead, 4),
         "scheduler_overhead_pct": round(scheduler_overhead_pct, 2),
         "speedup": round(speedup, 2),
-        "kernel_speedup": round(kernel_speedup, 2),
         # The columns sweep phase (absent numbers mean NumPy is missing).
         "sweep_available": columns_ok,
         "sweep_designs": list(SWEEP_DESIGNS),
@@ -651,7 +626,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "schema_version": BENCH_SCHEMA_VERSION,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "legacy_seconds": report["legacy_seconds"],
-            "engine_seconds": report["engine_seconds"],
             "kernel_seconds": report["kernel_seconds"],
             "native_seconds": report["native_seconds"],
             "native_speedup": report["native_speedup"],
@@ -660,7 +634,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "service_overhead_pct": report["service_overhead_pct"],
             "scheduler_overhead_pct": report["scheduler_overhead_pct"],
             "speedup": report["speedup"],
-            "kernel_speedup": report["kernel_speedup"],
             "sweep_python_seconds": report["sweep_python_seconds"],
             "sweep_columns_seconds": report["sweep_columns_seconds"],
             "columns_speedup": report["columns_speedup"],
@@ -689,11 +662,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         else "native skipped (no C toolchain)"
     )
     print(
-        f"legacy {legacy_total:.2f}s  engine {engine_total:.2f}s  "
-        f"kernels {kernel_total:.2f}s  {native_line}  service {service_total:.2f}s "
+        f"legacy {legacy_total:.2f}s  kernels {kernel_total:.2f}s  "
+        f"{native_line}  service {service_total:.2f}s "
         f"(+{service_overhead_pct:.2f}%)  scheduler {scheduler_total:.2f}s "
-        f"(+{scheduler_overhead_pct:.2f}%)  engine-speedup {speedup:.2f}x  "
-        f"kernel-speedup {kernel_speedup:.2f}x  {sweep_line}  "
+        f"(+{scheduler_overhead_pct:.2f}%)  speedup {speedup:.2f}x  {sweep_line}  "
         f"parity {'ok' if not mismatches else 'MISMATCH'}"
     )
     if mismatches:
@@ -701,14 +673,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     if args.min_speedup and speedup < args.min_speedup:
         print(
-            f"engine speedup {speedup:.2f}x below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_kernel_speedup and kernel_speedup < args.min_kernel_speedup:
-        print(
-            f"kernel speedup {kernel_speedup:.2f}x below required "
-            f"{args.min_kernel_speedup:.2f}x",
+            f"kernel speedup {speedup:.2f}x below required {args.min_speedup:.2f}x",
             file=sys.stderr,
         )
         return 1

@@ -155,8 +155,8 @@ def _add_engine_tier_argument(parser: argparse.ArgumentParser) -> None:
         help="measured-pass execution tier: 'native' (C kernels compiled "
         "through the system toolchain, cached as shared objects; falls back "
         "per point when no compiler works), 'columns' (NumPy multi-config "
-        "cohorts where provably exact; the default), 'python' (per-config "
-        "generated kernels), or 'interp' (the generic interpreter); "
+        "cohorts where provably exact; the default), or 'python' (per-config "
+        "generated kernels); "
         f"equivalent to setting {TIER_ENV}",
     )
 

@@ -34,16 +34,14 @@ always the golden model**::
         │                  residency proofs, trace-property statistics
         │                  precomputed.
         ▼
-    engine.run_trace()     the *interp* tier: the PR-2 interpreter — one
-        │                  generic loop over the columns, object unit
-        │                  models, every policy decision a runtime test.
-        ▼
     CoreModel.run_reference()
                            the seed object-based loop driving the full
                            DefensePolicy hook protocol — the behavioural
-                           reference everything above is tested against.
+                           reference everything above is tested against,
+                           and the loop policies without an engine spec
+                           run on.
 
-Tier selection: ``REPRO_ENGINE_TIER=native|columns|python|interp``
+Tier selection: ``REPRO_ENGINE_TIER=native|columns|python``
 (:func:`~repro.engine.kernels.engine_tier`; default ``columns``, which
 falls back per point to the python kernels whenever a proof fails, the
 cohort is too small, or NumPy is missing; ``native`` likewise falls back
@@ -66,44 +64,38 @@ Layer tour, bottom to top:
    ``lowered-trace`` artifact kind, and
    :meth:`~repro.engine.lowering.LoweredTrace.to_bytes` preserializes it for
    the multiprocessing fan-out (and, eventually, cross-host sharding).
-2. :mod:`repro.engine.engine` — :func:`~repro.engine.engine.run_trace`
-   replays a lowered trace under an
-   :class:`~repro.uarch.defenses.base.EnginePolicySpec` with cycle
-   accounting bit-identical to the reference loop.
-3. :mod:`repro.engine.state` — flat-array models of the
+2. :mod:`repro.engine.state` — flat-array models of the
    icache / d-cache hierarchy / BPU / BTU whose snapshot/restore is a
    handful of C-level copies; the object models in :mod:`repro.uarch`
    remain the behavioural source of truth.
-4. :mod:`repro.engine.ir` — the typed kernel IR: one
+3. :mod:`repro.engine.ir` — the typed kernel IR: one
    :func:`~repro.engine.ir.build_kernel_ir` tree per policy family, plus
    the transforms (``specialize`` / ``strip_stats`` / constant folding)
    that burn a (policy spec × config × feature) point into a fully
    resolved tree.  :mod:`repro.engine.emit` holds the emitters over it:
    ``emit.python`` renders the per-point kernel source,
    ``emit.columns`` executes whole config cohorts with NumPy.
-5. :mod:`repro.engine.kernels` — :func:`~repro.engine.kernels.get_kernel`
+4. :mod:`repro.engine.kernels` — :func:`~repro.engine.kernels.get_kernel`
    lowers the IR through the python emitter and ``exec``-compiles one
    measured-pass kernel per (policy spec × config), cached per process.
    ``REPRO_ENGINE_TIER`` (:func:`~repro.engine.kernels.engine_tier`)
-   selects the tier; the legacy ``REPRO_ENGINE_KERNELS=off`` spelling
-   still maps to the ``interp`` escape hatch.
-6. :mod:`repro.engine.warmup` — component-wise warm-state construction:
+   selects the tier.
+5. :mod:`repro.engine.warmup` — component-wise warm-state construction:
    the icache / d-cache / BPU / BTU training effect of an untimed warm-up
    pass is computed by cheap program-order replays, snapshotted once per
-   (workload × config), and restored into every policy's measured pass —
-   as unit-object state for the interpreter, as flat arrays for the
-   kernels.  Its residency proofs (``icache_resident`` /
+   (workload × config), and restored into every policy's measured pass as
+   flat arrays.  Its residency proofs (``icache_resident`` /
    ``dcache_resident``) license the kernels' cache-free variants.
-7. :mod:`repro.engine.batch` — :func:`~repro.engine.batch.simulate_batch`:
+6. :mod:`repro.engine.batch` — :func:`~repro.engine.batch.simulate_batch`:
    one call simulates many (policy × config × flush-interval × warm-up)
    points over a shared lowering, shared warm state, and shared
    per-workload kernel inputs (plans, premasked columns, BTU payloads),
    deduplicating points whose specs canonicalize identically — returning
-   :class:`~repro.uarch.core.SimulationResult` objects bit-identical to the
-   legacy per-point path.
+   :class:`~repro.uarch.core.SimulationResult` objects bit-identical to
+   :meth:`~repro.uarch.core.CoreModel.run_reference`.
 """
 
-# Only the dependency-free lowering layer is imported eagerly.  The engine /
+# Only the dependency-free lowering layer is imported eagerly.  The kernel /
 # warm-up / batch modules import the unit models from ``repro.uarch``, whose
 # own modules import ``repro.engine.lowering`` — an eager import here would
 # re-enter the partially-initialized ``repro.uarch`` package and crash, so
@@ -116,7 +108,6 @@ from repro.engine.lowering import (
 )
 
 _LAZY_EXPORTS = {
-    "run_trace": ("repro.engine.engine", "run_trace"),
     "WarmStateBuilder": ("repro.engine.warmup", "WarmStateBuilder"),
     "BatchStats": ("repro.engine.batch", "BatchStats"),
     "PointSpec": ("repro.engine.batch", "PointSpec"),
@@ -124,9 +115,7 @@ _LAZY_EXPORTS = {
     "FlatState": ("repro.engine.state", "FlatState"),
     "get_kernel": ("repro.engine.kernels", "get_kernel"),
     "kernel_source": ("repro.engine.kernels", "kernel_source"),
-    "kernels_enabled": ("repro.engine.kernels", "kernels_enabled"),
     "engine_tier": ("repro.engine.kernels", "engine_tier"),
-    "KERNELS_ENV": ("repro.engine.kernels", "KERNELS_ENV"),
     "TIER_ENV": ("repro.engine.kernels", "TIER_ENV"),
     "ENGINE_TIERS": ("repro.engine.kernels", "ENGINE_TIERS"),
 }

@@ -28,17 +28,16 @@ policy-independent work once —
   config; everything outside the cohort, and everything when NumPy is
   absent, runs on the python kernels exactly as before.
 
-``REPRO_ENGINE_TIER`` selects the tier explicitly (``columns`` / ``python``
-/ ``interp``); the legacy ``REPRO_ENGINE_KERNELS=off`` spelling still
-falls back to the PR-2 interpreter (:func:`repro.engine.engine.run_trace`
-over the object units).
+``REPRO_ENGINE_TIER`` selects the tier explicitly (``native`` /
+``columns`` / ``python``).
 
-Results are bit-identical to the legacy one-point-at-a-time path
-(``tests/engine/test_parity.py``) on every tier: kernels are pinned to the
-reference loop by ``tests/engine/test_kernel_parity.py`` and the columns
-tier to the kernels by ``tests/engine/test_columns_parity.py``.  Policies
-without an engine spec fall back to the object-based reference loop, still
-inside the same batch call.
+Results are bit-identical to the object-based reference loop
+(:meth:`~repro.uarch.core.CoreModel.run_reference`,
+``tests/engine/test_parity.py``) on every tier: kernels are pinned to it
+by ``tests/engine/test_kernel_parity.py``, the columns tier by
+``tests/engine/test_columns_parity.py``, and the native tier by
+``tests/engine/test_native_parity.py``.  Policies without an engine spec
+fall back to the reference loop itself, still inside the same batch call.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from repro.arch.executor import ExecutionResult
 from repro.engine import native
 from repro.engine.kernels import (
     classify_branch,
+    crypto_pc_table,
     engine_tier,
     get_kernel,
     relevant_flag_mask,
@@ -86,7 +86,7 @@ class BatchStats:
     points: int = 0
     #: Columnar lowerings computed by this batch (0 when already memoized).
     lowerings: int = 0
-    #: Measured passes (one per non-fallback point, kernel or interpreter).
+    #: Measured passes (one per non-fallback point, whichever tier served it).
     measured_passes: int = 0
     #: Private full warm-up passes (cycle-dependent BTU-flush points, and
     #: forwarding-allowed points when the shared d-cache replay is not
@@ -101,9 +101,9 @@ class BatchStats:
     fallback_points: int = 0
     #: Points whose counters came from a python-tier generated kernel —
     #: whether freshly measured or shared via the canonicalization memo.
-    #: Zero on the ``interp`` tier (every non-fallback point runs the
-    #: interpreter) and partial on the ``columns`` tier (cohort members are
-    #: counted under ``columns_points`` instead).
+    #: Partial on the ``columns`` and ``native`` tiers (cohort members and
+    #: compiled C points are counted under ``columns_points`` /
+    #: ``native_points`` instead).
     kernel_points: int = 0
     #: Points whose counters came from a columns-tier cohort walk.
     columns_points: int = 0
@@ -160,9 +160,10 @@ def _apply_kernel_counters(
 ) -> None:
     """Write one kernel run's counters back into a ``PipelineStats``.
 
-    Mirrors the statistics write-back of :func:`repro.engine.engine.run_trace`:
-    monotone counters are incremented, absolute fields overwritten, and the
-    measured-pass cache miss rates derive from this run's accesses alone.
+    Mirrors the statistics of :meth:`~repro.uarch.core.CoreModel.run_reference`
+    after ``reset_stats``: monotone counters are incremented, absolute fields
+    overwritten, and the measured-pass cache miss rates derive from this
+    run's accesses alone.
     The statistics that are pure trace properties come from the batch's
     shared precomputation (``base`` and, for Cassandra-kind specs, the
     per-class branch occurrence counts ``plan_occ``) instead of per-loop
@@ -233,7 +234,6 @@ def simulate_batch(
 
     stats = batch_stats if batch_stats is not None else BatchStats()
     tier = engine_tier()
-    use_kernels = tier != "interp"
     use_native = tier == "native"
     native_snapshot = native.counters_snapshot() if use_native else None
 
@@ -283,8 +283,6 @@ def simulate_batch(
     def shared_crypto_pcs() -> bytes:
         table = batch_shared.get("crypto_pcs")
         if table is None:
-            from repro.engine.engine import crypto_pc_table
-
             table = bytes(crypto_pc_table(hint_table, trace.max_pc))
             batch_shared["crypto_pcs"] = table
         return table  # type: ignore[return-value]
@@ -544,7 +542,7 @@ def simulate_batch(
                 measured_memo[memo_key] = counters
                 columns_keys.add(memo_key)
 
-    if use_kernels and tier == "columns" and points:
+    if tier == "columns" and points:
         columns_precompute()
 
     simulations: List = []
@@ -571,9 +569,9 @@ def simulate_batch(
                 btu_flush_interval=point.btu_flush_interval,
             )
             for _ in range(passes):
-                core.run(result.dynamic)
+                core.run_reference(result.dynamic)
                 core.reset_stats()
-            simulation = core.run(result.dynamic)
+            simulation = core.run_reference(result.dynamic)
             simulations.append(simulation)
             if program_name is not None:
                 simulation.program_name = program_name
@@ -591,187 +589,161 @@ def simulate_batch(
             bool(point.btu_flush_interval) and spec.btu_warm_class == "replay"
         )
 
-        if use_kernels:
-            spec = canonical_spec(spec)
-            cassandra = spec.kind == "cassandra"
-            if cassandra and hint_table is None:
-                raise ValueError("cassandra-kind engine specs require a hint table")
-            # The reference loop and the interpreter treat any falsy
-            # interval as "flushing disabled"; normalize so the kernels do
-            # too (and so 0 and None share one memo slot).
-            flush_interval = point.btu_flush_interval or None
-            memo_key = (spec, point_config, flush_interval, passes)
-            counters = measured_memo.get(memo_key)
-            from_columns = memo_key in columns_keys
-            if counters is None:
-                # A warmed point under a residency proof cannot miss, so the
-                # measured kernel drops that cache model entirely; the
-                # d-cache proof also makes the shared warm state exact under
-                # forwarding (no eviction ever consults the LRU order a
-                # skipped access would have refreshed), sparing the private
-                # warm-up passes.
-                icache_ok = passes > 0 and builder.icache_resident()
-                dcache_ok = passes > 0 and builder.dcache_resident()
-                forwarding_private = (
-                    passes > 0
-                    and spec.allow_store_forwarding
-                    and not dcache_ok
-                    and not builder.forwarding_shareable()
-                )
-                if forwarding_private:
-                    stats.forwarding_private_points += 1
-                btu_data = shared_btu_data(point_config) if cassandra else None
-                crypto_pcs = shared_crypto_pcs() if cassandra else b""
-                if cassandra:
-                    plan_cls, plan_stp, plan_occ, traced_static = shared_plan(
-                        spec.lite, point_config
-                    )
-                else:
-                    plan_cls, plan_stp = b"", {}
-                    traced_static = 0
-                state = FlatState(point_config, btu_data)
-                flush_active = flush_interval is not None
-                # With no flush active and every traced branch fitting the
-                # BTU, residency can never evict and the kernel elides the
-                # LRU list.
-                btu_elide = (
-                    cassandra
-                    and not spec.lite
-                    and not flush_active
-                    and traced_static <= point_config.btu.entries
-                )
-                # The native tier serves a point all-or-nothing: mixing a
-                # native warm pass with a python measured pass (or vice
-                # versa) would leave one side reading state the other only
-                # wrote into its own representation.  Any missing variant —
-                # no compiler, toolchain rejection — drops the whole point
-                # back onto the python kernels.
-                kernel = warm_kernel = None
-                if use_native:
-                    kernel = native.get_native_kernel(
-                        spec,
-                        point_config,
-                        flush_active,
-                        icache_resident=icache_ok,
-                        dcache_resident=dcache_ok,
-                        btu_elide=btu_elide,
-                        cache_dir=cache_dir,
-                    )
-                    if kernel is not None and (flush_private or forwarding_private):
-                        warm_kernel = native.get_native_kernel(
-                            spec,
-                            point_config,
-                            flush_active,
-                            collect_stats=False,
-                            cache_dir=cache_dir,
-                        )
-                        if warm_kernel is None:
-                            kernel = None
-                native_point = kernel is not None
-                # Native kernels premask the flags column in compiled code,
-                # so they skip the shared pre-zipped rows entirely.
-                rows = (
-                    None
-                    if native_point
-                    else shared_rows(point_config, relevant_flag_mask(spec))
-                )
-                if flush_private or forwarding_private:
-                    # Private warm passes always model the caches in full:
-                    # the first pass runs cold, and its miss timing feeds
-                    # the cycle-triggered BTU flushes.
-                    if warm_kernel is None:
-                        warm_kernel = get_kernel(
-                            spec, point_config, flush_active, collect_stats=False
-                        )
-                    for _ in range(passes):
-                        start = time.perf_counter()
-                        warm_kernel(
-                            trace, state, rows, crypto_pcs, plan_cls, plan_stp,
-                            flush_interval,
-                        )
-                        stats.kernel_seconds += time.perf_counter() - start
-                        stats.full_warmup_passes += 1
-                elif passes:
-                    builder.warm_flat(
-                        spec,
-                        passes,
-                        state,
-                        need_icache=not icache_ok,
-                        need_dcache=not dcache_ok,
-                    )
-                if kernel is None:
-                    kernel = get_kernel(
-                        spec,
-                        point_config,
-                        flush_active,
-                        icache_resident=icache_ok,
-                        dcache_resident=dcache_ok,
-                        btu_elide=btu_elide,
-                    )
-                start = time.perf_counter()
-                counters = kernel(
-                    trace, state, rows, crypto_pcs, plan_cls, plan_stp,
-                    flush_interval,
-                )
-                stats.kernel_seconds += time.perf_counter() - start
-                measured_memo[memo_key] = counters
-                if native_point:
-                    native_keys.add(memo_key)
-            elif not from_columns:
-                # Sharing between columns cohort members is the tier's whole
-                # point, not a canonicalization dedup — only python-tier memo
-                # hits count here.
-                stats.deduped_points += 1
-            stats.measured_passes += 1
-            if from_columns:
-                stats.columns_points += 1
-            elif memo_key in native_keys:
-                stats.native_points += 1
-            else:
-                stats.kernel_points += 1
-            plan_occ = (
-                shared_plan(spec.lite, point_config)[2] if cassandra else None
-            )
-            point_stats = PipelineStats()
-            _apply_kernel_counters(
-                point_stats,
-                counters,
-                trace.n,
-                shared_base_counts(),
-                plan_occ,
-                spec.allow_store_forwarding,
-            )
-            simulation = SimulationResult(
-                program_name=default_program_name,
-                policy_name=point.policy.name,
-                stats=point_stats,
-                config=point_config,
-            )
-        else:
+        spec = canonical_spec(spec)
+        cassandra = spec.kind == "cassandra"
+        if cassandra and hint_table is None:
+            raise ValueError("cassandra-kind engine specs require a hint table")
+        # The reference loop treats any falsy interval as "flushing
+        # disabled"; normalize so the kernels do too (and so 0 and None
+        # share one memo slot).
+        flush_interval = point.btu_flush_interval or None
+        memo_key = (spec, point_config, flush_interval, passes)
+        counters = measured_memo.get(memo_key)
+        from_columns = memo_key in columns_keys
+        if counters is None:
+            # A warmed point under a residency proof cannot miss, so the
+            # measured kernel drops that cache model entirely; the
+            # d-cache proof also makes the shared warm state exact under
+            # forwarding (no eviction ever consults the LRU order a
+            # skipped access would have refreshed), sparing the private
+            # warm-up passes.
+            icache_ok = passes > 0 and builder.icache_resident()
+            dcache_ok = passes > 0 and builder.dcache_resident()
             forwarding_private = (
                 passes > 0
                 and spec.allow_store_forwarding
+                and not dcache_ok
                 and not builder.forwarding_shareable()
             )
             if forwarding_private:
                 stats.forwarding_private_points += 1
-            core = CoreModel(
-                config=point_config,
-                policy=point.policy,
-                bundle=bundle,
-                btu_flush_interval=point.btu_flush_interval,
+            btu_data = shared_btu_data(point_config) if cassandra else None
+            crypto_pcs = shared_crypto_pcs() if cassandra else b""
+            if cassandra:
+                plan_cls, plan_stp, plan_occ, traced_static = shared_plan(
+                    spec.lite, point_config
+                )
+            else:
+                plan_cls, plan_stp = b"", {}
+                traced_static = 0
+            state = FlatState(point_config, btu_data)
+            flush_active = flush_interval is not None
+            # With no flush active and every traced branch fitting the
+            # BTU, residency can never evict and the kernel elides the
+            # LRU list.
+            btu_elide = (
+                cassandra
+                and not spec.lite
+                and not flush_active
+                and traced_static <= point_config.btu.entries
+            )
+            # The native tier serves a point all-or-nothing: mixing a
+            # native warm pass with a python measured pass (or vice
+            # versa) would leave one side reading state the other only
+            # wrote into its own representation.  Any missing variant —
+            # no compiler, toolchain rejection — drops the whole point
+            # back onto the python kernels.
+            kernel = warm_kernel = None
+            if use_native:
+                kernel = native.get_native_kernel(
+                    spec,
+                    point_config,
+                    flush_active,
+                    icache_resident=icache_ok,
+                    dcache_resident=dcache_ok,
+                    btu_elide=btu_elide,
+                    cache_dir=cache_dir,
+                )
+                if kernel is not None and (flush_private or forwarding_private):
+                    warm_kernel = native.get_native_kernel(
+                        spec,
+                        point_config,
+                        flush_active,
+                        collect_stats=False,
+                        cache_dir=cache_dir,
+                    )
+                    if warm_kernel is None:
+                        kernel = None
+            native_point = kernel is not None
+            # Native kernels premask the flags column in compiled code,
+            # so they skip the shared pre-zipped rows entirely.
+            rows = (
+                None
+                if native_point
+                else shared_rows(point_config, relevant_flag_mask(spec))
             )
             if flush_private or forwarding_private:
+                # Private warm passes always model the caches in full:
+                # the first pass runs cold, and its miss timing feeds
+                # the cycle-triggered BTU flushes.
+                if warm_kernel is None:
+                    warm_kernel = get_kernel(
+                        spec, point_config, flush_active, collect_stats=False
+                    )
                 for _ in range(passes):
-                    core.run(trace)
-                    core.reset_stats()
+                    start = time.perf_counter()
+                    warm_kernel(
+                        trace, state, rows, crypto_pcs, plan_cls, plan_stp,
+                        flush_interval,
+                    )
+                    stats.kernel_seconds += time.perf_counter() - start
                     stats.full_warmup_passes += 1
             elif passes:
-                builder.warm_units(
-                    spec, passes, core.bpu, core.caches, core.icache, core.btu
+                builder.warm_flat(
+                    spec,
+                    passes,
+                    state,
+                    need_icache=not icache_ok,
+                    need_dcache=not dcache_ok,
                 )
-            simulation = core.run(trace)
-            stats.measured_passes += 1
+            if kernel is None:
+                kernel = get_kernel(
+                    spec,
+                    point_config,
+                    flush_active,
+                    icache_resident=icache_ok,
+                    dcache_resident=dcache_ok,
+                    btu_elide=btu_elide,
+                )
+            start = time.perf_counter()
+            counters = kernel(
+                trace, state, rows, crypto_pcs, plan_cls, plan_stp,
+                flush_interval,
+            )
+            stats.kernel_seconds += time.perf_counter() - start
+            measured_memo[memo_key] = counters
+            if native_point:
+                native_keys.add(memo_key)
+        elif not from_columns:
+            # Sharing between columns cohort members is the tier's whole
+            # point, not a canonicalization dedup — only python-tier memo
+            # hits count here.
+            stats.deduped_points += 1
+        stats.measured_passes += 1
+        if from_columns:
+            stats.columns_points += 1
+        elif memo_key in native_keys:
+            stats.native_points += 1
+        else:
+            stats.kernel_points += 1
+        plan_occ = (
+            shared_plan(spec.lite, point_config)[2] if cassandra else None
+        )
+        point_stats = PipelineStats()
+        _apply_kernel_counters(
+            point_stats,
+            counters,
+            trace.n,
+            shared_base_counts(),
+            plan_occ,
+            spec.allow_store_forwarding,
+        )
+        simulation = SimulationResult(
+            program_name=default_program_name,
+            policy_name=point.policy.name,
+            stats=point_stats,
+            config=point_config,
+        )
 
         if program_name is not None:
             simulation.program_name = program_name

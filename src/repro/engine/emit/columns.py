@@ -11,7 +11,7 @@ config ``K+1`` is one lane in a NumPy op instead of a full interpreter
 pass.  All arithmetic is exact int64 — the parity contract extends the
 chain one layer up::
 
-    emit.columns  ≡  emit.python kernels  ≡  run_trace  ≡  run_reference
+    emit.columns  ≡  emit.python kernels  ≡  run_reference
 
 bit-for-bit (``tests/engine/test_columns_parity.py``).
 

@@ -1,13 +1,12 @@
 """Generated per-(policy × config) measured-pass kernels.
 
-This module is the top of the engine's specialization chain::
+This module is the python tier of the engine's specialization chain::
 
-    kernels.get_kernel()  →  engine.run_trace()  →  CoreModel.run_reference()
+    kernels.get_kernel()  →  CoreModel.run_reference()
 
-Each layer is required to be bit-identical to the one below it; the layer
-below is always the golden model.  ``run_trace`` interprets a
-:class:`~repro.engine.lowering.LoweredTrace` generically — every constant is
-a local variable, every policy decision a runtime test, every cache/BPU/BTU
+Every kernel is required to be bit-identical to the reference loop, the
+golden model.  The reference loop walks the ``DynamicInstruction`` stream
+generically — every policy decision a hook call, every cache/BPU/BTU
 interaction a method call on the object models.  :func:`get_kernel` instead
 **generates Python source** for one exact (:class:`EnginePolicySpec` ×
 :class:`CoreConfig`) pair and ``exec``-compiles it once per process:
@@ -54,9 +53,7 @@ counter contract).
 Compiled kernels are cached per process keyed by
 ``(spec, config.digest(), flush_active, residency, collect_stats)``.  The
 ``REPRO_ENGINE_TIER`` environment variable selects the execution tier
-(``columns`` / ``python`` / ``interp`` — see :func:`engine_tier`); the
-legacy ``REPRO_ENGINE_KERNELS=off`` spelling still steers
-``simulate_batch`` back onto the PR-2 ``run_trace`` path.
+(``native`` / ``columns`` / ``python`` — see :func:`engine_tier`).
 """
 
 from __future__ import annotations
@@ -74,37 +71,25 @@ from repro.uarch.config import CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 from repro.uarch.defenses.cassandra import ReplayMismatchError
 
-#: The execution-tier switch (``native`` / ``columns`` / ``python`` /
-#: ``interp``).
+#: The execution-tier switch (``native`` / ``columns`` / ``python``).
 TIER_ENV = "REPRO_ENGINE_TIER"
-#: Legacy two-way switch, honored when ``REPRO_ENGINE_TIER`` is unset:
-#: any value in ``_OFF_VALUES`` means ``interp``, anything else ``python``.
-KERNELS_ENV = "REPRO_ENGINE_KERNELS"
-_OFF_VALUES = ("off", "0", "false", "no")
 #: Valid ``REPRO_ENGINE_TIER`` values, fastest first.
-ENGINE_TIERS = ("native", "columns", "python", "interp")
+ENGINE_TIERS = ("native", "columns", "python")
 
 
 def engine_tier() -> str:
     """The selected execution tier: one of :data:`ENGINE_TIERS`.
 
-    Resolution order:
-
-    1. ``REPRO_ENGINE_TIER`` if set — must be one of :data:`ENGINE_TIERS`
-       (case/whitespace-insensitive); anything else raises ``ValueError``
-       rather than silently running a different tier.
-    2. The legacy ``REPRO_ENGINE_KERNELS`` switch if set — ``off`` / ``0``
-       / ``false`` / ``no`` mean ``interp`` (the historical escape hatch),
-       any other value means ``python`` (the historical kernel path, kept
-       exact for callers that pinned it).
-    3. Neither set: ``columns`` — the auto tier.  The columns emitter only
-       engages for cohorts large enough to amortize NumPy dispatch (see
-       ``repro.engine.emit.columns``) and falls back to python kernels
-       point-by-point otherwise, so "auto" is never slower than ``python``.
-       ``native`` (C kernels compiled per specialization point — see
-       :mod:`repro.engine.native`) is opt-in: it needs a working C
-       toolchain, and degrades point-by-point onto the python kernels when
-       none is found.
+    ``REPRO_ENGINE_TIER`` if set — must be one of :data:`ENGINE_TIERS`
+    (case/whitespace-insensitive); anything else raises ``ValueError``
+    rather than silently running a different tier.  Unset: ``columns`` —
+    the auto tier.  The columns emitter only engages for cohorts large
+    enough to amortize NumPy dispatch (see ``repro.engine.emit.columns``)
+    and falls back to python kernels point-by-point otherwise, so "auto" is
+    never slower than ``python``.  ``native`` (C kernels compiled per
+    specialization point — see :mod:`repro.engine.native`) is opt-in: it
+    needs a working C toolchain, and degrades point-by-point onto the
+    python kernels when none is found.
 
     Checked at every ``simulate_batch`` call, so tests (and operators
     bisecting a suspected tier bug) can flip the environment at any point
@@ -118,20 +103,18 @@ def engine_tier() -> str:
                 f"{TIER_ENV} must be one of {'/'.join(ENGINE_TIERS)}, got {raw!r}"
             )
         return tier
-    legacy = os.environ.get(KERNELS_ENV)
-    if legacy is not None:
-        return "interp" if legacy.strip().lower() in _OFF_VALUES else "python"
     return "columns"
 
 
-def kernels_enabled() -> bool:
-    """Whether generated kernels are active (any tier above ``interp``).
-
-    Back-compat shim over :func:`engine_tier` — the boolean most callers
-    need is "fast path or object loop?", which both compiled tiers answer
-    the same way.
-    """
-    return engine_tier() != "interp"
+def crypto_pc_table(hint_table: Optional[HintTable], max_pc: int) -> bytearray:
+    """A flat ``pc -> in-crypto-range`` table for the integrity check."""
+    table = bytearray(max_pc + 2)
+    if hint_table is not None:
+        size = len(table)
+        for start, end in hint_table.crypto_ranges:
+            for pc in range(max(start, 0), min(end, size)):
+                table[pc] = 1
+    return table
 
 
 def classify_branch(
@@ -144,10 +127,10 @@ def classify_branch(
 ) -> Tuple[int, Optional[int]]:
     """The Section 5.3 fetch-flow selection over flat BTU state.
 
-    Mirrors :func:`repro.engine.engine._classify_cassandra_branch` with
-    ``btu.has_trace(pc)`` replaced by ``pc in btu_targets`` (the flat replay
-    payload holds exactly the branches the object BTU holds states for).
-    The classification is static per PC — it reads only hints and the
+    Mirrors :meth:`repro.uarch.defenses.cassandra.CassandraPolicy.on_branch`
+    with ``btu.has_trace(pc)`` replaced by ``pc in btu_targets`` (the flat
+    replay payload holds exactly the branches the object BTU holds states
+    for).  The classification is static per PC — it reads only hints and the
     immutable replay payload — which is what lets the batch layer resolve
     it into a flat plan before the run instead of lazily inside it.
     Classes: 0 non-crypto, 1 single-target, 2 traced, 3 fetch-stall.

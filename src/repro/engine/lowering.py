@@ -7,9 +7,9 @@ instruction costs a dozen attribute lookups and property calls before any
 cycle arithmetic happens.  :func:`lower_execution` pays that object cost
 exactly once per workload, producing a :class:`LoweredTrace`: parallel lists
 of plain integers (opcode latency class, renamed register indices, memory
-word address, branch class, and a flag bitmask) that the engine loop in
-:mod:`repro.engine.engine` iterates with ``zip`` and no per-instruction
-dispatch.
+word address, branch class, and a flag bitmask) that the generated
+kernels (:mod:`repro.engine.kernels`, :mod:`repro.engine.native`) iterate
+with no per-instruction dispatch.
 
 The lowering contract (see also the package docstring):
 
@@ -143,7 +143,7 @@ class LoweredTrace:
         return len(self.reg_names)
 
     def columns(self) -> Tuple[List[int], ...]:
-        """The column tuple the engine zips over, in loop order."""
+        """Every column as one tuple, in lowering order."""
         return (
             self.pcs,
             self.next_pcs,

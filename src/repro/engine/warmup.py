@@ -16,7 +16,7 @@ sequence — not of cycle timing:
   eviction).  :meth:`WarmStateBuilder.forwarding_shareable` detects that
   condition exactly, in program order, once per (workload × config); when
   it triggers, forwarding-allowed policies fall back to private full
-  warm-up passes (on the engine) instead of the shared snapshot, so the
+  warm-up passes (on the kernels) instead of the shared snapshot, so the
   bit-parity guarantee holds for arbitrary programs, not just the quick
   suite.
 * **BPU** — trained on the branch subsequence a policy predicts: every
@@ -29,7 +29,7 @@ sequence — not of cycle timing:
 at most once per (workload × config) and restores it into any number of
 per-point unit instances.  The only warm-up that cannot be shared is a BTU
 whose periodic flush interval is active — flush points are cycle-triggered,
-so those points run private full warm-up passes through the engine instead
+so those points run private full warm-up passes on the kernels instead
 (see :mod:`repro.engine.batch`).
 """
 
@@ -38,13 +38,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.hints import HintTable
-from repro.engine.engine import (
-    _CLS_SINGLE,
-    _CLS_STALL,
-    _CLS_TRACED,
-    _classify_cassandra_branch,
-    crypto_pc_table,
-)
+from repro.engine.kernels import classify_branch, crypto_pc_table
 from repro.engine.lowering import F_BRANCH, F_CRYPTO, F_LOAD, F_TAKEN, LoweredTrace
 from repro.engine.state import (
     FlatState,
@@ -171,6 +165,7 @@ class WarmStateBuilder:
             unit = self.btu_factory()
             hint_table = self.hint_table
             crypto_pcs = crypto_pc_table(self.hint_table, self.trace.max_pc)
+            btu_targets = unit.replay_data()[0]
             plans: Dict[int, int] = {}
             rows = self._branch_rows
             for _ in range(passes):
@@ -183,11 +178,11 @@ class WarmStateBuilder:
                     unit.commit(pc)
                     plan = plans.get(pc)
                     if plan is None:
-                        plan, _ = _classify_cassandra_branch(
-                            pc, F_CRYPTO, crypto_pcs, hint_table, unit, lite=False
+                        plan, _ = classify_branch(
+                            pc, F_CRYPTO, crypto_pcs, hint_table, btu_targets, lite=False
                         )
                         plans[pc] = plan
-                    if plan == _CLS_TRACED:
+                    if plan == 2:  # traced
                         unit.lookup(pc)
             return unit.snapshot_state()
 
@@ -356,6 +351,7 @@ class WarmStateBuilder:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
+    # Unused in src/; kept because perfbench/traced.py patches it via cls.__dict__ (KeyError without it).
     def warm_units(
         self,
         spec: EnginePolicySpec,

@@ -16,7 +16,7 @@ Cassandra never pay it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tracegen import TraceBundle
 from repro.arch.executor import DynamicInstruction, ExecutionResult, SequentialExecutor
@@ -30,11 +30,8 @@ from repro.uarch.defenses.base import BranchFetchOutcome, DefensePolicy
 from repro.uarch.defenses.unsafe import UnsafeBaseline
 from repro.uarch.stats import PipelineStats
 
-if False:  # pragma: no cover - typing only; the engine is imported lazily
-    from repro.engine.lowering import LoweredTrace  # noqa: F401
-
-# ``repro.engine`` is imported inside methods: the engine modules import the
-# unit models from ``repro.uarch``, whose package __init__ imports this
+# ``repro.engine`` is imported inside ``simulate``: the engine modules import
+# the unit models from ``repro.uarch``, whose package __init__ imports this
 # module, so a top-level import here would be circular.
 
 
@@ -128,54 +125,6 @@ class CoreModel:
         self.icache.reset_stats()
 
     # ------------------------------------------------------------------ #
-    # Main loop
-    # ------------------------------------------------------------------ #
-    def run(
-        self, dynamic: Union[Sequence[DynamicInstruction], LoweredTrace]
-    ) -> SimulationResult:
-        """Simulate the dynamic instruction stream and return statistics.
-
-        Policies that provide an :meth:`~repro.uarch.defenses.base.DefensePolicy.engine_spec`
-        run on the columnar engine (lowering ``dynamic`` on the fly when it
-        is not already a :class:`LoweredTrace`); any other policy — e.g. a
-        user subclass overriding a hook — takes the object-based
-        :meth:`run_reference` loop.  Both produce bit-identical results for
-        the built-in policies, which the engine parity tests assert.
-        """
-        from repro.engine.engine import run_trace
-        from repro.engine.lowering import LoweredTrace, lower_dynamic
-
-        spec = self.policy.engine_spec()
-        if spec is None:
-            if isinstance(dynamic, LoweredTrace):
-                raise TypeError(
-                    f"policy {self.policy.name!r} has no engine spec and cannot "
-                    "consume a LoweredTrace; pass the dynamic instruction list"
-                )
-            return self.run_reference(dynamic)
-        trace = dynamic if isinstance(dynamic, LoweredTrace) else lower_dynamic(dynamic)
-        hint_table = self.bundle.hint_table if self.bundle is not None else None
-        run_trace(
-            trace,
-            self.config,
-            spec,
-            self.bpu,
-            self.caches,
-            self.icache,
-            self.btu,
-            hint_table,
-            self.stats,
-            btu_flush_interval=self.btu_flush_interval,
-        )
-        program_name = self.bundle.program.name if self.bundle is not None else "program"
-        return SimulationResult(
-            program_name=program_name,
-            policy_name=self.policy.name,
-            stats=self.stats,
-            config=self.config,
-        )
-
-    # ------------------------------------------------------------------ #
     # Reference loop (object-based)
     # ------------------------------------------------------------------ #
     def run_reference(self, dynamic: Sequence[DynamicInstruction]) -> SimulationResult:
@@ -183,7 +132,7 @@ class CoreModel:
 
         This is the original per-``DynamicInstruction`` implementation; it
         drives every policy through the full hook protocol and serves as the
-        behavioural reference the columnar engine is tested against, and as
+        behavioural reference every engine tier is tested against, and as
         the fallback for policies without an engine spec.
         """
         config = self.config
@@ -406,26 +355,16 @@ def simulate(
     if result is None:
         executor = SequentialExecutor(max_steps=max_steps)
         result = executor.run(program, memory_overrides=memory_overrides)
-    core = CoreModel(
-        config=config,
-        policy=policy,
-        bundle=bundle,
-        btu_flush_interval=btu_flush_interval,
-    )
-    # Lower once per ExecutionResult (memoized on the result) so warm-up and
-    # measured passes — and every other policy sharing this execution —
-    # reuse the columnar trace.  Policies without an engine spec walk the
-    # object stream through the reference loop instead.
-    from repro.engine.lowering import lower_execution
+    # A one-point batch: the production tiers for policies with an engine
+    # spec, the reference loop (via the batch fallback) for any other.
+    from repro.engine.batch import PointSpec, simulate_batch
 
-    stream: Union[Sequence[DynamicInstruction], "LoweredTrace"]
-    if core.policy.engine_spec() is not None:
-        stream = lower_execution(result)
-    else:
-        stream = result.dynamic
-    for _ in range(max(warmup_passes, 0)):
-        core.run(stream)
-        core.reset_stats()
-    simulation = core.run(stream)
-    simulation.program_name = program.name
+    point = PointSpec(
+        policy=policy or UnsafeBaseline(),
+        btu_flush_interval=btu_flush_interval,
+        warmup_passes=warmup_passes,
+    )
+    [simulation] = simulate_batch(
+        result, bundle, [point], config=config, program_name=program.name
+    )
     return simulation

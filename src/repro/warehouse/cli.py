@@ -350,6 +350,7 @@ def _cmd_bench(args: argparse.Namespace, store: WarehouseStore) -> int:
         {
             "timestamp": entry.get("timestamp"),
             "schema": entry.get("schema_version"),
+            "speedup": entry.get("speedup", ""),
             "kernel_speedup": entry.get("kernel_speedup", ""),
             "native_speedup": entry.get("native_speedup", ""),
             "columns_speedup": entry.get("columns_speedup", ""),

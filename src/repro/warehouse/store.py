@@ -56,7 +56,7 @@ SOURCE_EVENT = "event"
 SOURCE_BACKFILL = "backfill"
 
 #: ``PRAGMA user_version`` after every migration has run.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Ordered migration scripts; ``_MIGRATIONS[i]`` brings a version-``i``
 #: store to version ``i + 1``.  Append, never edit: old stores replay the
@@ -95,6 +95,14 @@ _MIGRATIONS: Tuple[str, ...] = (
         payload        TEXT NOT NULL,
         PRIMARY KEY (timestamp, schema_version)
     );
+    """,
+    # v2 -> v3: a monotonic write sequence, so "newest fingerprint" follows
+    # ingest order instead of ``recorded`` (which mixes event wall-clock
+    # times with backfilled file mtimes).  Existing rows keep rowid order.
+    """
+    ALTER TABLE results ADD COLUMN seq INTEGER NOT NULL DEFAULT 0;
+    UPDATE results SET seq = rowid;
+    CREATE INDEX results_seq ON results(seq);
     """,
 )
 
@@ -251,8 +259,11 @@ INSERT INTO results (
     point_key, fingerprint, workload, design, config_digest,
     btu_flush_interval, warmup_passes, cycles, instructions, ipc,
     engine_tier, request_json, result_json, recorded, job_id, tenant,
-    tags, source
-) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+    tags, source, seq
+) VALUES (
+    ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,
+    (SELECT COALESCE(MAX(seq), 0) + 1 FROM results)
+)
 ON CONFLICT(point_key, fingerprint) DO UPDATE SET
     cycles=excluded.cycles,
     instructions=COALESCE(excluded.instructions, results.instructions),
@@ -264,7 +275,8 @@ ON CONFLICT(point_key, fingerprint) DO UPDATE SET
     job_id=COALESCE(excluded.job_id, results.job_id),
     tenant=COALESCE(excluded.tenant, results.tenant),
     tags=excluded.tags,
-    source=excluded.source
+    source=excluded.source,
+    seq=excluded.seq
 """
 
 _ROW_COLUMNS = (
@@ -455,12 +467,17 @@ class WarehouseStore:
             return int(self._conn.execute(sql, params).fetchone()[0])
 
     def fingerprints(self) -> List[FingerprintInfo]:
-        """Every fingerprint's footprint, oldest first (by last write)."""
+        """Every fingerprint's footprint, oldest first (by last write).
+
+        "Last write" is the ingest sequence, not ``recorded``: a backfill
+        stamps rows with its file's mtime, which can predate rows an event
+        ingest wrote moments earlier.
+        """
         with self._lock:
             raw = self._conn.execute(
                 "SELECT fingerprint, COUNT(*), MIN(recorded), MAX(recorded) "
                 "FROM results GROUP BY fingerprint "
-                "ORDER BY MAX(recorded), fingerprint"
+                "ORDER BY MAX(seq), fingerprint"
             ).fetchall()
         return [
             FingerprintInfo(row[0], int(row[1]), float(row[2]), float(row[3]))

@@ -1,8 +1,9 @@
 """Columns-tier parity and fallback: one NumPy walk ≡ per-config kernels.
 
 Extends the parity chain one layer up: ``test_kernel_parity`` pins the
-python kernels to ``run_trace`` and the reference loop; this suite pins the
-columns tier to the python kernels — bit-for-bit over fuzz programs × a
+python kernels to the reference loop; this suite pins the columns tier to
+the python kernels — and a grid sample directly to ``run_reference`` —
+bit-for-bit over fuzz programs × a
 config grid spanning every vectorized axis (ROB, widths, predictor
 geometry, penalties, latencies, BTU sizing) — and locks the tier's
 engagement rules: flushed/unwarmed points and configs failing an exactness
@@ -14,7 +15,7 @@ import itertools
 
 import pytest
 
-from engine.test_kernel_parity import build_fuzz_program
+from engine.test_kernel_parity import build_fuzz_program, reference_simulate
 from repro.analysis.tracegen import generate_trace_bundle
 from repro.arch.executor import SequentialExecutor
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
@@ -92,13 +93,16 @@ def test_columns_match_python_kernels_across_grid(fuzz_case, monkeypatch, design
     _assert_identical(python, columns, f"seed={seed}/{design}")
 
 
-def test_interp_tier_agrees_on_grid_sample(fuzz_case, monkeypatch):
+def test_reference_agrees_on_grid_sample(fuzz_case, monkeypatch):
     seed, result, bundle = fuzz_case
     points = _grid_points(bundle, "cassandra", configs=GRID[:3])
-    columns, _ = _run(result, bundle, points, monkeypatch, "columns")
-    interp, stats = _run(result, bundle, points, monkeypatch, "interp")
-    assert stats.kernel_points == 0 and stats.columns_points == 0
-    _assert_identical(columns, interp, f"seed={seed}/interp")
+    columns, stats = _run(result, bundle, points, monkeypatch, "columns")
+    assert stats.columns_points == len(points)
+    references = [
+        reference_simulate(result, bundle, "cassandra", config=point.config)
+        for point in points
+    ]
+    _assert_identical(columns, references, f"seed={seed}/reference")
 
 
 def test_flush_and_unwarmed_points_stay_on_python_kernels(fuzz_case, monkeypatch):

@@ -2,8 +2,7 @@
 
 ``tests/engine/test_parity.py`` pins the kernels' *results* to the golden
 models across the quick suite; this module pins the machinery itself — the
-``REPRO_ENGINE_TIER`` switch (and its legacy ``REPRO_ENGINE_KERNELS``
-spellings), the per-(spec × config) compilation cache, the dead-code and
+``REPRO_ENGINE_TIER`` switch, the per-(spec × config) compilation cache, the dead-code and
 residency specialization of the generated source, the measured-pass dedup,
 the per-tier batch accounting, and the flat-state conversions.
 """
@@ -13,12 +12,10 @@ import pytest
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import (
     ENGINE_TIERS,
-    KERNELS_ENV,
     TIER_ENV,
     engine_tier,
     get_kernel,
     kernel_source,
-    kernels_enabled,
 )
 from repro.engine.state import (
     FlatState,
@@ -51,88 +48,36 @@ def _batch(artifact, **point_kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# The REPRO_ENGINE_KERNELS escape hatch
+# The REPRO_ENGINE_TIER switch
 # --------------------------------------------------------------------------- #
-def test_escape_hatch_disables_kernels_and_preserves_results(artifact, monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "on")
-    assert kernels_enabled()
-    with_kernels, stats_on = _batch(artifact)
-    assert stats_on.kernel_points == len(ALL_DESIGNS)
-
-    monkeypatch.setenv(KERNELS_ENV, "off")
-    assert not kernels_enabled()
-    without, stats_off = _batch(artifact)
-    # The fallback really is the PR-2 run_trace path: no kernel ran...
-    assert stats_off.kernel_points == 0
-    assert stats_off.deduped_points == 0
-    assert stats_off.measured_passes == len(ALL_DESIGNS)
-    # ...and the results are bit-identical either way.
-    for a, b in zip(with_kernels, without):
-        assert a.stats.as_dict() == b.stats.as_dict()
-        assert a.policy_name == b.policy_name
-
-
-@pytest.mark.parametrize("value", ["off", "0", "false", "no", " OFF "])
-def test_escape_hatch_values(monkeypatch, value):
-    monkeypatch.delenv(TIER_ENV, raising=False)
-    monkeypatch.setenv(KERNELS_ENV, value)
-    assert engine_tier() == "interp"
-    assert not kernels_enabled()
-
-
-@pytest.mark.parametrize("value", ["on", "1", "true", "yes", "anything"])
-def test_legacy_on_spellings_pin_the_python_tier(monkeypatch, value):
-    monkeypatch.delenv(TIER_ENV, raising=False)
-    monkeypatch.setenv(KERNELS_ENV, value)
-    assert engine_tier() == "python"
-    assert kernels_enabled()
-
-
 def test_kernels_enabled_by_default(monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
     monkeypatch.delenv(TIER_ENV, raising=False)
     assert engine_tier() == "columns"
-    assert kernels_enabled()
 
 
 @pytest.mark.parametrize("tier", ENGINE_TIERS)
 def test_tier_env_explicit_values(monkeypatch, tier):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
     monkeypatch.setenv(TIER_ENV, tier)
     assert engine_tier() == tier
     monkeypatch.setenv(TIER_ENV, f"  {tier.upper()}  ")
     assert engine_tier() == tier
-    assert kernels_enabled() == (tier != "interp")
 
 
 def test_tier_env_rejects_unknown_values(monkeypatch):
-    monkeypatch.setenv(TIER_ENV, "turbo")
-    with pytest.raises(ValueError, match=TIER_ENV):
-        engine_tier()
-
-
-def test_tier_env_takes_precedence_over_legacy(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "off")
-    monkeypatch.setenv(TIER_ENV, "python")
-    assert engine_tier() == "python"
-    monkeypatch.setenv(KERNELS_ENV, "on")
-    monkeypatch.setenv(TIER_ENV, "interp")
-    assert engine_tier() == "interp"
+    # " Interp " is the deleted interpreter tier's name, spelled the way
+    # normalization accepts a live tier: it must still be rejected.
+    for value in ("turbo", " Interp "):
+        monkeypatch.setenv(TIER_ENV, value)
+        with pytest.raises(ValueError, match=TIER_ENV):
+            engine_tier()
 
 
 def test_batch_attribution_counters_per_tier(artifact, monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
-
     monkeypatch.setenv(TIER_ENV, "python")
     _, python_stats = _batch(artifact)
     assert python_stats.kernel_points == len(ALL_DESIGNS)
     assert python_stats.columns_points == 0
     assert python_stats.columns_cohorts == 0
-
-    monkeypatch.setenv(TIER_ENV, "interp")
-    _, interp_stats = _batch(artifact)
-    assert interp_stats.kernel_points == 0
-    assert interp_stats.columns_points == 0
 
     # Every tier's accounting ends up in the wire/bench dict.
     for key in ("kernel_points", "columns_points", "columns_cohorts",
@@ -216,11 +161,11 @@ def test_warm_kernels_carry_no_counters():
 
 
 # --------------------------------------------------------------------------- #
-# Kernel-path warm-up sharing (stronger than the PR-2 interpreter's)
+# Kernel-path warm-up sharing
 # --------------------------------------------------------------------------- #
 def test_residency_skips_cache_component_walks(artifact, monkeypatch):
     """ModPow fits both L1s, so only the BPU/BTU replays run at all."""
-    monkeypatch.setenv(KERNELS_ENV, "on")
+    monkeypatch.setenv(TIER_ENV, "python")
     if hasattr(artifact.result, "_lowered_trace"):
         del artifact.result._lowered_trace
     _sims, stats = _batch(artifact)
@@ -231,7 +176,7 @@ def test_residency_skips_cache_component_walks(artifact, monkeypatch):
 
 
 def test_flush_points_still_warm_privately_on_kernels(artifact, monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "on")
+    monkeypatch.setenv(TIER_ENV, "python")
     _sims, stats = _batch(artifact, btu_flush_interval=500)
     # The three trace-replaying designs (cassandra, +stl, +prospect) need
     # cycle-exact private warm-up, on the kernels too.
@@ -242,16 +187,22 @@ def test_zero_flush_interval_means_disabled_on_both_paths(artifact, monkeypatch)
     """Regression: the reference loop treats a falsy interval as "no
     flushing"; an early kernel build compiled the flush check in for
     interval 0 and flushed the BTU every instruction."""
-    monkeypatch.setenv(KERNELS_ENV, "on")
+    monkeypatch.setenv(TIER_ENV, "python")
     zero, stats_zero = _batch(artifact, btu_flush_interval=0)
     disabled, _ = _batch(artifact, btu_flush_interval=None)
     for a, b in zip(zero, disabled):
         assert a.stats.as_dict() == b.stats.as_dict()
     assert stats_zero.full_warmup_passes == 0  # nothing is cycle-dependent
-    monkeypatch.setenv(KERNELS_ENV, "off")
-    interpreter, _ = _batch(artifact, btu_flush_interval=0)
-    for a, b in zip(zero, interpreter):
-        assert a.stats.as_dict() == b.stats.as_dict()
+    for design, sim in zip(ALL_DESIGNS, zero):
+        core = CoreModel(
+            policy=DESIGN_BUILDERS[design](artifact.bundle),
+            bundle=artifact.bundle,
+            btu_flush_interval=0,
+        )
+        core.run_reference(artifact.result.dynamic)
+        core.reset_stats()
+        reference = core.run_reference(artifact.result.dynamic)
+        assert sim.stats.as_dict() == reference.stats.as_dict(), design
 
 
 # --------------------------------------------------------------------------- #
@@ -278,7 +229,7 @@ def _storeless_execution():
 
 
 def test_storeless_trace_dedups_forwarding_and_gate_variants(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "on")
+    monkeypatch.setenv(TIER_ENV, "python")
     _program, result = _storeless_execution()
     assert not any(dyn.is_store for dyn in result.dynamic)
     # spt differs from unsafe only through forwarding (irrelevant: no

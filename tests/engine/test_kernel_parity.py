@@ -1,4 +1,4 @@
-"""Randomized-program fuzz parity: kernels ≡ run_trace ≡ run_reference.
+"""Randomized-program fuzz parity: kernels ≡ run_reference.
 
 The quick-suite parity tests pin the kernels to the golden models on real
 crypto workloads; this suite generates small *synthetic* programs from a
@@ -6,8 +6,8 @@ seeded RNG — random arithmetic chains, masked loads and stores, public
 data-dependent branches, calls/returns, and crypto regions mixing
 key-independent loops (BTU-traceable), single-target calls, and
 secret-dependent branches (fetch-stall) — and asserts that for every seed
-the three implementations agree bit-for-bit across all seven designs,
-BTU-flush intervals, and warm-up counts.
+the generated kernels agree with the reference loop bit-for-bit across all
+seven designs, BTU-flush intervals, and warm-up counts.
 
 The generator deliberately produces programs unlike the curated workloads:
 odd loop trip counts, branch-dense regions, stores feeding loads (to
@@ -22,9 +22,10 @@ import pytest
 from repro.analysis.tracegen import generate_trace_bundle
 from repro.arch.executor import SequentialExecutor
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
-from repro.engine.kernels import KERNELS_ENV
+from repro.engine.kernels import TIER_ENV
 from repro.experiments.runner import DESIGN_BUILDERS
 from repro.isa.builder import ProgramBuilder
+from repro.uarch.config import GOLDEN_COVE_LIKE
 from repro.uarch.core import CoreModel
 
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
@@ -124,8 +125,9 @@ def build_fuzz_program(seed: int):
     return program, [overrides(key_a), overrides(key_b)]
 
 
-def reference_simulate(result, bundle, design, flush=None, warmups=1):
+def reference_simulate(result, bundle, design, flush=None, warmups=1, config=None):
     core = CoreModel(
+        config=config or GOLDEN_COVE_LIKE,
         policy=DESIGN_BUILDERS[design](bundle),
         bundle=bundle,
         btu_flush_interval=flush,
@@ -144,15 +146,13 @@ def fuzz_case(request):
     return request.param, result, bundle
 
 
-def _assert_three_way(result, bundle, points, monkeypatch, label):
-    monkeypatch.setenv(KERNELS_ENV, "on")
+def _assert_matches_reference(result, bundle, points, monkeypatch, label):
+    monkeypatch.setenv(TIER_ENV, "python")
     kernel_stats = BatchStats()
     with_kernels = simulate_batch(result, bundle, points, batch_stats=kernel_stats)
     assert kernel_stats.fallback_points == 0
     assert kernel_stats.kernel_points == len(points)
-    monkeypatch.setenv(KERNELS_ENV, "off")
-    with_engine = simulate_batch(result, bundle, points)
-    for point, kernel_sim, engine_sim in zip(points, with_kernels, with_engine):
+    for point, kernel_sim in zip(points, with_kernels):
         reference = reference_simulate(
             result,
             bundle,
@@ -161,13 +161,9 @@ def _assert_three_way(result, bundle, points, monkeypatch, label):
             warmups=point.warmup_passes,
         )
         ref = reference.stats.as_dict()
-        diffs = {
-            key: (ref[key], kernel_sim.stats.as_dict()[key])
-            for key in ref
-            if kernel_sim.stats.as_dict()[key] != ref[key]
-        }
+        got = kernel_sim.stats.as_dict()
+        diffs = {key: (ref[key], got[key]) for key in ref if got[key] != ref[key]}
         assert not diffs, f"{label}/{kernel_sim.policy_name}: kernel vs reference {diffs}"
-        assert engine_sim.stats.as_dict() == ref, f"{label}: engine vs reference"
 
 
 def _design_of(point, bundle):
@@ -182,7 +178,7 @@ def test_all_designs_agree(fuzz_case, monkeypatch):
     points = [
         PointSpec(policy=DESIGN_BUILDERS[design](bundle)) for design in ALL_DESIGNS
     ]
-    _assert_three_way(result, bundle, points, monkeypatch, f"seed={seed}")
+    _assert_matches_reference(result, bundle, points, monkeypatch, f"seed={seed}")
 
 
 @pytest.mark.parametrize("flush", [100, 1500])
@@ -192,7 +188,7 @@ def test_flush_intervals_agree(fuzz_case, monkeypatch, flush):
         PointSpec(policy=DESIGN_BUILDERS[design](bundle), btu_flush_interval=flush)
         for design in ALL_DESIGNS
     ]
-    _assert_three_way(result, bundle, points, monkeypatch, f"seed={seed}/flush={flush}")
+    _assert_matches_reference(result, bundle, points, monkeypatch, f"seed={seed}/flush={flush}")
 
 
 @pytest.mark.parametrize("warmups", [0, 2])
@@ -202,4 +198,4 @@ def test_warmup_counts_agree(fuzz_case, monkeypatch, warmups):
         PointSpec(policy=DESIGN_BUILDERS[design](bundle), warmup_passes=warmups)
         for design in ALL_DESIGNS
     ]
-    _assert_three_way(result, bundle, points, monkeypatch, f"seed={seed}/w={warmups}")
+    _assert_matches_reference(result, bundle, points, monkeypatch, f"seed={seed}/w={warmups}")

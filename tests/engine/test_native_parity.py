@@ -3,8 +3,8 @@
 Mirrors ``test_kernel_parity.py`` one rung up the specialization chain: for
 every fuzz seed the compiled C kernels must agree bit-for-bit with the
 python kernels across all seven designs, BTU-flush intervals, and warm-up
-counts — and the python kernels are themselves pinned to ``run_trace`` and
-``run_reference`` by the existing three-way suite.  Each case additionally
+counts — and the python kernels are themselves pinned to ``run_reference``
+by ``test_kernel_parity.py``.  Each case additionally
 spot-checks one design directly against ``CoreModel.run_reference`` so a
 simultaneous drift of both kernel tiers cannot hide.
 

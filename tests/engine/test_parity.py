@@ -7,16 +7,15 @@ legacy side here is driven exclusively through
 :meth:`CoreModel.run_reference` — the original per-``DynamicInstruction``
 loop — with per-policy warm-up passes, exactly like the seed ``simulate()``.
 
-Every batch-driven test runs twice: once on the generated-kernel path (the
-default) and once with ``REPRO_ENGINE_KERNELS=off`` on the PR-2
-``run_trace`` interpreter, so both layers of the specialization chain stay
-pinned to the golden model.
+Every batch-driven test runs on the python tier (``REPRO_ENGINE_TIER=python``),
+the generated kernels every other tier falls back to, so they stay pinned to
+the golden model directly.
 """
 
 import pytest
 
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
-from repro.engine.kernels import KERNELS_ENV
+from repro.engine.kernels import TIER_ENV
 from repro.experiments.runner import (
     DESIGN_BUILDERS,
     QUICK_WORKLOADS,
@@ -29,10 +28,10 @@ from repro.uarch.core import CoreModel
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
 
 
-@pytest.fixture(autouse=True, params=["kernels", "interpreter"])
+@pytest.fixture(autouse=True, params=["kernels"])
 def engine_path(request, monkeypatch):
-    """Exercise both rungs of the chain: generated kernels and run_trace."""
-    monkeypatch.setenv(KERNELS_ENV, "on" if request.param == "kernels" else "off")
+    """Pin the batch paths to the generated python kernels."""
+    monkeypatch.setenv(TIER_ENV, "python")
     return request.param
 
 

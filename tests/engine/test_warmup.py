@@ -1,27 +1,28 @@
 """Warm-up sharing: once per (workload × config), not once per policy.
 
-These tests pin the PR-2 interpreter path's sharing machinery (component
-walks, snapshot round-trips, the forwarding exactness guard), so they run
-with ``REPRO_ENGINE_KERNELS=off``.  The generated-kernel path shares *more*
-(residency proofs skip whole component walks and measured-pass dedup skips
-whole points); its warm-up behaviour is asserted separately in
-``tests/engine/test_engine_kernels.py``.
+These tests pin the batch layer's sharing machinery (component walks,
+snapshot round-trips, the forwarding exactness guard) on the python tier.
+Its residency proofs skip the cache component walks for programs that fit
+the L1s, so every walk count that depends on those proofs is taken under
+:data:`NON_RESIDENT`, a geometry where both proofs fail.  The proofs'
+own skipping is asserted in ``tests/engine/test_engine_kernels.py``.
 """
 
 import pytest
 
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
-from repro.engine.kernels import KERNELS_ENV
+from repro.engine.kernels import TIER_ENV
 from repro.engine.warmup import WarmStateBuilder
 from repro.experiments.runner import DESIGN_BUILDERS, prepare_workload
 from repro.uarch.bpu import BranchPredictionUnit
 from repro.uarch.caches import Cache, CacheHierarchy
-from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
+from repro.uarch.config import GOLDEN_COVE_LIKE, CacheConfig, CoreConfig
 
 
 @pytest.fixture(autouse=True)
-def _interpreter_path(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV, "off")
+def _python_tier(monkeypatch):
+    monkeypatch.setenv(TIER_ENV, "python")
+
 
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
 
@@ -30,6 +31,14 @@ ALL_DESIGNS = tuple(DESIGN_BUILDERS)
 #: True``), so every policy shares every warm component.
 SHAREABLE_WORKLOAD = "ModPow_i31"
 
+#: One-line L1I and a two-line, one-word-per-line L1D: ModPow's code and
+#: data overflow both, so neither residency proof holds and the batch warms
+#: every cache component.  The d-cache replay stays forwarding-exact.
+NON_RESIDENT = CoreConfig(
+    l1i=CacheConfig(64, 64, 1, 5, name="L1I"),
+    l1d=CacheConfig(16, 8, 1, 5, name="L1D"),
+)
+
 
 @pytest.fixture(scope="module")
 def artifact():
@@ -37,9 +46,16 @@ def artifact():
     return art
 
 
+def _lowered(artifact):
+    from repro.engine.lowering import lower_execution
+
+    return lower_execution(artifact.result)
+
+
 def _fresh_batch(artifact, **point_kwargs):
     if hasattr(artifact.result, "_lowered_trace"):
         del artifact.result._lowered_trace
+    point_kwargs.setdefault("config", NON_RESIDENT)
     specs = [
         PointSpec(policy=DESIGN_BUILDERS[design](artifact.bundle), **point_kwargs)
         for design in ALL_DESIGNS
@@ -59,6 +75,9 @@ def test_warmup_runs_once_per_workload_and_config(artifact):
     replay walk — five trace walks total, shared by all seven measured
     passes.
     """
+    builder = WarmStateBuilder(_lowered(artifact), NON_RESIDENT)
+    assert not builder.icache_resident() and not builder.dcache_resident()
+    assert builder.forwarding_shareable()
     stats = _fresh_batch(artifact)
     assert stats.points == len(ALL_DESIGNS)
     assert stats.measured_passes == len(ALL_DESIGNS)
@@ -239,14 +258,15 @@ def test_forwarding_divergent_stream_is_detected_and_stays_bit_identical():
 
 
 def test_no_forwarding_policies_always_share_despite_divergent_stream():
-    from repro.experiments.runner import prepare_workload as _unused  # noqa: F401
-
     _program, result = _forwarding_divergent_execution()
+    # The default L1D geometry the divergent stream is built against, with
+    # a one-line L1I so the icache walk is not skipped by residency.
+    config = CoreConfig(l1i=NON_RESIDENT.l1i)
     batch_stats = BatchStats()
     simulate_batch(
         result,
         None,
-        [PointSpec(policy=DESIGN_BUILDERS["spt"](None))],
+        [PointSpec(policy=DESIGN_BUILDERS["spt"](None), config=config)],
         batch_stats=batch_stats,
     )
     # SPT never forwards, so every load hits the cache in its warm-up too:

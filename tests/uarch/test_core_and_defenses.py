@@ -154,7 +154,7 @@ def test_reset_stats_clears_cache_counters(chacha_artifacts):
     """
     kernel, result, bundle = chacha_artifacts
     core = CoreModel(policy=UnsafeBaseline())
-    core.run(result.dynamic)
+    core.run_reference(result.dynamic)
     assert core.caches.l1d.stats.accesses > 0
     assert core.icache.cache.stats.accesses > 0
     core.reset_stats()
@@ -163,7 +163,7 @@ def test_reset_stats_clears_cache_counters(chacha_artifacts):
     assert core.caches.l3.stats.accesses == 0
     assert core.icache.cache.stats.accesses == 0
 
-    measured = core.run(result.dynamic)
+    measured = core.run_reference(result.dynamic)
     # The measured pass's counters cover exactly one pass over the stream.
     assert core.icache.cache.stats.accesses == result.instruction_count
     assert measured.stats.extra["l1i_miss_rate"] == core.icache.cache.stats.miss_rate

@@ -167,6 +167,39 @@ def test_resolve_fingerprints_picks_newest_pair(store):
     )
 
 
+def test_backfill_older_than_event_rows_is_the_default_candidate(tmp_path, baseline):
+    """Regression: "newest" follows ingest order, not ``recorded``.
+
+    A backfill stamps its rows with the file's mtime, which can read earlier
+    than event rows ingested just before it (coarse filesystem clocks, or a
+    file simply written earlier); the defaults must still pick the
+    backfill, the last thing ingested, as the candidate.
+    """
+    import json
+    import os
+    import time
+
+    from repro.warehouse import ingest_file
+
+    store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
+    for request, result in baseline:
+        store.upsert(
+            WarehouseRow.from_entry(
+                request, result, fingerprint="fpA", recorded=time.time()
+            )
+        )
+    rows = tmp_path / "rows.json"
+    rows.write_text(
+        json.dumps(Query(store, fingerprint="fpA").export_rows()), encoding="utf-8"
+    )
+    older = time.time() - 3600.0
+    os.utime(rows, (older, older))
+    assert ingest_file(store, str(rows), fingerprint="fpB")[1] == len(DESIGNS)
+    assert resolve_fingerprints(store) == ("fpA", "fpB")
+    assert store.latest_fingerprints(1) == ["fpB"]
+    store.close()
+
+
 def test_resolve_fingerprints_needs_two(tmp_path, baseline):
     store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
     with pytest.raises(WarehouseError, match="no fingerprints"):

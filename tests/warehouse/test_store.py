@@ -130,6 +130,37 @@ def test_old_store_migrates_in_place(tmp_path):
     store.close()
 
 
+def test_v2_store_gains_an_ingest_sequence(tmp_path, entries):
+    """A v2 file's rows keep their insertion order; new writes land after.
+
+    The two fingerprints are written with ``recorded`` inverted against
+    insertion order: after the migration "newest" follows insertion.
+    """
+    path = str(tmp_path / "wh.sqlite3")
+    conn = sqlite3.connect(path)
+    for script in _MIGRATIONS[:2]:
+        conn.executescript(script)
+    for fingerprint, recorded in (("old", 200.0), ("new", 100.0)):
+        row = make_row(entries[0], fingerprint=fingerprint)
+        conn.execute(
+            "INSERT INTO results (point_key, fingerprint, workload, design, "
+            "config_digest, warmup_passes, cycles, recorded) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            (row.point_key, fingerprint, row.workload, row.design,
+             row.config_digest, row.warmup_passes, row.cycles, recorded),
+        )
+    conn.execute("PRAGMA user_version=2")
+    conn.commit()
+    conn.close()
+
+    store = WarehouseStore(path)
+    assert store.schema_version == SCHEMA_VERSION
+    assert store.latest_fingerprints(2) == ["new", "old"]
+    store.upsert(make_row(entries[1], fingerprint="old"))
+    assert store.latest_fingerprints(2) == ["old", "new"]
+    store.close()
+
+
 def test_bench_entries_dedupe_on_timestamp_and_schema(tmp_path):
     store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
     store.record_bench({"schema_version": 6, "speedup": 1.0}, "2026-01-01T00:00:00Z")

@@ -157,6 +157,17 @@ def test_bench_and_compact(warehouse, capsys):
     assert "compacted" in capsys.readouterr().out
 
 
+def test_bench_shows_the_schema_7_speedup(tmp_path, capsys):
+    """Schema-7 entries carry ``speedup`` (kernels over the reference loop)
+    and no ``kernel_speedup``; the table must not render them blank."""
+    path = str(tmp_path / "wh.sqlite3")
+    store = WarehouseStore(path)
+    store.record_bench({"schema_version": 7, "speedup": 16.83}, "2026-03-01T00:00:00Z")
+    store.close()
+    assert warehouse_main(["--warehouse", path, "bench"]) == 0
+    assert "16.83" in capsys.readouterr().out
+
+
 def test_state_dir_points_at_the_serve_store(tmp_path, capsys):
     state_dir = tmp_path / "state"
     store = WarehouseStore(str(state_dir))
