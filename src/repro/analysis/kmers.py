@@ -30,28 +30,23 @@ def count_kmers(symbols: Sequence[Symbol], k: int) -> Dict[Kmer, int]:
     Non-overlapping (left-to-right greedy) counts are used so that a k-mer
     with count > 1 is guaranteed to shrink the sequence when substituted,
     which keeps Algorithm 1's termination argument straightforward.
+
+    One left-to-right pass, O(n) window slices for a sequence of length
+    ``n``: each k-mer remembers the index just past its last counted
+    occurrence, and a later occurrence counts only if it starts there or
+    beyond.  Keys are inserted at their first occurrence, so the dict's
+    order is first-occurrence order.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    counts: Dict[Kmer, int] = {}
-    if k > len(symbols):
-        return counts
-    # First pass: overlapping candidate discovery.
-    candidates: Dict[Kmer, None] = {}
     seq = tuple(symbols)
+    counts: Dict[Kmer, int] = {}
+    next_free: Dict[Kmer, int] = {}
     for i in range(len(seq) - k + 1):
-        candidates.setdefault(seq[i : i + k], None)
-    # Second pass: greedy non-overlapping count per candidate.
-    for kmer in candidates:
-        count = 0
-        i = 0
-        while i <= len(seq) - k:
-            if seq[i : i + k] == kmer:
-                count += 1
-                i += k
-            else:
-                i += 1
-        counts[kmer] = count
+        kmer = seq[i : i + k]
+        if next_free.get(kmer, 0) <= i:
+            counts[kmer] = counts.get(kmer, 0) + 1
+            next_free[kmer] = i + k
     return counts
 
 
@@ -173,7 +168,7 @@ def compress_sequence(sequence: DnaSequence, max_k: int = 16) -> KmersResult:
         upper_k = min(max_k, len(seq) // 2 if len(seq) >= 4 else len(seq))
         for k in range(2, upper_k + 1):
             for kmer, freq in count_kmers(seq, k).items():
-                if freq <= 1 or len(kmer) > max_k:
+                if freq <= 1:
                     continue
                 if len(set(kmer)) == 1:
                     # Runs of a single symbol are already captured by the

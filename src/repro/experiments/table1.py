@@ -4,16 +4,35 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.stats import combine_stats, stats_from_bundle_scaled
+from repro.analysis.stats import BranchAnalysisStats, combine_stats, stats_from_bundle_scaled
 from repro.api.service import ExperimentContext, default_context
 from repro.experiments.registry import ExperimentSpec, register_experiment
-from repro.experiments.runner import format_table
+from repro.experiments.runner import WorkloadArtifacts, format_table
+from repro.pipeline.hashing import stable_digest
 
 #: Number of back-to-back primitive invocations the Table 1 traces model.
 #: The paper profiles full benchmark executions (traces of up to 90 M
 #: elements); tiling the per-invocation traces reproduces that regime while
 #: keeping the timing experiments on short, simulable inputs.
 DEFAULT_INVOCATIONS = 256
+
+
+def _scaled_stats(artifact: WorkloadArtifacts, invocations: int) -> BranchAnalysisStats:
+    """One workload's Table 1 statistics at ``invocations`` (disk-cached).
+
+    The scaled statistics are a pure function of the prepared trace bundle,
+    so they are stored as a ``table1-stats`` artifact keyed on the
+    workload's content digest (which already covers the code fingerprint)
+    and the invocation count.  Uncached artifacts (``--no-cache``) recompute.
+    """
+    if artifact.cache is None or artifact.content_digest is None:
+        return stats_from_bundle_scaled(artifact.bundle, invocations)
+    return artifact.cache.load_or_compute(
+        "table1-stats",
+        artifact.name,
+        stable_digest(artifact.content_digest, invocations),
+        lambda: stats_from_bundle_scaled(artifact.bundle, invocations),
+    )
 
 
 def run_table1(
@@ -31,9 +50,7 @@ def run_table1(
     rows: List[Dict[str, object]] = []
     for artifact in ctx.artifacts():
         stats = (
-            stats_from_bundle_scaled(artifact.bundle, invocations)
-            if invocations > 1
-            else artifact.analysis
+            _scaled_stats(artifact, invocations) if invocations > 1 else artifact.analysis
         )
         all_stats.append(stats)
         row = stats.as_table_row()

@@ -1,8 +1,12 @@
 """End-to-end tests of the experiment harnesses on a reduced workload set."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.api import SimulationService
+from repro.analysis import kmers
+from repro.api import SimulationService, build_service
 from repro.experiments.cassandra_lite import format_cassandra_lite, run_cassandra_lite
 from repro.experiments.figure7 import format_figure7, run_figure7, summarize_speedup
 from repro.experiments.figure8 import format_figure8, run_figure8
@@ -15,6 +19,10 @@ from repro.experiments.trace_runtime import format_trace_runtime, run_trace_runt
 
 #: A tiny but representative slice: one fast workload per suite.
 TEST_WORKLOADS = ["ChaCha20_ct", "sha256", "sphincs-haraka-128s"]
+
+#: ``run_table1(ctx, invocations=64)`` over ``TEST_WORKLOADS``, recorded with
+#: full float reprs before the one-pass k-mer counter replaced the two-pass one.
+TABLE1_GOLDEN = Path(__file__).parent / "golden" / "table1_invocations64.json"
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,26 @@ def test_table1_rows_and_compression(ctx):
     assert rows[-1]["compression_avg"] > 10
     assert rows[-1]["kmers_avg"] < rows[-1]["vanilla_avg"]
     assert "ChaCha20_ct" in format_table1(rows)
+
+
+def test_table1_rows_match_golden(ctx):
+    rows = run_table1(ctx=ctx, invocations=64)
+    assert rows == json.loads(TABLE1_GOLDEN.read_text())
+
+
+def test_table1_warm_run_reads_cached_stats(tmp_path, monkeypatch):
+    def table1():
+        with build_service(workloads="ChaCha20_ct", cache_dir=str(tmp_path), jobs=1) as service:
+            return run_table1(ctx=service.context(), invocations=64)
+
+    cold = table1()
+    assert list((tmp_path / "v1" / "table1-stats").glob("ChaCha20_ct-*.pkl"))
+
+    def no_counting(*_args, **_kwargs):
+        raise AssertionError("a warm Table 1 must not re-run Algorithm 1")
+
+    monkeypatch.setattr(kmers, "count_kmers", no_counting)
+    assert table1() == cold
 
 
 def test_figure7_normalization_and_headline(ctx):

@@ -1,13 +1,20 @@
 """The content-addressed on-disk artifact cache."""
 
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.tracegen import TraceParameters
 from repro.crypto.workloads import get_workload
 from repro.experiments.runner import prepare_workload
-from repro.pipeline import ArtifactCache, inputs_fingerprint, program_fingerprint, stable_digest
+from repro.pipeline import (
+    ArtifactCache,
+    default_cache_dir,
+    inputs_fingerprint,
+    program_fingerprint,
+    stable_digest,
+)
 from repro.pipeline.parallel import workload_artifact_digest
 
 WORKLOAD = "SHA-256"
@@ -147,3 +154,9 @@ def test_prepare_reverifies_on_cache_hit(artifact_cache, monkeypatch):
     monkeypatch.setattr(kernel, "verify", lambda result: False)
     with pytest.raises(RuntimeError, match="correctness check"):
         prepare_workload(WORKLOAD, cache=artifact_cache)
+
+
+def test_default_cache_dir_is_isolated(isolated_cache_root, tmp_path_factory):
+    # The autouse conftest fixture keeps every default-root write in a temp dir.
+    assert default_cache_dir() == str(isolated_cache_root)
+    assert Path(default_cache_dir()).is_relative_to(tmp_path_factory.getbasetemp())
