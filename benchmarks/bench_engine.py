@@ -46,21 +46,6 @@ kernel phase) can be gated with ``--min-native-speedup``; the phase is
 skipped with a note when no working C compiler exists, and the gate then
 fails loudly rather than vacuously passing.
 
-A sixth phase, **columns sweep**, measures what the NumPy columns tier is
-*for*: a wide design-space sweep — ``SWEEP_DESIGNS`` × a
-``SWEEP_CONFIGS``-point config grid over the axes the evaluation varies
-(ROB size, pipeline widths, predictor geometry, penalties, forwarding
-latency) — run per workload through ``simulate_batch`` under
-``REPRO_ENGINE_TIER=columns`` and ``=python``.  The python tier pays its
-per-(policy × config) kernel compiles inside the timing (the kernel cache
-is cleared before every repetition): unlike the fixed quick-suite point
-set above, a sweep's compile cost is O(configs) and cannot amortize, so
-charging it is the honest end-to-end cost of answering a fresh sweep.
-Both tiers' per-point stats are compared bit-for-bit (any diff is a
-parity mismatch, same as the legacy paths), and the aggregate
-``columns_speedup`` can be gated with ``--min-columns-speedup`` (the CI
-bound asserts ≥2×).  Skipped with a note when NumPy is not installed.
-
 Preparation (sequential execution + trace generation) is shared and
 untimed.  The columnar lowering — byte-identical shared input for every
 batch phase — is timed once per workload and reported as
@@ -82,7 +67,6 @@ records every speedup::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -92,16 +76,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine import kernels as kernels_module
 from repro.engine import native as native_module
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
-from repro.engine.emit import columns as emit_columns
-from repro.engine.kernels import TIER_ENV, clear_kernel_cache
+from repro.engine.kernels import TIER_ENV
 from repro.experiments.interrupts import DEFAULT_FLUSH_INTERVAL
 from repro.experiments.runner import DESIGN_BUILDERS, QUICK_WORKLOADS, prepare_workload
 from repro.pipeline.artifacts import ArtifactCache
-from repro.uarch.config import CoreConfig
 from repro.uarch.core import CoreModel
 
 #: Schema of the report (and of trajectory entries).  Bump on layout change.
-BENCH_SCHEMA_VERSION = 7
+BENCH_SCHEMA_VERSION = 8
 
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
 
@@ -113,32 +95,6 @@ POINTS: List[Tuple[str, Optional[int], int]] = (
     + [("cassandra", DEFAULT_FLUSH_INTERVAL, 1)]
     + [(design, None, 2) for design in ALL_DESIGNS]
 )
-
-#: Designs the columns sweep runs per workload — one traced (cassandra) and
-#: one gated-bpu (spt) policy, the two families the evaluation sweeps.
-SWEEP_DESIGNS = ("cassandra", "spt")
-
-#: The sweep's config grid: every axis the columns walk vectorizes, at the
-#: ranges the evaluation varies.  Caches and BTU sizing stay at defaults so
-#: the exactness proofs (residency, BTU capacity) hold on every quick-suite
-#: trace and the whole grid is one cohort per design.
-SWEEP_GRID = [
-    CoreConfig(
-        rob_size=rob,
-        fetch_width=width,
-        issue_width=width,
-        commit_width=width,
-        pht_bits=pht,
-        global_history_bits=pht,
-        mispredict_penalty=penalty,
-        store_forward_latency=forward,
-    )
-    for rob, width, pht, penalty, forward in itertools.product(
-        (512, 384, 300, 256), (8, 6, 4), (14, 12, 10), (13, 9), (1, 3)
-    )
-]
-SWEEP_CONFIGS = len(SWEEP_GRID)
-
 
 def run_legacy(artifact) -> Dict[tuple, Dict[str, object]]:
     results = {}
@@ -173,33 +129,6 @@ def run_batch(
         artifact.result, artifact.bundle, specs, batch_stats=batch_stats
     )
     return {point: sim.stats.as_dict() for point, sim in zip(POINTS, simulations)}
-
-
-def run_sweep(
-    artifact, tier: str, batch_stats: Optional[BatchStats] = None
-) -> Dict[tuple, Dict[str, object]]:
-    """The design-space sweep: SWEEP_DESIGNS × SWEEP_GRID in one batch.
-
-    Under ``tier="python"`` every (design, config) point compiles and runs
-    its own generated kernel; under ``"columns"`` each design's grid runs
-    as one NumPy cohort walk.  Results are keyed ``(design, index)`` so the
-    two tiers' answers compare point-for-point.
-    """
-    os.environ[TIER_ENV] = tier
-    specs = [
-        PointSpec(policy=DESIGN_BUILDERS[design](artifact.bundle), config=config)
-        for design in SWEEP_DESIGNS
-        for config in SWEEP_GRID
-    ]
-    keys = [
-        (design, index)
-        for design in SWEEP_DESIGNS
-        for index in range(SWEEP_CONFIGS)
-    ]
-    simulations = simulate_batch(
-        artifact.result, artifact.bundle, specs, batch_stats=batch_stats
-    )
-    return {key: sim.stats.as_dict() for key, sim in zip(keys, simulations)}
 
 
 def run_service(service, artifact) -> Dict[tuple, Dict[str, object]]:
@@ -304,13 +233,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0.0,
         help="fail unless the native-over-kernels speedup reaches this "
         "(0 disables; fails loudly if no C toolchain works)",
-    )
-    parser.add_argument(
-        "--min-columns-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless the columns-over-python speedup on the sweep phase "
-        "reaches this (0 disables; the phase is skipped without NumPy)",
     )
     parser.add_argument(
         "--trajectory",
@@ -490,75 +412,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
         )
 
-    # The columns sweep: SWEEP_DESIGNS × SWEEP_GRID per workload, generated
-    # python kernels vs the NumPy cohort walk.  The python tier's kernel
-    # cache is cleared before every repetition — a fresh sweep compiles one
-    # kernel per (design, config), and that O(configs) cost is exactly what
-    # the columns tier amortizes away — so each timing is the end-to-end
-    # cost of answering the sweep on that tier.
-    compile_count = kernels_module.compile_count
-    columns_ok = emit_columns.columns_available()
-    sweep_per_workload = []
-    sweep_python_total = sweep_columns_total = 0.0
-    sweep_compiles = 0
-    if columns_ok:
-        for artifact in artifacts:
-            python_seconds = columns_seconds = None
-            python_answers = columns_answers = columns_stats = None
-            for _ in range(repeat):
-                clear_kernel_cache()
-                before = kernels_module.compile_count
-                start = time.perf_counter()
-                answers = run_sweep(artifact, "python")
-                elapsed = time.perf_counter() - start
-                if python_seconds is None or elapsed < python_seconds:
-                    python_seconds, python_answers = elapsed, answers
-                    sweep_compiles = kernels_module.compile_count - before
-            for _ in range(repeat):
-                stats = BatchStats()
-                start = time.perf_counter()
-                answers = run_sweep(artifact, "columns", stats)
-                elapsed = time.perf_counter() - start
-                if columns_seconds is None or elapsed < columns_seconds:
-                    columns_seconds = elapsed
-                    columns_answers, columns_stats = answers, stats
-            for key, expected in python_answers.items():
-                if expected != columns_answers[key]:
-                    diffs = {
-                        field: (expected[field], columns_answers[key][field])
-                        for field in expected
-                        if expected[field] != columns_answers[key][field]
-                    }
-                    mismatches.append(
-                        {
-                            "workload": artifact.name,
-                            "path": "columns",
-                            "point": list(key),
-                            "diffs": repr(diffs),
-                        }
-                    )
-            sweep_python_total += python_seconds
-            sweep_columns_total += columns_seconds
-            sweep_per_workload.append(
-                {
-                    "workload": artifact.name,
-                    "points": len(SWEEP_DESIGNS) * SWEEP_CONFIGS,
-                    "python_seconds": round(python_seconds, 4),
-                    "columns_seconds": round(columns_seconds, 4),
-                    "columns_speedup": round(python_seconds / columns_seconds, 2)
-                    if columns_seconds
-                    else None,
-                    # How much of the batch the cohort walks actually covered
-                    # (the rest fell back to per-point python kernels).
-                    "columns_points": columns_stats.columns_points,
-                    "columns_cohorts": columns_stats.columns_cohorts,
-                    "walk_seconds": round(columns_stats.columns_seconds, 4),
-                }
-            )
-    columns_speedup = (
-        sweep_python_total / sweep_columns_total if sweep_columns_total else 0.0
-    )
-
     if saved_tier is None:
         os.environ.pop(TIER_ENV, None)
     else:
@@ -584,7 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "prepare_cache": "warm"
         if cache is not None and cache.stats.hits
         else ("cold" if cache is not None else "uncached"),
-        "compile_count": compile_count,
+        "compile_count": kernels_module.compile_count,
         "parity_check_seconds": round(parity_seconds, 3),
         "lowering_seconds": round(lowering_total, 3),
         "legacy_seconds": round(legacy_total, 3),
@@ -604,15 +457,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scheduler_overhead_seconds": round(scheduler_overhead, 4),
         "scheduler_overhead_pct": round(scheduler_overhead_pct, 2),
         "speedup": round(speedup, 2),
-        # The columns sweep phase (absent numbers mean NumPy is missing).
-        "sweep_available": columns_ok,
-        "sweep_designs": list(SWEEP_DESIGNS),
-        "sweep_configs": SWEEP_CONFIGS,
-        "sweep_compiles_per_run": sweep_compiles,
-        "sweep_python_seconds": round(sweep_python_total, 3),
-        "sweep_columns_seconds": round(sweep_columns_total, 3),
-        "columns_speedup": round(columns_speedup, 2) if columns_ok else None,
-        "sweep_per_workload": sweep_per_workload,
         "parity": "ok" if not mismatches else "MISMATCH",
         "mismatches": mismatches,
         "per_workload": per_workload,
@@ -634,9 +478,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "service_overhead_pct": report["service_overhead_pct"],
             "scheduler_overhead_pct": report["scheduler_overhead_pct"],
             "speedup": report["speedup"],
-            "sweep_python_seconds": report["sweep_python_seconds"],
-            "sweep_columns_seconds": report["sweep_columns_seconds"],
-            "columns_speedup": report["columns_speedup"],
             "parity": report["parity"],
         }
         trajectory = []
@@ -650,12 +491,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(trajectory, handle, indent=2)
             handle.write("\n")
 
-    sweep_line = (
-        f"columns-sweep {sweep_columns_total:.2f}s vs {sweep_python_total:.2f}s "
-        f"({columns_speedup:.2f}x)"
-        if columns_ok
-        else "columns-sweep skipped (no NumPy)"
-    )
     native_line = (
         f"native {native_total:.2f}s ({native_speedup:.2f}x)"
         if native_ok
@@ -665,7 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"legacy {legacy_total:.2f}s  kernels {kernel_total:.2f}s  "
         f"{native_line}  service {service_total:.2f}s "
         f"(+{service_overhead_pct:.2f}%)  scheduler {scheduler_total:.2f}s "
-        f"(+{scheduler_overhead_pct:.2f}%)  speedup {speedup:.2f}x  {sweep_line}  "
+        f"(+{scheduler_overhead_pct:.2f}%)  speedup {speedup:.2f}x  "
         f"parity {'ok' if not mismatches else 'MISMATCH'}"
     )
     if mismatches:
@@ -689,21 +524,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"native speedup {native_speedup:.2f}x below required "
                 f"{args.min_native_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_columns_speedup:
-        if not columns_ok:
-            print(
-                "columns sweep unavailable (NumPy not installed) but "
-                "--min-columns-speedup was requested",
-                file=sys.stderr,
-            )
-            return 1
-        if columns_speedup < args.min_columns_speedup:
-            print(
-                f"columns speedup {columns_speedup:.2f}x below required "
-                f"{args.min_columns_speedup:.2f}x",
                 file=sys.stderr,
             )
             return 1

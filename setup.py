@@ -5,15 +5,9 @@ offline machines where pip's PEP 517/660 paths (which need the ``wheel``
 package) are not always available, so everything lives in the legacy
 ``setup.py`` that ``pip install -e .`` can always fall back to.
 
-The project has **zero required dependencies** — every experiment and the
-whole engine stack run on the standard library.  The one optional extra::
-
-    pip install -e .[columns]
-
-pulls in NumPy for the engine's *columns* tier (``REPRO_ENGINE_TIER=columns``,
-the default), which vectorizes the measured pass across whole config sweeps.
-Without it the engine degrades silently to the generated per-config python
-kernels — identical results, sweep-scaling speed left on the table.
+The project has **no dependencies** — every experiment and the whole
+engine stack run on the standard library (the optional native tier needs a
+C compiler on the machine, not a Python package).
 """
 
 from setuptools import find_packages, setup
@@ -34,5 +28,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=[],
-    extras_require={"columns": ["numpy"]},
 )

@@ -154,9 +154,8 @@ def _add_engine_tier_argument(parser: argparse.ArgumentParser) -> None:
         metavar="TIER",
         help="measured-pass execution tier: 'native' (C kernels compiled "
         "through the system toolchain, cached as shared objects; falls back "
-        "per point when no compiler works), 'columns' (NumPy multi-config "
-        "cohorts where provably exact; the default), or 'python' (per-config "
-        "generated kernels); "
+        "per point when no compiler works) or 'python' (per-config generated "
+        "kernels; the default); "
         f"equivalent to setting {TIER_ENV}",
     )
 
@@ -279,8 +278,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro serve --port N`` — the long-lived job server."""
-    import signal
-
     from repro.api.journal import JobJournal, resume_jobs
     from repro.api.remote import JobServer
 
@@ -330,25 +327,48 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         warehouse_store = WarehouseStore(args.state_dir)
         attach_ingestor(service, warehouse_store)
     resumed = resume_jobs(service, journal) if journal is not None else []
+    return _serve_until_drained(
+        "repro serve",
+        server,
+        server.address,
+        service,
+        resumed,
+        stores=[warehouse_store] if warehouse_store is not None else [],
+    )
+
+
+def _serve_until_drained(
+    prog: str, server, address: str, service, resumed: Sequence, stores: Sequence
+) -> int:
+    """The shared tail of ``serve_main`` and ``gateway_main``.
+
+    Prints the banner and one line per resumed job, serves until SIGTERM /
+    SIGINT, then drains: jobs stop at their round boundary and the journal
+    is checkpointed (``server.drain()``), the service closes, and so does
+    every store in ``stores``.  Always returns exit status 0.
+    """
+    import signal
+
     print(
-        f"repro serve: listening on {server.address} "
+        f"{prog}: listening on {address} "
         f"(backend {service.backend.name}, {len(service.workloads)} workloads, "
         f"{service.jobs} jobs)",
         flush=True,
     )
     for handle in resumed:
         print(
-            f"repro serve: resumed {handle.job_id} "
+            f"{prog}: resumed {handle.job_id} "
             f"({len(handle.requests)} points) from the journal",
             flush=True,
         )
 
-    # A signal only closes the listen socket (signal-handler-safe); the
-    # drain — stop jobs at their round boundary, journal a checkpoint —
-    # runs below, in the main thread, after serve_forever returns.
+    # The handler only stops the listen loop, and from a thread: the HTTP
+    # server's shutdown() blocks until serve_forever returns, which cannot
+    # happen while the handler holds the main thread.  The drain runs
+    # below, in the main thread, after serve_forever returns.
     def _request_shutdown(signum, _frame):
-        print(f"repro serve: caught signal {signum}, draining", flush=True)
-        server.close()
+        print(f"{prog}: caught signal {signum}, draining", flush=True)
+        threading.Thread(target=server.close, daemon=True).start()
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _request_shutdown)
@@ -370,9 +390,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         server.drain()
         service.close()
-        if warehouse_store is not None:
-            warehouse_store.close()
-    print("repro serve: drained, exiting", flush=True)
+        for store in stores:
+            store.close()
+    print(f"{prog}: drained, exiting", flush=True)
     return 0
 
 
@@ -477,8 +497,6 @@ def _build_gateway_parser() -> argparse.ArgumentParser:
 
 def gateway_main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro gateway`` — the multi-tenant HTTP front door."""
-    import signal
-
     from repro.api.gateway.admin import admin_main
     from repro.api.gateway.http import GatewayServer
     from repro.api.gateway.quota import QuotaDefaults
@@ -546,44 +564,14 @@ def gateway_main(argv: Optional[Sequence[str]] = None) -> int:
     warehouse_store = WarehouseStore(args.state_dir)
     attach_ingestor(service, warehouse_store)
     resumed = resume_jobs(service, journal)
-    print(
-        f"repro gateway: listening on http://{server.host}:{server.port} "
-        f"(backend {service.backend.name}, {len(service.workloads)} workloads, "
-        f"{service.jobs} jobs)",
-        flush=True,
+    return _serve_until_drained(
+        "repro gateway",
+        server,
+        f"http://{server.host}:{server.port}",
+        service,
+        resumed,
+        stores=[warehouse_store],
     )
-    for handle in resumed:
-        print(
-            f"repro gateway: resumed {handle.job_id} "
-            f"({len(handle.requests)} points) from the journal",
-            flush=True,
-        )
-
-    # Same drain choreography as serve_main: the handler only stops the
-    # HTTP loop (signal-safe); the drain runs in the main thread after
-    # serve_forever returns.
-    def _request_shutdown(signum, _frame):
-        print(f"repro gateway: caught signal {signum}, draining", flush=True)
-        threading.Thread(target=server.close, daemon=True).start()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, _request_shutdown)
-
-    def _reset_signals_in_child() -> None:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, signal.SIG_DFL)
-
-    os.register_at_fork(after_in_child=_reset_signals_in_child)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.drain()
-        service.close()
-        warehouse_store.close()
-    print("repro gateway: drained, exiting", flush=True)
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

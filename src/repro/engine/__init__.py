@@ -18,13 +18,6 @@ always the golden model**::
         │                  point onto the python tier when no compiler
         │                  works.
         ▼
-    emit.columns.run_cohort()
-        │                  the NumPy *columns* tier: one vectorized walk
-        │                  executes a whole cohort of configs per policy
-        │                  (config axes as int64 lanes), engaged only for
-        │                  points whose exactness proofs hold; degrades
-        │                  to the python tier when NumPy is absent.
-        ▼
     kernels.get_kernel()   the *python* tier: generated
         │                  per-(EnginePolicySpec × CoreConfig) kernels over
         │                  flat-array state, lowered from the typed kernel
@@ -41,16 +34,14 @@ always the golden model**::
                            and the loop policies without an engine spec
                            run on.
 
-Tier selection: ``REPRO_ENGINE_TIER=native|columns|python``
-(:func:`~repro.engine.kernels.engine_tier`; default ``columns``, which
-falls back per point to the python kernels whenever a proof fails, the
-cohort is too small, or NumPy is missing; ``native`` likewise falls back
-per point when no C toolchain is available).  The measured-pass codegen
-itself is split into :mod:`repro.engine.ir` — a typed kernel IR plus the
-specialization transforms — and :mod:`repro.engine.emit`, the emitters
-that retarget it (``emit.python`` renders kernel source, ``emit.c``
-renders C translation units for :mod:`repro.engine.native`,
-``emit.columns`` interprets whole cohorts with NumPy).
+Tier selection: ``REPRO_ENGINE_TIER=native|python``
+(:func:`~repro.engine.kernels.engine_tier`; default ``python``;
+``native`` falls back per point to the python kernels when no C toolchain
+is available).  The measured-pass codegen itself is split into
+:mod:`repro.engine.ir` — a typed kernel IR plus the specialization
+transforms — and :mod:`repro.engine.emit`, the emitters that retarget it
+(``emit.python`` renders kernel source, ``emit.c`` renders C translation
+units for :mod:`repro.engine.native`).
 
 Layer tour, bottom to top:
 
@@ -73,8 +64,8 @@ Layer tour, bottom to top:
    the transforms (``specialize`` / ``strip_stats`` / constant folding)
    that burn a (policy spec × config × feature) point into a fully
    resolved tree.  :mod:`repro.engine.emit` holds the emitters over it:
-   ``emit.python`` renders the per-point kernel source,
-   ``emit.columns`` executes whole config cohorts with NumPy.
+   ``emit.python`` renders the per-point kernel source, ``emit.c`` the
+   native tier's C units.
 4. :mod:`repro.engine.kernels` — :func:`~repro.engine.kernels.get_kernel`
    lowers the IR through the python emitter and ``exec``-compiles one
    measured-pass kernel per (policy spec × config), cached per process.

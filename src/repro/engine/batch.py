@@ -18,31 +18,21 @@ policy-independent work once —
   (:mod:`repro.engine.kernels`) specialized per (policy spec × config) over
   the flat-array state of :mod:`repro.engine.state`, with the per-workload
   setup — BTU replay payload extraction, the crypto-PC table, warm-state
-  conversion — shared across every point of the batch;
-* under the default ``columns`` tier (see
-  :func:`repro.engine.kernels.engine_tier`), points that form a large
-  enough provably-exact cohort — same canonical spec and warm-up count, no
-  flush, every config holding the residency/no-eviction proofs — are
-  evaluated by **one** NumPy trace walk
-  (:mod:`repro.engine.emit.columns`) instead of one python-kernel pass per
-  config; everything outside the cohort, and everything when NumPy is
-  absent, runs on the python kernels exactly as before.
+  conversion — shared across every point of the batch.
 
-``REPRO_ENGINE_TIER`` selects the tier explicitly (``native`` /
-``columns`` / ``python``).
+``REPRO_ENGINE_TIER`` selects the tier (``native`` / ``python``; see
+:func:`repro.engine.kernels.engine_tier`).
 
 Results are bit-identical to the object-based reference loop
 (:meth:`~repro.uarch.core.CoreModel.run_reference`,
 ``tests/engine/test_parity.py``) on every tier: kernels are pinned to it
-by ``tests/engine/test_kernel_parity.py``, the columns tier by
-``tests/engine/test_columns_parity.py``, and the native tier by
+by ``tests/engine/test_kernel_parity.py`` and the native tier by
 ``tests/engine/test_native_parity.py``.  Policies without an engine spec
 fall back to the reference loop itself, still inside the same batch call.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -101,14 +91,9 @@ class BatchStats:
     fallback_points: int = 0
     #: Points whose counters came from a python-tier generated kernel —
     #: whether freshly measured or shared via the canonicalization memo.
-    #: Partial on the ``columns`` and ``native`` tiers (cohort members and
-    #: compiled C points are counted under ``columns_points`` /
+    #: Partial on the ``native`` tier (compiled C points are counted under
     #: ``native_points`` instead).
     kernel_points: int = 0
-    #: Points whose counters came from a columns-tier cohort walk.
-    columns_points: int = 0
-    #: NumPy cohort walks performed (each covers many configs at once).
-    columns_cohorts: int = 0
     #: Points whose counters came from a compiled C kernel (native tier).
     native_points: int = 0
     #: Wall-clock seconds spent compiling C kernels during this batch (zero
@@ -126,7 +111,9 @@ class BatchStats:
     #: warm-up); the batch's remaining time is per-point setup overhead,
     #: which the benchmark reports as ``overhead_seconds``.
     kernel_seconds: float = 0.0
-    #: Wall-clock seconds inside columns cohort walks.
+    #: Always 0: the NumPy ``columns`` tier these counted is deleted.  Kept
+    #: only because ``perfbench/traced.py`` still reads both fields.
+    columns_points: int = 0
     columns_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
@@ -139,14 +126,11 @@ class BatchStats:
             "forwarding_private_points": self.forwarding_private_points,
             "fallback_points": self.fallback_points,
             "kernel_points": self.kernel_points,
-            "columns_points": self.columns_points,
-            "columns_cohorts": self.columns_cohorts,
             "native_points": self.native_points,
             "native_compile_seconds": round(self.native_compile_seconds, 4),
             "native_cache_hits": self.native_cache_hits,
             "deduped_points": self.deduped_points,
             "kernel_seconds": round(self.kernel_seconds, 4),
-            "columns_seconds": round(self.columns_seconds, 4),
         }
 
 
@@ -404,9 +388,6 @@ def simulate_batch(
     #: Counters of measured kernel runs already performed by this batch,
     #: keyed by everything that can influence them.
     measured_memo: Dict[tuple, Dict[str, int]] = {}
-    #: Memo keys whose counters came from a columns cohort walk (attribution
-    #: for ``BatchStats.columns_points`` vs ``kernel_points``).
-    columns_keys: Set[tuple] = set()
     #: Memo keys whose counters came from a compiled C kernel (attribution
     #: for ``BatchStats.native_points``).
     native_keys: Set[tuple] = set()
@@ -448,102 +429,6 @@ def simulate_batch(
             plan = (bytes(plan_cls), plan_stp, tuple(occ), traced_static)
             batch_shared[("plan", lite)] = plan
         return plan  # type: ignore[return-value]
-
-    def columns_precompute() -> None:
-        """Seed ``measured_memo`` from NumPy cohort walks where provably exact.
-
-        Groups the batch's kernel-eligible points by (canonical spec,
-        warm-up passes, store-queue size), keeps the configs that hold every
-        exactness proof the vector walk needs (cache residency, BTU elision
-        for traced specs, BTB no-eviction, RSB no-overflow), and — when a
-        group clears the ``REPRO_ENGINE_COLUMNS_MIN`` size threshold — runs
-        one :func:`repro.engine.emit.columns.run_cohort` walk for all of its
-        configs at once.  Ineligible or sub-threshold points simply stay on
-        the python kernels; a missing NumPy disables the whole pass.
-        """
-        from repro.engine.emit import columns as emit_columns
-
-        if not emit_columns.columns_available():
-            return
-        try:
-            min_cohort = int(
-                os.environ.get(
-                    emit_columns.COLUMNS_MIN_ENV, emit_columns.DEFAULT_MIN_COHORT
-                )
-            )
-        except ValueError:
-            min_cohort = emit_columns.DEFAULT_MIN_COHORT
-        groups: Dict[tuple, Dict[tuple, CoreConfig]] = {}
-        for point in points:
-            spec = point.policy.engine_spec()
-            if spec is None or point.btu_flush_interval:
-                continue
-            passes = max(point.warmup_passes, 0)
-            if passes == 0:
-                # The residency proofs only license dropping the cache model
-                # for points that start warm.
-                continue
-            if spec.kind == "cassandra" and hint_table is None:
-                continue  # the per-point path raises the real error
-            point_config = point.config if point.config is not None else config
-            spec = canonical_spec(spec)
-            key = (spec, passes, point_config.sq_size)
-            groups.setdefault(key, {}).setdefault(
-                point_config.identity(), point_config
-            )
-        for (spec, passes, _sq_size), by_identity in groups.items():
-            if len(by_identity) < min_cohort:
-                continue
-            cassandra = spec.kind == "cassandra"
-            traced = cassandra and not spec.lite
-            any_config = next(iter(by_identity.values()))
-            btu_data = shared_btu_data(any_config) if cassandra else None
-            crypto_pcs = shared_crypto_pcs() if cassandra else b""
-            if cassandra:
-                plan_cls, plan_stp, _occ, traced_static = shared_plan(
-                    spec.lite, any_config
-                )
-            else:
-                plan_cls, plan_stp = b"", {}
-                traced_static = 0
-            update_pcs = emit_columns.btb_update_pcs(trace, plan_cls, cassandra)
-            # The RSB persists across warm-up, so depth accumulates over
-            # every pass that will actually run (warm + measured).
-            rsb_peak = emit_columns.rsb_max_depth(
-                trace, plan_cls, cassandra, passes + 1
-            )
-            eligible: List[CoreConfig] = []
-            for cfg in by_identity.values():
-                builder = builder_for(cfg)
-                if not (builder.icache_resident() and builder.dcache_resident()):
-                    continue
-                if traced and traced_static > cfg.btu.entries:
-                    continue
-                if len(update_pcs) > cfg.btb_entries or rsb_peak > cfg.rsb_entries:
-                    continue
-                eligible.append(cfg)
-            if len(eligible) < min_cohort:
-                continue
-            states = []
-            for cfg in eligible:
-                state = FlatState(cfg, btu_data)
-                builder_for(cfg).warm_flat(
-                    spec, passes, state, need_icache=False, need_dcache=False
-                )
-                states.append(state)
-            start = time.perf_counter()
-            cohort_counters = emit_columns.run_cohort(
-                trace, spec, eligible, states, crypto_pcs, plan_cls, plan_stp
-            )
-            stats.columns_seconds += time.perf_counter() - start
-            stats.columns_cohorts += 1
-            for cfg, counters in zip(eligible, cohort_counters):
-                memo_key = (spec, cfg, None, passes)
-                measured_memo[memo_key] = counters
-                columns_keys.add(memo_key)
-
-    if tier == "columns" and points:
-        columns_precompute()
 
     simulations: List = []
     for point in points:
@@ -599,7 +484,6 @@ def simulate_batch(
         flush_interval = point.btu_flush_interval or None
         memo_key = (spec, point_config, flush_interval, passes)
         counters = measured_memo.get(memo_key)
-        from_columns = memo_key in columns_keys
         if counters is None:
             # A warmed point under a residency proof cannot miss, so the
             # measured kernel drops that cache model entirely; the
@@ -714,15 +598,10 @@ def simulate_batch(
             measured_memo[memo_key] = counters
             if native_point:
                 native_keys.add(memo_key)
-        elif not from_columns:
-            # Sharing between columns cohort members is the tier's whole
-            # point, not a canonicalization dedup — only python-tier memo
-            # hits count here.
+        else:
             stats.deduped_points += 1
         stats.measured_passes += 1
-        if from_columns:
-            stats.columns_points += 1
-        elif memo_key in native_keys:
+        if memo_key in native_keys:
             stats.native_points += 1
         else:
             stats.kernel_points += 1

@@ -1,6 +1,6 @@
 """Emitters: lower the kernel IR of :mod:`repro.engine.ir` onto a target.
 
-Three targets exist today:
+Two targets exist today:
 
 * :mod:`repro.engine.emit.python` — renders one specialized tree into the
   exec-compiled per-(spec × config) Python source the engine has always
@@ -12,11 +12,6 @@ Three targets exist today:
   caching, and calling the result; this module only produces source, so it
   stays importable — and its golden snapshots testable — on machines with
   no compiler at all.
-* :mod:`repro.engine.emit.columns` — the NumPy multi-config tier: one walk
-  over a lowered trace's columns evaluates a whole cohort of configs at
-  once with exact int64 arithmetic.  Optional — importing it degrades
-  gracefully when NumPy is absent (``columns_available()`` is False and
-  the batch layer falls back to the python tier).
 
 Emitters never re-derive specialization decisions: the IR transforms
 (:func:`repro.engine.ir.lower_kernel`) already resolved them.

@@ -6,8 +6,8 @@ its specializations) to the *how* (rendering CPython source).  This module
 is the *what*: a small statement/expression tree plus the specialization
 decisions as explicit, unit-testable transforms.  Emitters — today
 :mod:`repro.engine.emit.python` (exec-compiled per-config source) and
-:mod:`repro.engine.emit.columns` (the NumPy multi-config tier) — are the
-*how*.
+:mod:`repro.engine.emit.c` (C translation units for the native tier) — are
+the *how*.
 
 The IR is deliberately thin: kernel code is straight-line Python with
 constant-folded arithmetic, so statements are literal lines (:class:`Line`)

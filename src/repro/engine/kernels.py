@@ -53,7 +53,7 @@ counter contract).
 Compiled kernels are cached per process keyed by
 ``(spec, config.digest(), flush_active, residency, collect_stats)``.  The
 ``REPRO_ENGINE_TIER`` environment variable selects the execution tier
-(``native`` / ``columns`` / ``python`` — see :func:`engine_tier`).
+(``native`` / ``python`` — see :func:`engine_tier`).
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ from repro.uarch.config import CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 from repro.uarch.defenses.cassandra import ReplayMismatchError
 
-#: The execution-tier switch (``native`` / ``columns`` / ``python``).
+#: The execution-tier switch (``native`` / ``python``).
 TIER_ENV = "REPRO_ENGINE_TIER"
 #: Valid ``REPRO_ENGINE_TIER`` values, fastest first.
-ENGINE_TIERS = ("native", "columns", "python")
+ENGINE_TIERS = ("native", "python")
 
 
 def engine_tier() -> str:
@@ -82,14 +82,12 @@ def engine_tier() -> str:
 
     ``REPRO_ENGINE_TIER`` if set — must be one of :data:`ENGINE_TIERS`
     (case/whitespace-insensitive); anything else raises ``ValueError``
-    rather than silently running a different tier.  Unset: ``columns`` —
-    the auto tier.  The columns emitter only engages for cohorts large
-    enough to amortize NumPy dispatch (see ``repro.engine.emit.columns``)
-    and falls back to python kernels point-by-point otherwise, so "auto" is
-    never slower than ``python``.  ``native`` (C kernels compiled per
-    specialization point — see :mod:`repro.engine.native`) is opt-in: it
-    needs a working C toolchain, and degrades point-by-point onto the
-    python kernels when none is found.
+    rather than silently running a different tier.  Unset: ``python``,
+    the generated kernels of this module, which need nothing beyond the
+    standard library.  ``native`` (C kernels compiled per specialization
+    point — see :mod:`repro.engine.native`) is opt-in: it needs a working C
+    toolchain, and degrades point-by-point onto the python kernels when
+    none is found.
 
     Checked at every ``simulate_batch`` call, so tests (and operators
     bisecting a suspected tier bug) can flip the environment at any point
@@ -103,7 +101,7 @@ def engine_tier() -> str:
                 f"{TIER_ENV} must be one of {'/'.join(ENGINE_TIERS)}, got {raw!r}"
             )
         return tier
-    return "columns"
+    return "python"
 
 
 def crypto_pc_table(hint_table: Optional[HintTable], max_pc: int) -> bytearray:

@@ -353,6 +353,7 @@ def _cmd_bench(args: argparse.Namespace, store: WarehouseStore) -> int:
             "speedup": entry.get("speedup", ""),
             "kernel_speedup": entry.get("kernel_speedup", ""),
             "native_speedup": entry.get("native_speedup", ""),
+            # Schema <= 7 only: the deleted columns tier's sweep speedup.
             "columns_speedup": entry.get("columns_speedup", ""),
         }
         for entry in history

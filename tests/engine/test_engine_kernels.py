@@ -7,6 +7,11 @@ residency specialization of the generated source, the measured-pass dedup,
 the per-tier batch accounting, and the flat-state conversions.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
@@ -52,7 +57,7 @@ def _batch(artifact, **point_kwargs):
 # --------------------------------------------------------------------------- #
 def test_kernels_enabled_by_default(monkeypatch):
     monkeypatch.delenv(TIER_ENV, raising=False)
-    assert engine_tier() == "columns"
+    assert engine_tier() == "python"
 
 
 @pytest.mark.parametrize("tier", ENGINE_TIERS)
@@ -64,9 +69,9 @@ def test_tier_env_explicit_values(monkeypatch, tier):
 
 
 def test_tier_env_rejects_unknown_values(monkeypatch):
-    # " Interp " is the deleted interpreter tier's name, spelled the way
-    # normalization accepts a live tier: it must still be rejected.
-    for value in ("turbo", " Interp "):
+    # " Interp " and "columns" name deleted tiers (" Interp " spelled the
+    # way normalization accepts a live tier): both must still be rejected.
+    for value in ("turbo", " Interp ", "columns"):
         monkeypatch.setenv(TIER_ENV, value)
         with pytest.raises(ValueError, match=TIER_ENV):
             engine_tier()
@@ -76,13 +81,54 @@ def test_batch_attribution_counters_per_tier(artifact, monkeypatch):
     monkeypatch.setenv(TIER_ENV, "python")
     _, python_stats = _batch(artifact)
     assert python_stats.kernel_points == len(ALL_DESIGNS)
-    assert python_stats.columns_points == 0
-    assert python_stats.columns_cohorts == 0
+    assert python_stats.native_points == 0
 
-    # Every tier's accounting ends up in the wire/bench dict.
-    for key in ("kernel_points", "columns_points", "columns_cohorts",
-                "columns_seconds"):
-        assert key in python_stats.as_dict()
+    # Every live tier's accounting ends up in the wire/bench dict; the
+    # deleted columns tier's counters do not.
+    as_dict = python_stats.as_dict()
+    for key in ("kernel_points", "native_points", "fallback_points"):
+        assert key in as_dict
+    assert not any(key.startswith("columns") for key in as_dict)
+
+
+def test_default_tier_never_imports_numpy(tmp_path):
+    """A default-tier batch runs on the standard library alone."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        from repro.analysis.tracegen import generate_trace_bundle
+        from repro.arch.executor import SequentialExecutor
+        from repro.engine.batch import PointSpec, simulate_batch
+        from repro.experiments.runner import DESIGN_BUILDERS
+        from tests.conftest import build_toy_crypto_program
+
+        program, key_addr, _out = build_toy_crypto_program()
+        result = SequentialExecutor().run(program)
+        bundle = generate_trace_bundle(
+            program, [{key_addr: 3, key_addr + 1: 9}, {key_addr: 200, key_addr + 1: 77}]
+        )
+        points = [
+            PointSpec(policy=DESIGN_BUILDERS[design](bundle))
+            for design in DESIGN_BUILDERS
+        ]
+        assert len(simulate_batch(result, bundle, points)) == len(points)
+        print("numpy" in sys.modules)
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != TIER_ENV}
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=str(tmp_path),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------------- #

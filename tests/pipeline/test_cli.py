@@ -72,6 +72,14 @@ def test_unknown_backend_errors():
         main(["table2", "--backend", "teleport"])
 
 
+def test_deleted_engine_tier_is_rejected(capsys):
+    """``--engine-tier columns`` names the deleted NumPy tier: usage error."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--engine-tier", "columns"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'columns'" in capsys.readouterr().err
+
+
 def test_direct_module_invocation_still_works():
     """python -m repro.experiments.table2 re-registers its spec (idempotent)."""
     import os

@@ -168,6 +168,30 @@ def test_bench_shows_the_schema_7_speedup(tmp_path, capsys):
     assert "16.83" in capsys.readouterr().out
 
 
+def test_bench_renders_pre_schema_8_trajectory_entries(tmp_path, capsys):
+    """Schema 8 dropped the columns sweep; the recorded trajectory's older
+    entries keep their ``columns_speedup`` in the table next to new ones."""
+    import os
+
+    from repro.warehouse.ingest import ingest_file
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    path = str(tmp_path / "wh.sqlite3")
+    store = WarehouseStore(path)
+    kind, count = ingest_file(store, os.path.join(root, "BENCH_trajectory.json"))
+    assert kind == "bench-trajectory" and count >= 2
+    store.record_bench(
+        {"schema_version": 8, "speedup": 16.1, "native_speedup": 7.0},
+        "2026-10-01T00:00:00Z",
+    )
+    store.close()
+    assert warehouse_main(["--warehouse", path, "bench"]) == 0
+    out = capsys.readouterr().out
+    assert "columns_speedup" in out
+    assert "2.76" in out and "3.81" in out
+    assert "16.1" in out
+
+
 def test_state_dir_points_at_the_serve_store(tmp_path, capsys):
     state_dir = tmp_path / "state"
     store = WarehouseStore(str(state_dir))
