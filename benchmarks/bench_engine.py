@@ -36,7 +36,8 @@ effectively free.
 A fifth phase, **native**, times the same quick-suite point set under
 ``REPRO_ENGINE_TIER=native``: the generated C kernels compiled through the
 system toolchain (:mod:`repro.engine.native`), artifact-cached as shared
-objects so only the first-ever run pays the compiler.  Compilation happens
+objects under ``--cache-dir`` so only the first run with that cache pays
+the compiler (without ``--cache-dir`` they stay in memory).  Compilation happens
 during the (untimed) parity pass — the same treatment the python kernels
 get — so the timed phase measures steady-state execution; the compile cost
 and artifact-cache hit split are reported as ``native_compile_seconds`` /
@@ -114,8 +115,13 @@ def run_legacy(artifact) -> Dict[tuple, Dict[str, object]]:
 
 
 def run_batch(
-    artifact, tier: str, batch_stats: Optional[BatchStats] = None
+    artifact,
+    tier: str,
+    batch_stats: Optional[BatchStats] = None,
+    cache_dir: Optional[str] = None,
 ) -> Dict[tuple, Dict[str, object]]:
+    """The point set through ``simulate_batch``; native kernels are cached
+    under ``cache_dir`` (memory only without one)."""
     os.environ[TIER_ENV] = tier
     specs = [
         PointSpec(
@@ -126,7 +132,7 @@ def run_batch(
         for design, flush, warmups in POINTS
     ]
     simulations = simulate_batch(
-        artifact.result, artifact.bundle, specs, batch_stats=batch_stats
+        artifact.result, artifact.bundle, specs, batch_stats=batch_stats, cache_dir=cache_dir
     )
     return {point: sim.stats.as_dict() for point, sim in zip(POINTS, simulations)}
 
@@ -262,7 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         others = [("kernels", run_batch(artifact, "python"))]
         if native_ok:
             native_stats = BatchStats()
-            others.append(("native", run_batch(artifact, "native", native_stats)))
+            others.append(
+                ("native", run_batch(artifact, "native", native_stats, args.cache_dir))
+            )
             if native_stats.native_points != len(POINTS):
                 mismatches.append(
                     {
@@ -345,7 +353,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     # ratio of these two timings.
                     native_stats = BatchStats()
                     elapsed = _timed(
-                        lambda: run_batch(artifact, "native", native_stats)
+                        lambda: run_batch(artifact, "native", native_stats, args.cache_dir)
                     )
                     if native_seconds is None or elapsed < native_seconds:
                         native_seconds = elapsed

@@ -141,6 +141,7 @@ def generate_trace_bundle(
     crypto_only: bool = True,
     executor: Optional[SequentialExecutor] = None,
     max_k: int = 16,
+    primary: Optional[ExecutionResult] = None,
 ) -> TraceBundle:
     """Algorithm 2: produce hardware traces and hints for a program.
 
@@ -154,16 +155,25 @@ def generate_trace_bundle(
         the inputs are marked input-dependent and get no recorded trace.
     crypto_only:
         Restrict the analysis to branches inside crypto PC ranges.
+    primary:
+        An already computed run of ``program`` on ``inputs[0]``; it is used
+        instead of executing that input again, and its
+        :attr:`~repro.arch.executor.ExecutionResult.seconds` count towards
+        step A.
     """
     if len(inputs) < 2:
         raise ValueError("Algorithm 2 requires at least two inputs to diff traces")
+    if primary is not None and primary.program is not program:
+        raise ValueError("the primary execution is not a run of this program")
     executor = executor or SequentialExecutor()
     timings = StepTimings()
 
-    # Step A: detect static branches by running with the first input.
+    # Step A: detect static branches by running every input.
     start = time.perf_counter()
-    results: List[ExecutionResult] = [
-        executor.run(program, memory_overrides=dict(input_map)) for input_map in inputs
+    results: List[ExecutionResult] = [primary] if primary is not None else []
+    results += [
+        executor.run(program, memory_overrides=dict(input_map))
+        for input_map in inputs[len(results):]
     ]
     raw_per_input: List[Dict[int, RawTrace]] = [
         collect_raw_traces(program, result=result, crypto_only=crypto_only)
@@ -171,6 +181,8 @@ def generate_trace_bundle(
     ]
     branch_pcs = sorted(raw_per_input[0].keys())
     timings.detect_branches_s = time.perf_counter() - start
+    if primary is not None:
+        timings.detect_branches_s += primary.seconds
 
     branches: Dict[int, BranchTraceData] = {}
     hint_table = HintTable(program)

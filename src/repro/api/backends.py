@@ -180,7 +180,7 @@ class SubprocessShardBackend(ExecutionBackend):
     def _worker_env(cache_root: Optional[str] = None) -> Dict[str, str]:
         """The parent's environment with ``repro``'s source tree importable
         and, given the pipeline's cache root, the workers' compiled native
-        kernels kept under it."""
+        kernels kept under it (without one, under no directory at all)."""
         import repro
         from repro.pipeline.artifacts import CACHE_DIR_ENV
 
@@ -190,6 +190,8 @@ class SubprocessShardBackend(ExecutionBackend):
         env["PYTHONPATH"] = os.pathsep.join(parts)
         if cache_root:
             env[CACHE_DIR_ENV] = cache_root
+        else:
+            env.pop(CACHE_DIR_ENV, None)
         return env
 
     def _run_workers(

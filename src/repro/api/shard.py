@@ -17,6 +17,7 @@ write-results until EOF on stdin.  Responses are the pickled
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
 import sys
@@ -145,6 +146,7 @@ def run_task(task: ShardTask) -> List["SimulationResult"]:  # noqa: F821
     from repro.engine.batch import PointSpec, simulate_batch
     from repro.engine.lowering import LoweredTrace
     from repro.experiments.runner import DESIGN_BUILDERS
+    from repro.pipeline.artifacts import CACHE_DIR_ENV
 
     bundle = pickle.loads(task.bundle_bytes) if task.bundle_bytes else None
     trace = LoweredTrace.from_bytes(task.trace_bytes)
@@ -158,8 +160,16 @@ def run_task(task: ShardTask) -> List["SimulationResult"]:  # noqa: F821
         )
         for request in requests
     ]
+    # The parent hands its cache root down in the environment (see
+    # ``SubprocessShardBackend._worker_env``); without one, kernels stay in
+    # memory.
     return simulate_batch(
-        None, bundle, specs, trace=trace, program_name=task.program_name
+        None,
+        bundle,
+        specs,
+        trace=trace,
+        program_name=task.program_name,
+        cache_dir=os.environ.get(CACHE_DIR_ENV) or None,
     )
 
 

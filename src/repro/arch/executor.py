@@ -15,12 +15,21 @@ and produces three artefacts that the rest of the system consumes:
 Because constant-time programs have input-independent control flow, the
 dynamic instruction stream doubles as the "recorded" sequential control flow
 that Cassandra replays.
+
+:meth:`SequentialExecutor.run` decodes each program once into a per-PC table
+(:func:`decode_program`) and interprets that table in one loop over local
+bindings of the register, memory and taint dictionaries.
+:meth:`SequentialExecutor.run_reference` is the straightforward
+instruction-at-a-time loop over :meth:`SequentialExecutor._step`; it is the
+oracle the fast loop is tested against.
 """
 
 from __future__ import annotations
 
+import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.observations import Observation, ObservationKind
 from repro.arch.state import WORD_MASK, ArchState
@@ -96,6 +105,9 @@ class ExecutionResult:
     dynamic: List[DynamicInstruction]
     instruction_count: int
     branch_outcomes: Dict[int, List[int]] = field(default_factory=dict)
+    #: Host wall-clock seconds :meth:`SequentialExecutor.run` took (0.0 for
+    #: other producers); excluded from equality.
+    seconds: float = field(default=0.0, compare=False)
 
     def register(self, name: str) -> int:
         """Convenience accessor for a final register value."""
@@ -127,17 +139,192 @@ class SequentialExecutor:
         ``memory_overrides`` lets callers substitute different inputs (for
         example the two-input diff of the trace generation procedure) without
         rebuilding the program.
+
+        The result equals :meth:`run_reference`'s in every field; the loop
+        interprets the program's decoded table (:func:`decode_program`)
+        instead of re-inspecting each :class:`Instruction` per step.
         """
-        state = ArchState(pc=program.entry)
-        state.memory.update(program.initial_memory)
-        if memory_overrides:
-            state.memory.update(
-                {addr: value & WORD_MASK for addr, value in memory_overrides.items()}
-            )
-        if initial_registers:
-            for name, value in initial_registers.items():
-                state.write_reg(name, value)
-        state.mark_secret_addresses(program.secret_addresses)
+        start = time.perf_counter()
+        state = self._initial_state(program, initial_registers, memory_overrides)
+        table = decode_program(program)
+        n_pcs = len(table)
+        max_steps = self.max_steps
+        record = self.record_dynamic
+        step = self._step
+
+        regs = state.registers
+        reg = regs.get
+        mem = state.memory
+        load = mem.get
+        rtaint = state.register_taint
+        secret = rtaint.get
+        mtaint = state.memory_taint
+        mem_secret = mtaint.get
+        stack = state.call_stack
+        observations: List[Observation] = []
+        observe = observations.append
+        dynamic: List[DynamicInstruction] = []
+        emit = dynamic.append
+        branch_outcomes: Dict[int, List[int]] = {}
+        outcomes = branch_outcomes.get
+        DynInst = DynamicInstruction
+        Obs = Observation
+        O_PC, O_CALL, O_RET = ObservationKind.PC, ObservationKind.CALL, ObservationKind.RET
+        O_LOAD, O_STORE, O_LEAK = ObservationKind.LOAD, ObservationKind.STORE, ObservationKind.LEAK
+
+        pc = state.pc
+        steps = 0
+        halted = False
+        while not halted:
+            if steps >= max_steps:
+                raise ExecutionError(
+                    f"program {program.name!r} exceeded {max_steps} steps"
+                )
+            if pc < 0 or pc >= n_pcs:
+                raise ExecutionError(f"program {program.name!r} jumped to invalid PC {pc}")
+            kind, fn, s0, s1, s2, imm, dst, crypto, opcode, srcs, rec_dst, is_branch = table[pc]
+            next_pc = pc + 1
+            value = mem_address = taken = None
+
+            if kind == _K_ALU_RR:
+                sec = secret(s0, False) or secret(s1, False)
+                value = fn(reg(s0, 0), reg(s1, 0))
+                regs[dst] = value & WORD_MASK
+                rtaint[dst] = sec
+            elif kind == _K_ALU_RI:
+                sec = secret(s0, False)
+                value = fn(reg(s0, 0), imm)
+                regs[dst] = value & WORD_MASK
+                rtaint[dst] = sec
+            elif kind == _K_LOAD:
+                sec = secret(s0, False)
+                mem_address = (reg(s0, 0) + imm) & WORD_MASK
+                value = load(mem_address, 0)
+                regs[dst] = value & WORD_MASK
+                rtaint[dst] = mem_secret(mem_address, False)
+                sec = sec or mem_secret(mem_address, False)
+                observe(Obs(O_LOAD, mem_address, crypto, pc))
+            elif kind == _K_MOVI:
+                sec = False
+                value = imm
+                regs[dst] = value & WORD_MASK
+                rtaint[dst] = False
+            elif kind == _K_STORE:
+                sec = secret(s0, False) or secret(s1, False)
+                mem_address = (reg(s1, 0) + imm) & WORD_MASK
+                mem[mem_address] = reg(s0, 0) & WORD_MASK
+                mtaint[mem_address] = secret(s0, False)
+                observe(Obs(O_STORE, mem_address, crypto, pc))
+            elif kind == _K_MOV:
+                sec = secret(s0, False)
+                value = reg(s0, 0)
+                regs[dst] = value & WORD_MASK
+                rtaint[dst] = sec
+            elif kind == _K_BNEZ:
+                sec = secret(s0, False)
+                taken = reg(s0, 0) != 0
+                if taken:
+                    next_pc = imm
+                observe(Obs(O_PC, next_pc, crypto, pc))
+            elif kind == _K_BEQZ:
+                sec = secret(s0, False)
+                taken = reg(s0, 0) == 0
+                if taken:
+                    next_pc = imm
+                observe(Obs(O_PC, next_pc, crypto, pc))
+            elif kind == _K_CSEL:
+                sec = secret(s0, False) or secret(s1, False) or secret(s2, False)
+                value = reg(s1, 0) if reg(s0, 0) != 0 else reg(s2, 0)
+                regs[dst] = value & WORD_MASK
+                rtaint[dst] = sec
+            elif kind == _K_CALL:
+                sec = False
+                next_pc = imm
+                stack.append(pc + 1)
+                taken = True
+                observe(Obs(O_CALL, next_pc, crypto, pc))
+            elif kind == _K_RET:
+                sec = False
+                if stack:
+                    next_pc = stack.pop()
+                else:
+                    halted = True
+                    next_pc = pc
+                taken = True
+                observe(Obs(O_RET, next_pc, crypto, pc))
+            elif kind == _K_JMP:
+                sec = False
+                next_pc = imm
+                taken = True
+                observe(Obs(O_PC, next_pc, crypto, pc))
+            elif kind == _K_NOP:
+                sec = False
+            elif kind == _K_JMPI:
+                sec = secret(s0, False)
+                next_pc = reg(s0, 0)
+                taken = True
+                observe(Obs(O_PC, next_pc, crypto, pc))
+            elif kind == _K_CALLI:
+                sec = secret(s0, False)
+                next_pc = reg(s0, 0)
+                stack.append(pc + 1)
+                taken = True
+                observe(Obs(O_CALL, next_pc, crypto, pc))
+            elif kind == _K_HALT:
+                sec = False
+                halted = True
+                next_pc = pc
+            elif kind == _K_DECLASSIFY:
+                sec = secret(s0, False)
+                rtaint[s0] = False
+            elif kind == _K_LEAK:
+                sec = secret(s0, False)
+                value = reg(s0, 0)
+                observe(Obs(O_LEAK, value, crypto, pc))
+            else:
+                # An instruction outside the fast shapes: the reference step.
+                rec = step(program, state, fn, pc, steps, observations)
+                next_pc, halted = rec.next_pc, state.halted
+                mem_address, taken = rec.mem_address, rec.taken
+                sec, value = rec.secret_operand, rec.value
+
+            if record:
+                emit(
+                    DynInst(
+                        steps, pc, opcode, rec_dst, srcs, next_pc, mem_address,
+                        is_branch, taken, crypto, sec, value,
+                    )
+                )
+            if is_branch:
+                outcomes_pc = outcomes(pc)
+                if outcomes_pc is None:
+                    branch_outcomes[pc] = [next_pc]
+                else:
+                    outcomes_pc.append(next_pc)
+            steps += 1
+            pc = next_pc
+
+        state.pc = pc
+        state.halted = True
+        return ExecutionResult(
+            program=program,
+            state=state,
+            observations=observations,
+            dynamic=dynamic,
+            instruction_count=steps,
+            branch_outcomes=branch_outcomes,
+            seconds=time.perf_counter() - start,
+        )
+
+    def run_reference(
+        self,
+        program: Program,
+        initial_registers: Optional[Dict[str, int]] = None,
+        memory_overrides: Optional[Dict[int, int]] = None,
+    ) -> ExecutionResult:
+        """The instruction-at-a-time loop over :meth:`_step`: the oracle
+        :meth:`run` is tested against."""
+        state = self._initial_state(program, initial_registers, memory_overrides)
 
         observations: List[Observation] = []
         dynamic: List[DynamicInstruction] = []
@@ -169,6 +356,24 @@ class SequentialExecutor:
             instruction_count=steps,
             branch_outcomes=branch_outcomes,
         )
+
+    @staticmethod
+    def _initial_state(
+        program: Program,
+        initial_registers: Optional[Dict[str, int]],
+        memory_overrides: Optional[Dict[int, int]],
+    ) -> ArchState:
+        state = ArchState(pc=program.entry)
+        state.memory.update(program.initial_memory)
+        if memory_overrides:
+            state.memory.update(
+                {addr: value & WORD_MASK for addr, value in memory_overrides.items()}
+            )
+        if initial_registers:
+            for name, value in initial_registers.items():
+                state.write_reg(name, value)
+        state.mark_secret_addresses(program.secret_addresses)
+        return state
 
     # ------------------------------------------------------------------ #
     # Single-step semantics
@@ -377,3 +582,168 @@ _ALU_OPS = frozenset(
         Opcode.CMPGE,
     }
 )
+
+
+# --------------------------------------------------------------------------- #
+# The decoded program table of the fast loop
+# --------------------------------------------------------------------------- #
+# Operation kinds, numbered roughly by dynamic frequency in the crypto kernels
+# (the loop tests them in this order).  ``_K_STEP`` covers every instruction
+# whose operand shape the fast kinds do not expect: the loop runs it through
+# the reference ``_step``, so odd hand-built programs keep exact semantics.
+(
+    _K_ALU_RR,
+    _K_ALU_RI,
+    _K_LOAD,
+    _K_MOVI,
+    _K_STORE,
+    _K_MOV,
+    _K_BNEZ,
+    _K_BEQZ,
+    _K_CSEL,
+    _K_CALL,
+    _K_RET,
+    _K_JMP,
+    _K_NOP,
+    _K_JMPI,
+    _K_CALLI,
+    _K_HALT,
+    _K_DECLASSIFY,
+    _K_LEAK,
+    _K_STEP,
+) = range(19)
+
+#: One decoded instruction: ``(kind, fn, s0, s1, s2, imm, dst, crypto,
+#: opcode, srcs, rec_dst, is_branch)``.  ``fn`` is the ALU function (the
+#: :class:`Instruction` itself for ``_K_STEP``), ``s0``–``s2`` the source
+#: registers, ``imm`` the resolved immediate, ``crypto`` the resolved crypto
+#: flag, and ``rec_dst`` the :class:`DynamicInstruction` destination.
+DecodedInstruction = Tuple[
+    int, object, Optional[str], Optional[str], Optional[str], object,
+    Optional[str], bool, Opcode, Tuple[str, ...], Optional[str], bool,
+]
+
+
+def _rotl32(a: int, b: int) -> int:
+    amount = b % 32
+    a32 = a & MASK32
+    return ((a32 << amount) | (a32 >> (32 - amount))) & MASK32 if amount else a32
+
+
+def _rotr32(a: int, b: int) -> int:
+    amount = b % 32
+    a32 = a & MASK32
+    return ((a32 >> amount) | (a32 << (32 - amount))) & MASK32 if amount else a32
+
+
+def _rotl64(a: int, b: int) -> int:
+    amount = b % 64
+    return ((a << amount) | (a >> (64 - amount))) & WORD_MASK if amount else a
+
+
+def _rotr64(a: int, b: int) -> int:
+    amount = b % 64
+    return ((a >> amount) | (a << (64 - amount))) & WORD_MASK if amount else a
+
+
+#: ALU semantics by opcode, mirroring :meth:`SequentialExecutor._alu` (the
+#: second operand is a register or the integer immediate; NOT ignores it).
+_ALU_FUNCTIONS: Dict[Opcode, Callable[[int, int], int]] = {
+    Opcode.ADD: lambda a, b: (a + b) & WORD_MASK,
+    Opcode.SUB: lambda a, b: (a - b) & WORD_MASK,
+    Opcode.MUL: lambda a, b: (a * b) & WORD_MASK,
+    Opcode.DIV: lambda a, b: (a // b) & WORD_MASK if b else 0,
+    Opcode.MOD: lambda a, b: (a % b) & WORD_MASK if b else 0,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.NOT: lambda a, b: (~a) & WORD_MASK,
+    Opcode.SHL: lambda a, b: (a << b) & WORD_MASK if b < 64 else 0,
+    Opcode.SHR: lambda a, b: (a >> b) & WORD_MASK if b < 64 else 0,
+    Opcode.ROTL: _rotl32,
+    Opcode.ROTR: _rotr32,
+    Opcode.ROTL64: _rotl64,
+    Opcode.ROTR64: _rotr64,
+    Opcode.CMPEQ: lambda a, b: int(a == b),
+    Opcode.CMPNE: lambda a, b: int(a != b),
+    Opcode.CMPLT: lambda a, b: int(a < b),
+    Opcode.CMPLE: lambda a, b: int(a <= b),
+    Opcode.CMPGT: lambda a, b: int(a > b),
+    Opcode.CMPGE: lambda a, b: int(a >= b),
+}
+
+#: Opcodes with a fixed fast kind: (kind, number of source registers,
+#: immediate form).  The immediate forms are ``"none"``, ``"int"``
+#: (``int(imm or 0)``), ``"offset"`` (``imm or 0``) and ``"target"``
+#: (``int(imm)``, required).
+_FIXED_KINDS: Dict[Opcode, Tuple[int, int, str]] = {
+    Opcode.MOVI: (_K_MOVI, 0, "int"),
+    Opcode.LOAD: (_K_LOAD, 1, "offset"),
+    Opcode.STORE: (_K_STORE, 2, "offset"),
+    Opcode.MOV: (_K_MOV, 1, "none"),
+    Opcode.CSEL: (_K_CSEL, 3, "none"),
+    Opcode.BNEZ: (_K_BNEZ, 1, "target"),
+    Opcode.BEQZ: (_K_BEQZ, 1, "target"),
+    Opcode.CALL: (_K_CALL, 0, "target"),
+    Opcode.RET: (_K_RET, 0, "none"),
+    Opcode.JMP: (_K_JMP, 0, "target"),
+    Opcode.JMPI: (_K_JMPI, 1, "none"),
+    Opcode.CALLI: (_K_CALLI, 1, "none"),
+    Opcode.HALT: (_K_HALT, 0, "none"),
+    Opcode.DECLASSIFY: (_K_DECLASSIFY, 1, "none"),
+    Opcode.LEAK: (_K_LEAK, 1, "none"),
+    Opcode.NOP: (_K_NOP, 0, "none"),
+    Opcode.FENCE: (_K_NOP, 0, "none"),
+    Opcode.HINT: (_K_NOP, 0, "none"),
+}
+
+
+def _decode(program: Program, pc: int, instruction: Instruction) -> DecodedInstruction:
+    opcode = instruction.opcode
+    srcs = instruction.srcs
+    crypto = instruction.crypto or program.is_crypto_pc(pc)
+    rec_dst = instruction.dst if instruction.writes_register else None
+    tail = (instruction.dst, crypto, opcode, srcs, rec_dst, instruction.is_branch)
+    step = (_K_STEP, instruction, None, None, None, None) + tail
+
+    fn: Optional[Callable[[int, int], int]] = _ALU_FUNCTIONS.get(opcode)
+    if fn is not None:
+        if len(srcs) == 2:
+            kind, arity, form = _K_ALU_RR, 2, "none"
+        elif len(srcs) == 1:
+            kind, arity, form = _K_ALU_RI, 1, "int"
+        else:
+            return step
+    elif opcode in _FIXED_KINDS:
+        kind, arity, form = _FIXED_KINDS[opcode]
+    else:
+        return step
+    if len(srcs) != arity:
+        return step
+    imm = instruction.imm
+    try:
+        if form == "int":
+            imm = int(imm or 0)
+        elif form == "offset":
+            imm = imm or 0
+        elif form == "target":
+            imm = int(imm)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return step
+    padded = tuple(srcs) + (None,) * (3 - arity)
+    return (kind, fn) + padded + (imm,) + tail
+
+
+#: Decoded tables by program (programs are immutable once built); each
+#: entry remembers the crypto regions it resolved the crypto flags against.
+_DECODED: "weakref.WeakKeyDictionary[Program, tuple]" = weakref.WeakKeyDictionary()
+
+
+def decode_program(program: Program) -> Tuple[DecodedInstruction, ...]:
+    """The per-PC table :meth:`SequentialExecutor.run` interprets (memoized)."""
+    cached = _DECODED.get(program)
+    if cached is not None and cached[0] is program.crypto_regions:
+        return cached[1]
+    table = tuple(_decode(program, pc, inst) for pc, inst in enumerate(program))
+    _DECODED[program] = (program.crypto_regions, table)
+    return table

@@ -212,7 +212,7 @@ def simulate_batch(
     ``result.dynamic``, which does not exist on the wire).
 
     ``cache_dir`` is the artifact-cache root the native tier keeps its
-    compiled kernels under (default: ``$REPRO_CACHE_DIR`` or the user cache).
+    compiled kernels under; ``None`` keeps them in memory only.
     """
     from repro.uarch.core import CoreModel, SimulationResult  # lazy: core imports the engine
 

@@ -24,8 +24,8 @@ layer's kernel call sites:
   ``dlopen``-ed.  :data:`compile_count` / :data:`compile_seconds` /
   :data:`cache_hits` / :data:`render_count` expose the split to the batch
   stats and benchmarks.  The cache root is the ``cache_dir`` the caller
-  passes (the pipeline's, for ``--cache-dir``), else
-  :func:`~repro.pipeline.artifacts.default_cache_dir`.
+  passes (the pipeline's, for ``--cache-dir``); without one (``--no-cache``)
+  kernels live in a memory-only cache for the life of the process.
 * **The session bridge** — a compiled kernel is one call
   ``int64_t kernel(int64_t *a)`` over machine addresses
   (:data:`repro.engine.emit.c.ARG_SLOTS`).  :class:`NativeKernel` presents
@@ -198,8 +198,8 @@ def compiler_available() -> bool:
 # --------------------------------------------------------------------------- #
 # Compile + artifact cache + load
 # --------------------------------------------------------------------------- #
-#: Artifact caches by root directory.
-_ARTIFACTS: Dict[str, Any] = {}
+#: Artifact caches by root directory (``None``: the memory-only cache).
+_ARTIFACTS: Dict[Optional[str], Any] = {}
 
 #: Loaded kernel entry points by artifact digest (the ``CDLL`` objects are
 #: pinned in ``_LIBS`` — a collected library would leave dangling pointers).
@@ -213,15 +213,16 @@ _KERNEL_MEMO: Dict[Tuple, Optional["NativeKernel"]] = {}
 
 #: Kernel-index entries (render key → artifact digest) as this process last
 #: read or wrote them, by (cache root, index digest).
-_INDEX: Dict[Tuple[str, str], Dict[Tuple, str]] = {}
+_INDEX: Dict[Tuple[Optional[str], str], Dict[Tuple, str]] = {}
 
 
 def _artifact_cache(root: Optional[str] = None):
+    """The kernel cache under ``root``; memory-only when ``root`` is None,
+    so a run without an artifact cache leaves no kernel on disk."""
     # Imported lazily: repro.pipeline pulls in the experiment runner, which
     # imports the batch layer, which imports this module.
-    from repro.pipeline.artifacts import ArtifactCache, default_cache_dir
+    from repro.pipeline.artifacts import ArtifactCache
 
-    root = root or default_cache_dir()
     cache = _ARTIFACTS.get(root)
     if cache is None:
         cache = _ARTIFACTS[root] = ArtifactCache(root=root)
@@ -291,6 +292,8 @@ def _record_index(artifacts, digest: str, render_key: Tuple, artifact: str) -> N
     """
     entries = _index(artifacts, digest)
     entries[render_key] = artifact
+    if artifacts.root is None:
+        return
     try:
         with _index_lock(artifacts, digest):
             merged = _read_index(artifacts, digest)
@@ -379,8 +382,8 @@ def get_native_kernel(
     unit — and the caller should fall back to :func:`repro.engine.kernels
     .get_kernel`.  Warm process restarts pay one kernel-index lookup and one
     artifact-cache read per kernel, never a render or a compile.
-    ``cache_dir`` is the artifact-cache root (default:
-    :func:`~repro.pipeline.artifacts.default_cache_dir`).
+    ``cache_dir`` is the artifact-cache root; ``None`` keeps the kernel
+    in a memory-only cache, so nothing is written to disk.
     """
     global compile_count, compile_seconds, render_count, last_error
     toolchain = find_toolchain()

@@ -266,7 +266,9 @@ def artifacts_for_kernel(
     stored to the content-addressed artifact cache, keyed on the program
     content, the confidential-input set, and the trace parameters.  The
     kernel's correctness check always re-runs, so a stale or corrupt cache
-    entry cannot silently poison an experiment.
+    entry cannot silently poison an experiment.  A cold preparation executes
+    each input exactly once: the verified run of ``inputs[0]`` is Algorithm
+    2's primary execution.
     """
     name = name or kernel.name
     params = trace_params or TraceParameters()
@@ -296,6 +298,7 @@ def artifacts_for_kernel(
             kernel.inputs,
             crypto_only=params.crypto_only,
             max_k=params.max_k,
+            primary=result,
         )
         if cache is not None and digest is not None:
             cache.put("workload-artifacts", name, digest, (result, bundle))

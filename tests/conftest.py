@@ -14,8 +14,8 @@ from repro.pipeline.artifacts import CACHE_DIR_ENV
 def isolated_cache_root(tmp_path_factory):
     """Point the default cache root (``$REPRO_CACHE_DIR``) at a temp dir.
 
-    Without it, anything that falls back to the default root — native
-    kernels, services built without ``cache_dir`` — would write under
+    Without it, anything that falls back to the default root — services
+    built without ``cache_dir`` — would write under
     ``~/.cache/repro-cassandra``.  Tests that set the variable themselves
     via ``monkeypatch`` restore this value afterwards.
     """

@@ -162,17 +162,16 @@ def test_degraded_path_without_compiler(monkeypatch):
 
 @needs_compiler
 def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_kernel_cache()
     before = native.compile_count
     first = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False
+        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False, cache_dir=str(tmp_path)
     )
     assert first is not None
     assert native.compile_count == before + 1
     # Same point again: served from the in-process memo, no new compile.
     again = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False
+        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False, cache_dir=str(tmp_path)
     )
     assert again is first
     assert native.compile_count == before + 1
@@ -181,7 +180,7 @@ def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
     hits = native.cache_hits
     native.clear_native_memo()
     warm = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False
+        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False, cache_dir=str(tmp_path)
     )
     assert warm is not None
     assert native.compile_count == before + 1
@@ -217,12 +216,19 @@ def _fresh_process(monkeypatch):
 
 @pytest.fixture()
 def native_cache(tmp_path, monkeypatch):
-    """An empty native artifact cache, seen from a fresh process."""
+    """The kernel directory of an empty artifact cache, seen from a fresh
+    process.  Lookups name its root; ``$REPRO_CACHE_DIR`` must stay unused."""
     root = tmp_path / "cache"
-    monkeypatch.setenv(CACHE_DIR_ENV, str(root))
+    ambient = tmp_path / "ambient"
+    monkeypatch.setenv(CACHE_DIR_ENV, str(ambient))
     _fresh_process(monkeypatch)
     yield root / "v1" / native.ARTIFACT_KIND
     native.clear_native_memo()
+    assert not ambient.exists()
+
+
+def _cache_root(kernel_dir):
+    return str(kernel_dir.parent.parent)
 
 
 def _index_files(kernel_dir):
@@ -239,20 +245,25 @@ def _so_files(kernel_dir):
     )
 
 
-def _lookup():
-    return native.get_native_kernel(SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False)
+def _lookup(kernel_dir):
+    return native.get_native_kernel(
+        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False,
+        cache_dir=_cache_root(kernel_dir),
+    )
 
 
 def _counts():
     return native.render_count, native.compile_count
 
 
-def _run_native(execution, bundle, monkeypatch):
+def _run_native(execution, bundle, monkeypatch, kernel_dir):
     """Every design on the toy program, natively; returns per-point stats."""
     points = [PointSpec(policy=build(bundle)) for build in DESIGN_BUILDERS.values()]
     monkeypatch.setenv(TIER_ENV, "native")
     stats = BatchStats()
-    results = simulate_batch(execution, bundle, points, batch_stats=stats)
+    results = simulate_batch(
+        execution, bundle, points, batch_stats=stats, cache_dir=_cache_root(kernel_dir)
+    )
     assert stats.native_points == len(points), native.last_error
     return [sim.stats.as_dict() for sim in results]
 
@@ -265,7 +276,7 @@ def _run_python(execution, bundle, monkeypatch):
 
 @needs_compiler
 def test_warm_lookup_never_renders(native_cache, monkeypatch, toy_execution, toy_bundle):
-    cold = _run_native(toy_execution, toy_bundle, monkeypatch)
+    cold = _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
     assert len(_index_files(native_cache)) == 1
     _fresh_process(monkeypatch)
 
@@ -274,7 +285,7 @@ def test_warm_lookup_never_renders(native_cache, monkeypatch, toy_execution, toy
 
     monkeypatch.setattr(native, "c_kernel_source", no_render)
     before, hits = _counts(), native.cache_hits
-    warm = _run_native(toy_execution, toy_bundle, monkeypatch)
+    warm = _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
     assert _counts() == before
     assert native.cache_hits > hits
     assert warm == cold == _run_python(toy_execution, toy_bundle, monkeypatch)
@@ -282,12 +293,12 @@ def test_warm_lookup_never_renders(native_cache, monkeypatch, toy_execution, toy
 
 @needs_compiler
 def test_code_edit_rerenders_without_recompiling(native_cache, monkeypatch):
-    assert _lookup() is not None
+    assert _lookup(native_cache) is not None
     renders, compiles = _counts()
     _fresh_process(monkeypatch)
     monkeypatch.setattr(hashing, "code_fingerprint", lambda: "edited-source-tree")
     hits = native.cache_hits
-    assert _lookup() is not None
+    assert _lookup(native_cache) is not None
     assert _counts() == (renders + 1, compiles)
     assert native.cache_hits == hits + 1
     # One index per code fingerprint; the .so stays content-addressed.
@@ -299,12 +310,12 @@ def test_code_edit_rerenders_without_recompiling(native_cache, monkeypatch):
 def test_index_entry_for_missing_so_recompiles(
     native_cache, monkeypatch, toy_execution, toy_bundle
 ):
-    _run_native(toy_execution, toy_bundle, monkeypatch)
+    _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
     for path in _so_files(native_cache):
         path.unlink()
     _fresh_process(monkeypatch)
     renders, compiles = _counts()
-    native_stats = _run_native(toy_execution, toy_bundle, monkeypatch)
+    native_stats = _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
     assert native.render_count > renders
     assert native.compile_count > compiles
     assert native_stats == _run_python(toy_execution, toy_bundle, monkeypatch)
@@ -312,18 +323,18 @@ def test_index_entry_for_missing_so_recompiles(
 
 @needs_compiler
 def test_corrupt_index_is_quarantined(native_cache, monkeypatch):
-    assert _lookup() is not None
+    assert _lookup(native_cache) is not None
     (index,) = _index_files(native_cache)
     index.write_bytes(b"not a pickle")
     _fresh_process(monkeypatch)
     renders, compiles = _counts()
-    kernel = _lookup()
+    kernel = _lookup(native_cache)
     assert kernel is not None
     assert _counts() == (renders + 1, compiles)
     assert index.with_name(index.name + ".corrupt").exists()
     # The re-render rewrote a readable index: the next process skips it.
     _fresh_process(monkeypatch)
-    assert _lookup().digest == kernel.digest
+    assert _lookup(native_cache).digest == kernel.digest
     assert _counts() == (renders + 1, compiles)
 
 
@@ -370,6 +381,34 @@ def test_native_artifacts_honour_cache_dir(tmp_path, monkeypatch, backend):
     kernel_dir = chosen / "v1" / native.ARTIFACT_KIND
     assert _index_files(kernel_dir) and _so_files(kernel_dir)
     assert not ambient.exists()
+
+
+@needs_compiler
+def test_no_cache_run_writes_no_native_kernel(tmp_path):
+    """``--no-cache`` keeps compiled kernels in memory: neither the default
+    cache root nor ``$HOME`` gains a file."""
+    home, root, scratch = tmp_path / "home", tmp_path / "cache", tmp_path / "tmp"
+    for directory in (home, root, scratch):
+        directory.mkdir()
+    env = dict(
+        os.environ,
+        HOME=str(home),
+        TMPDIR=str(scratch),
+        PYTHONPATH=os.pathsep.join(sys.path),
+        **{CACHE_DIR_ENV: str(root)},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "figure7", "--workloads", "Poly1305_ctmul",
+         "--no-cache", "--engine-tier", "native", "--stats"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The kernels were compiled and loaded (from the process's temp dir).
+    assert list(scratch.rglob("*.so"))
+    assert list(home.rglob("*")) == []
+    assert list(root.rglob("*")) == []
 
 
 # --------------------------------------------------------------------------- #
