@@ -7,9 +7,11 @@ policy-independent work once —
 
 * the columnar lowering is computed (or taken from the caller's artifact
   cache) a single time;
-* warm-up state is built component-wise per (config, component class,
-  passes) by :class:`~repro.engine.warmup.WarmStateBuilder` and *restored*
-  into each point's state instead of being re-simulated per policy;
+* warm-up state is built component-wise per (component class, passes, the
+  config fields that component reads) by
+  :class:`~repro.engine.warmup.WarmStateBuilder`, in one store shared by
+  every config of the batch, and *restored* into each point's state instead
+  of being re-simulated per policy or per config;
 * only points whose warm-up is genuinely cycle-dependent (an active BTU
   flush interval under a trace-replaying policy, or forwarding-allowed
   policies on traces where the shared d-cache replay is not provably exact)
@@ -49,7 +51,7 @@ from repro.engine.kernels import (
 )
 from repro.engine.lowering import LoweredTrace, lower_execution
 from repro.engine.state import BtuReplayData, FlatState
-from repro.engine.warmup import WarmStateBuilder
+from repro.engine.warmup import WarmStateBuilder, WarmStore
 from repro.uarch.btu import BranchTraceUnit
 from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
 from repro.uarch.defenses.base import DefensePolicy
@@ -82,7 +84,8 @@ class BatchStats:
     #: forwarding-allowed points when the shared d-cache replay is not
     #: provably exact for this trace).
     full_warmup_passes: int = 0
-    #: Component replay walks by the warm-state builders (shared across points).
+    #: Component replay walks by the batch's warm store, each counted once
+    #: however many points and configs share it.
     warmup_component_walks: int = 0
     #: Points warmed privately because store forwarding could skew the
     #: shared d-cache state (see WarmStateBuilder.forwarding_shareable).
@@ -235,6 +238,7 @@ def simulate_batch(
     hint_table = bundle.hint_table if bundle is not None else None
     default_program_name = bundle.program.name if bundle is not None else "program"
     builders: Dict[tuple, WarmStateBuilder] = {}
+    warm_store = WarmStore(trace, hint_table)
 
     def builder_for(point_config: CoreConfig) -> WarmStateBuilder:
         key = point_config.identity()
@@ -245,7 +249,9 @@ def simulate_batch(
                 traces = bundle.hardware_traces() if bundle is not None else {}
                 return BranchTraceUnit(point_config.btu, traces, hint_table)
 
-            builder = WarmStateBuilder(trace, point_config, hint_table, btu_factory)
+            builder = WarmStateBuilder(
+                trace, point_config, hint_table, btu_factory, store=warm_store
+            )
             builders[key] = builder
         return builder
 

@@ -14,7 +14,8 @@ sequence — not of cycle timing:
   *other* access touches the same L1D set between the store and the
   forwarded load (only then can the skipped recency refresh change an LRU
   eviction).  :meth:`WarmStateBuilder.forwarding_shareable` detects that
-  condition exactly, in program order, once per (workload × config); when
+  condition exactly, in program order, once per (workload × L1D geometry ×
+  store-queue size); when
   it triggers, forwarding-allowed policies fall back to private full
   warm-up passes (on the kernels) instead of the shared snapshot, so the
   bit-parity guarantee holds for arbitrary programs, not just the quick
@@ -25,12 +26,16 @@ sequence — not of cycle timing:
 * **BTU** — advanced per traced crypto branch by the Cassandra fetch flow
   (commit checkpoint, then trace replay), untouched by everything else.
 
-:class:`WarmStateBuilder` computes each (component, class, passes) snapshot
-at most once per (workload × config) and restores it into any number of
-per-point unit instances.  The only warm-up that cannot be shared is a BTU
-whose periodic flush interval is active — flush points are cycle-triggered,
-so those points run private full warm-up passes on the kernels instead
-(see :mod:`repro.engine.batch`).
+Each component also reads only a few :class:`~repro.uarch.config.CoreConfig`
+fields (:data:`KEY_FIELDS`).  :class:`WarmStateBuilder` computes each
+(component, class, passes) snapshot at most once per workload and *value of
+those fields*, in a :class:`WarmStore` shared by every config of one batch,
+and restores it into any number of per-point unit instances: a sweep that
+varies only ROB size, widths and latencies replays each component once, not
+once per config.  The only warm-up that cannot be shared is a BTU whose
+periodic flush interval is active — flush points are cycle-triggered, so
+those points run private full warm-up passes on the kernels instead (see
+:mod:`repro.engine.batch`).
 """
 
 from __future__ import annotations
@@ -53,8 +58,66 @@ from repro.uarch.config import CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 
 
+#: The ``CoreConfig`` fields each warm component's replay and each residency
+#: or forwarding proof reads.  Snapshots (object and flat forms alike) and
+#: proofs are keyed on the values of exactly these fields, so every
+#: config of a batch that agrees on them shares one replay: the 144-config
+#: sweep grid varies no cache or BTU field and three PHT sizes.  A field a
+#: replay reads but its row omits would share state between configs that
+#: differ in it, so ``tests/engine/test_warmup.py`` fails on any
+#: ``CoreConfig`` field this table and its list of unread fields miss.
+KEY_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "icache": ("l1i",),
+    "dcache": ("l1d", "l2", "l3", "word_bytes"),
+    "bpu": ("pht_bits", "global_history_bits", "btb_entries", "rsb_entries"),
+    "btu": ("btu",),
+    "icache_resident": ("l1i",),
+    "dcache_resident": ("l1d", "word_bytes"),
+    "forwarding_shareable": ("l1d", "word_bytes", "sq_size"),
+}
+
+
+class WarmStore:
+    """The warm state one batch shares across its configs.
+
+    Holds the trace's event rows and every component snapshot and proof any
+    :class:`WarmStateBuilder` over it computed, keyed on the
+    :data:`KEY_FIELDS` values of the builder's config.  It lives as long as
+    the batch that made it; nothing is cached across batches.
+    """
+
+    def __init__(self, trace: LoweredTrace, hint_table: Optional[HintTable] = None) -> None:
+        self.trace = trace
+        self.hint_table = hint_table
+        self.entries: Dict[tuple, object] = {}
+        self._rows: Optional[Tuple[bytearray, list, list]] = None
+
+    def rows(self) -> Tuple[bytearray, List[Tuple[int, int, int, bool, bool]], List[Tuple[bool, int]]]:
+        """``(crypto_pcs, branch_rows, mem_rows)``: one pass over the columns."""
+        if self._rows is None:
+            trace = self.trace
+            crypto_pcs = crypto_pc_table(self.hint_table, trace.max_pc)
+            branch_rows = []
+            for pc, npc, fl, bc in zip(trace.pcs, trace.next_pcs, trace.flags, trace.bclass):
+                if fl & F_BRANCH:
+                    is_crypto = bool(fl & F_CRYPTO) or bool(crypto_pcs[pc])
+                    branch_rows.append((bc, pc, npc, (fl & F_TAKEN) != 0, is_crypto))
+            mem_rows = [
+                ((fl & F_LOAD) != 0, addr)
+                for fl, addr in zip(trace.flags, trace.mem)
+                if addr >= 0
+            ]
+            self._rows = (crypto_pcs, branch_rows, mem_rows)
+        return self._rows
+
+
 class WarmStateBuilder:
-    """Shared warm-up components for one (lowered trace, config) pair."""
+    """Shared warm-up components for one config over a lowered trace.
+
+    ``store`` is the :class:`WarmStore` of the batch the builder serves; the
+    builders of every config in that batch share it.  Without one the
+    builder keeps a private store.
+    """
 
     def __init__(
         self,
@@ -62,52 +125,40 @@ class WarmStateBuilder:
         config: CoreConfig,
         hint_table: Optional[HintTable] = None,
         btu_factory: Optional[Callable[[], BranchTraceUnit]] = None,
+        store: Optional[WarmStore] = None,
     ) -> None:
+        if store is None:
+            store = WarmStore(trace, hint_table)
+        elif store.trace is not trace or store.hint_table is not hint_table:
+            raise ValueError("a WarmStore serves one (trace, hint table) pair")
         self.trace = trace
         self.config = config
         self.hint_table = hint_table
         self.btu_factory = btu_factory
-        #: Number of trace-order replay walks executed (one per component
-        #: class actually needed; the sharing tests assert this stays small).
+        self.store = store
+        #: Trace-order replay walks this builder executed.  A walk another
+        #: builder of the same store already ran is not repeated, so the
+        #: sum over a batch's builders counts each shared walk once.
         self.component_walks = 0
-        self._snapshots: Dict[Tuple[str, str, int], object] = {}
-        self._rows_ready = False
-        self._branch_rows: List[Tuple[int, int, int, bool, bool]] = []
-        self._mem_rows: List[Tuple[bool, int]] = []
-        self._forwarding_shareable: Optional[bool] = None
-        self._icache_resident: Optional[bool] = None
-        self._dcache_resident: Optional[bool] = None
+        self._field_values: Dict[str, tuple] = {}
 
-    # ------------------------------------------------------------------ #
-    # Event-row extraction (one pass over the columns, shared by replays)
-    # ------------------------------------------------------------------ #
-    def _rows(self) -> None:
-        if self._rows_ready:
-            return
-        trace = self.trace
-        crypto_pcs = crypto_pc_table(self.hint_table, trace.max_pc)
-        branch_rows = self._branch_rows
-        mem_rows = self._mem_rows
-        for pc, npc, fl, bc in zip(trace.pcs, trace.next_pcs, trace.flags, trace.bclass):
-            if fl & F_BRANCH:
-                is_crypto = bool(fl & F_CRYPTO) or bool(crypto_pcs[pc])
-                branch_rows.append((bc, pc, npc, (fl & F_TAKEN) != 0, is_crypto))
-        for fl, addr in zip(trace.flags, trace.mem):
-            if addr >= 0:
-                mem_rows.append(((fl & F_LOAD) != 0, addr))
-        self._rows_ready = True
+    def _shared(self, name: str, compute: Callable[[], object], *detail) -> object:
+        """``compute()``, run once per store for ``detail`` and this config's
+        values of the :data:`KEY_FIELDS` of ``name``."""
+        values = self._field_values.get(name)
+        if values is None:
+            config = self.config
+            values = tuple(getattr(config, field) for field in KEY_FIELDS[name])
+            self._field_values[name] = values
+        key = (name, *detail, values)
+        entries = self.store.entries
+        if key not in entries:
+            entries[key] = compute()
+        return entries[key]
 
     # ------------------------------------------------------------------ #
     # Component snapshots
     # ------------------------------------------------------------------ #
-    def _snapshot(self, component: str, cls: str, passes: int, compute) -> object:
-        key = (component, cls, passes)
-        snapshot = self._snapshots.get(key)
-        if snapshot is None:
-            snapshot = compute()
-            self._snapshots[key] = snapshot
-        return snapshot
-
     def _icache_state(self, passes: int):
         def compute():
             unit = InstructionCache(self.config)
@@ -119,15 +170,14 @@ class WarmStateBuilder:
                     fetch(pc)
             return unit.snapshot_state()
 
-        return self._snapshot("icache", "seq", passes, compute)
+        return self._shared("icache", compute, "seq", passes)
 
     def _dcache_state(self, passes: int):
         def compute():
-            self._rows()
+            rows = self.store.rows()[2]
             unit = CacheHierarchy(self.config)
             load = unit.load_latency
             store = unit.store_latency
-            rows = self._mem_rows
             for _ in range(passes):
                 self.component_walks += 1
                 for is_load, addr in rows:
@@ -137,15 +187,14 @@ class WarmStateBuilder:
                         store(addr)
             return unit.snapshot_state()
 
-        return self._snapshot("dcache", "seq", passes, compute)
+        return self._shared("dcache", compute, "seq", passes)
 
     def _bpu_state(self, cls: str, passes: int):
         def compute():
-            self._rows()
+            rows = self.store.rows()[1]
             unit = BranchPredictionUnit(self.config)
             predict = unit.predict_class
             update = unit.update_class
-            rows = self._branch_rows
             crypto_filtered = cls == "noncrypto"
             for _ in range(passes):
                 self.component_walks += 1
@@ -155,19 +204,17 @@ class WarmStateBuilder:
                     update(bc, pc, npc, taken, predict(bc, pc, npc))
             return unit.snapshot_state()
 
-        return self._snapshot("bpu", cls, passes, compute)
+        return self._shared("bpu", compute, cls, passes)
 
     def _btu_state(self, passes: int):
         def compute():
             if self.btu_factory is None or self.hint_table is None:
                 raise ValueError("BTU warm-up needs a btu_factory and a hint table")
-            self._rows()
+            crypto_pcs, rows, _mem_rows = self.store.rows()
             unit = self.btu_factory()
             hint_table = self.hint_table
-            crypto_pcs = crypto_pc_table(self.hint_table, self.trace.max_pc)
             btu_targets = unit.replay_data()[0]
             plans: Dict[int, int] = {}
-            rows = self._branch_rows
             for _ in range(passes):
                 self.component_walks += 1
                 for bc, pc, npc, taken, is_crypto in rows:
@@ -186,7 +233,7 @@ class WarmStateBuilder:
                         unit.lookup(pc)
             return unit.snapshot_state()
 
-        return self._snapshot("btu", "replay", passes, compute)
+        return self._shared("btu", compute, "replay", passes)
 
     # ------------------------------------------------------------------ #
     # Flat conversions (the generated-kernel path)
@@ -196,13 +243,13 @@ class WarmStateBuilder:
     # under its own key; per-point restoration is then just array copies.
     def _flat_icache(self, passes: int):
         cfg = self.config.l1i
-        return self._snapshot(
-            "flat-icache",
-            "seq",
-            passes,
+        return self._shared(
+            "icache",
             lambda: flat_cache_from_sets(
                 self._icache_state(passes), cfg.num_sets, cfg.associativity
             ),
+            "flat",
+            passes,
         )
 
     def _flat_dcache(self, passes: int):
@@ -212,22 +259,22 @@ class WarmStateBuilder:
             flat = flat_cache_from_sets(l1d_sets, cfg.num_sets, cfg.associativity)
             return (flat, l2_sets, l3_sets)
 
-        return self._snapshot("flat-dcache", "seq", passes, compute)
+        return self._shared("dcache", compute, "flat", passes)
 
     def _flat_bpu(self, cls: str, passes: int):
-        return self._snapshot(
-            "flat-bpu",
-            cls,
-            passes,
+        return self._shared(
+            "bpu",
             lambda: flat_bpu_from_snapshot(self._bpu_state(cls, passes)),
+            "flat-" + cls,
+            passes,
         )
 
     def _flat_btu(self, passes: int):
-        return self._snapshot(
-            "flat-btu",
-            "replay",
-            passes,
+        return self._shared(
+            "btu",
             lambda: flat_btu_from_snapshot(self._btu_state(passes)),
+            "flat",
+            passes,
         )
 
     def warm_flat(
@@ -273,20 +320,21 @@ class WarmStateBuilder:
 
     def icache_resident(self) -> bool:
         """No L1I eviction is possible for this program (4-byte slots)."""
-        if self._icache_resident is None:
+
+        def compute() -> bool:
             cfg = self.config.l1i
             per_set: Dict[int, set] = {}
             for pc in set(self.trace.pcs):
                 line = (pc * 4) // cfg.line_bytes
                 per_set.setdefault(line % cfg.num_sets, set()).add(line // cfg.num_sets)
-            self._icache_resident = all(
-                len(tags) <= cfg.associativity for tags in per_set.values()
-            )
-        return self._icache_resident
+            return all(len(tags) <= cfg.associativity for tags in per_set.values())
+
+        return self._shared("icache_resident", compute)
 
     def dcache_resident(self) -> bool:
         """No L1D eviction is possible for this trace's data footprint."""
-        if self._dcache_resident is None:
+
+        def compute() -> bool:
             cfg = self.config.l1d
             word_bytes = self.config.word_bytes
             per_set: Dict[int, set] = {}
@@ -295,10 +343,9 @@ class WarmStateBuilder:
                     continue
                 line = (addr * word_bytes) // cfg.line_bytes
                 per_set.setdefault(line % cfg.num_sets, set()).add(line // cfg.num_sets)
-            self._dcache_resident = all(
-                len(tags) <= cfg.associativity for tags in per_set.values()
-            )
-        return self._dcache_resident
+            return all(len(tags) <= cfg.associativity for tags in per_set.values())
+
+        return self._shared("dcache_resident", compute)
 
     # ------------------------------------------------------------------ #
     # Exactness guard for forwarding-allowed policies
@@ -320,33 +367,31 @@ class WarmStateBuilder:
         access counts as intervening), so ``True`` is a proof of exactness
         while ``False`` merely triggers the private warm-up fallback.
         """
-        if self._forwarding_shareable is not None:
-            return self._forwarding_shareable
-        self._rows()
-        config = self.config
-        word_bytes = config.word_bytes
-        line_bytes = config.l1d.line_bytes
-        num_sets = config.l1d.num_sets
-        sq_size = config.sq_size
 
-        inflight: Dict[int, None] = {}
-        last_store_position: Dict[int, int] = {}
-        last_set_access: Dict[int, int] = {}
-        shareable = True
-        for position, (is_load, addr) in enumerate(self._mem_rows):
-            set_index = (addr * word_bytes // line_bytes) % num_sets
-            if is_load:
-                if addr in inflight and last_set_access.get(set_index, -1) > last_store_position[addr]:
-                    shareable = False
-                    break
-            else:
-                last_store_position[addr] = position
-                inflight[addr] = None
-                if len(inflight) > sq_size:
-                    del inflight[next(iter(inflight))]
-            last_set_access[set_index] = position
-        self._forwarding_shareable = shareable
-        return shareable
+        def compute() -> bool:
+            config = self.config
+            word_bytes = config.word_bytes
+            line_bytes = config.l1d.line_bytes
+            num_sets = config.l1d.num_sets
+            sq_size = config.sq_size
+
+            inflight: Dict[int, None] = {}
+            last_store_position: Dict[int, int] = {}
+            last_set_access: Dict[int, int] = {}
+            for position, (is_load, addr) in enumerate(self.store.rows()[2]):
+                set_index = (addr * word_bytes // line_bytes) % num_sets
+                if is_load:
+                    if addr in inflight and last_set_access.get(set_index, -1) > last_store_position[addr]:
+                        return False
+                else:
+                    last_store_position[addr] = position
+                    inflight[addr] = None
+                    if len(inflight) > sq_size:
+                        del inflight[next(iter(inflight))]
+                last_set_access[set_index] = position
+            return True
+
+        return self._shared("forwarding_shareable", compute)
 
     # ------------------------------------------------------------------ #
     # Public API

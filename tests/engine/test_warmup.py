@@ -1,4 +1,4 @@
-"""Warm-up sharing: once per (workload × config), not once per policy.
+"""Warm-up sharing: once per workload and warm key, not once per policy or config.
 
 These tests pin the batch layer's sharing machinery (component walks,
 snapshot round-trips, the forwarding exactness guard) on the python tier.
@@ -8,15 +8,24 @@ the L1s, so every walk count that depends on those proofs is taken under
 own skipping is asserted in ``tests/engine/test_engine_kernels.py``.
 """
 
+import collections
+import dataclasses
+import itertools
+from dataclasses import replace
+
 import pytest
 
+from repro.engine import batch as batch_module
+from repro.engine import native, warmup
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import TIER_ENV
 from repro.engine.warmup import WarmStateBuilder
 from repro.experiments.runner import DESIGN_BUILDERS, prepare_workload
+from repro.experiments.sweep import SWEEP_CONFIGS, SWEEP_DESIGNS
 from repro.uarch.bpu import BranchPredictionUnit
+from repro.uarch.btu import BranchTraceUnit
 from repro.uarch.caches import Cache, CacheHierarchy
-from repro.uarch.config import GOLDEN_COVE_LIKE, CacheConfig, CoreConfig
+from repro.uarch.config import GOLDEN_COVE_LIKE, BtuConfig, CacheConfig, CoreConfig
 
 
 @pytest.fixture(autouse=True)
@@ -274,3 +283,301 @@ def test_no_forwarding_policies_always_share_despite_divergent_stream():
     assert batch_stats.forwarding_private_points == 0
     assert batch_stats.full_warmup_passes == 0
     assert batch_stats.warmup_component_walks == 3  # icache + dcache + bpu
+
+
+# --------------------------------------------------------------------------- #
+# Sharing across configs: warm state is keyed on the fields it reads
+# --------------------------------------------------------------------------- #
+#: ``CoreConfig`` fields no warm-up replay or proof reads: the timing fields
+#: the measured pass alone consumes.  ``memory_latency`` and
+#: ``store_latency`` are read by the d-cache replay only for latencies it
+#: discards.  Every field must be here or in a ``KEY_FIELDS`` row.
+UNREAD_BY_WARMUP = frozenset(
+    {
+        "fetch_width",
+        "decode_width",
+        "issue_width",
+        "commit_width",
+        "rob_size",
+        "iq_size",
+        "lq_size",
+        "frontend_depth",
+        "mispredict_penalty",
+        "branch_resolve_latency",
+        "alu_latency",
+        "mul_latency",
+        "div_latency",
+        "store_latency",
+        "store_forward_latency",
+        "memory_latency",
+    }
+)
+
+#: ChaCha20's data overflows this 4-set, 2-way, one-word-line L1D, and its
+#: forwarding scan flips with the store-queue size (exact at 2, not at 114).
+CHACHA = "ChaCha20_ct"
+SMALL_L1D = CacheConfig(64, 8, 2, 5, name="L1D")
+
+#: Key-field variants crossed with non-key variants by the exactness grid.
+#: Each key variant changes some warm key.  The second and third share
+#: every snapshot key and differ only in the forwarding proof's
+#: ``sq_size``; the fifth shares their L1D but not their L2, and the sixth
+#: overflows a different L1I.
+KEY_VARIANTS = (
+    {},
+    {"l1i": NON_RESIDENT.l1i, "l1d": SMALL_L1D, "sq_size": 2},
+    {"l1i": NON_RESIDENT.l1i, "l1d": SMALL_L1D, "sq_size": 114},
+    {"pht_bits": 10, "global_history_bits": 10, "btb_entries": 512, "rsb_entries": 8},
+    {
+        "btu": BtuConfig(entries=4, elements_per_entry=8),
+        "l1d": SMALL_L1D,
+        "l2": CacheConfig(2048, 8, 4, 12, name="L2"),
+        "sq_size": 2,
+    },
+    {
+        "l1i": CacheConfig(128, 64, 1, 5, name="L1I"),
+        "l1d": CacheConfig(256, 8, 2, 5, name="L1D"),
+        "sq_size": 4,
+        "pht_bits": 12,
+    },
+)
+NON_KEY_VARIANTS = (
+    {},
+    {
+        "rob_size": 128,
+        "fetch_width": 4,
+        "issue_width": 4,
+        "commit_width": 4,
+        "mispredict_penalty": 9,
+        "store_forward_latency": 3,
+        "memory_latency": 100,
+        "lq_size": 16,
+    },
+)
+
+
+def _grid(keyed=KEY_VARIANTS, unkeyed=NON_KEY_VARIANTS):
+    return [CoreConfig(**k, **u) for k in keyed for u in unkeyed]
+
+
+@pytest.fixture(scope="module")
+def chacha():
+    return prepare_workload(CHACHA)
+
+
+def _points(artifact, configs, designs=ALL_DESIGNS, **kwargs):
+    return [
+        PointSpec(policy=DESIGN_BUILDERS[design](artifact.bundle), config=config, **kwargs)
+        for config in configs
+        for design in designs
+    ]
+
+
+def _assert_batch_matches_single_points(artifact, points):
+    batch_stats = BatchStats()
+    batched = simulate_batch(
+        artifact.result, artifact.bundle, points, batch_stats=batch_stats
+    )
+    for point, simulation in zip(points, batched):
+        alone = simulate_batch(artifact.result, artifact.bundle, [point])[0]
+        assert simulation.as_dict() == alone.as_dict(), (
+            point.policy.name,
+            point.config,
+        )
+    return batch_stats
+
+
+def test_grid_proofs_flip_where_the_exactness_test_needs_them(chacha):
+    """The exactness grid really crosses both residency proofs and the
+    forwarding proof; otherwise it would vacuously agree."""
+    trace = _lowered(chacha)
+    seen = {
+        (b.icache_resident(), b.dcache_resident(), b.forwarding_shareable())
+        for b in (WarmStateBuilder(trace, config) for config in _grid())
+    }
+    assert {icache for icache, _d, _f in seen} == {True, False}
+    assert {dcache for _i, dcache, _f in seen} == {True, False}
+    assert (False, False, True) in seen and (False, False, False) in seen
+
+
+def test_multi_config_batch_equals_single_point_batches(chacha):
+    points = _points(chacha, _grid())
+    stats = _assert_batch_matches_single_points(chacha, points)
+    # The forwarding-divergent configs warm their forwarding designs
+    # privately; everything else restores shared state.
+    assert stats.forwarding_private_points > 0
+    assert stats.full_warmup_passes == stats.forwarding_private_points
+    assert stats.kernel_points == len(points)
+
+
+def test_multi_config_batch_equals_single_point_batches_with_flushes(chacha):
+    configs = _grid(KEY_VARIANTS[:3], NON_KEY_VARIANTS)
+    points = _points(chacha, configs, btu_flush_interval=700, warmup_passes=2)
+    _assert_batch_matches_single_points(chacha, points)
+
+
+needs_compiler = pytest.mark.skipif(
+    not native.compiler_available(), reason="no working C toolchain"
+)
+
+
+@needs_compiler
+def test_multi_config_native_batch_equals_single_point_batches(chacha, monkeypatch):
+    monkeypatch.setenv(TIER_ENV, "native")
+    configs = _grid(KEY_VARIANTS[1:2]) + _grid(KEY_VARIANTS[2:3], NON_KEY_VARIANTS[1:])
+    points = _points(chacha, configs, designs=SWEEP_DESIGNS)
+    stats = _assert_batch_matches_single_points(chacha, points)
+    assert stats.native_points == len(points)
+    assert stats.forwarding_private_points > 0
+
+
+def _walks(artifact, configs):
+    """Component walks of one batch of ``configs`` × :data:`SWEEP_DESIGNS`,
+    which need every walk class: icache, dcache, bpu(all), bpu(noncrypto)
+    and btu(replay)."""
+    if hasattr(artifact.result, "_lowered_trace"):
+        del artifact.result._lowered_trace
+    stats = BatchStats()
+    simulate_batch(
+        artifact.result,
+        artifact.bundle,
+        _points(artifact, configs, SWEEP_DESIGNS),
+        batch_stats=stats,
+    )
+    return stats.warmup_component_walks
+
+
+def test_perfbench_shaped_grid_walks_like_one_config_per_pht_size(artifact):
+    """rob × width × pht × penalty × forward: only the PHT size is a warm key,
+    so each extra PHT size costs one walk per BPU class (all, noncrypto)."""
+    grid = [
+        replace(
+            NON_RESIDENT,
+            rob_size=rob,
+            fetch_width=width,
+            issue_width=width,
+            commit_width=width,
+            pht_bits=pht,
+            global_history_bits=pht,
+            mispredict_penalty=penalty,
+            store_forward_latency=forward,
+        )
+        for rob, width, pht, penalty, forward in itertools.product(
+            (512, 256), (8, 4), (14, 12, 10), (13, 9), (1, 3)
+        )
+    ]
+    assert _walks(artifact, grid[:1]) == 5
+    assert _walks(artifact, grid) == 5 + 2 * 2
+
+
+def _shrunk(config):
+    """``config`` with L1s ModPow overflows; distinct L1Ds stay distinct."""
+    l1d = config.l1d
+    return replace(
+        config,
+        l1i=NON_RESIDENT.l1i,
+        l1d=CacheConfig(
+            l1d.size_bytes // 2048, 8, l1d.associativity // 6, l1d.latency, name=l1d.name
+        ),
+    )
+
+
+class _RecordingStore(warmup.WarmStore):
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made.append(self)
+
+
+def test_sweep_configs_walk_once_per_distinct_component_key(artifact, monkeypatch):
+    configs = [_shrunk(config) for _label, config in SWEEP_CONFIGS]
+    trace = _lowered(artifact)
+    for config in configs:
+        builder = WarmStateBuilder(trace, config)
+        assert not builder.icache_resident() and not builder.dcache_resident()
+        assert builder.forwarding_shareable()
+
+    def distinct(component):
+        fields = warmup.KEY_FIELDS[component]
+        return len({tuple(getattr(c, f) for f in fields) for c in configs})
+
+    # icache: one L1I; dcache: default, l1d-32k-8w, l2-512k; bpu: default,
+    # pht-10b, btb-512 per class (all, noncrypto); btu: default, btu-8, btu-4x8.
+    expected = distinct("icache") + distinct("dcache") + 2 * distinct("bpu") + distinct("btu")
+    assert expected == 1 + 3 + 2 * 3 + 3
+    monkeypatch.setattr(batch_module, "WarmStore", _RecordingStore)
+    _RecordingStore.made = []
+    assert _walks(artifact, configs) == expected
+
+    # Each proof scanned once per value of the fields it reads.
+    (store,) = _RecordingStore.made
+    scans = collections.Counter(key[0] for key in store.entries)
+    assert scans["icache_resident"] == distinct("icache_resident") == 1
+    assert scans["dcache_resident"] == distinct("dcache_resident") == 2
+    assert scans["forwarding_shareable"] == distinct("forwarding_shareable") == 2
+
+
+def test_every_config_field_is_keyed_or_unread():
+    """A new ``CoreConfig`` field fails here until it is classified: a field
+    a warm replay reads but no key holds would share stale state."""
+    keyed = {name for row in warmup.KEY_FIELDS.values() for name in row}
+    names = {f.name for f in dataclasses.fields(CoreConfig)}
+    assert not keyed & UNREAD_BY_WARMUP
+    assert names == keyed | UNREAD_BY_WARMUP
+
+
+def _perturbed(value):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"no perturbation for {value!r}")
+    return value + "-x" if isinstance(value, str) else value + 1
+
+
+def _config_perturbations():
+    """``(label, top-level field, config)``: every field, nested ones too,
+    changed once from :data:`NON_RESIDENT`."""
+    for f in dataclasses.fields(CoreConfig):
+        value = getattr(NON_RESIDENT, f.name)
+        if dataclasses.is_dataclass(value):
+            for sub in dataclasses.fields(value):
+                changed = replace(value, **{sub.name: _perturbed(getattr(value, sub.name))})
+                yield f"{f.name}.{sub.name}", f.name, replace(NON_RESIDENT, **{f.name: changed})
+        else:
+            yield f.name, f.name, replace(NON_RESIDENT, **{f.name: _perturbed(value)})
+
+
+def _fill(builder):
+    """Every flat snapshot and proof the builder serves."""
+    return (
+        builder._flat_icache(1),
+        builder._flat_dcache(1),
+        builder._flat_bpu("all", 1),
+        builder._flat_bpu("noncrypto", 1),
+        builder._flat_btu(1),
+        builder.icache_resident(),
+        builder.dcache_resident(),
+        builder.forwarding_shareable(),
+    )
+
+
+def test_each_field_change_rebuilds_exactly_the_components_keyed_on_it(artifact):
+    """Changing any field, nested cache/BTU fields included, recomputes
+    precisely the snapshots and proofs whose ``KEY_FIELDS`` row names it,
+    and what a config reads from a shared store equals a private build."""
+    trace = _lowered(artifact)
+    hint_table = artifact.bundle.hint_table
+
+    def builder(config, store):
+        def btu_factory():
+            return BranchTraceUnit(config.btu, artifact.bundle.hardware_traces(), hint_table)
+
+        return WarmStateBuilder(trace, config, hint_table, btu_factory, store=store)
+
+    for label, top, config in _config_perturbations():
+        store = warmup.WarmStore(trace, hint_table)
+        _fill(builder(NON_RESIDENT, store))
+        before = set(store.entries)
+        assert _fill(builder(config, store)) == _fill(builder(config, None)), label
+        rebuilt = {key[0] for key in set(store.entries) - before}
+        expected = {name for name, row in warmup.KEY_FIELDS.items() if top in row}
+        assert rebuilt == expected, label
