@@ -91,3 +91,39 @@ def encode_vanilla_trace(trace: VanillaTrace) -> DnaSequence:
             alphabet[symbol] = element
         symbols.append(mapping[element])
     return DnaSequence(symbols=symbols, alphabet=alphabet, branch_pc=trace.branch_pc)
+
+
+def encode_tiled_vanilla_trace(trace: VanillaTrace, copies: int) -> DnaSequence:
+    """Encode the vanilla trace of ``copies`` back-to-back runs of ``trace``.
+
+    The result equals ``encode_vanilla_trace`` of the vanilla trace of the
+    raw trace repeated ``copies`` times, without building either: the runs
+    of ``trace`` are tiled, and when its first and last targets match, the
+    last run of one copy and the first run of the next merge into one
+    element.  Only that merged element is created; every other element of
+    the alphabet is one of ``trace``'s own.
+    """
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    elements = list(trace.elements)
+    if len(elements) == 1:
+        only = elements[0]
+        head, period, tail = [VanillaElement(only.target, only.count * copies)], [], []
+    elif copies > 1 and elements and elements[0].target == elements[-1].target:
+        joined = VanillaElement(elements[0].target, elements[-1].count + elements[0].count)
+        head, period, tail = elements[:1], elements[1:-1] + [joined], elements[1:]
+        copies -= 1
+    else:
+        head, period, tail = [], elements, []
+    mapping: Dict[VanillaElement, int] = {}
+    for element in head + period + tail:
+        mapping.setdefault(element, len(mapping))
+
+    def encode(part: List[VanillaElement]) -> List[int]:
+        return [mapping[element] for element in part]
+
+    return DnaSequence(
+        symbols=encode(head) + encode(period) * copies + encode(tail),
+        alphabet={symbol: element for element, symbol in mapping.items()},
+        branch_pc=trace.branch_pc,
+    )

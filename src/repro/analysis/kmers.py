@@ -14,8 +14,11 @@ exposes exactly that metric.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+from itertools import groupby
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.dna import DnaSequence
 from repro.analysis.vanilla import VanillaElement
@@ -107,13 +110,7 @@ class KmersResult:
     @property
     def kmers_trace(self) -> List[Tuple[Symbol, int]]:
         """Run-length encoded compressed trace, e.g. ``[(p0, 2), (p1, 1)]``."""
-        trace: List[Tuple[Symbol, int]] = []
-        for symbol in self.compressed:
-            if trace and trace[-1][0] == symbol:
-                trace[-1] = (symbol, trace[-1][1] + 1)
-            else:
-                trace.append((symbol, 1))
-        return trace
+        return [(symbol, len(list(run))) for symbol, run in groupby(self.compressed)]
 
     @property
     def pattern_set(self) -> Dict[Symbol, List[VanillaElement]]:
@@ -144,8 +141,82 @@ class KmersResult:
         return len(self.source) / self.size
 
 
+#: Algorithm 1 runs on ``str``: every symbol is one code point.
+_CODE_POINTS = 0x110000
+
+
+def _most_covering_kmer(text: str, max_k: int) -> Optional[str]:
+    """The k-mer Algorithm 1 substitutes next in ``text``, or ``None``.
+
+    The winner maximises ``(k * greedy count, -k)`` and is the smallest
+    string among ties; only k-mers of length ``2..max_k`` that occur at
+    least twice without overlapping and are not a run of one symbol
+    qualify.
+    """
+    n = len(text)
+    if n < 4 or text.count(text[0]) == n:
+        # Too short to hold two k-mers, or one symbol repeated (where a
+        # tiled branch's compression usually ends): every k-mer is a run.
+        return None
+    upper_k = min(max_k, n // 2)
+    best: Optional[str] = None
+    best_key = (0, 0)
+    grams = list(text)
+    repeated = set(grams)
+    for k in range(2, upper_k + 1):
+        grams = list(map(operator.add, grams, text[k - 1 :]))
+        next_repeated = {}
+        for kmer, overlapping in Counter(grams).items():
+            if overlapping < 2 or kmer[:-1] not in repeated:
+                continue
+            freq = text.count(kmer)
+            if freq < 2:
+                continue
+            next_repeated[kmer] = freq
+            if kmer[1:] == kmer[:-1]:
+                # Runs of a single symbol are already captured by the
+                # run-length encoding of the final k-mers trace; turning
+                # them into nested patterns would only grow the pattern
+                # set (the trace element's trace counter repeats a
+                # pattern for free).
+                continue
+            key = (k * freq, -k)
+            if key > best_key or (key == best_key and kmer < best):
+                best, best_key = kmer, key
+        repeated = {
+            kmer
+            for kmer, freq in next_repeated.items()
+            if min(upper_k * freq, n) > best_key[0]
+        }
+        if not repeated:
+            break
+    return best
+
+
 def compress_sequence(sequence: DnaSequence, max_k: int = 16) -> KmersResult:
     """Algorithm 1: compress a DNA-encoded vanilla trace with k-mers counting.
+
+    Each iteration substitutes the repeated k-mer with the highest coverage
+    (length times count), preferring the shorter and then the
+    lexicographically smaller k-mer, with a freshly minted symbol.
+
+    The sequence is held as a ``str`` whose code points are the symbols'
+    ranks, so the order of symbols is the order of code points and minted
+    symbols get the next free code point.  Four facts make this exact:
+
+    * ``str.count`` and ``str.replace`` both match leftmost and without
+      overlap, which is exactly what :func:`count_kmers` and
+      :func:`replace_non_overlapping` do.
+    * Leftmost greedy matching finds the most non-overlapping occurrences
+      possible, so if a k-mer's count is at most one, so is the count of
+      every extension of it; only k-mers counted at least twice are
+      extended to ``k + 1``.
+    * For the same reason an extension of a k-mer counted ``f`` times
+      covers at most ``min(max_k * f, len)`` symbols.  Being longer, it
+      must beat the best coverage so far outright, so a k-mer whose bound
+      does not is not extended either.
+    * The selection order is total, so the order in which k-mers are
+      enumerated cannot change which one is picked.
 
     Parameters
     ----------
@@ -154,43 +225,42 @@ def compress_sequence(sequence: DnaSequence, max_k: int = 16) -> KmersResult:
     max_k:
         Upper bound on considered pattern length, mirroring the paper's knob
         that favours short, frequent patterns (and bounds storage needs).
+
+    Raises
+    ------
+    ValueError
+        If the distinct symbols plus the most symbols the loop could mint
+        (each iteration shrinks the sequence by at least two) exceed the
+        1,114,112 Unicode code points.
     """
-    seq: List[Symbol] = list(sequence.symbols)
-    patterns: Dict[Symbol, Kmer] = {}
-    next_symbol = (max(seq) + 1) if seq else sequence.base_alphabet_size
+    symbols = sequence.symbols
+    by_code: List[Symbol] = sorted(set(symbols))
+    if len(by_code) + max(len(symbols) - 2, 0) // 2 > _CODE_POINTS:
+        raise ValueError(
+            f"compress_sequence handles at most {_CODE_POINTS} distinct and "
+            f"minted symbols; this sequence has {len(by_code)} distinct "
+            f"symbols and could mint {max(len(symbols) - 2, 0) // 2} more"
+        )
+    next_symbol = (by_code[-1] + 1) if by_code else sequence.base_alphabet_size
     next_symbol = max(next_symbol, sequence.base_alphabet_size)
+    rank = {symbol: code for code, symbol in enumerate(by_code)}
+    text = "".join(map(chr, map(rank.__getitem__, symbols)))
+    patterns: Dict[Symbol, Kmer] = {}
     iterations = 0
 
-    current_len = float("inf")
-    while len(seq) < current_len:
-        current_len = len(seq)
-        coverage: Dict[Kmer, float] = {}
-        upper_k = min(max_k, len(seq) // 2 if len(seq) >= 4 else len(seq))
-        for k in range(2, upper_k + 1):
-            for kmer, freq in count_kmers(seq, k).items():
-                if freq <= 1:
-                    continue
-                if len(set(kmer)) == 1:
-                    # Runs of a single symbol are already captured by the
-                    # run-length encoding of the final k-mers trace; turning
-                    # them into nested patterns would only grow the pattern
-                    # set (the trace element's trace counter repeats a
-                    # pattern for free).
-                    continue
-                coverage[kmer] = (k * freq) / len(seq)
-        if not coverage:
+    while True:
+        best = _most_covering_kmer(text, max_k)
+        if best is None:
             break
-        # Deterministic tie-breaking: highest coverage, then shortest pattern,
-        # then lexicographically smallest.
-        best = max(coverage.items(), key=lambda item: (item[1], -len(item[0]), tuple(-s for s in item[0])))[0]
-        patterns[next_symbol] = best
-        seq = replace_non_overlapping(seq, best, next_symbol)
+        patterns[next_symbol] = tuple(by_code[ord(code)] for code in best)
+        text = text.replace(best, chr(len(by_code)))
+        by_code.append(next_symbol)
         next_symbol += 1
         iterations += 1
 
     return KmersResult(
         branch_pc=sequence.branch_pc,
-        compressed=seq,
+        compressed=[by_code[ord(code)] for code in text],
         patterns=patterns,
         source=sequence,
         iterations=iterations,

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.analysis.dna import encode_tiled_vanilla_trace
+from repro.analysis.kmers import compress_sequence
 from repro.analysis.tracegen import TraceBundle, generate_trace_bundle
 from repro.arch.executor import SequentialExecutor
 from repro.isa.program import Program
@@ -137,14 +139,11 @@ def stats_from_bundle_scaled(bundle: TraceBundle, invocations: int) -> BranchAna
     invoke each primitive a large number of times (vanilla traces of up to
     90 M elements), whereas the timing experiments use short, simulable
     inputs.  Repeated invocations of a constant-time primitive simply repeat
-    each branch's raw trace, so the scaled statistics are computed by tiling
-    the recorded raw traces ``invocations`` times and re-running the
-    vanilla/DNA/k-mers pipeline — which is exactly what a longer profiling
-    run would have produced for these branches.
+    each branch's raw trace, so the scaled statistics tile each branch's
+    vanilla trace ``invocations`` times (merging the runs that meet at each
+    seam) and re-run the DNA/k-mers pipeline — which is exactly what a
+    longer profiling run would have produced for these branches.
     """
-    from repro.analysis.raw_trace import RawTrace
-    from repro.analysis.tracegen import generate_kmers_trace
-
     if invocations < 1:
         raise ValueError("invocations must be >= 1")
     stats = BranchAnalysisStats(program_name=bundle.program.name)
@@ -161,12 +160,12 @@ def stats_from_bundle_scaled(bundle: TraceBundle, invocations: int) -> BranchAna
                 )
             )
             continue
-        tiled = RawTrace(branch_pc=branch_pc, targets=data.raw.targets * invocations)
-        vanilla, kmers = generate_kmers_trace(tiled)
+        sequence = encode_tiled_vanilla_trace(data.vanilla, invocations)
+        kmers = compress_sequence(sequence)
         stats.rows.append(
             BranchRow(
                 branch_pc=branch_pc,
-                vanilla_size=len(vanilla),
+                vanilla_size=len(sequence),
                 kmers_size=kmers.size,
                 compression_rate=kmers.compression_rate,
                 single_target=False,

@@ -87,6 +87,17 @@ def chacha_artifact():
     return prepare_workload("ChaCha20_ct")
 
 
+@pytest.fixture(scope="session")
+def quick_context():
+    """An experiment context over the quick workloads, prepared once per session."""
+    from repro.api import SimulationService
+    from repro.experiments.runner import QUICK_WORKLOADS
+
+    service = SimulationService(names=QUICK_WORKLOADS)
+    yield service.context()
+    service.close()
+
+
 @pytest.fixture()
 def artifact_cache(tmp_path):
     """A disk-backed artifact cache rooted in a per-test temp directory."""

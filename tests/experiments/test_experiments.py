@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import kmers
 from repro.api import SimulationService, build_service
+from repro.experiments import table1 as table1_module
 from repro.experiments.cassandra_lite import format_cassandra_lite, run_cassandra_lite
 from repro.experiments.figure7 import format_figure7, run_figure7, summarize_speedup
 from repro.experiments.figure8 import format_figure8, run_figure8
@@ -23,6 +23,10 @@ TEST_WORKLOADS = ["ChaCha20_ct", "sha256", "sphincs-haraka-128s"]
 #: ``run_table1(ctx, invocations=64)`` over ``TEST_WORKLOADS``, recorded with
 #: full float reprs before the one-pass k-mer counter replaced the two-pass one.
 TABLE1_GOLDEN = Path(__file__).parent / "golden" / "table1_invocations64.json"
+
+#: The default ``run_table1`` (256 invocations) over ``QUICK_WORKLOADS``,
+#: recorded with full float reprs before Algorithm 1 moved onto ``str``.
+TABLE1_QUICK_GOLDEN = Path(__file__).parent / "golden" / "table1_quick_invocations256.json"
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,11 @@ def test_table1_rows_match_golden(ctx):
     assert rows == json.loads(TABLE1_GOLDEN.read_text())
 
 
+def test_default_table1_matches_golden(quick_context):
+    rows = run_table1(ctx=quick_context)
+    assert rows == json.loads(TABLE1_QUICK_GOLDEN.read_text())
+
+
 def test_table1_warm_run_reads_cached_stats(tmp_path, monkeypatch):
     def table1():
         with build_service(workloads="ChaCha20_ct", cache_dir=str(tmp_path), jobs=1) as service:
@@ -68,10 +77,10 @@ def test_table1_warm_run_reads_cached_stats(tmp_path, monkeypatch):
     cold = table1()
     assert list((tmp_path / "v1" / "table1-stats").glob("ChaCha20_ct-*.pkl"))
 
-    def no_counting(*_args, **_kwargs):
+    def no_analysis(*_args, **_kwargs):
         raise AssertionError("a warm Table 1 must not re-run Algorithm 1")
 
-    monkeypatch.setattr(kmers, "count_kmers", no_counting)
+    monkeypatch.setattr(table1_module, "stats_from_bundle_scaled", no_analysis)
     assert table1() == cold
 
 
