@@ -12,6 +12,7 @@ tagged ``tenant:<id>``:
   the native engine's compile-seconds counter across the job's lifetime
   (best-effort: concurrent jobs share one process-wide counter, so
   overlapping compiles attribute to whichever job's window they land in).
+  The ledger row and the ownership row's terminal state commit together.
 
 Ordering caveat: ``JobHandle._emit`` sets the finished flag *before*
 listeners run, so a caller unblocked by ``result()`` can observe the
@@ -121,7 +122,6 @@ class UsageService:
             meter = self._meters.pop(event.job_id, None)
         if meter is None:
             return
-        outcome = event.kind  # done / failed / cancelled
         self.store.record_usage(
             UsageRecord(
                 tenant_id=meter.tenant_id,
@@ -134,10 +134,9 @@ class UsageService:
                 native_compile_seconds=max(
                     0.0, _native_compile_seconds() - meter.native_seconds_at_start
                 ),
-                outcome=outcome,
+                outcome=event.kind,  # done / failed / cancelled
             )
         )
-        self.store.set_job_state(event.job_id, outcome)
 
     # ------------------------------------------------------------------ #
     # Crash recovery

@@ -2,12 +2,23 @@
 
 ``repro serve`` used to hold every queued and partially-complete job in
 memory — a crash lost the sweep.  :class:`JobJournal` makes the job layer
-crash-safe without a database: every job submission (the full
-JSON-round-trippable :class:`~repro.api.request.SimulationRequest` batch
-plus its tags and priority), every per-point completion (with a content
-digest of the result), and every terminal state transition is appended as
-one JSON line to ``<state-dir>/journal.jsonl`` and fsync'd before the
-operation is considered done.
+crash-safe without a database.  Four record kinds are appended as JSON
+lines to ``<state-dir>/journal.jsonl``, each fsync'd before the operation
+it records is considered done:
+
+* ``submit`` — the full JSON-round-trippable
+  :class:`~repro.api.request.SimulationRequest` batch plus its tags and
+  priority, written before the job is queued;
+* ``state`` — a terminal ``done``/``failed``/``cancelled`` transition;
+* ``lease`` — a seq ceiling: no event ``seq`` at or above the last lease's
+  ``next_seq`` is handed out before a higher lease is on disk.  One lease
+  covers :data:`LEASE_BLOCK` seqs, so the journal costs two fsyncs per job
+  plus one per block, not one per event;
+* ``checkpoint`` — a clean shutdown.
+
+Per-point completions are not journaled: the artifact disk cache already
+holds every computed point (atomically renamed into place), which is what
+a resumed job is served from.
 
 Crash-safety invariants:
 
@@ -21,13 +32,16 @@ Crash-safety invariants:
   cache, so the resumed job re-executes exactly the remainder (the rest
   land as ``cache-hit`` events — observable, and asserted by the chaos
   suite).
-* **Compaction is atomic** — on open, finished jobs' records are dropped by
-  rewriting the journal through a temp file + ``os.replace``; a crash
+* **Compaction is atomic** — on open, the journal is rewritten through a
+  temp file + ``os.replace`` as one ``lease`` record holding the seq and
+  job-number high-water marks, then the pending jobs' submits; a crash
   mid-compaction leaves either the old or the new journal, never a mix.
-* **Monotonic seqs across restarts** — recovery reports the largest event
-  ``seq`` seen, and the scheduler restarts its counter above it, so a
-  client resuming a stream with ``events(after_seq=N)`` never sees a seq
-  collision between incarnations.
+* **Monotonic seqs and job ids across restarts** — recovery restarts the
+  counters above the highest lease (and above any seq or job id a record
+  names), so every seq a client saw before a crash — including ``queued``
+  and ``point-started`` seqs, which have no record of their own — is below
+  every seq of the next incarnation, and a finished job's id is never
+  reissued.
 
 Graceful shutdown (``SIGTERM``/``SIGINT`` on ``repro serve``) sets
 :attr:`JobJournal.draining`: the drain cancels running jobs at their next
@@ -43,7 +57,7 @@ import logging
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.request import SimulationRequest
@@ -63,12 +77,16 @@ JOURNAL_NAME = "journal.jsonl"
 #: Tag added to resumed jobs so event consumers can tell them apart.
 RESUMED_TAG = "resumed"
 
+#: Event seqs one ``lease`` record covers.  A restart skips the unused rest
+#: of the last block, so seqs stay monotonic but not dense.
+LEASE_BLOCK = 1024
 
-def result_digest(result: Any) -> str:
-    """A stable content digest of one :class:`SimulationResult`."""
-    from repro.pipeline.hashing import stable_digest
+_JOB_ID = re.compile(r"job-(\d+)$")
 
-    return stable_digest("simulation-result", sorted(result.as_dict().items()))
+
+def _job_number(job_id: str) -> Optional[int]:
+    match = _JOB_ID.match(job_id)
+    return int(match.group(1)) if match else None
 
 
 @dataclass
@@ -79,12 +97,6 @@ class RecoveredJob:
     requests: List[SimulationRequest]
     priority: int = 0
     tags: Tuple[str, ...] = ()
-    #: request-JSON → result digest for every journaled completed point.
-    completed: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def remaining(self) -> int:
-        return max(0, len(self.requests) - len(self.completed))
 
 
 class JobJournal:
@@ -95,6 +107,8 @@ class JobJournal:
         os.makedirs(state_dir, exist_ok=True)
         self.path = os.path.join(state_dir, JOURNAL_NAME)
         self._lock = threading.Lock()
+        #: Guards the lease ceiling and the job-number high-water mark.
+        self._lease_lock = threading.Lock()
         #: Set during graceful shutdown: suppress ``cancelled`` terminal
         #: records so drained jobs stay pending and resume next start.
         self.draining = False
@@ -105,6 +119,8 @@ class JobJournal:
         self.next_job_number = 1
         self._recover()
         self._compact()
+        #: Seqs below this are covered by a lease on disk.
+        self._leased = self.next_seq
         self._file = open(self.path, "ab")
 
     # ------------------------------------------------------------------ #
@@ -140,7 +156,10 @@ class JobJournal:
             job_id = str(record.get("job", ""))
             try:
                 if kind == "submit":
-                    job = RecoveredJob(
+                    # A re-submit (journal resume writes one per restart)
+                    # replaces the job and supersedes any earlier terminal
+                    # state (a resumed job reuses its id).
+                    jobs[job_id] = RecoveredJob(
                         job_id=job_id,
                         requests=[
                             SimulationRequest.from_dict(payload)
@@ -149,57 +168,42 @@ class JobJournal:
                         priority=int(record.get("priority", 0)),
                         tags=tuple(record.get("tags", ())),
                     )
-                    # A re-submit (journal resume writes one per restart)
-                    # keeps the completed points recorded before it: they
-                    # back the resume-is-only-the-remainder guarantee.
-                    previous = jobs.get(job_id)
-                    if previous is not None:
-                        job.completed.update(previous.completed)
-                    jobs[job_id] = job
-                    # A fresh submit record supersedes any earlier terminal
-                    # state (a resumed job reuses its id).
                     finished.pop(job_id, None)
-                elif kind == "point" and job_id in jobs:
-                    jobs[job_id].completed[
-                        json.dumps(record.get("request"), sort_keys=True)
-                    ] = str(record.get("digest", ""))
                 elif kind == "state" and record.get("state") in (
                     "done",
                     "failed",
                     "cancelled",
                 ):
                     finished[job_id] = str(record["state"])
+                elif kind == "lease":
+                    self.next_seq = max(self.next_seq, int(record["next_seq"]))
+                    self.next_job_number = max(
+                        self.next_job_number, int(record["next_job"])
+                    )
             except (KeyError, TypeError, ValueError) as exc:
                 logger.warning("journal %s: skipping bad %r record: %s", self.path, kind, exc)
                 continue
+            # Any other seq a record names (a state record's, or a per-point
+            # record of an older journal) was handed out too.
             seq = record.get("seq")
             if isinstance(seq, int):
                 self.next_seq = max(self.next_seq, seq + 1)
-            match = re.match(r"job-(\d+)$", job_id)
-            if match:
-                self.next_job_number = max(self.next_job_number, int(match.group(1)) + 1)
+            number = _job_number(job_id)
+            if number is not None:
+                self.next_job_number = max(self.next_job_number, number + 1)
         self.pending = [job for job_id, job in jobs.items() if job_id not in finished]
 
     def _compact(self) -> None:
-        """Atomically rewrite the journal keeping only pending jobs' records."""
+        """Atomically rewrite the journal as its high-water marks plus the
+        pending jobs' submits: finished jobs' records go, their ids and
+        seqs stay reserved."""
         if not os.path.exists(self.path):
             return
         temp = self.path + ".compact"
         with open(temp, "wb") as handle:
+            handle.write(_encode(self._lease_record(self.next_seq)))
             for job in self.pending:
                 handle.write(_encode(_submit_record(job.job_id, job.requests, job.priority, job.tags)))
-                for request_json, digest in job.completed.items():
-                    handle.write(
-                        _encode(
-                            {
-                                "record": "point",
-                                "job": job.job_id,
-                                "kind": "cache-hit",
-                                "request": json.loads(request_json),
-                                "digest": digest,
-                            }
-                        )
-                    )
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, self.path)
@@ -216,35 +220,39 @@ class JobJournal:
             self._file.flush()
             os.fsync(self._file.fileno())
 
+    def _lease_record(self, next_seq: int) -> Dict[str, Any]:
+        return {"record": "lease", "next_seq": next_seq, "next_job": self.next_job_number}
+
+    def _cover(self, seq: int) -> None:
+        """Return once a lease covering ``seq`` is on disk."""
+        if seq < self._leased:
+            return
+        with self._lease_lock:
+            if seq >= self._leased:
+                ceiling = seq + LEASE_BLOCK
+                self._append(self._lease_record(ceiling))
+                self._leased = ceiling
+
     def job_submitted(self, handle: "JobHandle") -> None:
         """Journal a submission: the WAL entry resume replays from."""
+        number = _job_number(handle.job_id)
+        if number is not None:
+            with self._lease_lock:
+                self.next_job_number = max(self.next_job_number, number + 1)
         self._append(
             _submit_record(handle.job_id, handle.requests, handle.priority, handle.tags)
         )
 
     def job_event(self, event: "JobEvent") -> None:
-        """Journal the durable subset of the event stream.
+        """Make one event durable before any subscriber observes it.
 
-        ``point-done``/``cache-hit`` become per-point completion records
-        (with the result digest the scheduler put in the payload);
-        ``done``/``failed`` become terminal state records; ``cancelled`` is
-        terminal only when it was *requested*, not when the drain of a
-        graceful shutdown induced it — drained jobs must stay pending.
+        Every event's seq is covered by a lease first.  ``done``/``failed``
+        become terminal state records; ``cancelled`` is terminal only when
+        it was *requested*, not when the drain of a graceful shutdown
+        induced it — drained jobs must stay pending.
         """
-        payload = event.payload or {}
-        if event.kind in ("point-done", "cache-hit"):
-            self._append(
-                {
-                    "record": "point",
-                    "job": event.job_id,
-                    "kind": event.kind,
-                    "seq": event.seq,
-                    "request": event.request.as_dict() if event.request else None,
-                    "cycles": payload.get("cycles"),
-                    "digest": payload.get("digest", ""),
-                }
-            )
-        elif event.kind in ("done", "failed") or (
+        self._cover(event.seq)
+        if event.kind in ("done", "failed") or (
             event.kind == "cancelled" and not self.draining
         ):
             record = {
@@ -254,7 +262,7 @@ class JobJournal:
                 "seq": event.seq,
             }
             if event.kind == "failed":
-                record["error"] = payload.get("error")
+                record["error"] = (event.payload or {}).get("error")
             self._append(record)
 
     def checkpoint(self) -> None:

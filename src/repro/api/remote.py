@@ -236,7 +236,7 @@ class JobServer:
         With a journal attached its ``draining`` flag is set first, so the
         ``cancelled`` events this induces are *not* journaled as terminal —
         the interrupted jobs stay pending and resume on the next start
-        (their completed points are already journaled and disk-cached).
+        (their completed points are already in the disk cache).
         """
         self.close()
         journal = self.service.journal

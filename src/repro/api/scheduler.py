@@ -45,9 +45,11 @@ class Scheduler:
     """Multiplex prioritized jobs over one service's backend and cache.
 
     With a :class:`~repro.api.journal.JobJournal` attached, every
-    submission and durable event is written ahead to the journal, and the
-    event-``seq`` / job-id counters restart *above* the journal's recovered
-    maxima, so ids and seqs stay monotonic across process restarts.
+    submission and terminal event is written ahead to the journal, every
+    event's seq is covered by a journaled lease before it is emitted, and
+    the event-``seq`` / job-id counters restart *above* the journal's
+    recovered high-water marks, so ids and seqs stay monotonic across
+    process restarts.
     """
 
     def __init__(
@@ -239,19 +241,14 @@ class Scheduler:
         handle._emit(event, self._listeners)
         return event
 
-    def _point_payload(self, result) -> dict:
-        """The payload of a point-done/cache-hit event.
+    @staticmethod
+    def _point_payload(result) -> dict:
+        """The payload of a point-done/cache-hit event: the point's cycles.
 
-        The result content digest is only computed when a journal needs it
-        for per-point completion records; the common in-memory path stays
-        digest-free.
+        The result itself is in the artifact memo (and disk cache) by the
+        time the event is emitted; the journal records no per-point state.
         """
-        payload = {"cycles": result.cycles}
-        if self.journal is not None:
-            from repro.api.journal import result_digest
-
-            payload["digest"] = result_digest(result)
-        return payload
+        return {"cycles": result.cycles}
 
     def _dispatch(self) -> None:
         while True:

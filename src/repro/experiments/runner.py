@@ -61,6 +61,11 @@ DESIGN_BUILDERS: Dict[str, Callable[[Optional[TraceBundle]], DefensePolicy]] = {
 #: A simulation-cache key: (design, config identity, flush interval, warmups).
 SimulationKey = Tuple[str, tuple, Optional[int], int]
 
+#: Most disk-cache misses a :class:`WorkloadArtifacts` remembers between a
+#: probe and the batch that computes the point (the table is cleared when
+#: full, which only costs a repeated probe).
+MISSED_PROBES_LIMIT = 4096
+
 
 def simulation_key(
     design: str,
@@ -107,6 +112,10 @@ class WorkloadArtifacts:
     #: simulation results (small, deterministic) also persist across processes.
     cache: Optional["ArtifactCache"] = field(default=None, repr=False)
     content_digest: Optional[str] = field(default=None, repr=False)
+    #: Disk digests of points whose :meth:`cached_simulation` probe missed:
+    #: the batch that computes such a point next reuses the digest and skips
+    #: the second disk probe.  Entries go when the point is computed.
+    _missed: Dict[SimulationKey, str] = field(default_factory=dict, repr=False)
 
     def simulate(
         self,
@@ -144,6 +153,9 @@ class WorkloadArtifacts:
             if cached is not None:
                 self.simulations[key] = cached
                 return cached
+            if len(self._missed) >= MISSED_PROBES_LIMIT:
+                self._missed.clear()
+            self._missed[key] = digest
         return None
 
     def persist_simulation(self, key: SimulationKey, result: SimulationResult) -> None:
@@ -153,6 +165,7 @@ class WorkloadArtifacts:
         workers computed the result outside this process's cache handle.
         """
         self.simulations[key] = result
+        self._missed.pop(key, None)
         digest = self._simulation_digest(key)
         if digest is not None:
             self.cache.put("simulation", self.name, digest, result)
@@ -189,7 +202,8 @@ class WorkloadArtifacts:
         """Simulate many design points over one shared lowering and warm state.
 
         Points already in the memo (or the disk cache) are returned without
-        re-simulation; the remainder run through
+        re-simulation; a point whose :meth:`cached_simulation` probe just
+        missed is not probed again.  The remainder run through
         :func:`repro.engine.batch.simulate_batch`, which shares the columnar
         trace, the per-workload setup, and the warm-up component snapshots
         across every missing point.  Results are bit-identical to calling
@@ -206,13 +220,15 @@ class WorkloadArtifacts:
             if memoized is not None:
                 results[cache_key] = memoized
                 continue
-            sim_digest = self._simulation_digest(cache_key)
-            if sim_digest is not None:
-                cached = self.cache.get("simulation", self.name, sim_digest)
-                if cached is not None:
-                    self.simulations[cache_key] = cached
-                    results[cache_key] = cached
-                    continue
+            sim_digest = self._missed.pop(cache_key, None)
+            if sim_digest is None:
+                sim_digest = self._simulation_digest(cache_key)
+                if sim_digest is not None:
+                    cached = self.cache.get("simulation", self.name, sim_digest)
+                    if cached is not None:
+                        self.simulations[cache_key] = cached
+                        results[cache_key] = cached
+                        continue
             pending.append(point)
             pending_digests[cache_key] = sim_digest
 
@@ -247,6 +263,7 @@ class WorkloadArtifacts:
     def store_simulation(self, key: SimulationKey, result: SimulationResult) -> None:
         """Seed the memo with an externally computed result (parallel fan-out)."""
         self.simulations[key] = result
+        self._missed.pop(key, None)
 
     def normalized_time(self, design: str, baseline: str = "unsafe-baseline") -> float:
         return self.simulate(design).cycles / self.simulate(baseline).cycles

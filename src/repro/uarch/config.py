@@ -143,14 +143,35 @@ class CoreConfig:
         The inverse of :meth:`from_dict`; the pair is what lets a
         :class:`~repro.api.request.SimulationRequest` round-trip through
         JSON (and hence cross process/host boundaries as plain text).
+
+        A served point serializes its config several times (submit record,
+        events, warehouse row, wire) and a run holds few distinct configs, so
+        the field walk runs once per distinct config: the flattened dict is
+        memoized module-wide on :meth:`identity` (not per instance, which
+        would cost memory for every deserialized request a server keeps),
+        and each call returns a fresh copy the caller may mutate.
         """
-        return config_as_dict(self)
+        identity = self.identity()
+        flat = _AS_DICT_MEMO.get(identity)
+        if flat is None:
+            flat = config_as_dict(self)
+            if len(_AS_DICT_MEMO) >= _AS_DICT_MEMO_LIMIT:
+                _AS_DICT_MEMO.clear()
+            _AS_DICT_MEMO[identity] = flat
+        return {
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in flat.items()
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CoreConfig":
         """Rebuild a config from :meth:`as_dict` output (strict on keys)."""
         return config_from_dict(cls, payload)
 
+
+#: :meth:`CoreConfig.as_dict` results by config identity (cleared when full).
+_AS_DICT_MEMO: Dict[tuple, Dict[str, Any]] = {}
+_AS_DICT_MEMO_LIMIT = 256
 
 #: CoreConfig fields holding nested config dataclasses, and their types.
 _NESTED_CONFIG_FIELDS = {

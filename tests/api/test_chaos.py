@@ -274,8 +274,8 @@ def cached_point_count(state_dir):
     """Completed simulation points in the state dir's disk cache.
 
     The serial backend persists each point the moment it computes (the
-    atomic-rename cache), while per-point journal records land only at the
-    round boundary — so *this* is the signal that a sweep is mid-round.
+    atomic-rename cache), and the journal records no per-point state — so
+    *this* is the signal that a sweep is mid-round.
     """
     cache_root = os.path.join(state_dir, "cache")
     return sum(
@@ -320,15 +320,13 @@ def test_kill9_mid_sweep_then_restart_resumes_to_identical_tables(
         assert handle.job_id in resumed_line
 
         attached = RemoteServiceClient(second.address).attach(handle.job_id)
+        kinds = [event.kind for event in attached.events()]
         results = attached.result(timeout=RESULT_TIMEOUT)
         assert results.to_json() == big_baseline
 
-        records = journal_records(state_dir)
         # The pre-kill completions replayed as cache hits on resume...
-        assert any(
-            record.get("record") == "point" and record.get("kind") == "cache-hit"
-            for record in records
-        )
+        assert kinds.count("cache-hit") >= 3
+        records = journal_records(state_dir)
         # ...and the resumed job reached a durable terminal state.
         assert any(
             record.get("record") == "state"

@@ -82,7 +82,8 @@ def test_job_ownership_and_active_load(store):
     assert store.job_owner("job-9") is None
     assert store.active_load(tenant.tenant_id) == (2, 5)
 
-    store.set_job_state("job-1", "done")
+    # The ledger row commits the job's terminal state with it.
+    store.record_usage(UsageRecord(tenant.tenant_id, "job-1", 1.0, 3, 2, 1, 0.5))
     assert store.active_load(tenant.tenant_id) == (1, 2)
 
 
@@ -128,6 +129,7 @@ def test_usage_totals_and_window(store):
 # --------------------------------------------------------------------------- #
 def test_reopen_sees_every_acknowledged_write(tmp_path):
     with GatewayStore(str(tmp_path)) as first:
+        assert first._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
         tenant = first.create_tenant("acme", points_per_day=50)
         plaintext, key = first.issue_key(tenant.tenant_id, label="dev")
         first.record_job("job-1", tenant.tenant_id, points=2, state="running")

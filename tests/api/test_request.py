@@ -35,6 +35,17 @@ def test_core_config_dict_round_trip():
     json.dumps(SMALL_CORE.as_dict())
 
 
+def test_core_config_as_dict_returns_an_independent_copy():
+    first = SMALL_CORE.as_dict()
+    first["rob_size"] = -1
+    first["l1d"]["size_bytes"] = -1
+    second = SMALL_CORE.as_dict()
+    assert second["rob_size"] == SMALL_CORE.rob_size
+    assert second["l1d"]["size_bytes"] == SMALL_CORE.l1d.size_bytes
+    # Equal configs built separately serialize alike.
+    assert CoreConfig.from_dict(second).as_dict() == second
+
+
 def test_core_config_from_dict_rejects_unknown_fields():
     payload = GOLDEN_COVE_LIKE.as_dict()
     payload["warp_drive"] = 9

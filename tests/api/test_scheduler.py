@@ -338,3 +338,34 @@ def test_service_stats_surface_artifact_cache_counters(tmp_path):
     assert counters["disk_stores"] >= 1
     assert counters["quarantined"] == 0
     cached.close()
+
+
+def test_pending_points_are_probed_on_disk_once(tmp_path):
+    """The scheduler's cache probe and the batch that computes its misses
+    share one disk probe per point; disk hits still stream as cache hits."""
+    from repro.pipeline import ArtifactCache
+
+    matrix = ScenarioMatrix(designs=("unsafe-baseline", "cassandra", "spt"))
+    cache = ArtifactCache(root=str(tmp_path))
+    service = make_service(cache=cache)
+    probes = []
+    original_get = cache.get
+
+    def counting_get(kind, name, digest):
+        if kind == "simulation":
+            probes.append(digest)
+        return original_get(kind, name, digest)
+
+    cache.get = counting_get
+    handle = service.submit(matrix)
+    handle.result()
+    assert len(probes) == len(set(probes)) == 3
+    assert kinds(handle.history()).count("point-done") == 3
+    service.close()
+
+    rerun = make_service(cache=ArtifactCache(root=str(tmp_path)))
+    again = rerun.submit(matrix)
+    assert again.result().to_json() == handle.result().to_json()
+    assert kinds(again.history()).count("cache-hit") == 3
+    assert again.history()[-1].payload["cache_hits"] == 3
+    rerun.close()
