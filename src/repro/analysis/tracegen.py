@@ -160,29 +160,33 @@ def generate_trace_bundle(
         instead of executing that input again, and its
         :attr:`~repro.arch.executor.ExecutionResult.seconds` count towards
         step A.
+
+    The diff inputs ``inputs[1:]`` run with ``record_dynamic=False``: the
+    analysis reads only their branch outcomes.
     """
     if len(inputs) < 2:
         raise ValueError("Algorithm 2 requires at least two inputs to diff traces")
     if primary is not None and primary.program is not program:
         raise ValueError("the primary execution is not a run of this program")
     executor = executor or SequentialExecutor()
+    diff_executor = SequentialExecutor(max_steps=executor.max_steps, record_dynamic=False)
     timings = StepTimings()
 
     # Step A: detect static branches by running every input.
+    supplied_seconds = primary.seconds if primary is not None else 0.0
     start = time.perf_counter()
-    results: List[ExecutionResult] = [primary] if primary is not None else []
-    results += [
-        executor.run(program, memory_overrides=dict(input_map))
-        for input_map in inputs[len(results):]
+    if primary is None:
+        primary = executor.run(program, memory_overrides=dict(inputs[0]))
+    results: List[ExecutionResult] = [primary] + [
+        diff_executor.run(program, memory_overrides=dict(input_map))
+        for input_map in inputs[1:]
     ]
     raw_per_input: List[Dict[int, RawTrace]] = [
         collect_raw_traces(program, result=result, crypto_only=crypto_only)
         for result in results
     ]
     branch_pcs = sorted(raw_per_input[0].keys())
-    timings.detect_branches_s = time.perf_counter() - start
-    if primary is not None:
-        timings.detect_branches_s += primary.seconds
+    timings.detect_branches_s = time.perf_counter() - start + supplied_seconds
 
     branches: Dict[int, BranchTraceData] = {}
     hint_table = HintTable(program)

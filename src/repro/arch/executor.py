@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.observations import Observation, ObservationKind
@@ -97,7 +97,15 @@ class DynamicInstruction:
 
 @dataclass
 class ExecutionResult:
-    """The complete outcome of a sequential run."""
+    """The complete outcome of a sequential run.
+
+    A run made with ``record_dynamic=False`` is *record-free*: ``dynamic``
+    is empty while ``instruction_count`` still counts every step, and the
+    final state, observations and branch outcomes are complete.  Algorithm 2
+    reads only branch outcomes, and the timing engine reads the lowered
+    trace, so record-free results are what the artifact cache persists and
+    what preparation workers ship (see :attr:`has_records`).
+    """
 
     program: Program
     state: ArchState
@@ -108,6 +116,15 @@ class ExecutionResult:
     #: Host wall-clock seconds :meth:`SequentialExecutor.run` took (0.0 for
     #: other producers); excluded from equality.
     seconds: float = field(default=0.0, compare=False)
+
+    @property
+    def has_records(self) -> bool:
+        """Whether ``dynamic`` holds one record per executed instruction."""
+        return len(self.dynamic) == self.instruction_count
+
+    def without_records(self) -> "ExecutionResult":
+        """A record-free copy sharing everything but ``dynamic``."""
+        return replace(self, dynamic=[])
 
     def register(self, name: str) -> int:
         """Convenience accessor for a final register value."""

@@ -208,11 +208,12 @@ def simulate_batch(
 ) -> List["SimulationResult"]:  # noqa: F821 - imported lazily (cycle guard)
     """Simulate every point over one shared lowering; results in point order.
 
-    ``result`` may be ``None`` when an explicit ``trace`` is supplied — the
-    shard-worker wire format ships only the preserialized columns, never the
-    ``DynamicInstruction`` object stream — in which case every point's policy
+    ``result`` may be ``None`` or record-free when an explicit ``trace`` is
+    supplied (or memoized on the result) — the shard-worker wire format
+    ships only the preserialized columns, and the artifact cache persists
+    no ``DynamicInstruction`` records — in which case every point's policy
     must lower to an engine spec (the object-loop fallback replays
-    ``result.dynamic``, which does not exist on the wire).
+    ``result.dynamic``, and raises ``ValueError`` without it).
 
     ``cache_dir`` is the artifact-cache root the native tier keeps its
     compiled kernels under; ``None`` keeps them in memory only.
@@ -446,11 +447,12 @@ def simulate_batch(
         if spec is None:
             # Object-loop fallback: warm up and measure exactly like the
             # legacy per-point path.
-            if result is None:
+            if result is None or not result.has_records:
                 raise ValueError(
                     f"policy {point.policy.name!r} has no engine spec and the "
-                    "object-loop fallback needs the ExecutionResult, which a "
-                    "trace-only (wire) batch does not carry"
+                    "object-loop fallback needs the ExecutionResult's dynamic "
+                    "records, which a trace-only (wire) batch or a record-free "
+                    "result does not carry"
                 )
             stats.fallback_points += 1
             core = CoreModel(

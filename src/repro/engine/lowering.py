@@ -323,10 +323,23 @@ def lower_execution(result: ExecutionResult) -> LoweredTrace:
     policy / config / flush point that shares the execution also shares the
     lowering — including the legacy per-point :func:`repro.uarch.core.simulate`
     path.
+
+    Raises
+    ------
+    ValueError
+        If ``result`` is record-free (see
+        :attr:`~repro.arch.executor.ExecutionResult.has_records`) and carries
+        no memoized lowering: its empty ``dynamic`` would lower to an empty
+        trace that simulates to zero cycles.
     """
     cached = getattr(result, "_lowered_trace", None)
-    if cached is not None and cached.n == len(result.dynamic):
+    if cached is not None and cached.n == result.instruction_count:
         return cached
+    if not result.has_records:
+        raise ValueError(
+            f"cannot lower a record-free run of {result.program.name!r}: "
+            "re-execute it with record_dynamic=True"
+        )
     trace = lower_dynamic(result.dynamic, program_name=result.program.name)
     result._lowered_trace = trace  # type: ignore[attr-defined]
     return trace

@@ -67,6 +67,17 @@ SimulationKey = Tuple[str, tuple, Optional[int], int]
 MISSED_PROBES_LIMIT = 4096
 
 
+def lowered_trace_digest(content_digest: str) -> str:
+    """The ``lowered-trace`` cache digest of a workload's content digest.
+
+    The lowering is policy- and config-independent, so it is keyed only on
+    the workload content digest plus the lowering format version.
+    """
+    from repro.pipeline.hashing import stable_digest
+
+    return stable_digest(content_digest, ("lowered-trace", LOWERING_FORMAT_VERSION))
+
+
 def simulation_key(
     design: str,
     config: CoreConfig = GOLDEN_COVE_LIKE,
@@ -99,7 +110,16 @@ class DesignPoint:
 
 @dataclass
 class WorkloadArtifacts:
-    """Everything derived once per workload and shared across design points."""
+    """Everything derived once per workload and shared across design points.
+
+    ``result`` keeps its ``DynamicInstruction`` records only when this
+    process executed the kernel; artifacts loaded from the cache or shipped
+    by a preparation worker hold a record-free result, and the timing engine
+    reads the lowered trace instead.  When records are needed after all — the
+    ``lowered-trace`` entry is missing or corrupt, or a pending point's
+    policy has no engine spec — :meth:`recorded_result` rebuilds them by
+    re-executing the kernel, at most once per artifact.
+    """
 
     name: str
     suite: str
@@ -170,29 +190,42 @@ class WorkloadArtifacts:
         if digest is not None:
             self.cache.put("simulation", self.name, digest, result)
 
-    def lowered_trace(self) -> LoweredTrace:
-        """The workload's columnar timing trace (computed once, disk-cached).
+    def recorded_result(self) -> ExecutionResult:
+        """``result`` with its dynamic records, re-executing if it has none.
 
-        The lowering is policy- and config-independent, so it is keyed only
-        on the workload content digest plus the lowering format version.
+        The re-run must reproduce the stored instruction count and final
+        state; its records are then kept on ``result``, so this executes
+        the kernel at most once per artifact.
         """
+        if not self.result.has_records:
+            rerun = self.kernel.run(0)
+            if (
+                rerun.instruction_count != self.result.instruction_count
+                or rerun.state != self.result.state
+            ):
+                raise RuntimeError(
+                    f"workload {self.name!r}: re-execution does not reproduce "
+                    "the prepared run"
+                )
+            self.result.dynamic = rerun.dynamic
+        return self.result
+
+    def lowered_trace(self) -> LoweredTrace:
+        """The workload's columnar timing trace (computed once, disk-cached)."""
         cached = getattr(self.result, "_lowered_trace", None)
         if cached is not None:
             return cached
+        digest = None
         if self.cache is not None and self.content_digest is not None:
-            from repro.pipeline.hashing import stable_digest
-
-            digest = stable_digest(
-                self.content_digest, ("lowered-trace", LOWERING_FORMAT_VERSION)
-            )
+            digest = lowered_trace_digest(self.content_digest)
             payload = self.cache.get("lowered-trace", self.name, digest)
             if payload is not None:
                 self.result._lowered_trace = payload  # type: ignore[attr-defined]
                 return payload
-            trace = lower_execution(self.result)
+        trace = lower_execution(self.recorded_result())
+        if digest is not None:
             self.cache.put("lowered-trace", self.name, digest, trace)
-            return trace
-        return lower_execution(self.result)
+        return trace
 
     def simulate_batch(
         self,
@@ -242,8 +275,9 @@ class WorkloadArtifacts:
                 )
                 for point in pending
             ]
+            needs_records = any(spec.policy.engine_spec() is None for spec in specs)
             simulations = simulate_batch(
-                self.result,
+                self.recorded_result() if needs_records else self.result,
                 self.bundle,
                 specs,
                 trace=self.lowered_trace(),
@@ -279,13 +313,14 @@ def artifacts_for_kernel(
     """Functionally execute and trace-analyse an already-built kernel.
 
     With ``cache`` set, the expensive products (the sequential
-    :class:`ExecutionResult` and the :class:`TraceBundle`) are loaded from /
-    stored to the content-addressed artifact cache, keyed on the program
-    content, the confidential-input set, and the trace parameters.  The
-    kernel's correctness check always re-runs, so a stale or corrupt cache
-    entry cannot silently poison an experiment.  A cold preparation executes
-    each input exactly once: the verified run of ``inputs[0]`` is Algorithm
-    2's primary execution.
+    :class:`ExecutionResult`, record-free, and the :class:`TraceBundle`) are
+    loaded from / stored to the content-addressed artifact cache, keyed on
+    the program content, the confidential-input set, and the trace
+    parameters.  The kernel's correctness check always re-runs, so a stale
+    or corrupt cache entry cannot silently poison an experiment.  A cold
+    preparation executes each input exactly once: the verified run of
+    ``inputs[0]`` is Algorithm 2's primary execution, and the returned
+    artifacts keep its records.
     """
     name = name or kernel.name
     params = trace_params or TraceParameters()
@@ -318,7 +353,7 @@ def artifacts_for_kernel(
             primary=result,
         )
         if cache is not None and digest is not None:
-            cache.put("workload-artifacts", name, digest, (result, bundle))
+            cache.put("workload-artifacts", name, digest, (result.without_records(), bundle))
     return WorkloadArtifacts(
         name=name,
         suite=suite,

@@ -4,8 +4,11 @@ Two axes parallelize independently:
 
 * **Preparation** — each workload's sequential execution + trace generation
   is pure and isolated, so workers compute ``(ExecutionResult, TraceBundle)``
-  payloads and ship them back pickled (the ``KernelProgram`` itself holds
-  unpicklable verify closures and is rebuilt in the parent, which is cheap).
+  payloads, lower the run they executed, and ship back the record-free
+  result, the bundle and the preserialized lowered trace (the
+  ``KernelProgram`` itself holds unpicklable verify closures and is rebuilt
+  in the parent, which is cheap).  ``DynamicInstruction`` records never
+  leave the worker that executed the kernel.
   Preparation covers both the 22-workload registry *and* non-registry
   kernels described by a :class:`KernelSpec` — e.g. the Figure 8 synthetic
   (primitive, mix) grid — so workers build the kernel from its spec instead
@@ -13,7 +16,7 @@ Two axes parallelize independently:
 * **Simulation** — every (workload × design × config × flush × warmup) point
   is independent.  Workers are forked *after* the parent has prepared the
   artifacts, so they inherit the prepared state by copy-on-write; the parent
-  additionally lowers each workload once and publishes the columnar trace as
+  additionally publishes each workload's columnar trace (lowered once) as
   preserialized bytes (:meth:`LoweredTrace.to_bytes`), so workers
   materialize the columns with one C-level unpickle instead of re-walking
   the per-instruction object stream, and only the small task tuples and
@@ -39,6 +42,7 @@ from repro.experiments.runner import (
     SimulationKey,
     WorkloadArtifacts,
     artifacts_for_kernel,
+    lowered_trace_digest,
     prepare_workload,
     simulation_key,
 )
@@ -134,10 +138,20 @@ KERNEL_BUILDERS: Dict[str, Callable[[KernelSpec], object]] = {
 
 
 def _prepare_kernel_task(task: Tuple[KernelSpec, Optional[str], TraceParameters]):
+    """Prepare one spec; returns ``(name, record-free result, bundle, trace bytes)``.
+
+    A worker that executed the kernel also lowers that run (persisting the
+    ``lowered-trace`` entry when the cache is disk-backed), so the parent
+    never lowers; on a ``workload-artifacts`` hit there is no run to lower
+    and the trace bytes are ``None`` — the parent loads the entry only if a
+    point misses.
+    """
     spec, cache_root, params = task
     cache = ArtifactCache(root=cache_root) if cache_root else None
     artifact = _prepare_from_spec(spec, cache=cache, params=params)
-    return spec.name, artifact.result, artifact.bundle
+    result = artifact.result
+    trace_bytes = artifact.lowered_trace().to_bytes() if result.has_records else None
+    return spec.name, result.without_records(), artifact.bundle, trace_bytes
 
 
 def _prepare_from_spec(
@@ -165,12 +179,13 @@ def prepare_kernels_parallel(
 ) -> List[WorkloadArtifacts]:
     """Prepare arbitrary kernel specs across worker processes.
 
-    Workers build each kernel from its spec, run the sequential execution
-    and Algorithm 2 tracing, warm the shared disk cache (when one is
-    configured), and return the ``(result, bundle)`` payloads; the parent
-    seeds its own cache with them and assembles the final
-    :class:`WorkloadArtifacts` — including the per-workload correctness
-    check — through the exact same serial code path.
+    Workers build each kernel from its spec, run the sequential execution,
+    Algorithm 2 tracing and the lowering, warm the shared disk cache (when
+    one is configured), and return record-free ``(result, bundle)`` payloads
+    plus the lowered traces; the parent seeds its own cache with both and
+    assembles the final :class:`WorkloadArtifacts` — including the
+    per-workload correctness check — through the exact same serial code
+    path, without unpickling a record or lowering a trace.
     """
     specs = list(specs)
     by_name = {spec.name: spec for spec in specs}
@@ -193,10 +208,13 @@ def prepare_kernels_parallel(
     # workers already persisted the payloads when the cache is disk-backed,
     # so a second disk write here would be pure waste.
     parent_cache = cache if cache is not None else ArtifactCache(root=None)
-    for name, result, bundle in payloads:
+    for name, result, bundle, trace_bytes in payloads:
         kernel = by_name[name].build()
         digest = workload_artifact_digest(kernel, params)
         parent_cache.memoize("workload-artifacts", name, digest, (result, bundle))
+        if trace_bytes is not None:
+            trace = LoweredTrace.from_bytes(trace_bytes)
+            parent_cache.memoize("lowered-trace", name, lowered_trace_digest(digest), trace)
     return [
         _prepare_from_spec(spec, cache=parent_cache, params=params) for spec in specs
     ]

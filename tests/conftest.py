@@ -7,22 +7,6 @@ import pytest
 from repro.analysis.tracegen import generate_trace_bundle
 from repro.arch.executor import SequentialExecutor
 from repro.isa.builder import ProgramBuilder
-from repro.pipeline.artifacts import CACHE_DIR_ENV
-
-
-@pytest.fixture(scope="session", autouse=True)
-def isolated_cache_root(tmp_path_factory):
-    """Point the default cache root (``$REPRO_CACHE_DIR``) at a temp dir.
-
-    Without it, anything that falls back to the default root — services
-    built without ``cache_dir`` — would write under
-    ``~/.cache/repro-cassandra``.  Tests that set the variable themselves
-    via ``monkeypatch`` restore this value afterwards.
-    """
-    root = tmp_path_factory.mktemp("repro-cache-root")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(CACHE_DIR_ENV, str(root))
-        yield root
 
 
 def build_toy_crypto_program(blocks: int = 2, rounds: int = 3):

@@ -95,3 +95,75 @@ def test_non_branches_have_no_branch_class(artifact):
     for fl, bc in zip(trace.flags, trace.bclass):
         if not fl & F_BRANCH:
             assert bc == B_NONE
+
+
+# --------------------------------------------------------------------------- #
+# Record-free results
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def poly_record_free():
+    """Poly1305_ctmul prepared in process, plus a record-free run of the same input."""
+    from repro.arch.executor import SequentialExecutor
+
+    recorded = prepare_workload("Poly1305_ctmul")
+    kernel = recorded.kernel
+    free = SequentialExecutor(record_dynamic=False).run(
+        kernel.program, memory_overrides=kernel.inputs[0]
+    )
+    return recorded, free
+
+
+def test_record_free_result_reports_no_records(poly_record_free):
+    recorded, free = poly_record_free
+    assert recorded.result.has_records
+    assert not free.has_records
+    assert free.dynamic == [] and free.instruction_count == recorded.result.instruction_count
+    stripped = recorded.result.without_records()
+    assert not stripped.has_records
+    assert stripped.state is recorded.result.state
+    assert recorded.result.has_records  # the copy leaves the original intact
+
+
+def test_record_free_result_refuses_to_simulate(poly_record_free):
+    """A record-free run used to lower to an empty trace: 0 cycles, not 401."""
+    from repro.engine.batch import PointSpec, simulate_batch
+    from repro.experiments.runner import DESIGN_BUILDERS
+
+    recorded, free = poly_record_free
+    point = PointSpec(policy=DESIGN_BUILDERS["cassandra"](recorded.bundle))
+    with pytest.raises(ValueError, match="record-free"):
+        lower_execution(free)
+    with pytest.raises(ValueError, match="record-free"):
+        simulate_batch(free, recorded.bundle, [point])
+    assert recorded.simulate("cassandra").cycles == 401
+
+
+def test_record_free_result_with_memoized_lowering_simulates(poly_record_free):
+    from repro.arch.executor import SequentialExecutor
+    from repro.engine.batch import PointSpec, simulate_batch
+    from repro.experiments.runner import DESIGN_BUILDERS
+
+    recorded, _ = poly_record_free
+    kernel = recorded.kernel
+    free = SequentialExecutor(record_dynamic=False).run(
+        kernel.program, memory_overrides=kernel.inputs[0]
+    )
+    trace = lower_execution(recorded.result)
+    free._lowered_trace = trace
+    assert lower_execution(free) is trace  # memo keyed on instruction_count
+    point = PointSpec(policy=DESIGN_BUILDERS["cassandra"](recorded.bundle))
+    [simulation] = simulate_batch(free, recorded.bundle, [point])
+    assert simulation.cycles == recorded.simulate("cassandra").cycles
+
+
+def test_object_loop_fallback_refuses_a_record_free_result(poly_record_free):
+    from repro.engine.batch import PointSpec, simulate_batch
+    from repro.uarch.defenses.unsafe import UnsafeBaseline
+
+    class CustomBaseline(UnsafeBaseline):
+        """Not the exact type, so it has no engine spec."""
+
+    recorded, free = poly_record_free
+    trace = lower_execution(recorded.result)
+    with pytest.raises(ValueError, match="object-loop fallback"):
+        simulate_batch(free, recorded.bundle, [PointSpec(policy=CustomBaseline())], trace=trace)
