@@ -3,8 +3,8 @@
 Everything the paper's evaluation does is one sentence in this vocabulary:
 *declare* the scenario cross-product, *run* it through a service, *query*
 the typed results.  The same request objects drive the in-process serial
-path, the fork fan-out, and the subprocess shard backend whose wire format
-the future multi-host backend reuses.
+path, the fork fan-out, the subprocess shard backend, and the HTTP client
+of ``repro serve``.
 
 A worked example — Cassandra vs the unsafe baseline on two workloads, with
 the interrupt study's BTU-flush override riding along::
@@ -50,11 +50,11 @@ immediately with a :class:`JobHandle` streaming typed :class:`JobEvent`\\ s
 (``queued`` / ``prepared`` / ``point-started`` / ``point-done`` /
 ``cache-hit`` / terminal), and the :class:`~repro.api.scheduler.Scheduler`
 multiplexes any number of such jobs — deduplicating identical in-flight
-points across them — over the one shared backend and artifact cache.  The
-networked tier lives in :mod:`repro.api.remote`: ``repro serve`` exposes a
-service over TCP, :class:`RemoteServiceClient`/:class:`RemoteBackend`
-consume it, and :class:`RemoteShardBackend` ships the shard wire frames to
-socket-registered workers.
+points across them — over the one shared backend and artifact cache.  One
+server, :class:`~repro.api.gateway.http.GatewayServer`, exposes a service
+over HTTP + Server-Sent Events: open as ``repro serve``, keyed as
+``repro gateway``.  Its client lives in :mod:`repro.api.remote`:
+:class:`RemoteServiceClient`/:class:`RemoteBackend`.
 """
 
 from repro.api.backends import (

@@ -12,8 +12,7 @@ computed (memoized points are free).  Three implementations ship:
   preserialized columnar trace.
 * :class:`SubprocessShardBackend` — fresh worker *subprocesses* fed
   self-contained :class:`~repro.api.shard.ShardTask` payloads over pipes:
-  nothing is inherited, everything crosses the wire, which makes it the
-  in-machine rehearsal of the multi-host backend the ROADMAP names.
+  nothing is inherited, everything crosses the pipe.
 
 All three produce bit-identical results (``tests/api/test_backends.py``
 asserts it); they differ only in where the batches run.
@@ -108,8 +107,7 @@ class SubprocessShardBackend(ExecutionBackend):
     surfaces as a typed :class:`ShardWorkerError` naming the worker and the
     pending requests, and its task is requeued onto the surviving workers.
     Only a task that kills every worker it is offered to (or the loss of
-    the last live worker) fails the run.  The remote socket backend reuses
-    the same recovery semantics.
+    the last live worker) fails the run.
     """
 
     name = "shard"
@@ -358,8 +356,8 @@ def make_backend(
 ) -> ExecutionBackend:
     """Instantiate a backend by CLI name (default: the fork fan-out).
 
-    ``remote`` — the networked tier — needs ``connect`` (a
-    ``host:port`` naming a running ``repro serve`` instance) and accepts an
+    ``remote`` — the HTTP client of a running ``repro serve`` — needs
+    ``connect`` (``host:port`` or ``http://host:port``) and accepts an
     optional ``listener`` forwarded the server's job events (the CLI's
     progress line).
     """

@@ -1,4 +1,4 @@
-"""The multi-tenant HTTP/JSON gateway over the durable scheduler.
+"""The HTTP/JSON server over the durable scheduler, open or multi-tenant.
 
 Three layers, mirroring the routers/services/models split:
 
@@ -15,8 +15,9 @@ Three layers, mirroring the routers/services/models split:
   Server-Sent Events job stream with ``Last-Event-ID`` resume.
 
 ``repro gateway`` (and ``repro gateway admin``) in :mod:`repro.cli` is
-the operational entry; :class:`~repro.api.gateway.http.GatewayServer` is
-the embeddable one.
+the keyed operational entry and ``repro serve`` the open one (no store:
+no tenants, every ``/v1`` route open);
+:class:`~repro.api.gateway.http.GatewayServer` is the embeddable one.
 """
 
 from repro.api.gateway.auth import AuthError, AuthService

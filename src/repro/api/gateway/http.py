@@ -1,13 +1,19 @@
-"""The gateway's routers: HTTP/1.1 + JSON over the durable scheduler.
+"""The one server: HTTP/1.1 + JSON over the durable scheduler.
 
 :class:`GatewayServer` mounts a threading stdlib HTTP server
 (``http.server`` — no new runtime deps) in front of one
 :class:`~repro.api.service.SimulationService` and its journaled
-:class:`~repro.api.scheduler.Scheduler`, with the
-:mod:`~repro.api.gateway.store`/:mod:`~repro.api.gateway.auth`/
-:mod:`~repro.api.gateway.quota`/:mod:`~repro.api.gateway.usage` layers
-behind it.  The framed-TCP protocol (``repro serve``) is untouched; this
-is the untrusted-client front door.
+:class:`~repro.api.scheduler.Scheduler`.  It is the body of both server
+commands:
+
+* ``repro gateway`` builds it with a
+  :class:`~repro.api.gateway.store.GatewayStore`, putting the
+  :mod:`~repro.api.gateway.auth`/:mod:`~repro.api.gateway.quota`/
+  :mod:`~repro.api.gateway.usage` layers in front of ``/v1`` — the
+  untrusted-client front door;
+* ``repro serve`` builds it with no store: there are no tenants, so every
+  ``/v1`` route is open, and there are no quotas, no usage ledger and no
+  ownership checks (``/v1/usage`` answers 404).
 
 Routes (all JSON unless noted):
 
@@ -26,6 +32,7 @@ GET       ``/v1/jobs/{id}/result``    ``ResultSet.to_wire`` (``?wait=S``
                                       blocks up to S seconds)
 DELETE    ``/v1/jobs/{id}``           Cancel (owner-only)
 GET       ``/v1/usage``               Ledger totals + live load + quotas
+                                      (keyed gateway only)
 ========  ==========================  =====================================
 
 Error vocabulary: 401 (bad/missing key, with ``WWW-Authenticate``), 404
@@ -41,10 +48,13 @@ the gateway mid-request deterministically.
 from __future__ import annotations
 
 import json
+import os
+import socket
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.gateway.auth import AuthError, AuthService
@@ -83,19 +93,76 @@ class ApiError(RuntimeError):
         self.code = code
 
 
+class _Listener(ThreadingHTTPServer):
+    """The stdlib threading server, remembering its live connections so a
+    forked child can close them (:func:`_close_sockets_after_fork`)."""
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], handler) -> None:
+        self.connections: Set[socket.socket] = set()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def close_request(self, request) -> None:
+        self.connections.discard(request)
+        super().close_request(request)
+
+
+def _close_sockets_after_fork(listener: _Listener) -> None:
+    """Close ``listener``'s sockets in any child this process forks.
+
+    The fork and fork-pool backends fork workers that inherit every open
+    file descriptor.  A worker orphaned by a server crash (``kill -9``)
+    would otherwise keep the listen port alive — new clients dial into a
+    backlog nobody accepts and hang instead of getting a prompt
+    connection-refused — and keep established client connections from
+    seeing EOF until the last worker exits.  Closing the descriptors in
+    the child only drops the child's references; the parent's sockets are
+    untouched.
+
+    ``os.register_at_fork`` callbacks cannot be unregistered, so the
+    callback holds a weakref and turns into a no-op once the listener is
+    collected.  It must not take locks: another thread may hold them at
+    fork time and will not exist in the child to release them.  And it
+    must close the raw descriptor, not call ``socket.close()``: the
+    connection handlers hold ``makefile()`` streams whose io-references
+    make ``close()`` defer the real close indefinitely in the child.
+    """
+    ref = weakref.ref(listener)
+
+    def close_in_child() -> None:
+        alive = ref()
+        if alive is None:
+            return
+        for sock in [alive.socket, *alive.connections]:
+            try:
+                fd = sock.detach()
+                if fd >= 0:
+                    os.close(fd)
+            except Exception:  # pragma: no cover - best effort in the child
+                pass
+
+    os.register_at_fork(after_in_child=close_in_child)
+
+
 class GatewayServer:
-    """One gateway instance: HTTP front, service/store behind.
+    """One server instance: HTTP front, service (and store) behind.
 
     Embeddable in-process for tests (``port=0`` picks a free port) and the
-    body of ``repro gateway``.  Binding happens in ``__init__`` — a taken
-    port raises ``OSError`` here, which the CLI turns into a one-line
-    diagnosis.
+    body of ``repro serve`` (``store=None``: no tenants, every ``/v1``
+    route open) and ``repro gateway`` (API keys, quotas, usage ledger).
+    Binding happens in ``__init__`` — a taken port raises ``OSError``
+    here, which the CLI turns into a one-line diagnosis.
     """
 
     def __init__(
         self,
         service: "SimulationService",
-        store: GatewayStore,
+        store: Optional[GatewayStore] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         usage_window: float = DEFAULT_WINDOW_SECONDS,
@@ -103,25 +170,26 @@ class GatewayServer:
     ) -> None:
         self.service = service
         self.store = store
-        self.auth = AuthService(store)
-        self.quota = QuotaService(store, defaults, window_seconds=usage_window)
-        self.usage = UsageService(store)
-        # Listener first, then adopt: jobs resumed after construction emit
-        # their (re-)queued events through the listener; jobs resumed
-        # *before* construction are picked up by the adopt scan.
-        service.scheduler.add_listener(self.usage.on_event)
-        self.usage.adopt(service.scheduler)
-        gateway = self
+        self.auth: Optional[AuthService] = None
+        if store is not None:
+            self.auth = AuthService(store)
+            self.quota = QuotaService(store, defaults, window_seconds=usage_window)
+            self.usage = UsageService(store)
+            # Listener first, then adopt: jobs resumed after construction
+            # emit their (re-)queued events through the listener; jobs
+            # resumed *before* construction are picked up by the adopt scan.
+            service.scheduler.add_listener(self.usage.on_event)
+            self.usage.adopt(service.scheduler)
         handler = type(
             "GatewayHandler",
             (_Handler,),
-            {"gateway": gateway, "protocol_version": "HTTP/1.1"},
+            {"gateway": self, "protocol_version": "HTTP/1.1"},
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Listener((host, port), handler)
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
         self._closed = False
+        _close_sockets_after_fork(self._httpd)
 
     @property
     def address(self) -> str:
@@ -152,12 +220,9 @@ class GatewayServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
-    def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown mirroring ``JobServer.drain``: stop accepting,
-        cancel jobs at their next round boundary *without* journaling the
-        cancels (they stay pending and resume next start), checkpoint the
-        journal, close the store."""
-        self.close()
+    def stop_jobs(self) -> None:
+        """Cancel every unfinished job at its next round boundary *without*
+        journaling the cancels: they stay pending and resume next start."""
         journal = self.service.journal
         if journal is not None:
             journal.draining = True
@@ -166,6 +231,16 @@ class GatewayServer:
             for job in scheduler.jobs():
                 if not job.done:
                     job.cancel()
+
+    def drain(self, timeout: float = 30.0) -> None:
+        """Graceful shutdown: stop accepting, stop jobs (:meth:`stop_jobs`;
+        again, for any submitted before the listener closed), wait for
+        them, checkpoint the journal, close the store."""
+        self.close()
+        self.stop_jobs()
+        journal = self.service.journal
+        scheduler = self.service._scheduler
+        if scheduler is not None:
             deadline = time.monotonic() + timeout
             for job in scheduler.jobs():
                 remaining = deadline - time.monotonic()
@@ -176,7 +251,8 @@ class GatewayServer:
         if journal is not None:
             journal.checkpoint()
             journal.close()
-        self.store.close()
+        if self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "GatewayServer":
         return self
@@ -197,14 +273,14 @@ class GatewayServer:
                 FAULT_HOOK("gateway-request", method=method, path=path)
             self._route(request, method, path, query)
         except AuthError as exc:
-            request.send_json(
+            request.reply_json(
                 401,
                 {"ok": False, "error": "unauthorized", "message": str(exc)},
                 headers={"WWW-Authenticate": 'Bearer realm="repro-gateway"'},
             )
         except QuotaExceeded as exc:
             retry_after = max(1, int(exc.retry_after + 0.999))
-            request.send_json(
+            request.reply_json(
                 429,
                 {
                     "ok": False,
@@ -215,7 +291,7 @@ class GatewayServer:
                 headers={"Retry-After": str(retry_after)},
             )
         except ApiError as exc:
-            request.send_json(
+            request.reply_json(
                 exc.status, {"ok": False, "error": exc.code, "message": str(exc)}
             )
         except (BrokenPipeError, ConnectionResetError):
@@ -225,7 +301,7 @@ class GatewayServer:
             request.close_connection = True
         except Exception as exc:  # noqa: BLE001 - typed 500, never a traceback page
             try:
-                request.send_json(
+                request.reply_json(
                     500,
                     {
                         "ok": False,
@@ -248,13 +324,15 @@ class GatewayServer:
             return
         if not path.startswith("/v1/"):
             raise ApiError(404, "not-found", f"no route for {method} {path}")
-        tenant = self.auth.authenticate(request.headers.get("Authorization"))
+        tenant = None
+        if self.auth is not None:
+            tenant = self.auth.authenticate(request.headers.get("Authorization"))
         if path == "/v1/workloads" and method == "GET":
-            request.send_json(
+            request.reply_json(
                 200, {"ok": True, "workloads": list(self.service.workloads)}
             )
             return
-        if path == "/v1/usage" and method == "GET":
+        if path == "/v1/usage" and method == "GET" and tenant is not None:
             self._usage(request, tenant)
             return
         if path == "/v1/jobs" and method == "POST":
@@ -287,8 +365,9 @@ class GatewayServer:
             return segments[2], segments[3]
         return None
 
-    def _owned_job(self, tenant: Tenant, job_id: str) -> JobHandle:
-        """The handle, iff ``tenant`` owns ``job_id``; 404 otherwise.
+    def _owned_job(self, tenant: Optional[Tenant], job_id: str) -> JobHandle:
+        """The handle, iff ``tenant`` owns ``job_id`` (any job when there
+        are no tenants); 404 otherwise.
 
         Ownership is the store's job index, falling back to the live
         handle's ``tenant:`` tag (covers a job submitted before its
@@ -298,6 +377,8 @@ class GatewayServer:
         handle = self.service.scheduler.get_job(job_id)
         if handle is None:
             raise ApiError(404, "not-found", f"no such job {job_id!r}")
+        if tenant is None:
+            return handle
         owner = self.store.job_owner(job_id)
         if owner is None:
             owner = tenant_from_tags(handle.tags)
@@ -311,11 +392,12 @@ class GatewayServer:
     def _healthz(self, request: "_Handler") -> None:
         service = self.service
         stats = service.stats()
-        request.send_json(
+        keyed = self.store is not None
+        request.reply_json(
             200,
             {
                 "ok": True,
-                "server": "repro-gateway",
+                "server": "repro-gateway" if keyed else "repro-serve",
                 "backend": stats.get("backend"),
                 "engine_tier": stats.get("engine_tier"),
                 "workloads": len(service.workloads),
@@ -326,7 +408,7 @@ class GatewayServer:
                 "journal": (
                     service.journal.path if service.journal is not None else None
                 ),
-                "store": self.store.path,
+                "store": self.store.path if keyed else None,
             },
         )
 
@@ -335,7 +417,7 @@ class GatewayServer:
         window_points, _expires = self.store.points_in_window(
             tenant.tenant_id, self.quota.window_seconds
         )
-        request.send_json(
+        request.reply_json(
             200,
             {
                 "ok": True,
@@ -351,7 +433,7 @@ class GatewayServer:
             },
         )
 
-    def _submit(self, request: "_Handler", tenant: Tenant) -> None:
+    def _submit(self, request: "_Handler", tenant: Optional[Tenant]) -> None:
         body = request.read_json_body()
         raw_requests = body.get("requests")
         if not isinstance(raw_requests, list) or not raw_requests:
@@ -370,9 +452,11 @@ class GatewayServer:
             isinstance(tag, str) for tag in raw_tags
         ):
             raise ApiError(400, "bad-request", "'tags' must be a list of strings")
-        # Ownership is ours to assert, never the client's.
-        tags = [tag for tag in raw_tags if not tag.startswith(TENANT_TAG_PREFIX)]
-        tags.append(tenant_tag(tenant.tenant_id))
+        tags = list(raw_tags)
+        if tenant is not None:
+            # Ownership is ours to assert, never the client's.
+            tags = [tag for tag in tags if not tag.startswith(TENANT_TAG_PREFIX)]
+            tags.append(tenant_tag(tenant.tenant_id))
 
         try:
             expanded = self.service.expand(submitted)
@@ -393,9 +477,10 @@ class GatewayServer:
         )
         if unknown:
             raise ApiError(400, "bad-request", f"unknown workload(s): {unknown}")
-        self.quota.check(tenant, len(expanded))
+        if tenant is not None:
+            self.quota.check(tenant, len(expanded))
         handle = self.service.scheduler.submit(submitted, priority=priority, tags=tags)
-        request.send_json(
+        request.reply_json(
             202,
             {
                 "ok": True,
@@ -407,7 +492,7 @@ class GatewayServer:
 
     def _cancel(self, request: "_Handler", handle: JobHandle) -> None:
         cancelled = handle.cancel()
-        request.send_json(
+        request.reply_json(
             200,
             {
                 "ok": True,
@@ -474,7 +559,7 @@ class GatewayServer:
                     500, "job-failed", f"job {handle.job_id} failed: {exc}"
                 ) from exc
         if state == "cancelled":
-            request.send_json(
+            request.reply_json(
                 409,
                 {
                     "ok": False,
@@ -524,7 +609,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def send_json(
+    def reply_json(
         self,
         status: int,
         payload: Dict[str, Any],

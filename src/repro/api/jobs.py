@@ -8,7 +8,7 @@ back immediately and observe the job through a stream of typed
 :meth:`JobHandle.result`.  Events are JSON-round-trippable
 (:meth:`JobEvent.as_dict` / :meth:`JobEvent.from_dict`), so the same
 stream a local :class:`~repro.api.scheduler.Scheduler` emits in-process is
-what ``repro serve`` forwards over a socket frame-for-frame.
+what ``repro serve`` forwards as Server-Sent Events, one frame per event.
 """
 
 from __future__ import annotations

@@ -1,12 +1,8 @@
-"""The uniform retry/timeout policy of the networked tier.
+"""The retry/timeout policy of the HTTP client.
 
-Before this module every remote layer carried its own ad-hoc knobs — a
-hard-coded ``settimeout(10.0)`` in worker registration, a bare
-``create_connection`` with no budget in the client, an events stream that
-could block forever.  :class:`RetryPolicy` replaces them with one frozen,
-explicit contract threaded through :class:`~repro.api.remote.RemoteServiceClient`,
-:class:`~repro.api.remote.RemoteBackend`, and
-:class:`~repro.api.remote.RemoteShardBackend`:
+:class:`RetryPolicy` is the one frozen, explicit contract — and the only
+timeout knob — of :class:`~repro.api.remote.RemoteServiceClient` and
+:class:`~repro.api.remote.RemoteBackend`:
 
 * **Bounded attempts** — ``max_attempts`` tries with exponential backoff
   (``base_delay * backoff**attempt``, capped at ``max_delay``).
@@ -18,10 +14,11 @@ explicit contract threaded through :class:`~repro.api.remote.RemoteServiceClient
   last error is re-raised once it is spent.
 * **Timeout defaults** — ``connect_timeout`` for dialing,
   ``io_timeout`` for individual reads on an established connection
-  (``None`` = block), ``heartbeat_timeout`` for liveness pings.
+  (``None`` = block).
 * **Reconnection** — ``reconnect`` marks policies whose stream consumers
-  (:class:`~repro.api.remote.RemoteJobHandle`) may transparently re-dial
-  and resume from the last seen event ``seq`` instead of failing the sweep.
+  (:class:`~repro.api.remote.RemoteJobHandle`) may transparently re-open
+  the event stream and resume after the last seen event ``seq``
+  (``Last-Event-ID``) instead of failing the sweep.
 """
 
 from __future__ import annotations
@@ -59,8 +56,6 @@ class RetryPolicy:
     connect_timeout: float = 10.0
     #: Default per-read timeout on established connections (None = block).
     io_timeout: Optional[float] = 120.0
-    #: Timeout for liveness pings (heartbeats).
-    heartbeat_timeout: float = 5.0
     #: Whether stream consumers may transparently reconnect and resume.
     reconnect: bool = True
 

@@ -315,7 +315,7 @@ class Scheduler:
                     owned_groups.append((name, owned))
 
         # Backends that multiplex per-workload groups internally (the fork
-        # fan-out, the shard worker pool, the remote tiers) get every group
+        # fan-out, the shard worker pool, the remote backend) get every group
         # in one call so cross-workload parallelism is preserved; the serial
         # backend runs group-sized rounds — identical work, but cancellation
         # and point-done events land at every group boundary.

@@ -1,13 +1,13 @@
 """The shard wire format and worker: simulation batches over pipes.
 
-This module defines the task/wire shape the distributed-sharding direction
-reuses: one :class:`ShardTask` per workload carries the preserialized
-columnar trace (:meth:`LoweredTrace.to_bytes`), the pickled
-:class:`TraceBundle` the Cassandra-family policies replay, and the JSON
+This module defines the task/wire shape of the subprocess shard backend:
+one :class:`ShardTask` per workload carries the preserialized columnar
+trace (:meth:`LoweredTrace.to_bytes`), the pickled :class:`TraceBundle`
+the Cassandra-family policies replay, and the JSON
 :class:`~repro.api.request.SimulationRequest` batch to time over it.  A
 worker needs *nothing* from the parent's address space — no fork
-copy-on-write, no shared memory — so the same payloads that cross a pipe
-today can cross a socket to another host tomorrow.
+copy-on-write, no shared memory — everything it computes from crosses its
+stdin pipe.
 
 Framing is length-prefixed (8-byte big-endian size, then the payload); a
 worker (``python -m repro.api.shard``) loops read-task → simulate →
@@ -40,8 +40,7 @@ class ShardWorkerError(RuntimeError):
     """A shard worker died (EOF / truncated frame) with work outstanding.
 
     Names the worker and carries the requests that were pending on it so
-    the owning backend can requeue them onto surviving workers — the shared
-    recovery path for subprocess-pipe and remote-socket worker loss alike.
+    the owning backend can requeue them onto surviving workers.
     """
 
     def __init__(

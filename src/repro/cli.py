@@ -21,23 +21,24 @@ backend (``--backend serial|fork|shard|remote``) before the experiments
 render over warm memos.  Job events feed a live progress line on stderr
 (``--progress``, automatic on a tty).
 
-The networked tier::
+The server, open::
 
     python -m repro serve --port 8765 --workloads quick --jobs 4
     python -m repro figure7 --backend remote --connect localhost:8765
 
 ``serve`` keeps one service (artifact cache, scheduler, backend) alive for
-any number of remote callers; ``--backend remote`` runs every simulation
-point on that server while preparation-independent rendering stays local.
+any number of remote callers over HTTP, with every ``/v1`` route open;
+``--backend remote`` runs every simulation point on that server while
+preparation-independent rendering stays local.
 
-The untrusted-client front door::
+The same server, keyed — the untrusted-client front door::
 
     python -m repro gateway --port 8080 --state-dir state
     python -m repro gateway admin --state-dir state create-key TENANT
 
-``gateway`` mounts the multi-tenant HTTP/JSON gateway (API-key auth,
-quotas, usage accounting, Server-Sent-Events job streaming) over the same
-durable journaled scheduler — see :mod:`repro.api.gateway`.
+``gateway`` adds API-key auth, quotas and usage accounting in front of
+the same routes and durable journaled scheduler — see
+:mod:`repro.api.gateway`.
 
 The result warehouse::
 
@@ -106,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--connect",
         default=None,
         metavar="HOST:PORT",
-        help="address of a running 'repro serve' (required by --backend remote)",
+        help="address of a running 'repro serve', as host:port or the "
+        "http://host:port it prints (required by --backend remote)",
     )
     parser.add_argument(
         "--progress",
@@ -164,7 +166,7 @@ def _apply_engine_tier(tier: Optional[str]) -> None:
     """Propagate ``--engine-tier`` through the environment.
 
     The environment variable is the one switch every layer — in-process
-    batches, forked workers, remote shard services — already honors, so the
+    batches, forked workers, shard subprocesses — already honors, so the
     flag simply pins it for this process tree (without clobbering an
     explicit setting when the flag is absent).
     """
@@ -228,17 +230,14 @@ class ProgressLine:
             self._out.flush()
 
 
-def _build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve a long-lived SimulationService over TCP: clients "
-        "submit jobs (python -m repro ... --backend remote --connect HOST:PORT "
-        "or repro.api.remote.RemoteServiceClient), stream typed job events, "
-        "and receive full-fidelity result payloads.",
-    )
+def _build_server_parser(
+    prog: str, description: str, state_dir_help: str, state_dir_required: bool
+) -> argparse.ArgumentParser:
+    """The flags ``serve`` and ``gateway`` share."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=0, metavar="N",
-                        help="TCP port (default: an ephemeral port, printed)")
+                        help="HTTP port (default: an ephemeral port, printed)")
     parser.add_argument(
         "--workloads",
         default="all",
@@ -253,14 +252,32 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         help="execution backend the server computes with (default: fork)",
     )
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="artifact cache directory")
+                        help="artifact cache directory (default: DIR/cache "
+                        "with --state-dir DIR, else the user cache)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk artifact cache")
     parser.add_argument(
         "--state-dir",
         default=None,
+        required=state_dir_required,
         metavar="DIR",
-        help="durable state directory: jobs are recorded in an append-only "
+        help=state_dir_help,
+    )
+    parser.add_argument("--version", action="version", version=f"repro {__version__}")
+    _add_engine_tier_argument(parser)
+    return parser
+
+
+def _build_serve_parser() -> argparse.ArgumentParser:
+    return _build_server_parser(
+        "python -m repro serve",
+        "Serve a long-lived SimulationService over HTTP with every /v1 route "
+        "open (no API keys, quotas or usage ledger): clients submit jobs "
+        "(python -m repro ... --backend remote --connect HOST:PORT or "
+        "repro.api.remote.RemoteServiceClient), stream typed job events as "
+        "Server-Sent Events, and fetch full-fidelity result payloads.  The "
+        "same server as 'repro gateway', without tenants.",
+        "durable state directory: jobs are recorded in an append-only "
         "write-ahead journal (DIR/journal.jsonl) so a crashed or killed "
         "server resumes interrupted jobs on restart, re-executing only "
         "their unfinished points (completed points replay as disk-cache "
@@ -270,24 +287,33 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "state dir self-contained.  Every answered point is also recorded "
         "in the result warehouse (DIR/warehouse.sqlite3 — see 'python -m "
         "repro warehouse').",
+        state_dir_required=False,
     )
-    parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    _add_engine_tier_argument(parser)
-    return parser
 
 
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro serve --port N`` — the long-lived job server."""
-    from repro.api.journal import JobJournal, resume_jobs
-    from repro.api.remote import JobServer
+    """``python -m repro serve --port N`` — the open HTTP job server."""
+    return _run_server("repro serve", _build_serve_parser().parse_args(argv))
 
-    args = _build_serve_parser().parse_args(argv)
-    _apply_engine_tier(args.engine_tier)
-    # Arm any REPRO_FAULT_PLAN schedule, like the worker entry points and
-    # the gateway do: the chaos suite kills the server at a chosen
-    # warehouse write (or other site) this way.
+
+def _run_server(prog: str, args, open_store=None, **gateway_options) -> int:
+    """The one server body of ``serve_main`` and ``gateway_main``.
+
+    Builds the service (journaled when ``--state-dir`` is given) and a
+    :class:`~repro.api.gateway.http.GatewayServer` over it — keyed by the
+    store ``open_store(state_dir)`` returns, open when ``open_store`` is
+    ``None`` — attaches the result warehouse, resumes journaled jobs, and
+    serves until drained.  Exit 2 on a bad workload set or an unbindable
+    address.
+    """
+    from repro.api.gateway.http import GatewayServer
+    from repro.api.journal import JobJournal, resume_jobs
     from repro.testing.faults import activate_from_env
 
+    _apply_engine_tier(args.engine_tier)
+    # Arm any REPRO_FAULT_PLAN schedule, like the worker entry points do:
+    # the chaos suite kills the server at a chosen request or warehouse
+    # write (or other site) this way.
     activate_from_env()
     journal = None
     cache_dir = args.cache_dir
@@ -297,6 +323,8 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
             # Self-contained state dir: journal and artifact cache travel
             # together, so "resume = journal + disk cache" needs one path.
             cache_dir = os.path.join(args.state_dir, "cache")
+    store = open_store(args.state_dir) if open_store is not None else None
+    closers = [opened.close for opened in (store, journal) if opened is not None]
     try:
         service = build_service(
             workloads=args.workloads,
@@ -308,14 +336,22 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         )
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        for close in closers:
+            close()
         return 2
     try:
-        server = JobServer(service, host=args.host, port=args.port)
+        # The server (and a keyed server's usage listener) first, resume
+        # second: the resumed jobs' re-queued events then flow through the
+        # listener and re-attach tenant ownership before any client
+        # reconnects.
+        server = GatewayServer(
+            service, store, host=args.host, port=args.port, **gateway_options
+        )
     except OSError as exc:
-        print(_bind_diagnosis("repro serve", args.host, args.port, exc), file=sys.stderr)
+        print(_bind_diagnosis(prog, args.host, args.port, exc), file=sys.stderr)
         service.close()
-        if journal is not None:
-            journal.close()
+        for close in closers:
+            close()
         return 2
     warehouse_store = None
     if args.state_dir is not None:
@@ -328,9 +364,8 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         attach_ingestor(service, warehouse_store)
     resumed = resume_jobs(service, journal) if journal is not None else []
     return _serve_until_drained(
-        "repro serve",
+        prog,
         server,
-        server.address,
         service,
         resumed,
         stores=[warehouse_store] if warehouse_store is not None else [],
@@ -338,9 +373,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _serve_until_drained(
-    prog: str, server, address: str, service, resumed: Sequence, stores: Sequence
+    prog: str, server, service, resumed: Sequence, stores: Sequence
 ) -> int:
-    """The shared tail of ``serve_main`` and ``gateway_main``.
+    """Serve until SIGTERM / SIGINT, then drain.
 
     Prints the banner and one line per resumed job, serves until SIGTERM /
     SIGINT, then drains: jobs stop at their round boundary and the journal
@@ -350,7 +385,7 @@ def _serve_until_drained(
     import signal
 
     print(
-        f"{prog}: listening on {address} "
+        f"{prog}: listening on http://{server.address} "
         f"(backend {service.backend.name}, {len(service.workloads)} workloads, "
         f"{service.jobs} jobs)",
         flush=True,
@@ -362,13 +397,19 @@ def _serve_until_drained(
             flush=True,
         )
 
-    # The handler only stops the listen loop, and from a thread: the HTTP
-    # server's shutdown() blocks until serve_forever returns, which cannot
-    # happen while the handler holds the main thread.  The drain runs
-    # below, in the main thread, after serve_forever returns.
+    # The handler stops the jobs at once — a round that ends while the
+    # listen loop winds down would otherwise finish its job — and then the
+    # listen loop, from a thread: the HTTP server's shutdown() blocks until
+    # serve_forever returns, which cannot happen while the handler holds
+    # the main thread.  The drain runs below, in the main thread, after
+    # serve_forever returns.
+    def _stop() -> None:
+        server.stop_jobs()
+        server.close()
+
     def _request_shutdown(signum, _frame):
         print(f"{prog}: caught signal {signum}, draining", flush=True)
-        threading.Thread(target=server.close, daemon=True).start()
+        threading.Thread(target=_stop, daemon=True).start()
 
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _request_shutdown)
@@ -420,43 +461,19 @@ def _env_number(name: str, cast):
 
 
 def _build_gateway_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro gateway",
-        description="Serve the multi-tenant HTTP/JSON gateway: API-key "
+    parser = _build_server_parser(
+        "python -m repro gateway",
+        "Serve the multi-tenant HTTP/JSON gateway: API-key "
         "authenticated job submission (POST /v1/jobs), Server-Sent-Events "
         "job streaming with Last-Event-ID resume, quotas, and a usage "
         "ledger, all over the same durable journaled scheduler as 'repro "
         "serve'.  Provision tenants and keys with 'repro gateway admin'.",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument("--port", type=int, default=0, metavar="N",
-                        help="HTTP port (default: an ephemeral port, printed)")
-    parser.add_argument(
-        "--workloads",
-        default="all",
-        help="workload set open matrices expand over ('all', 'quick', or names)",
-    )
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes (default: auto)")
-    parser.add_argument(
-        "--backend",
-        choices=sorted(BACKENDS),
-        default="fork",
-        help="execution backend the gateway computes with (default: fork)",
-    )
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="artifact cache directory (default: STATE_DIR/cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk artifact cache")
-    parser.add_argument(
-        "--state-dir",
-        required=True,
-        metavar="DIR",
-        help="durable state directory: the job journal (DIR/journal.jsonl), "
+        "durable state directory: the job journal (DIR/journal.jsonl), "
         "the tenant/key/usage store (DIR/gateway.sqlite3), the result "
         "warehouse (DIR/warehouse.sqlite3), and — unless --cache-dir is "
         "given — the artifact cache (DIR/cache).  Interrupted jobs resume "
         "on restart with their tenant ownership intact.",
+        state_dir_required=True,
     )
     parser.add_argument(
         "--max-concurrent-jobs",
@@ -482,95 +499,48 @@ def _build_gateway_parser() -> argparse.ArgumentParser:
         help="default per-tenant points per rolling usage window (env: "
         "REPRO_GATEWAY_POINTS_PER_DAY; default: unlimited)",
     )
+    window = _env_number("REPRO_GATEWAY_USAGE_WINDOW", float)
     parser.add_argument(
         "--usage-window",
         type=float,
-        default=_env_number("REPRO_GATEWAY_USAGE_WINDOW", float) or 86400.0,
+        default=86400.0 if window is None else window,
         metavar="SECONDS",
-        help="rolling usage window behind --points-per-day (env: "
+        help="rolling usage window behind --points-per-day, positive (env: "
         "REPRO_GATEWAY_USAGE_WINDOW; default: 86400)",
     )
-    parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    _add_engine_tier_argument(parser)
     return parser
 
 
 def gateway_main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro gateway`` — the multi-tenant HTTP front door."""
     from repro.api.gateway.admin import admin_main
-    from repro.api.gateway.http import GatewayServer
     from repro.api.gateway.quota import QuotaDefaults
     from repro.api.gateway.store import GatewayStore
-    from repro.api.journal import JobJournal, resume_jobs
 
     argv = list(argv or ())
     if argv and argv[0] == "admin":
         return admin_main(argv[1:])
     args = _build_gateway_parser().parse_args(argv)
-    _apply_engine_tier(args.engine_tier)
-    # Arm any REPRO_FAULT_PLAN schedule, like the worker entry points do:
-    # the chaos suite kills the gateway at a chosen request this way.
-    from repro.testing.faults import activate_from_env
-
-    activate_from_env()
-    journal = JobJournal(args.state_dir)
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        cache_dir = os.path.join(args.state_dir, "cache")
-    store = GatewayStore(args.state_dir)
-    try:
-        service = build_service(
-            workloads=args.workloads,
-            cache_dir=cache_dir,
-            use_cache=not args.no_cache,
-            jobs=args.jobs,
-            backend=args.backend,
-            journal=journal,
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        store.close()
-        journal.close()
-        return 2
-    try:
-        # The gateway (and its usage listener) first, resume second: the
-        # resumed jobs' re-queued events then flow through the listener and
-        # re-attach tenant ownership before any client reconnects.
-        server = GatewayServer(
-            service,
-            store,
-            host=args.host,
-            port=args.port,
-            usage_window=args.usage_window,
-            defaults=QuotaDefaults(
-                max_concurrent_jobs=args.max_concurrent_jobs,
-                max_queued_points=args.max_queued_points,
-                points_per_day=args.points_per_day,
-            ),
-        )
-    except OSError as exc:
+    # A window of zero or less would match no ledger rows and so quietly
+    # switch the points-per-day quota off.
+    if not args.usage_window > 0:
         print(
-            _bind_diagnosis("repro gateway", args.host, args.port, exc),
+            f"repro gateway: the usage window must be positive seconds, got "
+            f"{args.usage_window:g} (from --usage-window or "
+            "REPRO_GATEWAY_USAGE_WINDOW)",
             file=sys.stderr,
         )
-        service.close()
-        store.close()
-        journal.close()
         return 2
-    from repro.warehouse import WarehouseStore, attach_ingestor
-
-    # Like the usage listener: attached before resume, so resumed jobs'
-    # replayed point events land in the warehouse (tenant tags included).
-    warehouse_store = WarehouseStore(args.state_dir)
-    attach_ingestor(service, warehouse_store)
-    resumed = resume_jobs(service, journal)
-    return _serve_until_drained(
+    return _run_server(
         "repro gateway",
-        server,
-        f"http://{server.host}:{server.port}",
-        service,
-        resumed,
-        stores=[warehouse_store],
+        args,
+        GatewayStore,
+        usage_window=args.usage_window,
+        defaults=QuotaDefaults(
+            max_concurrent_jobs=args.max_concurrent_jobs,
+            max_queued_points=args.max_queued_points,
+            points_per_day=args.points_per_day,
+        ),
     )
 
 

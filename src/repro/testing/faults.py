@@ -15,7 +15,7 @@ error, never a hang.
 Sites:
 
 ``frame-write``
-    Before a length-prefixed frame is written (pipes and sockets alike).
+    Before a length-prefixed shard frame is written to a worker pipe.
     Supports ``reset`` (raise :class:`ConnectionResetError` before any
     bytes), ``truncate`` (write the full-length header but only half the
     payload, then reset — the peer sees a torn frame), ``delay``, ``die``,
@@ -49,8 +49,8 @@ Sites:
 
 Plans cross process boundaries via the :data:`FAULT_PLAN_ENV` environment
 variable: :func:`activate` (optionally) exports the plan as JSON, and the
-shard/remote worker entry points call :func:`activate_from_env` so
-subprocess workers inject the same schedule.  Visit counters are
+shard worker and server entry points call :func:`activate_from_env` so
+subprocess workers and servers inject the same schedule.  Visit counters are
 per-process, which keeps single-worker scenarios exactly deterministic and
 multi-worker scenarios deterministic per worker.
 """

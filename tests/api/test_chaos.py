@@ -21,7 +21,7 @@ import pytest
 
 from repro.api import ScenarioMatrix, ShardWorkerError, SimulationService
 from repro.api.journal import JOURNAL_NAME, JobJournal
-from repro.api.remote import RemoteServiceClient, RemoteShardBackend
+from repro.api.remote import RemoteServiceClient
 from repro.pipeline import ArtifactCache
 from repro.testing import (
     DIE_STATUS,
@@ -35,7 +35,6 @@ from repro.warehouse import WAREHOUSE_NAME, WarehouseStore, attach_ingestor
 from repro.warehouse.ingest import FINGERPRINT_ENV
 
 WORKLOAD = "ChaCha20_ct"
-SECOND_WORKLOAD = "SHA-256"
 
 MATRIX = ScenarioMatrix(designs=("unsafe-baseline", "cassandra"))
 
@@ -113,46 +112,6 @@ def test_truncated_result_frame_is_a_typed_error_not_a_hang(monkeypatch):
     service = SimulationService(names=[WORKLOAD], jobs=1, backend="shard")
     with pytest.raises(ShardWorkerError):
         service.submit(MATRIX).result(timeout=RESULT_TIMEOUT)
-
-
-def spawn_remote_worker(address, fault_plan=None):
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-c",
-            "import sys; from repro.api.remote import worker_main; "
-            f"sys.exit(worker_main({address!r}))",
-        ],
-        env=repro_env(fault_plan),
-    )
-
-
-def test_remote_worker_death_requeues_and_stays_bit_identical():
-    """One of two socket workers dies on its first task (an injected
-    ``os._exit``); the task requeues on the survivor and the final tables
-    match serial byte for byte."""
-    backend = RemoteShardBackend(heartbeat_interval=None)
-    doomed = spawn_remote_worker(
-        backend.address, FaultPlan.scripted(Fault("worker-task", 0, "die"))
-    )
-    survivor = spawn_remote_worker(backend.address)
-    try:
-        assert backend.wait_for_workers(2, timeout=60) == 2
-        service = SimulationService(
-            names=[WORKLOAD, SECOND_WORKLOAD], jobs=2, backend=backend
-        )
-        answer = service.submit(MATRIX).result(timeout=RESULT_TIMEOUT)
-        assert len(answer) == 4
-        assert service.pipeline.points_simulated == 4
-        doomed.wait(timeout=30)
-        assert doomed.returncode == DIE_STATUS  # the injected death, not a bug
-        assert len(backend.workers()) == 1
-        serial = serial_service(names=[WORKLOAD, SECOND_WORKLOAD]).run(MATRIX)
-        assert answer.to_json() == serial.to_json()
-    finally:
-        backend.close()
-        for process in (doomed, survivor):
-            process.wait(timeout=30)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,18 +1,20 @@
-"""The networked tier: serve/client parity, job control, socket sharding.
+"""The open server and its client: serve/client parity and job control.
 
-Pins the ISSUE's acceptance bar: ``remote ≡ serial`` bit parity through
-both networked paths (the ``repro serve`` job server consumed by
-``RemoteServiceClient``/``RemoteBackend``, and ``RemoteShardBackend``'s
-socket workers), plus the job-control vocabulary (ping / submit / events /
-cancel) and the shared worker-loss recovery semantics.
+Pins ``remote ≡ serial`` bit parity through ``repro serve`` — a
+:class:`GatewayServer` with no tenant store — consumed by
+``RemoteServiceClient``/``RemoteBackend`` over HTTP + Server-Sent Events,
+plus job control (ping / submit / events / result / cancel), stream
+resume, and the server's hygiene: forked children drop its sockets, and a
+served job writes nothing outside the state dir.
 """
 
+import http.client
+import json
 import os
-import pickle
+import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -20,28 +22,19 @@ import pytest
 from repro.api import (
     JobCancelled,
     ScenarioMatrix,
-    ShardWorkerError,
     SimulationRequest,
     SimulationService,
 )
+from repro.api.gateway.http import GatewayServer
 from repro.api.remote import (
-    REMOTE_PROTOCOL_VERSION,
-    TAG_PING,
-    TAG_PONG,
-    TAG_RESULT,
-    TAG_TASK,
     RemoteBackend,
+    RemoteJobError,
     RemoteServiceClient,
-    RemoteShardBackend,
     parse_address,
-    recv_json,
-    send_json,
-    serve,
 )
-from repro.api.shard import ShardTask, read_frame, run_task, write_frame
+from repro.testing import FAULT_PLAN_ENV
 
 WORKLOAD = "ChaCha20_ct"
-SECOND_WORKLOAD = "SHA-256"
 
 MATRIX = ScenarioMatrix(designs=("unsafe-baseline", "cassandra")).extended(
     ScenarioMatrix(designs=("cassandra",), flush_intervals=(300,)),
@@ -51,7 +44,7 @@ MATRIX = ScenarioMatrix(designs=("unsafe-baseline", "cassandra")).extended(
 @pytest.fixture(scope="module")
 def server():
     service = SimulationService(names=[WORKLOAD], jobs=1, backend="serial")
-    job_server = serve(service)
+    job_server = GatewayServer(service).start()
     yield job_server
     job_server.close()
     service.close()
@@ -64,16 +57,20 @@ def client(server):
 
 def test_parse_address():
     assert parse_address("localhost:8765") == ("localhost", 8765)
+    # The banner form both server commands print pastes into --connect.
+    assert parse_address("http://127.0.0.1:8765") == ("127.0.0.1", 8765)
     assert parse_address(("10.0.0.1", 99)) == ("10.0.0.1", 99)
     with pytest.raises(ValueError, match="host:port"):
         parse_address("8765")
+    with pytest.raises(ValueError, match="http://"):
+        parse_address("https://localhost:8765")
 
 
 def test_ping_and_workloads(client):
     answer = client.ping()
     assert answer["ok"] is True
     assert answer["server"] == "repro-serve"
-    assert answer["protocol"] == REMOTE_PROTOCOL_VERSION
+    assert answer["workloads"] == 1
     assert answer["backend"] == "serial"
     assert client.workloads == [WORKLOAD]
 
@@ -111,8 +108,6 @@ def test_remote_events_stream_and_attach(client):
 
 
 def test_attach_unknown_job_errors(client):
-    from repro.api.remote import RemoteJobError
-
     with pytest.raises(RemoteJobError, match="unknown job"):
         client.attach("job-424242")
 
@@ -222,8 +217,8 @@ def test_result_timeout_raises_then_handle_still_answers(server, client):
         with pytest.raises(TimeoutError, match=handle.job_id):
             handle.result(timeout=0.4)
         assert time.monotonic() - before < 5
-        # The per-call deadline is gone once the call is.
-        assert handle._deadline is None and handle._timeout is None
+        # Nothing of the timed-out call lingers on the handle.
+        assert handle._response is None
     finally:
         scheduler.resume()
     results = handle.result(timeout=60)  # reconnects by job id under the hood
@@ -247,7 +242,7 @@ def test_stream_reconnects_transparently_after_socket_loss(server, client):
         stream = handle.events()
         first = next(stream)
         assert first.kind == "queued"
-        handle._sock.close()  # the network "fails" under the iterator
+        handle._response.close()  # the network "fails" under the iterator
     finally:
         scheduler.resume()
     rest = list(stream)
@@ -267,271 +262,117 @@ def test_forked_children_do_not_inherit_server_sockets(server):
     probe = socket.create_connection((server.host, server.port))
     try:
         deadline = time.monotonic() + 5
-        while not server._conns and time.monotonic() < deadline:
+        while not server._httpd.connections and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert server._conns  # the accept loop registered the connection
+        assert server._httpd.connections  # the accept loop registered it
         pid = os.fork()
         if pid == 0:  # the child reports through its exit status only
-            closed = server._sock.fileno() == -1 and all(
-                conn.fileno() == -1 for conn in list(server._conns)
+            closed = server._httpd.socket.fileno() == -1 and all(
+                conn.fileno() == -1 for conn in list(server._httpd.connections)
             )
             os._exit(0 if closed else 1)
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
         # the parent's sockets are untouched
-        assert server._sock.fileno() != -1
-        assert all(conn.fileno() != -1 for conn in list(server._conns))
+        assert server._httpd.socket.fileno() != -1
+        assert all(conn.fileno() != -1 for conn in list(server._httpd.connections))
     finally:
         probe.close()
 
 
+def call(server, method, path, body=None):
+    """One raw HTTP exchange with ``server`` → ``(status, JSON body)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+    try:
+        conn.request(
+            method,
+            path,
+            body=None if body is None else json.dumps(body),
+            headers={} if body is None else {"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 def test_malformed_submit_answers_an_error(server):
-    """A bad submit frame gets an error reply, never a silent hang."""
-    for frame in (
-        {"op": "submit", "protocol": REMOTE_PROTOCOL_VERSION},  # no requests
-        {
-            "op": "submit",
-            "protocol": REMOTE_PROTOCOL_VERSION,
-            "requests": [{"bogus": True}],
-        },
-    ):
-        sock = socket.create_connection((server.host, server.port))
-        stream = sock.makefile("rwb")
-        send_json(stream, frame)
-        answer = recv_json(stream)
-        assert answer["ok"] is False and "bad submit frame" in answer["error"]
-        sock.close()
-
-
-def test_submit_rejects_wrong_protocol(server):
-    sock = socket.create_connection((server.host, server.port))
-    stream = sock.makefile("rwb")
-    send_json(stream, {"op": "submit", "protocol": 999, "requests": []})
-    answer = recv_json(stream)
-    assert answer["ok"] is False and "protocol" in answer["error"]
-    sock.close()
+    """A bad submit body gets a typed 400 reply, never a silent hang."""
+    for body in ({}, {"requests": [{"bogus": True}]}):
+        status, answer = call(server, "POST", "/v1/jobs", body)
+        assert status == 400
+        assert answer["ok"] is False and answer["error"] == "bad-request"
 
 
 def test_unknown_op_answers_error(server):
-    sock = socket.create_connection((server.host, server.port))
-    stream = sock.makefile("rwb")
-    send_json(stream, {"op": "teleport"})
-    answer = recv_json(stream)
-    assert answer["ok"] is False and "unknown op" in answer["error"]
-    sock.close()
+    """Unknown routes 404 — and so does ``/v1/usage``: the open server
+    keeps no usage ledger."""
+    for method, path in (("GET", "/v1/teleport"), ("GET", "/v1/usage")):
+        status, answer = call(server, method, path)
+        assert status == 404
+        assert answer["ok"] is False and answer["error"] == "not-found"
 
 
-# --------------------------------------------------------------------------- #
-# RemoteShardBackend: socket transport of the shard wire format
-# --------------------------------------------------------------------------- #
-def spawn_worker(address):
-    env = dict(os.environ)
+def test_unknown_workload_fails_at_submit(client):
+    with pytest.raises(RemoteJobError, match="unknown workload"):
+        client.submit(SimulationRequest(workload="NoSuchKernel", design="cassandra"))
+
+
+def test_serve_writes_nothing_outside_its_state_dir(tmp_path):
+    """``repro serve --state-dir D`` serves a job and drains on SIGTERM
+    without writing a byte outside D: HOME, TMPDIR and REPRO_CACHE_DIR,
+    each an empty directory, stay empty."""
     import repro
 
+    strays = {name: tmp_path / name for name in ("home", "tmp", "cache")}
+    for path in strays.values():
+        path.mkdir()
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    env = dict(os.environ)
+    env.pop(FAULT_PLAN_ENV, None)
+    env.update(
+        HOME=str(strays["home"]),
+        TMPDIR=str(strays["tmp"]),
+        REPRO_CACHE_DIR=str(strays["cache"]),
+        PYTHONPATH=os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        ),
     )
-    return subprocess.Popen(
+    process = subprocess.Popen(
         [
             sys.executable,
-            "-c",
-            "import sys; from repro.api.remote import worker_main; "
-            f"sys.exit(worker_main({address!r}))",
+            "-m",
+            "repro",
+            "serve",
+            "--state-dir",
+            str(tmp_path / "state"),
+            "--workloads",
+            WORKLOAD,
+            "--backend",
+            "serial",
+            "--jobs",
+            "1",
         ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
         env=env,
+        text=True,
     )
-
-
-def register_fake_worker(address, die_on_task=False):
-    """An in-test worker connection: registers, answers pings, and — when
-    ``die_on_task`` — drops the connection on its first real task."""
-    sock = socket.create_connection(parse_address(address))
-    stream = sock.makefile("rwb")
-    send_json(
-        stream,
-        {"op": "register-worker", "protocol": REMOTE_PROTOCOL_VERSION, "pid": 0},
-    )
-    ack = recv_json(stream)
-    assert ack and ack["ok"]
-
-    def loop():
-        while True:
-            try:
-                frame = read_frame(stream)
-            except (OSError, EOFError, ValueError):
-                return
-            if frame is None:
-                return
-            if frame[:1] == TAG_PING:
-                write_frame(stream, TAG_PONG)
-                continue
-            if die_on_task:
-                sock.close()
-                return
-
-    thread = threading.Thread(target=loop, daemon=True)
-    thread.start()
-    return sock, ack["worker_id"]
-
-
-def register_pong_racing_worker(address):
-    """An in-test worker that computes tasks for real (in-process) but
-    writes a stray ``TAG_PONG`` *before* every result frame — exactly the
-    interleaving a heartbeat ping racing a task dispatch produces."""
-    sock = socket.create_connection(parse_address(address))
-    stream = sock.makefile("rwb")
-    send_json(
-        stream,
-        {"op": "register-worker", "protocol": REMOTE_PROTOCOL_VERSION, "pid": 0},
-    )
-    ack = recv_json(stream)
-    assert ack and ack["ok"]
-
-    def loop():
-        while True:
-            try:
-                frame = read_frame(stream)
-            except (OSError, EOFError, ValueError):
-                return
-            if frame is None:
-                return
-            if frame[:1] == TAG_PING:
-                write_frame(stream, TAG_PONG)
-                continue
-            if frame[:1] == TAG_TASK:
-                results = run_task(ShardTask.from_bytes(frame[1:]))
-                write_frame(stream, TAG_PONG)  # the raced heartbeat answer
-                write_frame(
-                    stream,
-                    TAG_RESULT
-                    + pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL),
-                )
-
-    thread = threading.Thread(target=loop, daemon=True)
-    thread.start()
-    return sock, ack["worker_id"]
-
-
-def test_raced_pong_before_result_frame_is_skipped_not_fatal():
-    """The driver's read loop must skip pongs a heartbeat raced into the
-    channel instead of treating them as the task's answer: the run stays
-    bit-identical to serial and the worker is not dropped as dead."""
-    backend = RemoteShardBackend(heartbeat_interval=None)
-    sock, worker_id = register_pong_racing_worker(backend.address)
     try:
-        assert backend.wait_for_workers(1, timeout=30) == 1
-        service = SimulationService(names=[WORKLOAD], jobs=1, backend=backend)
-        matrix = ScenarioMatrix(designs=("unsafe-baseline", "cassandra"))
-        answer = service.run(matrix)
-        serial = SimulationService(names=[WORKLOAD], jobs=1, backend="serial").run(
-            matrix
+        banner = process.stdout.readline()
+        address = banner.split("listening on ")[1].split()[0]
+        answer = RemoteServiceClient(address).run(
+            SimulationRequest(workload=WORKLOAD, design="cassandra")
         )
-        assert answer.to_json() == serial.to_json()
-        assert worker_id in backend.workers()  # survived both "pongs"
+        assert len(answer) == 1
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=120)
     finally:
-        backend.close()
-        sock.close()
-
-
-def test_remote_shard_parity_with_real_workers():
-    backend = RemoteShardBackend(heartbeat_interval=None)
-    workers = [spawn_worker(backend.address) for _ in range(2)]
-    try:
-        assert backend.wait_for_workers(2, timeout=30) == 2
-        service = SimulationService(
-            names=[WORKLOAD, SECOND_WORKLOAD], jobs=2, backend=backend
-        )
-        remote = service.run(MATRIX)
-        serial = SimulationService(
-            names=[WORKLOAD, SECOND_WORKLOAD], jobs=1, backend="serial"
-        ).run(MATRIX)
-        assert remote.requests == serial.requests
-        for (request, ours), (_, theirs) in zip(remote, serial):
-            assert ours.stats.as_dict() == theirs.stats.as_dict(), request
-    finally:
-        backend.close()
-        for worker in workers:
-            worker.wait(timeout=10)
-    assert all(worker.returncode == 0 for worker in workers)
-
-
-def test_remote_shard_worker_loss_requeues_on_survivors():
-    """One worker drops its connection mid-task: the task lands back on the
-    surviving worker (excluded set recorded) and the run still answers."""
-    backend = RemoteShardBackend(heartbeat_interval=None)
-    bad_sock, bad_id = register_fake_worker(backend.address, die_on_task=True)
-    good = spawn_worker(backend.address)
-    try:
-        assert backend.wait_for_workers(2, timeout=30) == 2
-        service = SimulationService(
-            names=[WORKLOAD, SECOND_WORKLOAD], jobs=2, backend=backend
-        )
-        matrix = ScenarioMatrix(designs=("unsafe-baseline", "cassandra"))
-        answer = service.run(matrix)  # two workload groups, one per worker
-        assert len(answer) == 4
-        assert service.pipeline.points_simulated == 4
-        assert bad_id not in backend.workers()  # the dead worker was dropped
-        serial = SimulationService(
-            names=[WORKLOAD, SECOND_WORKLOAD], jobs=1, backend="serial"
-        ).run(matrix)
-        for (request, ours), (_, theirs) in zip(answer, serial):
-            assert ours.stats.as_dict() == theirs.stats.as_dict(), request
-    finally:
-        backend.close()
-        bad_sock.close()
-        good.wait(timeout=10)
-
-
-def test_remote_shard_total_worker_loss_raises_typed_error():
-    backend = RemoteShardBackend(heartbeat_interval=None, worker_wait=5.0)
-    sock, worker_id = register_fake_worker(backend.address, die_on_task=True)
-    try:
-        assert backend.wait_for_workers(1, timeout=30) == 1
-        service = SimulationService(names=[WORKLOAD], jobs=1, backend=backend)
-        with pytest.raises(ShardWorkerError) as excinfo:
-            service.run(SimulationRequest(workload=WORKLOAD, design="cassandra"))
-        assert excinfo.value.workload == WORKLOAD
-        assert excinfo.value.requests  # the pending requests are named
-        assert worker_id in str(excinfo.value) or "excluded" in str(excinfo.value)
-    finally:
-        backend.close()
-        sock.close()
-
-
-def test_heartbeat_drops_unresponsive_worker():
-    backend = RemoteShardBackend(heartbeat_interval=0.1, ping_timeout=0.3)
-    sock = socket.create_connection(parse_address(backend.address))
-    stream = sock.makefile("rwb")
-    send_json(
-        stream,
-        {"op": "register-worker", "protocol": REMOTE_PROTOCOL_VERSION, "pid": 0},
-    )
-    ack = recv_json(stream)
-    assert ack["ok"]
-    # The "worker" never answers pings; the heartbeat prunes it.
-    deadline = time.monotonic() + 10
-    while backend.workers() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert backend.workers() == []
-    backend.close()
-    sock.close()
-
-
-def test_registration_rejects_wrong_protocol():
-    backend = RemoteShardBackend(heartbeat_interval=None)
-    sock = socket.create_connection(parse_address(backend.address))
-    stream = sock.makefile("rwb")
-    send_json(stream, {"op": "register-worker", "protocol": 999})
-    answer = recv_json(stream)
-    assert answer["ok"] is False
-    backend.close()
-    sock.close()
-
-
-def test_shard_result_frames_are_the_pipe_payloads():
-    """The socket transport reuses the pipe wire shape: a worker's result
-    frame body is exactly the pickled SimulationResult list."""
-    results = [1, 2, 3]
-    frame = b"R" + pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
-    assert pickle.loads(frame[1:]) == results
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0
+    assert "drained, exiting" in output
+    assert {name: os.listdir(path) for name, path in strays.items()} == {
+        name: [] for name in strays
+    }

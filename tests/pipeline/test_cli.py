@@ -61,6 +61,27 @@ def test_remote_backend_requires_connect(capsys):
     assert "--connect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--usage-window", "0"], None), (["--usage-window", "-60"], None), ([], "0")],
+    ids=["flag-zero", "flag-negative", "env-zero"],
+)
+def test_gateway_rejects_a_non_positive_usage_window(
+    capsys, tmp_path, monkeypatch, flags, env
+):
+    """A window of zero or less would match no ledger rows and so quietly
+    switch the points-per-day quota off; ``REPRO_GATEWAY_USAGE_WINDOW=0``
+    must not become the one-day default either.  Both exit 2 with one line
+    before touching the state dir."""
+    if env is not None:
+        monkeypatch.setenv("REPRO_GATEWAY_USAGE_WINDOW", env)
+    state_dir = tmp_path / "state"
+    assert main(["gateway", "--state-dir", str(state_dir), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "usage window must be positive" in err and len(err.splitlines()) == 1
+    assert not state_dir.exists()
+
+
 def test_unknown_experiment_errors_even_with_all(capsys):
     """A typo must not vanish silently into the 'all' selection."""
     assert main(["all", "figure99"]) == 2
