@@ -79,7 +79,8 @@ from repro.engine import native as native_module
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import TIER_ENV
 from repro.experiments.interrupts import DEFAULT_FLUSH_INTERVAL
-from repro.experiments.runner import DESIGN_BUILDERS, QUICK_WORKLOADS, prepare_workload
+from repro.api import SerialBackend, SimulationService
+from repro.experiments.runner import DESIGN_BUILDERS, QUICK_WORKLOADS
 from repro.pipeline.artifacts import ArtifactCache
 from repro.uarch.core import CoreModel
 
@@ -252,8 +253,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     repeat = max(args.repeat, 1)
     saved_tier = os.environ.get(TIER_ENV)
 
+    # One serial-backend service prepares the artifacts every phase below
+    # shares, the service phase included.
+    service = SimulationService(
+        names=QUICK_WORKLOADS, cache=cache, jobs=1, backend=SerialBackend()
+    )
     prepare_start = time.perf_counter()
-    artifacts = [prepare_workload(name, cache=cache) for name in QUICK_WORKLOADS]
+    artifacts = service.artifacts()
     prepare_seconds = time.perf_counter() - prepare_start
     # Cached artifacts hold no dynamic records; the legacy loop and the
     # timed lowering below replay them, so rebuild them untimed.
@@ -304,16 +310,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parity_seconds = time.perf_counter() - parity_start
 
     # The service phase drives the same artifacts through the declarative
-    # layer: adopt them into a pipeline (no re-preparation) behind a
-    # serial-backend service, and clear the simulation memos before every
-    # repetition so each run recomputes exactly what run_batch recomputes.
-    from repro.api import SerialBackend, SimulationService
-    from repro.pipeline.pipeline import ExperimentPipeline
-
-    service_pipeline = ExperimentPipeline(names=[], cache=None, jobs=1)
-    service_pipeline.adopt(artifacts)
-    service = SimulationService(service_pipeline, backend=SerialBackend())
-
+    # layer (the service prepared them above), clearing the simulation
+    # memos before every repetition so each run recomputes exactly what
+    # run_batch recomputes.
     per_workload = []
     legacy_total = kernel_total = lowering_total = 0.0
     service_total = scheduler_total = native_total = 0.0

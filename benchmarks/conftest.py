@@ -20,7 +20,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.api import SimulationService  # noqa: E402
-from repro.pipeline import ArtifactCache, ExperimentPipeline, default_jobs  # noqa: E402
+from repro.pipeline import ArtifactCache, default_jobs  # noqa: E402
 
 #: Workloads used by the benchmark harness: a slice of each suite.
 BENCH_WORKLOADS = [
@@ -39,15 +39,14 @@ BENCH_WORKLOADS = [
 def bench_service():
     """The simulation service shared by all benchmarks (built once per session).
 
-    Preparation goes through the shared pipeline: fan-out across CPU cores,
+    Preparation goes through the service: fan-out across CPU cores,
     and — when ``REPRO_CACHE_DIR`` points at a directory — the on-disk
     artifact cache, so repeated benchmark sessions skip straight to the
     timed experiment bodies.
     """
     cache_root = os.environ.get("REPRO_CACHE_DIR")
     cache = ArtifactCache(root=cache_root) if cache_root else None
-    pipeline = ExperimentPipeline(names=BENCH_WORKLOADS, cache=cache, jobs=default_jobs())
-    return SimulationService(pipeline)
+    return SimulationService(names=BENCH_WORKLOADS, cache=cache, jobs=default_jobs())
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,10 @@
 The script walks through the full stack on the BearSSL-style ChaCha20
 workload, through the declarative ``repro.api`` surface:
 
-1. build a :class:`SimulationService` over the shared, disk-cached
-   pipeline and prepare the workload (build the constant-time ISA kernel,
-   check it against RFC 8439, sequentially execute it, and run the paper's
-   Algorithm 2 branch analysis) — all of which lands in the on-disk
-   artifact cache, so a rerun of this script (or of ``python -m repro``)
+1. build a disk-cached :class:`SimulationService` and prepare the
+   workload (build the constant-time ISA kernel, check it against RFC
+   8439, sequentially execute it, and run the paper's Algorithm 2 branch
+   analysis) — all of which lands in the on-disk artifact cache, so a rerun of this script (or of ``python -m repro``)
    skips the heavy work entirely;
 2. inspect the compressed branch traces and per-branch hints;
 3. declare a two-design :class:`ScenarioMatrix`, run it, and compare the
@@ -39,7 +38,7 @@ def main() -> None:
     artifact = service.artifact("ChaCha20_ct")
     prepare_seconds = time.perf_counter() - started
     kernel, result = artifact.kernel, artifact.result
-    cached = service.pipeline.cache.stats.hits > 0
+    cached = service.cache.stats.hits > 0
     print(f"workload          : {kernel.name} ({kernel.description})")
     print(f"prepared in       : {prepare_seconds:.3f}s "
           f"({'warm artifact cache' if cached else 'cold: executed + traced'})")

@@ -32,9 +32,9 @@ The pieces:
   :class:`CoreConfig` × BTU-flush × warm-up).
 * :class:`ScenarioMatrix` — declarative cross-products with axis overrides,
   expanding to set-ordered unique request lists.
-* :class:`SimulationService` — the facade wrapping the shared
-  :class:`~repro.pipeline.pipeline.ExperimentPipeline`: prepares on demand,
-  dispatches to a backend, answers with a :class:`ResultSet`.
+* :class:`SimulationService` — owns the default workload set, the artifact
+  cache, the worker budget and the prepared artifacts: prepares on demand,
+  dispatches requests to a backend, answers with a :class:`ResultSet`.
 * :class:`ExecutionBackend` — :class:`SerialBackend`,
   :class:`ForkPoolBackend`, :class:`SubprocessShardBackend`; all
   bit-identical, selectable via ``python -m repro --backend``.
@@ -49,8 +49,9 @@ over job submission: ``service.submit(matrix, priority=5)`` answers
 immediately with a :class:`JobHandle` streaming typed :class:`JobEvent`\\ s
 (``queued`` / ``prepared`` / ``point-started`` / ``point-done`` /
 ``cache-hit`` / terminal), and the :class:`~repro.api.scheduler.Scheduler`
-multiplexes any number of such jobs — deduplicating identical in-flight
-points across them — over the one shared backend and artifact cache.  One
+runs such jobs one at a time, in priority order, over the one shared
+backend and artifact cache (a point an earlier job computed is a memo
+hit).  One
 server, :class:`~repro.api.gateway.http.GatewayServer`, exposes a service
 over HTTP + Server-Sent Events: open as ``repro serve``, keyed as
 ``repro gateway``.  Its client lives in :mod:`repro.api.remote`:

@@ -7,7 +7,7 @@ computed (memoized points are free).  Three implementations ship:
 
 * :class:`SerialBackend` — everything in the calling process, one grouped
   batch per workload (the reference semantics).
-* :class:`ForkPoolBackend` — the pipeline's fork-based grouped fan-out:
+* :class:`ForkPoolBackend` — the fork-based grouped fan-out:
   workers inherit prepared artifacts copy-on-write and receive the
   preserialized columnar trace.
 * :class:`SubprocessShardBackend` — fresh worker *subprocesses* fed
@@ -66,9 +66,7 @@ class SerialBackend(ExecutionBackend):
     def execute(self, artifacts, requests, jobs):
         from repro.pipeline.parallel import simulate_points
 
-        return simulate_points(
-            list(artifacts.values()), [request.point() for request in requests], jobs=1
-        )
+        return simulate_points(list(artifacts.values()), requests, jobs=1)
 
 
 class ForkPoolBackend(ExecutionBackend):
@@ -85,11 +83,7 @@ class ForkPoolBackend(ExecutionBackend):
     def execute(self, artifacts, requests, jobs):
         from repro.pipeline.parallel import simulate_points
 
-        return simulate_points(
-            list(artifacts.values()),
-            [request.point() for request in requests],
-            jobs=max(jobs, 1),
-        )
+        return simulate_points(list(artifacts.values()), requests, jobs=max(jobs, 1))
 
 
 class SubprocessShardBackend(ExecutionBackend):
@@ -177,7 +171,7 @@ class SubprocessShardBackend(ExecutionBackend):
     @staticmethod
     def _worker_env(cache_root: Optional[str] = None) -> Dict[str, str]:
         """The parent's environment with ``repro``'s source tree importable
-        and, given the pipeline's cache root, the workers' compiled native
+        and, given the service's cache root, the workers' compiled native
         kernels kept under it (without one, under no directory at all)."""
         import repro
         from repro.pipeline.artifacts import CACHE_DIR_ENV

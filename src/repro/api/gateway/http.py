@@ -464,7 +464,7 @@ class GatewayServer:
             raise ApiError(400, "bad-request", f"cannot expand batch: {exc}") from exc
         # Unknown registry workloads would only fail at preparation, deep
         # inside the job; reject them at the door instead.
-        from repro.pipeline.pipeline import workload_names
+        from repro.crypto.workloads import workload_names
 
         known = set(workload_names())
         unknown = sorted(

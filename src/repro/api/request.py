@@ -5,7 +5,9 @@ hashable value naming one (workload × design × :class:`CoreConfig` ×
 BTU-flush × warm-up) simulation.  It round-trips through JSON (and hence
 UTF-8 bytes), so the same object that drives an in-process
 :class:`~repro.api.service.SimulationService` call is also the task half of
-the shard backend's wire format — and of the future multi-host one.
+the shard backend's wire format and the body of an HTTP job submission.
+The batch engine takes requests as they are: a fork or serial batch reads
+their design, config, flush interval and warm-up passes directly.
 
 Workloads are named by :class:`WorkloadRef`, which covers both the
 22-workload registry (``WorkloadRef.registry("SHA-256")``) and kernels
@@ -30,8 +32,8 @@ REQUEST_FORMAT_VERSION = 1
 class WorkloadRef:
     """A picklable, JSON-able name for one workload.
 
-    ``kind`` selects the builder (mirroring
-    :data:`repro.pipeline.parallel.KERNEL_BUILDERS`), ``name`` is the unique
+    ``kind`` selects the builder in
+    :data:`repro.pipeline.parallel.KERNEL_BUILDERS`, ``name`` is the unique
     workload name artifacts and results are keyed by, and ``args`` are the
     builder's positional arguments for non-registry kinds.
     """
@@ -61,12 +63,6 @@ class WorkloadRef:
             args=(primitive, mix),
             suite="synthetic",
         )
-
-    def kernel_spec(self):
-        """The pipeline's :class:`~repro.pipeline.parallel.KernelSpec`."""
-        from repro.pipeline.parallel import KernelSpec
-
-        return KernelSpec(kind=self.kind, name=self.name, args=self.args, suite=self.suite)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -133,18 +129,6 @@ class SimulationRequest:
             self.btu_flush_interval is not None,
             self.btu_flush_interval or 0,
             self.warmup_passes,
-        )
-
-    def point(self):
-        """The pipeline's :class:`~repro.pipeline.parallel.SimulationPoint`."""
-        from repro.pipeline.parallel import SimulationPoint
-
-        return SimulationPoint(
-            workload=self.workload.name,
-            design=self.design,
-            config=self.config,
-            btu_flush_interval=self.btu_flush_interval,
-            warmup_passes=self.warmup_passes,
         )
 
     # ------------------------------------------------------------------ #

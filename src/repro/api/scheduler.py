@@ -1,22 +1,21 @@
-"""The job scheduler: many concurrent jobs over one shared service.
+"""The job scheduler: prioritized jobs over one shared service.
 
 :class:`Scheduler` turns the blocking :class:`~repro.api.service.SimulationService`
 execution path into job-oriented execution: callers
 :meth:`~Scheduler.submit` a request batch (anything ``service.run`` accepts)
 with a ``priority`` and ``tags`` and get a
-:class:`~repro.api.jobs.JobHandle` back immediately.  Dispatcher threads
-drain a priority queue, preparing workloads and driving the service's
-configured :class:`~repro.api.backends.ExecutionBackend`, and every step is
-published as a typed :class:`~repro.api.jobs.JobEvent` stream.
+:class:`~repro.api.jobs.JobHandle` back immediately.  One dispatcher thread
+drains a priority queue, running one job at a time: it prepares the job's
+workloads, drives the service's configured
+:class:`~repro.api.backends.ExecutionBackend`, and publishes every step as
+a typed :class:`~repro.api.jobs.JobEvent` stream.
 
 Guarantees:
 
-* **Shared memo/disk cache** — jobs run over the service's one pipeline, so
-  anything a previous job computed is a ``cache-hit`` for the next.
-* **Cross-job point dedup** — a point *currently executing* for one job is
-  never executed again for another: the second job waits for the first's
-  execution and records a ``cache-hit`` (two jobs naming the same
-  :class:`~repro.api.request.SimulationRequest` share one execution).
+* **Shared memo/disk cache** — jobs run over the service's one set of
+  prepared artifacts, so a point any earlier job computed is a
+  ``cache-hit`` for the next (two jobs naming the same
+  :class:`~repro.api.request.SimulationRequest` execute it once).
 * **Priority ordering** — higher ``priority`` jobs are popped first; ties
   run in submission order.
 * **Cancellation** — :meth:`JobHandle.cancel` stops a queued job before it
@@ -55,8 +54,6 @@ class Scheduler:
     def __init__(
         self,
         service: "SimulationService",
-        workers: int = 1,
-        paused: bool = False,
         journal: Optional["JobJournal"] = None,
     ) -> None:
         self.service = service
@@ -68,20 +65,13 @@ class Scheduler:
         self._seq = itertools.count(journal.next_seq if journal else 0)
         self._job_ids = itertools.count(journal.next_job_number if journal else 1)
         self._jobs: Dict[str, JobHandle] = {}
-        #: (workload name, SimulationKey) → Event set when its execution ends.
-        self._inflight: Dict[Tuple[str, tuple], threading.Event] = {}
         self._listeners: List[Callable[[JobEvent], None]] = []
-        self._paused = paused
+        self._paused = False
         self._closed = False
-        self._prepare_lock = threading.Lock()
-        self._threads = [
-            threading.Thread(
-                target=self._dispatch, name=f"repro-scheduler-{i}", daemon=True
-            )
-            for i in range(max(1, workers))
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(
+            target=self._dispatch, name="repro-scheduler", daemon=True
+        )
+        self._thread.start()
 
     # ------------------------------------------------------------------ #
     # Public surface
@@ -159,13 +149,11 @@ class Scheduler:
         """A point-in-time operational snapshot (the ``/healthz`` payload).
 
         Job counts are by handle state, so ``jobs_queued`` includes jobs
-        waiting in the heap and ``jobs_running`` those a dispatcher holds;
-        ``inflight_claims`` is the cross-job dedup table's current size.
+        waiting in the heap and ``jobs_running`` the one the dispatcher holds.
         """
         with self._lock:
             handles = list(self._jobs.values())
             queue_depth = len(self._heap)
-            inflight = len(self._inflight)
             paused = self._paused
         counts = {"queued": 0, "running": 0, "done": 0, "failed": 0, "cancelled": 0}
         for handle in handles:
@@ -178,8 +166,6 @@ class Scheduler:
             "jobs_failed": counts["failed"],
             "jobs_cancelled": counts["cancelled"],
             "queue_depth": queue_depth,
-            "inflight_claims": inflight,
-            "workers": len(self._threads),
             "paused": paused,
             "journal_path": self.journal.path if self.journal is not None else None,
         }
@@ -202,7 +188,7 @@ class Scheduler:
             self._work.notify_all()
 
     def close(self, wait: bool = True) -> None:
-        """Cancel queued jobs, stop the dispatchers, optionally join them."""
+        """Cancel queued jobs, stop the dispatcher, optionally join it."""
         with self._work:
             if self._closed:
                 return
@@ -213,10 +199,8 @@ class Scheduler:
         for job in leftover:
             job._mark_cancelled(ResultSet())
             self._emit(job, "cancelled", payload={"completed": 0})
-        if wait:
-            for thread in self._threads:
-                if thread is not threading.current_thread():
-                    thread.join(timeout=5.0)
+        if wait and self._thread is not threading.current_thread():
+            self._thread.join(timeout=5.0)
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -275,8 +259,7 @@ class Scheduler:
         refs = {}
         for request in requests:
             refs.setdefault(request.workload.name, request.workload)
-        with self._prepare_lock:
-            artifacts = service._artifacts_for_refs(list(refs.values()))
+        artifacts = service._artifacts_for_refs(list(refs.values()))
         self._emit(handle, "prepared", payload={"workloads": sorted(refs)})
 
         resolved: Dict[SimulationRequest, object] = {}
@@ -294,41 +277,19 @@ class Scheduler:
             else:
                 groups.setdefault(request.workload.name, []).append(request)
 
-        # Claim pending points: a point another job is executing right now
-        # is "theirs" — we wait for that execution instead of repeating it.
-        owned_groups: List[Tuple[str, List[SimulationRequest]]] = []
-        theirs: List[Tuple[SimulationRequest, threading.Event]] = []
-        claims: List[Tuple[str, tuple]] = []
-        with self._lock:
-            for name, group in groups.items():
-                owned: List[SimulationRequest] = []
-                for request in group:
-                    key = (name, request.key())
-                    other = self._inflight.get(key)
-                    if other is not None:
-                        theirs.append((request, other))
-                    else:
-                        self._inflight[key] = threading.Event()
-                        claims.append(key)
-                        owned.append(request)
-                if owned:
-                    owned_groups.append((name, owned))
-
         # Backends that multiplex per-workload groups internally (the fork
         # fan-out, the shard worker pool, the remote backend) get every group
         # in one call so cross-workload parallelism is preserved; the serial
         # backend runs group-sized rounds — identical work, but cancellation
         # and point-done events land at every group boundary.
-        if getattr(service.backend, "multiplexes_groups", False) and len(owned_groups) > 1:
-            rounds = [owned_groups]
+        if getattr(service.backend, "multiplexes_groups", False) and len(groups) > 1:
+            rounds = [list(groups.items())]
         else:
-            rounds = [[group] for group in owned_groups]
+            rounds = [[group] for group in groups.items()]
 
-        cancelled = False
         try:
             for round_groups in rounds:
                 if handle.cancel_requested:
-                    cancelled = True
                     break
                 round_artifacts = {name: artifacts[name] for name, _ in round_groups}
                 round_requests = [
@@ -351,48 +312,10 @@ class Scheduler:
                     self._emit(
                         handle, "point-done", request, payload=self._point_payload(result)
                     )
-                self._release(
-                    (request.workload.name, request.key()) for request in round_requests
-                )
         finally:
-            self._release(claims)  # idempotent: released keys are skipped
-            service.pipeline.points_simulated += computed
+            service.points_simulated += computed
 
-        if not cancelled:
-            for request, event in theirs:
-                if handle.cancel_requested:
-                    cancelled = True
-                    break
-                event.wait()
-                artifact = artifacts[request.workload.name]
-                result = artifact.cached_simulation(request.key())
-                if result is None:
-                    # The owning job was cancelled or failed before this
-                    # point completed: compute it ourselves.
-                    self._emit(handle, "point-started", request)
-                    computed_here = service.backend.execute(
-                        {request.workload.name: artifact}, [request], jobs=service.jobs
-                    )
-                    service.pipeline.points_simulated += computed_here
-                    computed += computed_here
-                    result = artifact.cached_simulation(request.key())
-                    if result is None:  # pragma: no cover - contract breach
-                        raise RuntimeError(
-                            f"backend {service.backend.name!r} failed to produce "
-                            f"a result for {request!r}"
-                        )
-                    resolved[request] = result
-                    self._emit(
-                        handle, "point-done", request, payload=self._point_payload(result)
-                    )
-                else:
-                    resolved[request] = result
-                    cache_hits += 1
-                    self._emit(
-                        handle, "cache-hit", request, payload=self._point_payload(result)
-                    )
-
-        if cancelled or handle.cancel_requested:
+        if handle.cancel_requested:
             partial = ResultSet(
                 [(request, resolved[request]) for request in requests if request in resolved]
             )
@@ -400,15 +323,7 @@ class Scheduler:
             self._emit(handle, "cancelled", payload={"completed": len(partial)})
             return
 
-        entries = []
-        for request in requests:
-            result = resolved.get(request)
-            if result is None:
-                result = artifacts[request.workload.name].cached_simulation(request.key())
-            if result is None:  # pragma: no cover - would be a logic error above
-                raise RuntimeError(f"job {handle.job_id} lost the result for {request!r}")
-            entries.append((request, result))
-        result_set = ResultSet(entries)
+        result_set = ResultSet([(request, resolved[request]) for request in requests])
         handle._finish(result_set)
         self._emit(
             handle,
@@ -419,10 +334,3 @@ class Scheduler:
                 "cache_hits": cache_hits,
             },
         )
-
-    def _release(self, keys) -> None:
-        with self._lock:
-            for key in keys:
-                event = self._inflight.pop(key, None)
-                if event is not None:
-                    event.set()

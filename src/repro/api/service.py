@@ -1,19 +1,24 @@
 """:class:`SimulationService` — the one front door for simulation requests.
 
-The service wraps an :class:`~repro.pipeline.pipeline.ExperimentPipeline`
-(preparation, artifact cache, worker budget) behind a declarative surface:
-callers hand it :class:`~repro.api.request.SimulationRequest` iterables or
-:class:`~repro.api.matrix.ScenarioMatrix` declarations, pick an
-:class:`~repro.api.backends.ExecutionBackend`, and receive a typed
-:class:`~repro.api.results.ResultSet`.  Experiments never touch points,
-memos, or pools directly — they run against an :class:`ExperimentContext`
-whose :meth:`~ExperimentContext.run` dispatches through the service (and is
-a pure memo lookup for anything the CLI already prefetched).
+The service owns everything between a request and the batch engine: the
+default workload set, the artifact cache, the worker budget and the
+prepared :class:`~repro.experiments.runner.WorkloadArtifacts` (registry
+and non-registry workloads alike, prepared in one fan-out and keyed by
+name).  Callers hand it :class:`~repro.api.request.SimulationRequest`
+iterables or :class:`~repro.api.matrix.ScenarioMatrix` declarations, pick
+an :class:`~repro.api.backends.ExecutionBackend`, and receive a typed
+:class:`~repro.api.results.ResultSet`; the serial and fork backends hand
+those same requests to :func:`~repro.pipeline.parallel.simulate_points`.
+Experiments never touch points, memos, or pools directly — they run
+against an :class:`ExperimentContext` whose :meth:`~ExperimentContext.run`
+dispatches through the service (and is a pure memo lookup for anything the
+CLI already prefetched).
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.api.backends import ExecutionBackend, make_backend
@@ -29,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only.  The pipeline and runner
     from repro.api.scheduler import Scheduler
     from repro.experiments.runner import WorkloadArtifacts
     from repro.pipeline.artifacts import ArtifactCache
-    from repro.pipeline.pipeline import ExperimentPipeline
 
 #: What :meth:`SimulationService.run` accepts.
 RequestsLike = Union[
@@ -40,11 +44,17 @@ RequestsLike = Union[
 
 
 class SimulationService:
-    """Prepare on demand, execute through a backend, answer with a ResultSet."""
+    """Prepare on demand, execute through a backend, answer with a ResultSet.
+
+    ``names`` is the default workload set (the full registry when ``None``)
+    that open-axis matrices expand over; it is fixed here, so requests
+    naming other workloads prepare them without changing it.  Within one
+    service each workload's execution and Algorithm 2 tracing happen at
+    most once, and at most once *ever* with a disk ``cache`` attached.
+    """
 
     def __init__(
         self,
-        pipeline: Optional[ExperimentPipeline] = None,
         *,
         names: Optional[Sequence[str]] = None,
         cache: Optional[ArtifactCache] = None,
@@ -52,18 +62,23 @@ class SimulationService:
         backend: Optional[Union[str, ExecutionBackend]] = None,
         journal: Optional["JobJournal"] = None,
     ) -> None:
-        if pipeline is None:
-            from repro.pipeline.pipeline import ExperimentPipeline
+        from repro.crypto.workloads import workload_names
+        from repro.pipeline.parallel import default_jobs
 
-            pipeline = ExperimentPipeline(names=names, cache=cache, jobs=jobs)
-        self.pipeline = pipeline
+        self.names = tuple(names) if names is not None else tuple(workload_names())
+        self.cache = cache
+        self.jobs = jobs if jobs > 0 else default_jobs()
         self.backend = (
             backend if isinstance(backend, ExecutionBackend) else make_backend(backend)
         )
         #: Optional write-ahead journal the scheduler records jobs into.
         self.journal = journal
-        #: Artifacts for non-registry workload refs, keyed by workload name.
-        self._extra: Dict[str, WorkloadArtifacts] = {}
+        #: Prepared artifacts of every workload any caller named, by name.
+        self._artifacts: Dict[str, WorkloadArtifacts] = {}
+        #: Wall-clock seconds spent preparing so far.
+        self.prepare_seconds: float = 0.0
+        #: Simulation points the backend computed (not memo or disk hits).
+        self.points_simulated: int = 0
         self._scheduler: Optional[Scheduler] = None
         self._scheduler_lock = threading.Lock()
 
@@ -73,17 +88,22 @@ class SimulationService:
     @property
     def workloads(self) -> List[str]:
         """The registry workload names requests expand over by default."""
-        return list(self.pipeline.names)
-
-    @property
-    def jobs(self) -> int:
-        return self.pipeline.jobs
+        return list(self.names)
 
     def stats(self) -> Dict[str, object]:
         from repro.engine import native
         from repro.engine.kernels import engine_tier
 
-        report = dict(self.pipeline.stats())
+        report: Dict[str, object] = {
+            "workloads": len(self.names),
+            "prepared": len(self._artifacts),
+            "prepare_seconds": round(self.prepare_seconds, 3),
+            "points_simulated": self.points_simulated,
+            "jobs": self.jobs,
+        }
+        if self.cache is not None:
+            report["cache_dir"] = self.cache.root
+            report.update(self.cache.stats.as_dict())
         report["backend"] = self.backend.name
         report["engine_tier"] = engine_tier()
         report["native_compiler"] = native.compiler_available()
@@ -91,12 +111,11 @@ class SimulationService:
         # memo hits, quarantined corrupt entries), present even when the
         # disk cache is off so operators can tell "no cache" from "no
         # quarantines".
-        cache = self.pipeline.cache
         report["artifact_cache"] = (
-            cache.stats.as_dict() if cache is not None else None
+            self.cache.stats.as_dict() if self.cache is not None else None
         )
         # Read the field, not the lazy property: stats() must never be the
-        # thing that spins a scheduler (and its dispatcher threads) up.
+        # thing that spins a scheduler (and its dispatcher thread) up.
         if self._scheduler is not None:
             report["scheduler"] = self._scheduler.stats()
         return report
@@ -105,51 +124,47 @@ class SimulationService:
     # Artifacts
     # ------------------------------------------------------------------ #
     def artifacts(self) -> List[WorkloadArtifacts]:
-        """Every registry workload's artifacts, preparing the missing ones."""
-        return self.pipeline.artifacts()
+        """The default workload set's artifacts, preparing the missing ones."""
+        refs = [WorkloadRef.registry(name) for name in self.names]
+        by_name = self._artifacts_for_refs(refs)
+        return [by_name[name] for name in self.names]
 
     def artifact(self, ref: Union[WorkloadRef, str]) -> WorkloadArtifacts:
-        """One workload's artifacts (registry name or any :class:`WorkloadRef`)."""
+        """One workload's artifacts (registry name or any :class:`WorkloadRef`).
+
+        A bare name finds any workload already prepared under it and
+        otherwise names a registry workload.
+        """
         if isinstance(ref, str):
-            if ref in self._extra:
-                return self._extra[ref]
-            return self.pipeline.artifact(ref)
-        if ref.kind == "registry":
-            return self.pipeline.artifact(ref.name)
+            if ref in self._artifacts:
+                return self._artifacts[ref]
+            ref = WorkloadRef.registry(ref)
         return self._artifacts_for_refs([ref])[ref.name]
 
     def _artifacts_for_refs(
         self, refs: Sequence[WorkloadRef]
     ) -> Dict[str, WorkloadArtifacts]:
-        """Artifacts for a mixed registry/non-registry ref set, by name.
+        """Artifacts for ``refs``, by name, preparing only the missing ones.
 
-        Registry refs prepare through the pipeline (parallel across the
-        missing ones); non-registry refs build from their kernel specs over
-        the same fan-out and artifact cache, then stay memoized on the
-        service.
+        Registry and non-registry refs (the Figure 8 synthetic kernels)
+        prepare in one fan-out over the worker budget and the artifact
+        cache, then stay memoized on the service.
         """
-        from repro.pipeline.parallel import prepare_kernels_parallel
+        missing: Dict[str, WorkloadRef] = {}
+        for ref in refs:
+            if ref.name not in self._artifacts:
+                missing.setdefault(ref.name, ref)
+        if missing:
+            from repro.pipeline.parallel import prepare_kernels_parallel
 
-        registry = [ref.name for ref in refs if ref.kind == "registry"]
-        other = [
-            ref for ref in refs if ref.kind != "registry" and ref.name not in self._extra
-        ]
-        by_name: Dict[str, WorkloadArtifacts] = {}
-        if registry:
-            for artifact in self.pipeline.artifacts_for(registry):
-                by_name[artifact.name] = artifact
-        if other:
+            start = time.perf_counter()
             prepared = prepare_kernels_parallel(
-                [ref.kernel_spec() for ref in other],
-                cache=self.pipeline.cache,
-                jobs=self.pipeline.jobs,
+                list(missing.values()), cache=self.cache, jobs=self.jobs
             )
             for artifact in prepared:
-                self._extra[artifact.name] = artifact
-        for ref in refs:
-            if ref.kind != "registry":
-                by_name[ref.name] = self._extra[ref.name]
-        return by_name
+                self._artifacts[artifact.name] = artifact
+            self.prepare_seconds += time.perf_counter() - start
+        return {ref.name: self._artifacts[ref.name] for ref in refs}
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -163,15 +178,15 @@ class SimulationService:
         """
         if isinstance(what, (ScenarioMatrix, SimulationRequest)):
             what = [what]
-        return expand_many(what, default_workloads=self.pipeline.names)
+        return expand_many(what, default_workloads=self.names)
 
     @property
     def scheduler(self) -> "Scheduler":
         """The service's job scheduler (created on first use).
 
         All execution — including the synchronous :meth:`run` — goes
-        through it, so every caller shares one priority queue, one
-        cross-job dedup table, and one event stream.
+        through it, so every caller shares one priority queue and one
+        event stream, and jobs run one at a time.
         """
         with self._scheduler_lock:
             if self._scheduler is None:
@@ -188,7 +203,7 @@ class SimulationService:
         The handle streams typed :class:`~repro.api.jobs.JobEvent`\\ s
         (``handle.events()``) and answers with the job's
         :class:`ResultSet` (``handle.result()``); ``handle.cancel()``
-        stops it.  Two jobs naming the same request share one execution.
+        stops it.  A request an earlier job computed is a memo hit.
         """
         return self.scheduler.submit(what, priority=priority, tags=tags)
 
@@ -277,13 +292,23 @@ def build_service(
     backend: Optional[Union[str, ExecutionBackend]] = None,
     journal: Optional["JobJournal"] = None,
 ) -> SimulationService:
-    """Construct a service from CLI-style options (the CLI's front door)."""
-    from repro.pipeline.pipeline import build_pipeline
+    """Construct a service from CLI-style options (the CLI's front door).
 
-    pipeline = build_pipeline(
-        workloads=workloads, cache_dir=cache_dir, use_cache=use_cache, jobs=jobs
+    ``workloads`` is a selector for
+    :func:`~repro.crypto.workloads.resolve_workload_names`; an unknown or
+    empty selection raises :class:`KeyError`.
+    """
+    from repro.crypto.workloads import resolve_workload_names
+    from repro.pipeline.artifacts import ArtifactCache, default_cache_dir
+
+    cache = ArtifactCache(root=cache_dir or default_cache_dir()) if use_cache else None
+    return SimulationService(
+        names=resolve_workload_names(workloads),
+        cache=cache,
+        jobs=jobs,
+        backend=backend,
+        journal=journal,
     )
-    return SimulationService(pipeline, backend=backend, journal=journal)
 
 
 def default_context(
@@ -295,9 +320,8 @@ def default_context(
     """``ctx`` itself, or a fresh uncached context over ``names``.
 
     The standalone path for ``run_<experiment>()`` calls and
-    ``python -m repro.experiments.<module>`` invocations: no disk cache,
-    serial-by-default preparation — exactly what the pre-service
-    ``prepare_workloads(names)`` default did.
+    ``python -m repro.experiments.<module>`` invocations: no disk cache and
+    serial-by-default preparation.
     """
     if ctx is not None:
         return ctx

@@ -112,6 +112,38 @@ def workload_names(suite: Optional[str] = None) -> List[str]:
     ]
 
 
+#: A small representative subset used by the quick benchmarks and tests.
+QUICK_WORKLOADS: List[str] = [
+    "ChaCha20_ct",
+    "SHA-256",
+    "Poly1305_ctmul",
+    "EC_c25519_i31",
+    "ModPow_i31",
+    "sphincs-sha2-128s",
+]
+
+
+def resolve_workload_names(selector: Optional[str]) -> List[str]:
+    """Map a CLI-style selector to workload names.
+
+    ``None``/``"all"``/``"full"`` → the full 22-workload suite;
+    ``"quick"`` → the representative quick subset; anything else is a
+    comma-separated list of registry names, repeats dropped.  An unknown
+    name or an empty selection raises :class:`KeyError`.
+    """
+    if selector is None or selector in ("all", "full"):
+        return workload_names()
+    if selector == "quick":
+        return list(QUICK_WORKLOADS)
+    chosen = list(dict.fromkeys(name.strip() for name in selector.split(",") if name.strip()))
+    if not chosen:
+        raise KeyError(f"no workloads selected by {selector!r}")
+    unknown = [name for name in chosen if name not in _REGISTRY]
+    if unknown:
+        raise KeyError(f"unknown workload(s): {unknown!r}; known: {sorted(_REGISTRY)!r}")
+    return chosen
+
+
 def get_workload(name: str) -> Workload:
     """Look up a workload by its paper name."""
     try:

@@ -54,7 +54,7 @@ Layer tour, bottom to top:
    flush-interval) point of a sweep, it is cacheable on disk as the
    ``lowered-trace`` artifact kind, and
    :meth:`~repro.engine.lowering.LoweredTrace.to_bytes` preserializes it for
-   the multiprocessing fan-out (and, eventually, cross-host sharding).
+   the fork fan-out and the shard backend's pipes.
 2. :mod:`repro.engine.state` — flat-array models of the
    icache / d-cache hierarchy / BPU / BTU whose snapshot/restore is a
    handful of C-level copies; the object models in :mod:`repro.uarch`

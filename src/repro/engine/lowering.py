@@ -163,8 +163,8 @@ class LoweredTrace:
         Used by the fork fan-out: the parent lowers once and ships the
         preserialized payload, so each worker materializes the columns with
         one C-level unpickle instead of re-walking the object stream (or
-        re-pickling ``DynamicInstruction`` objects).  The payload is also
-        host-portable, which the cross-host sharding direction needs.
+        re-pickling ``DynamicInstruction`` objects); the shard backend ships
+        the same payload to its worker subprocesses.
         """
         import pickle
 

@@ -21,7 +21,7 @@ through a shared :class:`~repro.api.service.SimulationService`.
 | CoreConfig design-space sweep (extra)   | :mod:`repro.experiments.sweep` |
 """
 
-from repro.experiments.runner import WorkloadArtifacts, prepare_workloads, DESIGN_BUILDERS
+from repro.experiments.runner import WorkloadArtifacts, DESIGN_BUILDERS
 from repro.experiments.registry import (
     EXPERIMENT_REGISTRY,
     ExperimentSpec,
@@ -44,7 +44,6 @@ from repro.experiments import sweep  # noqa: E402,F401
 
 __all__ = [
     "WorkloadArtifacts",
-    "prepare_workloads",
     "DESIGN_BUILDERS",
     "EXPERIMENT_REGISTRY",
     "ExperimentSpec",

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.stats import BranchAnalysisStats, stats_from_bundle
 from repro.analysis.tracegen import TraceBundle, TraceParameters, generate_trace_bundle
 from repro.arch.executor import ExecutionResult
 from repro.crypto.programs.common import KernelProgram
-from repro.crypto.workloads import get_workload, workload_names
+from repro.crypto.workloads import QUICK_WORKLOADS, get_workload  # noqa: F401 - re-exported
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.lowering import LOWERING_FORMAT_VERSION, LoweredTrace, lower_execution
 from repro.uarch.config import CoreConfig, GOLDEN_COVE_LIKE
@@ -35,17 +35,8 @@ from repro.uarch.defenses import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.api.request import SimulationRequest
     from repro.pipeline.artifacts import ArtifactCache
-
-#: A small representative subset used by the quick benchmarks and tests.
-QUICK_WORKLOADS: List[str] = [
-    "ChaCha20_ct",
-    "SHA-256",
-    "Poly1305_ctmul",
-    "EC_c25519_i31",
-    "ModPow_i31",
-    "sphincs-sha2-128s",
-]
 
 #: Design-point factories; Cassandra-family policies need the trace bundle.
 DESIGN_BUILDERS: Dict[str, Callable[[Optional[TraceBundle]], DefensePolicy]] = {
@@ -229,10 +220,14 @@ class WorkloadArtifacts:
 
     def simulate_batch(
         self,
-        points: Sequence[DesignPoint],
+        points: Sequence[Union[DesignPoint, "SimulationRequest"]],
         batch_stats: Optional[BatchStats] = None,
     ) -> Dict[SimulationKey, SimulationResult]:
         """Simulate many design points over one shared lowering and warm state.
+
+        ``points`` are :class:`DesignPoint`\\ s or
+        :class:`~repro.api.request.SimulationRequest`\\ s (of this workload);
+        only their design, config, flush interval and warm-up passes count.
 
         Points already in the memo (or the disk cache) are returned without
         re-simulation; a point whose :meth:`cached_simulation` probe just
@@ -243,7 +238,7 @@ class WorkloadArtifacts:
         :meth:`simulate` per point.
         """
         results: Dict[SimulationKey, SimulationResult] = {}
-        pending: List[DesignPoint] = []
+        pending: List[Union[DesignPoint, "SimulationRequest"]] = []
         pending_digests: Dict[SimulationKey, Optional[str]] = {}
         for point in points:
             cache_key = point.key()
@@ -386,24 +381,6 @@ def prepare_workload(
         cache=cache,
         trace_params=trace_params,
     )
-
-
-def prepare_workloads(
-    names: Optional[Sequence[str]] = None,
-    cache: Optional["ArtifactCache"] = None,
-    jobs: int = 1,
-) -> List[WorkloadArtifacts]:
-    """Prepare several workloads (defaults to the full 22-workload suite).
-
-    ``jobs > 1`` fans the preparation out over worker processes via
-    :mod:`repro.pipeline.parallel`; results are identical to the serial path.
-    """
-    chosen = list(names) if names is not None else workload_names()
-    if jobs > 1 and len(chosen) > 1:
-        from repro.pipeline.parallel import prepare_workloads_parallel
-
-        return prepare_workloads_parallel(chosen, cache=cache, jobs=jobs)
-    return [prepare_workload(name, cache=cache) for name in chosen]
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -1,7 +1,7 @@
-"""Shared experiment pipeline: disk-cached artifacts + parallel simulation.
+"""Disk-cached workload artifacts and the parallel batch fan-out.
 
-The subsystem every experiment, benchmark, and test goes through to obtain
-workload artifacts and simulation results:
+The layer under :class:`~repro.api.service.SimulationService` that every
+experiment, benchmark, and test reaches through :mod:`repro.api`:
 
 * :mod:`repro.pipeline.hashing` — stable content fingerprints for programs,
   input sets, and configurations (cache-key material).
@@ -9,11 +9,8 @@ workload artifacts and simulation results:
   in-memory memoization) persisting ``ExecutionResult``/``TraceBundle``
   pairs across processes.
 * :mod:`repro.pipeline.parallel` — multiprocessing fan-out for workload
-  preparation and for independent (workload × design × config) points.
-* :mod:`repro.pipeline.pipeline` — :class:`ExperimentPipeline`, the
-  preparation/cache/worker-budget layer the public
-  :class:`~repro.api.service.SimulationService` facade wraps (the CLI,
-  benchmarks, and experiments all enter through :mod:`repro.api`).
+  preparation (over :class:`~repro.api.request.WorkloadRef`\\ s) and for
+  independent :class:`~repro.api.request.SimulationRequest`\\ s.
 """
 
 from repro.pipeline.artifacts import (
@@ -29,15 +26,9 @@ from repro.pipeline.hashing import (
     stable_digest,
 )
 from repro.pipeline.parallel import (
-    SimulationPoint,
     default_jobs,
-    prepare_workloads_parallel,
+    prepare_kernels_parallel,
     simulate_points,
-)
-from repro.pipeline.pipeline import (
-    ExperimentPipeline,
-    build_pipeline,
-    resolve_workload_names,
 )
 
 __all__ = [
@@ -50,10 +41,6 @@ __all__ = [
     "stable_digest",
     "program_fingerprint",
     "inputs_fingerprint",
-    "SimulationPoint",
-    "prepare_workloads_parallel",
+    "prepare_kernels_parallel",
     "simulate_points",
-    "ExperimentPipeline",
-    "build_pipeline",
-    "resolve_workload_names",
 ]

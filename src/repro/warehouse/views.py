@@ -132,8 +132,7 @@ def view_workloads(
     full registry in registry order); anything else falls back to registry
     order filtered to what is stored.
     """
-    from repro.crypto.workloads import workload_names
-    from repro.pipeline.pipeline import QUICK_WORKLOADS
+    from repro.crypto.workloads import QUICK_WORKLOADS, workload_names
 
     stored = {row.workload for row in store.select(fingerprint=fingerprint)}
     registry_stored = {name for name in workload_names() if name in stored}
@@ -172,9 +171,12 @@ def render_view(
     if workloads is None:
         workloads = view_workloads(store, fingerprint)
     elif isinstance(workloads, str):
-        from repro.pipeline.pipeline import resolve_workload_names
+        from repro.crypto.workloads import resolve_workload_names
 
-        workloads = resolve_workload_names(workloads)
+        try:
+            workloads = resolve_workload_names(workloads)
+        except KeyError as exc:
+            raise WarehouseError(exc.args[0]) from None
     ctx = WarehouseContext(store, fingerprint, workloads)
     data = spec.run(ctx)
     return spec.format(data)

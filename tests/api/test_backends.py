@@ -61,9 +61,9 @@ def test_three_way_backend_parity(backend_answers):
 def test_rerun_is_pure_memo_lookup(backend_answers):
     service = SimulationService(names=NAMES, jobs=2, backend="shard")
     first = service.run(PARITY_MATRIX)
-    simulated = service.pipeline.points_simulated
+    simulated = service.points_simulated
     again = service.run(PARITY_MATRIX)
-    assert service.pipeline.points_simulated == simulated  # nothing recomputed
+    assert service.points_simulated == simulated  # nothing recomputed
     for (_, before), (_, after) in zip(first, again):
         assert before is after  # the very same memoized objects
 
@@ -80,7 +80,7 @@ def test_shard_backend_persists_to_disk_cache(artifact_cache):
         names=[NAMES[0]], cache=artifact_cache, jobs=1, backend="serial"
     )
     cold.run(matrix)
-    assert cold.pipeline.points_simulated == 0
+    assert cold.points_simulated == 0
 
 
 def test_shard_task_wire_round_trip():
@@ -175,7 +175,7 @@ def test_shard_worker_death_requeues_onto_survivors(monkeypatch):
     shard = SimulationService(names=NAMES, jobs=2, backend="shard")
     answer = shard.run(matrix)  # two workload groups → one task per worker
     assert len(answer) == 4
-    assert shard.pipeline.points_simulated == 4
+    assert shard.points_simulated == 4
     serial = SimulationService(names=NAMES, jobs=1, backend="serial").run(matrix)
     for (request, ours), (_, theirs) in zip(answer, serial):
         assert ours.stats.as_dict() == theirs.stats.as_dict(), request
@@ -198,12 +198,12 @@ def test_shard_total_worker_loss_raises_typed_error(monkeypatch):
     assert "pending request" in str(error)
 
 
-def test_service_runs_bare_requests_and_extends_workloads():
+def test_service_runs_bare_requests_outside_its_workload_set():
     service = SimulationService(names=[NAMES[0]], backend="serial")
     request = SimulationRequest(workload=NAMES[1], design="unsafe-baseline")
     answer = service.run(request)
     assert answer.cycles(workload=NAMES[1]) > 0
-    assert NAMES[1] in service.workloads  # the request pulled it in
+    assert service.workloads == [NAMES[0]]  # the default set stays fixed
 
 
 def test_context_accumulates_results():

@@ -169,7 +169,7 @@ def test_remote_backend_persists_results_locally(server, artifact_cache):
         names=[WORKLOAD], cache=artifact_cache, jobs=1, backend="serial"
     )
     cold.run(matrix)
-    assert cold.pipeline.points_simulated == 0  # all resolved from disk
+    assert cold.points_simulated == 0  # all resolved from disk
 
 
 def test_observer_disconnect_does_not_cancel_the_job(server, client):

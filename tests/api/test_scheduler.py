@@ -1,12 +1,10 @@
 """Scheduler semantics: events, dedup, priority, cancellation, failure.
 
 The job redesign's acceptance bar: submitting is non-blocking, every
-lifecycle step is an observable typed event, identical in-flight points
-are shared across jobs, priorities order execution, and cancellation never
-leaves the cache half-written.
+lifecycle step is an observable typed event, a point an earlier job
+computed is a cache hit, priorities order execution, and cancellation
+never leaves the cache half-written.
 """
-
-import threading
 
 import pytest
 
@@ -74,12 +72,12 @@ def test_cross_job_dedup_same_request_runs_once():
     request = SimulationRequest(workload=WORKLOAD, design="spt")
     first = service.submit(request)
     first.result()
-    simulated = service.pipeline.points_simulated
+    simulated = service.points_simulated
     assert simulated == 1
 
     second = service.submit(request)
     answer = second.result()
-    assert service.pipeline.points_simulated == simulated  # ran exactly once
+    assert service.points_simulated == simulated  # ran exactly once
     assert answer.one().cycles == first.result().one().cycles
     second_kinds = kinds(second.history())
     assert "cache-hit" in second_kinds
@@ -167,7 +165,7 @@ def test_cancel_mid_job_leaves_cache_consistent():
     assert history_kinds[-1] == "cancelled"
     # Exactly the first workload group ran; its points are memoized (the
     # cache is consistent), the second group never started.
-    assert service.pipeline.points_simulated == 1
+    assert service.points_simulated == 1
     partial = handle.partial()
     assert len(partial) == 1
     assert partial.requests[0].workload.name == WORKLOAD
@@ -178,7 +176,7 @@ def test_cancel_mid_job_leaves_cache_consistent():
     again = service.submit(ScenarioMatrix(designs=("unsafe-baseline",)))
     results = again.result()
     assert len(results) == 2
-    assert service.pipeline.points_simulated == 2
+    assert service.points_simulated == 2
     again_kinds = kinds(again.history())
     assert again_kinds.count("cache-hit") == 1
     assert again_kinds.count("point-done") == 1
@@ -194,7 +192,7 @@ def test_cancel_queued_job_before_it_starts():
     with pytest.raises(JobCancelled):
         handle.result(timeout=30)
     assert kinds(handle.history()) == ["queued", "cancelled"]
-    assert service.pipeline.points_simulated == 0
+    assert service.points_simulated == 0
     assert handle.cancel() is False  # already finished
 
 
@@ -221,37 +219,6 @@ def test_failed_job_raises_the_original_error():
     assert service.run(
         SimulationRequest(workload=WORKLOAD, design="unsafe-baseline")
     ).one().cycles > 0
-
-
-def test_concurrent_inflight_point_shared_across_jobs():
-    """Two *simultaneously running* jobs naming the same request share one
-    execution: the second waits on the first's in-flight entry."""
-    service = make_service()
-    release = threading.Event()
-
-    class Gate(SerialBackend):
-        def execute(self, artifacts, requests, jobs):
-            release.wait(timeout=30)
-            return super().execute(artifacts, requests, jobs)
-
-    service.backend = Gate()
-    # Two dispatcher workers so both jobs run concurrently.
-    from repro.api.scheduler import Scheduler
-
-    service._scheduler = Scheduler(service, workers=2)
-    request = SimulationRequest(workload=WORKLOAD, design="cassandra+stl")
-    first = service.submit(request)
-    second = service.submit(request)
-    # Let both dispatchers reach the claim table before opening the gate.
-    deadline = threading.Event()
-    deadline.wait(0.3)
-    release.set()
-    a, b = first.result(timeout=60), second.result(timeout=60)
-    assert a.one().stats.as_dict() == b.one().stats.as_dict()
-    assert service.pipeline.points_simulated == 1
-    all_kinds = kinds(first.history()) + kinds(second.history())
-    assert all_kinds.count("point-done") == 1  # exactly one execution
-    assert all_kinds.count("cache-hit") == 1
 
 
 def test_run_is_a_thin_wrapper_over_submit():
@@ -281,8 +248,6 @@ def test_scheduler_stats_snapshot():
     stats = scheduler.stats()
     assert stats["jobs_total"] == 0
     assert stats["queue_depth"] == 0
-    assert stats["inflight_claims"] == 0
-    assert stats["workers"] == 1
     assert stats["paused"] is False
     assert stats["journal_path"] is None
 
@@ -299,7 +264,6 @@ def test_scheduler_stats_snapshot():
     stats = scheduler.stats()
     assert stats["jobs_done"] == 1
     assert stats["jobs_queued"] == stats["queue_depth"] == 0
-    assert stats["inflight_claims"] == 0  # every dedup claim released
     service.close()
 
 
@@ -369,3 +333,17 @@ def test_pending_points_are_probed_on_disk_once(tmp_path):
     assert kinds(again.history()).count("cache-hit") == 3
     assert again.history()[-1].payload["cache_hits"] == 3
     rerun.close()
+
+
+def test_requests_leave_the_default_workload_set_alone():
+    """A request naming another registry workload prepares it without
+    widening the set open-axis matrices expand over (a gateway tenant's job
+    must not change what another tenant's matrix means)."""
+    service = make_service()
+    matrix = ScenarioMatrix(designs=("unsafe-baseline",))
+    assert len(service.expand(matrix)) == 1
+    service.run(SimulationRequest(workload="Poly1305_ctmul", design="unsafe-baseline"))
+    assert service.workloads == [WORKLOAD]
+    assert len(service.expand(matrix)) == 1
+    assert [artifact.name for artifact in service.artifacts()] == [WORKLOAD]
+    service.close()

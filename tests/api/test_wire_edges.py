@@ -123,12 +123,12 @@ def test_duplicate_points_collapse_on_expand_and_submit():
 
     assert service.expand(duplicated) == [request]
 
-    before = service.pipeline.points_simulated
+    before = service.points_simulated
     handle = service.submit(duplicated)
     results = handle.result(timeout=300)
     assert len(handle.requests) == 1
     assert len(results) == 1
-    assert service.pipeline.points_simulated - before == 1
+    assert service.points_simulated - before == 1
     done = handle.history()[-1]
     assert done.payload == {"points": 1, "computed": 1, "cache_hits": 0}
     service.close()

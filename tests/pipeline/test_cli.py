@@ -129,6 +129,22 @@ def test_unknown_workload_errors(capsys):
     assert "unknown workload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selector", ["", ",", " , "])
+def test_empty_workload_selection_errors(capsys, selector):
+    """An empty selection is a usage error, not a table over no workloads."""
+    assert main(["figure7", "--workloads", selector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+def test_repeated_workload_names_collapse():
+    from repro.crypto.workloads import resolve_workload_names
+
+    assert resolve_workload_names("SHA-256,SHA-256") == ["SHA-256"]
+    assert resolve_workload_names("SHA-256, ChaCha20_ct,SHA-256") == ["SHA-256", "ChaCha20_ct"]
+
+
 def test_table2_json_output(capsys):
     assert main(["table2", "--format", "json", "--no-cache"]) == 0
     payload = json.loads(capsys.readouterr().out)

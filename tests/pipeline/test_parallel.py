@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.api import SimulationRequest, SimulationService, WorkloadRef
 from repro.experiments.runner import prepare_workload, simulation_key
-from repro.pipeline import ExperimentPipeline, SimulationPoint, prepare_workloads_parallel, simulate_points
-from repro.pipeline.parallel import KernelSpec, prepare_kernels_parallel
+from repro.pipeline import prepare_kernels_parallel, simulate_points
+from repro.pipeline.parallel import build_kernel
 from repro.uarch.config import CoreConfig
 
 NAMES = ["ChaCha20_ct", "SHA-256"]
+REFS = [WorkloadRef.registry(name) for name in NAMES]
 SMALL_CORE = CoreConfig(rob_size=64, fetch_width=4)
 
 
 def test_parallel_prepare_matches_serial():
-    parallel = prepare_workloads_parallel(NAMES, jobs=2)
+    parallel = prepare_kernels_parallel(REFS, jobs=2)
     serial = [prepare_workload(name) for name in NAMES]
     for par, ser in zip(parallel, serial):
         assert par.name == ser.name
@@ -23,7 +25,7 @@ def test_parallel_prepare_matches_serial():
 
 
 def test_parallel_prepare_warms_shared_disk_cache(artifact_cache):
-    prepare_workloads_parallel(NAMES, cache=artifact_cache, jobs=2)
+    prepare_kernels_parallel(REFS, cache=artifact_cache, jobs=2)
     # Workers persisted the payloads; a cold in-memory cache over the same
     # root must hit for every workload.
     from repro.pipeline import ArtifactCache
@@ -37,12 +39,12 @@ def test_parallel_prepare_warms_shared_disk_cache(artifact_cache):
 
 def test_simulate_points_parallel_matches_serial():
     points = [
-        SimulationPoint(workload=name, design=design)
+        SimulationRequest(workload=name, design=design)
         for name in NAMES
         for design in ("unsafe-baseline", "cassandra")
     ] + [
-        SimulationPoint(workload=NAMES[0], design="unsafe-baseline", config=SMALL_CORE),
-        SimulationPoint(workload=NAMES[0], design="cassandra", btu_flush_interval=300),
+        SimulationRequest(workload=NAMES[0], design="unsafe-baseline", config=SMALL_CORE),
+        SimulationRequest(workload=NAMES[0], design="cassandra", btu_flush_interval=300),
     ]
 
     par_artifacts = [prepare_workload(name) for name in NAMES]
@@ -71,25 +73,41 @@ def test_simulate_points_parallel_matches_serial():
 
 
 def test_pipeline_single_artifact_prepares_only_that_workload(artifact_cache):
-    pipeline = ExperimentPipeline(names=NAMES, cache=artifact_cache, jobs=1)
-    artifact = pipeline.artifact(NAMES[0])
+    service = SimulationService(names=NAMES, cache=artifact_cache, jobs=1)
+    artifact = service.artifact(NAMES[0])
     assert artifact.name == NAMES[0]
-    assert pipeline.stats()["prepared"] == 1  # the other workload stayed cold
+    assert service.stats()["prepared"] == 1  # the other workload stayed cold
+
+
+def test_service_prepares_registry_and_synthetic_refs_in_one_fan_out(monkeypatch):
+    from repro.pipeline import parallel
+
+    calls = []
+    original = parallel.prepare_kernels_parallel
+
+    def counting(refs, **kwargs):
+        calls.append([ref.name for ref in refs])
+        return original(refs, **kwargs)
+
+    monkeypatch.setattr(parallel, "prepare_kernels_parallel", counting)
+    synthetic = WorkloadRef.synthetic("chacha20", "90s/10c")
+    service = SimulationService(names=NAMES[:1], jobs=2, backend="serial")
+    service.run(
+        [
+            SimulationRequest(workload=NAMES[0], design="unsafe-baseline"),
+            SimulationRequest(workload=synthetic, design="unsafe-baseline"),
+        ]
+    )
+    assert calls == [[NAMES[0], synthetic.name]]
+    assert service.artifact(synthetic.name) is service.artifact(synthetic)
+    service.close()
 
 
 def test_synthetic_kernel_specs_prepare_in_workers():
     """Figure 8's (primitive, mix) grid builds inside workers, not the parent."""
-    specs = [
-        KernelSpec(
-            kind="synthetic",
-            name=f"synthetic-chacha20-{mix}",
-            args=("chacha20", mix),
-            suite="synthetic",
-        )
-        for mix in ("90s/10c", "all-crypto")
-    ]
-    parallel = prepare_kernels_parallel(specs, jobs=2)
-    serial = prepare_kernels_parallel(specs, jobs=1)
+    refs = [WorkloadRef.synthetic("chacha20", mix) for mix in ("90s/10c", "all-crypto")]
+    parallel = prepare_kernels_parallel(refs, jobs=2)
+    serial = prepare_kernels_parallel(refs, jobs=1)
     assert [a.name for a in parallel] == [a.name for a in serial]
     for par, ser in zip(parallel, serial):
         assert par.suite == "synthetic"
@@ -102,8 +120,8 @@ def test_synthetic_kernel_specs_prepare_in_workers():
 
 
 def test_kernel_spec_rejects_unknown_kind():
-    with pytest.raises(KeyError):
-        KernelSpec(kind="nope", name="x").build()
+    with pytest.raises(KeyError, match="unknown workload kind"):
+        build_kernel(WorkloadRef(kind="nope", name="x"))
 
 
 def test_lowered_trace_bytes_roundtrip():
@@ -141,17 +159,3 @@ def test_code_fingerprint_is_stable_and_in_digests():
     kernel = get_workload(NAMES[0]).kernel()
     digest = workload_artifact_digest(kernel, TraceParameters())
     assert digest == workload_artifact_digest(kernel, TraceParameters())
-
-
-def test_pipeline_prefetch_and_stats(artifact_cache):
-    pipeline = ExperimentPipeline(names=NAMES, cache=artifact_cache, jobs=2)
-    artifacts = pipeline.artifacts()
-    assert [artifact.name for artifact in artifacts] == NAMES
-    assert pipeline.artifacts() is not None  # second call: all memoized
-    computed = pipeline.prefetch_designs(["unsafe-baseline", "cassandra"])
-    assert computed == 4
-    assert pipeline.prefetch_designs(["unsafe-baseline", "cassandra"]) == 0
-    stats = pipeline.stats()
-    assert stats["prepared"] == len(NAMES)
-    assert stats["points_simulated"] == 4
-    assert stats["cache_dir"] == artifact_cache.root

@@ -11,6 +11,7 @@ import shutil
 
 import pytest
 
+from repro.api import WorkloadRef
 from repro.crypto.programs.common import KernelProgram
 from repro.crypto.workloads import get_workload
 from repro.engine import lowering
@@ -21,7 +22,7 @@ from repro.experiments.runner import (
     prepare_workload,
 )
 from repro.pipeline import ArtifactCache
-from repro.pipeline.parallel import KernelSpec, prepare_kernels_parallel
+from repro.pipeline.parallel import prepare_kernels_parallel
 from repro.uarch.core import CoreModel
 from repro.uarch.defenses import CassandraPolicy
 
@@ -162,8 +163,8 @@ def test_parallel_preparation_ships_record_free_results_and_lowered_traces(
 
     monkeypatch.setattr(lowering, "lower_dynamic", lower_dynamic)
     names = ["ChaCha20_ct", WORKLOAD]
-    specs = [KernelSpec("registry", name) for name in names]
-    artifacts = prepare_kernels_parallel(specs, cache=artifact_cache, jobs=2)
+    refs = [WorkloadRef.registry(name) for name in names]
+    artifacts = prepare_kernels_parallel(refs, cache=artifact_cache, jobs=2)
     shipped = {artifact.name: artifact.lowered_trace() for artifact in artifacts}
     for artifact in artifacts:
         assert not artifact.result.has_records

@@ -68,6 +68,13 @@ def test_missing_points_fail_loudly(rendered):
         ctx.run(ScenarioMatrix(workloads=("SHA-256",), designs=("cassandra",)))
 
 
+@pytest.mark.parametrize("selector", ["", "NoSuchKernel"])
+def test_bad_workload_selector_fails_loudly(rendered, selector):
+    store, _ = rendered
+    with pytest.raises(WarehouseError, match="workload"):
+        render_view(store, "figure7", fingerprint=FINGERPRINT, workloads=selector)
+
+
 def test_unknown_fingerprint_fails_loudly(rendered):
     store, _ = rendered
     with pytest.raises(WarehouseError, match="no stored result"):
@@ -90,7 +97,7 @@ def test_empty_store_is_rejected(tmp_path):
 def test_view_workloads_reproduces_quick_order(tmp_path):
     """A stored quick run must render in quick-preset order, not registry
     order — row order is part of byte-identity."""
-    from repro.pipeline.pipeline import QUICK_WORKLOADS
+    from repro.crypto.workloads import QUICK_WORKLOADS
     from repro.crypto.workloads import workload_names
 
     store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
