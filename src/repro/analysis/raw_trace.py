@@ -10,7 +10,7 @@ executor, which already records one ``next_pc`` per dynamic branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.arch.executor import ExecutionResult, SequentialExecutor
 from repro.isa.program import Program
@@ -70,13 +70,3 @@ def collect_raw_traces(
             continue
         traces[branch_pc] = RawTrace(branch_pc=branch_pc, targets=tuple(targets))
     return traces
-
-
-def executed_static_branches(
-    program: Program,
-    result: Optional[ExecutionResult] = None,
-    crypto_only: bool = True,
-) -> List[int]:
-    """PCs of static branches that executed at least once (Algorithm 2, step A)."""
-    traces = collect_raw_traces(program, result=result, crypto_only=crypto_only)
-    return sorted(traces.keys())

@@ -101,9 +101,6 @@ class TraceBundle:
             if data.hardware is not None
         }
 
-    def multi_target_branches(self) -> List[int]:
-        return [pc for pc, data in self.branches.items() if not data.is_single_target]
-
     def input_dependent_branches(self) -> List[int]:
         return [pc for pc, data in self.branches.items() if data.is_input_dependent]
 

@@ -106,7 +106,8 @@ class SimulationService:
             report.update(self.cache.stats.as_dict())
         report["backend"] = self.backend.name
         report["engine_tier"] = engine_tier()
-        report["native_compiler"] = native.compiler_available()
+        # Only a probe already made: stats() must not start a C compiler.
+        report["native_compiler"] = native.probed_compiler()
         # The structured artifact-cache counters (hits, misses, stores,
         # memo hits, quarantined corrupt entries), present even when the
         # disk cache is off so operators can tell "no cache" from "no

@@ -8,9 +8,10 @@ and produces three artefacts that the rest of the system consumes:
 * the *contract observation trace* (⟦·⟧ct leakage: pc/call/ret + load/store
   addresses, plus ``leak`` observations for the ⟦·⟧arch model), used by the
   formal model and the security experiments;
-* the *dynamic instruction stream*, a list of
-  :class:`DynamicInstruction` records used by the branch analysis (raw
-  per-branch traces) and by the out-of-order timing model.
+* the *dynamic instruction stream*: the per-branch outcomes the branch
+  analysis reads (raw per-branch traces) and, when the run records it, the
+  columnar :class:`~repro.engine.lowering.LoweredTrace` the out-of-order
+  timing model replays.
 
 Because constant-time programs have input-independent control flow, the
 dynamic instruction stream doubles as the "recorded" sequential control flow
@@ -18,10 +19,14 @@ that Cassandra replays.
 
 :meth:`SequentialExecutor.run` decodes each program once into a per-PC table
 (:func:`decode_program`) and interprets that table in one loop over local
-bindings of the register, memory and taint dictionaries.
-:meth:`SequentialExecutor.run_reference` is the straightforward
-instruction-at-a-time loop over :meth:`SequentialExecutor._step`; it is the
-oracle the fast loop is tested against.
+bindings of the register, memory and taint dictionaries.  A recording run
+keeps only what varies per step (PC, memory address, secret and taken
+flags) and lowers those columns when it halts; it builds no
+:class:`DynamicInstruction`.  :meth:`SequentialExecutor.run_reference` is
+the straightforward instruction-at-a-time loop over
+:meth:`SequentialExecutor._step`; it is the oracle the fast loop is tested
+against, and the only producer of :class:`DynamicInstruction` records (a
+fast run's :attr:`ExecutionResult.dynamic` replays it on first access).
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ class DynamicInstruction:
     taken: Optional[bool] = None
     crypto: bool = False
     secret_operand: bool = False
-    value: Optional[int] = None
 
     @property
     def is_load(self) -> bool:
@@ -105,26 +109,55 @@ class ExecutionResult:
     reads only branch outcomes, and the timing engine reads the lowered
     trace, so record-free results are what the artifact cache persists and
     what preparation workers ship (see :attr:`has_records`).
+
+    A recording :meth:`SequentialExecutor.run` carries its lowered trace
+    instead; :attr:`dynamic` replays the oracle loop for the records.
     """
 
     program: Program
     state: ArchState
     observations: List[Observation]
-    dynamic: List[DynamicInstruction]
     instruction_count: int
     branch_outcomes: Dict[int, List[int]] = field(default_factory=dict)
     #: Host wall-clock seconds :meth:`SequentialExecutor.run` took (0.0 for
     #: other producers); excluded from equality.
     seconds: float = field(default=0.0, compare=False)
+    #: The records :meth:`SequentialExecutor.run_reference` made, or that
+    #: :attr:`dynamic` built.
+    _records: List[DynamicInstruction] = field(default_factory=list, compare=False, repr=False)
+    #: ``(max_steps, initial_registers, memory_overrides)`` of a run whose
+    #: records :attr:`dynamic` still owes; ``None`` once built or never owed.
+    _replay: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @property
+    def dynamic(self) -> List[DynamicInstruction]:
+        """One :class:`DynamicInstruction` per step (``[]`` when record-free).
+
+        Owed records come from the oracle, once, after it reproduced this run.
+        """
+        if self._replay is not None:
+            max_steps, initial_registers, memory_overrides = self._replay
+            reference = SequentialExecutor(max_steps=max_steps).run_reference(
+                self.program, initial_registers, memory_overrides
+            )
+            if reference != self:
+                raise ExecutionError(
+                    f"program {self.program.name!r}: the reference loop does not "
+                    "reproduce this run"
+                )
+            self._records, self._replay = reference._records, None
+        return self._records
 
     @property
     def has_records(self) -> bool:
-        """Whether ``dynamic`` holds one record per executed instruction."""
-        return len(self.dynamic) == self.instruction_count
+        """Whether :attr:`dynamic` holds, or builds on access, one record per
+        executed instruction."""
+        return self._replay is not None or len(self._records) == self.instruction_count
 
     def without_records(self) -> "ExecutionResult":
-        """A record-free copy sharing everything but ``dynamic``."""
-        return replace(self, dynamic=[])
+        """A record-free copy sharing everything but the records (and the
+        lowered trace memoized on this result)."""
+        return replace(self, _records=[], _replay=None)
 
     def register(self, name: str) -> int:
         """Convenience accessor for a final register value."""
@@ -157,9 +190,11 @@ class SequentialExecutor:
         example the two-input diff of the trace generation procedure) without
         rebuilding the program.
 
-        The result equals :meth:`run_reference`'s in every field; the loop
-        interprets the program's decoded table (:func:`decode_program`)
-        instead of re-inspecting each :class:`Instruction` per step.
+        The result equals :meth:`run_reference`'s; the loop interprets the
+        program's decoded table (:func:`decode_program`) instead of
+        re-inspecting each :class:`Instruction` per step.  A recording run
+        keeps each step's PC, address, secret and taken flags, and carries
+        their :func:`~repro.engine.lowering.lower_steps` trace.
         """
         start = time.perf_counter()
         state = self._initial_state(program, initial_registers, memory_overrides)
@@ -180,11 +215,17 @@ class SequentialExecutor:
         stack = state.call_stack
         observations: List[Observation] = []
         observe = observations.append
-        dynamic: List[DynamicInstruction] = []
-        emit = dynamic.append
         branch_outcomes: Dict[int, List[int]] = {}
         outcomes = branch_outcomes.get
-        DynInst = DynamicInstruction
+        # The per-step columns of a recording run (see lower_steps).
+        pcs: List[int] = []
+        mems: List[int] = []
+        secrets: List[bool] = []
+        takens: List[Optional[bool]] = []
+        pcs_append = pcs.append
+        mems_append = mems.append
+        secrets_append = secrets.append
+        takens_append = takens.append
         Obs = Observation
         O_PC, O_CALL, O_RET = ObservationKind.PC, ObservationKind.CALL, ObservationKind.RET
         O_LOAD, O_STORE, O_LEAK = ObservationKind.LOAD, ObservationKind.STORE, ObservationKind.LEAK
@@ -199,32 +240,29 @@ class SequentialExecutor:
                 )
             if pc < 0 or pc >= n_pcs:
                 raise ExecutionError(f"program {program.name!r} jumped to invalid PC {pc}")
-            kind, fn, s0, s1, s2, imm, dst, crypto, opcode, srcs, rec_dst, is_branch = table[pc]
+            kind, fn, s0, s1, s2, imm, dst, crypto, is_branch = table[pc]
             next_pc = pc + 1
-            value = mem_address = taken = None
+            mem_address = -1
+            taken = None
 
             if kind == _K_ALU_RR:
                 sec = secret(s0, False) or secret(s1, False)
-                value = fn(reg(s0, 0), reg(s1, 0))
-                regs[dst] = value & WORD_MASK
+                regs[dst] = fn(reg(s0, 0), reg(s1, 0)) & WORD_MASK
                 rtaint[dst] = sec
             elif kind == _K_ALU_RI:
                 sec = secret(s0, False)
-                value = fn(reg(s0, 0), imm)
-                regs[dst] = value & WORD_MASK
+                regs[dst] = fn(reg(s0, 0), imm) & WORD_MASK
                 rtaint[dst] = sec
             elif kind == _K_LOAD:
                 sec = secret(s0, False)
                 mem_address = (reg(s0, 0) + imm) & WORD_MASK
-                value = load(mem_address, 0)
-                regs[dst] = value & WORD_MASK
+                regs[dst] = load(mem_address, 0) & WORD_MASK
                 rtaint[dst] = mem_secret(mem_address, False)
                 sec = sec or mem_secret(mem_address, False)
                 observe(Obs(O_LOAD, mem_address, crypto, pc))
             elif kind == _K_MOVI:
                 sec = False
-                value = imm
-                regs[dst] = value & WORD_MASK
+                regs[dst] = imm & WORD_MASK
                 rtaint[dst] = False
             elif kind == _K_STORE:
                 sec = secret(s0, False) or secret(s1, False)
@@ -234,8 +272,7 @@ class SequentialExecutor:
                 observe(Obs(O_STORE, mem_address, crypto, pc))
             elif kind == _K_MOV:
                 sec = secret(s0, False)
-                value = reg(s0, 0)
-                regs[dst] = value & WORD_MASK
+                regs[dst] = reg(s0, 0) & WORD_MASK
                 rtaint[dst] = sec
             elif kind == _K_BNEZ:
                 sec = secret(s0, False)
@@ -251,8 +288,7 @@ class SequentialExecutor:
                 observe(Obs(O_PC, next_pc, crypto, pc))
             elif kind == _K_CSEL:
                 sec = secret(s0, False) or secret(s1, False) or secret(s2, False)
-                value = reg(s1, 0) if reg(s0, 0) != 0 else reg(s2, 0)
-                regs[dst] = value & WORD_MASK
+                regs[dst] = (reg(s1, 0) if reg(s0, 0) != 0 else reg(s2, 0)) & WORD_MASK
                 rtaint[dst] = sec
             elif kind == _K_CALL:
                 sec = False
@@ -296,22 +332,20 @@ class SequentialExecutor:
                 rtaint[s0] = False
             elif kind == _K_LEAK:
                 sec = secret(s0, False)
-                value = reg(s0, 0)
-                observe(Obs(O_LEAK, value, crypto, pc))
+                observe(Obs(O_LEAK, reg(s0, 0), crypto, pc))
             else:
                 # An instruction outside the fast shapes: the reference step.
                 rec = step(program, state, fn, pc, steps, observations)
                 next_pc, halted = rec.next_pc, state.halted
-                mem_address, taken = rec.mem_address, rec.taken
-                sec, value = rec.secret_operand, rec.value
+                if rec.mem_address is not None:
+                    mem_address = rec.mem_address
+                sec, taken = rec.secret_operand, rec.taken
 
             if record:
-                emit(
-                    DynInst(
-                        steps, pc, opcode, rec_dst, srcs, next_pc, mem_address,
-                        is_branch, taken, crypto, sec, value,
-                    )
-                )
+                pcs_append(pc)
+                mems_append(mem_address)
+                secrets_append(sec)
+                takens_append(taken)
             if is_branch:
                 outcomes_pc = outcomes(pc)
                 if outcomes_pc is None:
@@ -323,15 +357,24 @@ class SequentialExecutor:
 
         state.pc = pc
         state.halted = True
-        return ExecutionResult(
+        result = ExecutionResult(
             program=program,
             state=state,
             observations=observations,
-            dynamic=dynamic,
             instruction_count=steps,
             branch_outcomes=branch_outcomes,
-            seconds=time.perf_counter() - start,
         )
+        if record:
+            from repro.engine.lowering import lower_steps  # lazy: engine imports arch
+
+            result._lowered_trace = lower_steps(  # type: ignore[attr-defined]
+                program, pcs, pc, mems, secrets, takens
+            )
+            result._replay = (
+                max_steps, dict(initial_registers or {}), dict(memory_overrides or {})
+            )
+        result.seconds = time.perf_counter() - start
+        return result
 
     def run_reference(
         self,
@@ -344,7 +387,7 @@ class SequentialExecutor:
         state = self._initial_state(program, initial_registers, memory_overrides)
 
         observations: List[Observation] = []
-        dynamic: List[DynamicInstruction] = []
+        records: List[DynamicInstruction] = []
         branch_outcomes: Dict[int, List[int]] = {}
         steps = 0
 
@@ -361,7 +404,7 @@ class SequentialExecutor:
             steps += 1
             if record is not None:
                 if self.record_dynamic:
-                    dynamic.append(record)
+                    records.append(record)
                 if record.is_branch:
                     branch_outcomes.setdefault(pc, []).append(record.next_pc)
 
@@ -369,9 +412,9 @@ class SequentialExecutor:
             program=program,
             state=state,
             observations=observations,
-            dynamic=dynamic,
             instruction_count=steps,
             branch_outcomes=branch_outcomes,
+            _records=records,
         )
 
     @staticmethod
@@ -505,7 +548,6 @@ class SequentialExecutor:
             taken=taken,
             crypto=crypto,
             secret_operand=secret_operand,
-            value=result_value,
         )
 
     # ------------------------------------------------------------------ #
@@ -631,13 +673,12 @@ _ALU_OPS = frozenset(
 ) = range(19)
 
 #: One decoded instruction: ``(kind, fn, s0, s1, s2, imm, dst, crypto,
-#: opcode, srcs, rec_dst, is_branch)``.  ``fn`` is the ALU function (the
-#: :class:`Instruction` itself for ``_K_STEP``), ``s0``–``s2`` the source
-#: registers, ``imm`` the resolved immediate, ``crypto`` the resolved crypto
-#: flag, and ``rec_dst`` the :class:`DynamicInstruction` destination.
+#: is_branch)``.  ``fn`` is the ALU function (the :class:`Instruction`
+#: itself for ``_K_STEP``), ``s0``–``s2`` the source registers, ``imm`` the
+#: resolved immediate and ``crypto`` the resolved crypto flag.
 DecodedInstruction = Tuple[
     int, object, Optional[str], Optional[str], Optional[str], object,
-    Optional[str], bool, Opcode, Tuple[str, ...], Optional[str], bool,
+    Optional[str], bool, bool,
 ]
 
 
@@ -719,8 +760,7 @@ def _decode(program: Program, pc: int, instruction: Instruction) -> DecodedInstr
     opcode = instruction.opcode
     srcs = instruction.srcs
     crypto = instruction.crypto or program.is_crypto_pc(pc)
-    rec_dst = instruction.dst if instruction.writes_register else None
-    tail = (instruction.dst, crypto, opcode, srcs, rec_dst, instruction.is_branch)
+    tail = (instruction.dst, crypto, instruction.is_branch)
     step = (_K_STEP, instruction, None, None, None, None) + tail
 
     fn: Optional[Callable[[int, int], int]] = _ALU_FUNCTIONS.get(opcode)

@@ -76,19 +76,9 @@ class Observation:
         return f"{self.kind.value} {self.value}{tag}"
 
 
-def control_flow_trace(observations: Sequence[Observation]) -> List[Observation]:
-    """Project a trace onto its control-flow observations."""
-    return [obs for obs in observations if obs.is_control_flow]
-
-
 def crypto_control_flow_trace(observations: Sequence[Observation]) -> List[Observation]:
     """The paper's crypto control-flow trace C: crypto-tagged CfObs only."""
     return [obs for obs in observations if obs.is_control_flow and obs.crypto]
-
-
-def memory_trace(observations: Sequence[Observation]) -> List[Observation]:
-    """Project a trace onto its memory-address observations."""
-    return [obs for obs in observations if obs.is_memory]
 
 
 def ct_trace(observations: Sequence[Observation]) -> List[Observation]:

@@ -72,10 +72,6 @@ class ArchState:
     # ------------------------------------------------------------------ #
     # Utilities
     # ------------------------------------------------------------------ #
-    def snapshot_registers(self) -> Dict[str, int]:
-        """Copy of the current register file (for tests and debugging)."""
-        return dict(self.registers)
-
     def copy(self) -> "ArchState":
         """Deep-enough copy for checkpoint/restore in speculative models."""
         return ArchState(

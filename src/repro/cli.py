@@ -608,8 +608,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report[spec.name] = spec.jsonify(data) if spec.jsonify else data
 
     elapsed = time.perf_counter() - started
-    stats = dict(service.stats())
-    stats["total_seconds"] = round(elapsed, 3)
+    stats: Dict[str, Any] = {}
+    if args.stats or args.format == "json":
+        stats = dict(service.stats())
+        stats["total_seconds"] = round(elapsed, 3)
     if args.format == "json":
         payload: Dict[str, Any] = {
             "workloads": list(service.workloads),

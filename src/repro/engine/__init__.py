@@ -45,16 +45,19 @@ units for :mod:`repro.engine.native`).
 
 Layer tour, bottom to top:
 
-1. :mod:`repro.engine.lowering` — :func:`~repro.engine.lowering.lower_execution`
-   turns an :class:`~repro.arch.executor.ExecutionResult` into a
-   :class:`~repro.engine.lowering.LoweredTrace`: parallel lists of opcode
-   latency classes, renamed register indices, memory word addresses, branch
-   classes, and a flag bitmask.  **The lowering is policy- and
-   config-independent** — one lowering serves every (policy × config ×
-   flush-interval) point of a sweep, it is cacheable on disk as the
-   ``lowered-trace`` artifact kind, and
-   :meth:`~repro.engine.lowering.LoweredTrace.to_bytes` preserializes it for
-   the fork fan-out and the shard backend's pipes.
+1. :mod:`repro.engine.lowering` — the
+   :class:`~repro.engine.lowering.LoweredTrace` of an execution: parallel
+   lists of opcode latency classes, renamed register indices, memory word
+   addresses, branch classes, and a flag bitmask.  A recording
+   :meth:`~repro.arch.executor.SequentialExecutor.run` produces it as it
+   executes (:func:`~repro.engine.lowering.lower_steps`), and
+   :func:`~repro.engine.lowering.lower_execution` returns it memoized on
+   the :class:`~repro.arch.executor.ExecutionResult` (or lowers the oracle
+   loop's records).  **The lowering is policy- and config-independent** —
+   one lowering serves every (policy × config × flush-interval) point of a
+   sweep, it is cacheable on disk as the ``lowered-trace`` artifact kind,
+   and :meth:`~repro.engine.lowering.LoweredTrace.to_bytes` preserializes
+   it for preparation workers and the shard backend's pipes.
 2. :mod:`repro.engine.state` — flat-array models of the
    icache / d-cache hierarchy / BPU / BTU whose snapshot/restore is a
    handful of C-level copies; the object models in :mod:`repro.uarch`

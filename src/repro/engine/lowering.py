@@ -1,15 +1,20 @@
-"""Lowering: from the object dynamic stream to a columnar timing trace.
+"""Lowering: from a sequential run to a columnar timing trace.
 
-The sequential executor produces a list of
-:class:`~repro.arch.executor.DynamicInstruction` dataclasses.  Walking that
-list is what the timing model spends almost all of its time on — every
-instruction costs a dozen attribute lookups and property calls before any
-cycle arithmetic happens.  :func:`lower_execution` pays that object cost
-exactly once per workload, producing a :class:`LoweredTrace`: parallel lists
-of plain integers (opcode latency class, renamed register indices, memory
-word address, branch class, and a flag bitmask) that the generated
-kernels (:mod:`repro.engine.kernels`, :mod:`repro.engine.native`) iterate
-with no per-instruction dispatch.
+The timing model replays a :class:`LoweredTrace`: parallel lists of plain
+integers (opcode latency class, renamed register indices, memory word
+address, branch class, and a flag bitmask) that the generated kernels
+(:mod:`repro.engine.kernels`, :mod:`repro.engine.native`) iterate with no
+per-instruction dispatch.  It has two producers:
+
+* :func:`lower_steps`, which a recording
+  :meth:`~repro.arch.executor.SequentialExecutor.run` calls when it halts.
+  The loop keeps only what varies per step (PC, memory address, secret and
+  taken flags); every other column is a fact of the instruction at that PC,
+  computed once per executed PC.  This is how preparation lowers.
+* :func:`lower_dynamic`, which walks a list of
+  :class:`~repro.arch.executor.DynamicInstruction` records from the oracle
+  loop (:meth:`~repro.arch.executor.SequentialExecutor.run_reference`).  The
+  two must agree byte for byte (``tests/arch/test_executor_parity.py``).
 
 The lowering contract (see also the package docstring):
 
@@ -19,8 +24,8 @@ The lowering contract (see also the package docstring):
   of a sweep.  Latencies are stored as *classes* (``LAT_*``) and resolved
   against a concrete config when the engine runs.
 * **Complete.**  Every field of ``DynamicInstruction`` the timing model
-  reads has a column or a flag bit here; the engine never touches the
-  original objects.
+  reads has a column or a flag bit here; the engine never touches records
+  (only the object-loop fallback for policies without an engine spec does).
 * **Rename-stable.**  Architectural register names are mapped to dense
   indices in first-appearance order, so two lowerings of the same execution
   are identical and ``reg_ready`` tracking becomes a flat list.
@@ -29,10 +34,11 @@ The lowering contract (see also the package docstring):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.executor import DynamicInstruction, ExecutionResult
 from repro.isa.instructions import Opcode
+from repro.isa.program import Program
 
 #: Bump when the columnar layout changes incompatibly (cache-key material).
 LOWERING_FORMAT_VERSION = 1
@@ -80,35 +86,23 @@ def bclass_of(opcode: Opcode) -> int:
     return _BCLASS_OF_OPCODE.get(opcode, B_NONE)
 
 
-def _build_opinfo() -> Dict[int, Tuple[bool, bool, bool, int, int]]:
-    """Predecode per-opcode facts, keyed by ``id(member)``.
+#: Latency classes fixed by the opcode alone; every other opcode is
+#: ``LAT_ALU``, or ``LAT_BRANCH`` when the instruction is a branch.
+_STATIC_LAT = {
+    Opcode.MUL: LAT_MUL, Opcode.DIV: LAT_DIV, Opcode.MOD: LAT_DIV, Opcode.STORE: LAT_STORE,
+}
 
-    Enum members are process-lifetime singletons, and ``Enum.__hash__`` is a
-    Python-level call — hashing members per dynamic instruction made the
-    opcode lookups one of the lowering's dominant costs.  An ``id``-keyed
-    dict turns each lookup into a C-level int hash.  Values:
-    ``(is_load, is_store, is_leak, static_lat, bclass)`` where
-    ``static_lat`` is the latency class fixed by the opcode alone (0 for
-    "ALU unless the instruction is a branch").
-    """
-    info: Dict[int, Tuple[bool, bool, bool, int, int]] = {}
-    for op in Opcode:
-        if op is Opcode.MUL:
-            lat = LAT_MUL
-        elif op is Opcode.DIV or op is Opcode.MOD:
-            lat = LAT_DIV
-        elif op is Opcode.STORE:
-            lat = LAT_STORE
-        else:
-            lat = LAT_ALU
-        info[id(op)] = (
-            op is Opcode.LOAD,
-            op is Opcode.STORE,
-            op is Opcode.LEAK,
-            lat,
-            _BCLASS_OF_OPCODE.get(op, B_NONE),
-        )
-    return info
+#: Per-opcode facts: ``(is_load, is_store, is_leak, static latency, bclass)``.
+_OPINFO: Dict[Opcode, Tuple[bool, bool, bool, int, int]] = {
+    op: (
+        op is Opcode.LOAD,
+        op is Opcode.STORE,
+        op is Opcode.LEAK,
+        _STATIC_LAT.get(op, LAT_ALU),
+        _BCLASS_OF_OPCODE.get(op, B_NONE),
+    )
+    for op in Opcode
+}
 
 
 @dataclass
@@ -160,11 +154,10 @@ class LoweredTrace:
     def to_bytes(self) -> bytes:
         """Serialize the columns to a compact byte payload.
 
-        Used by the fork fan-out: the parent lowers once and ships the
-        preserialized payload, so each worker materializes the columns with
-        one C-level unpickle instead of re-walking the object stream (or
-        re-pickling ``DynamicInstruction`` objects); the shard backend ships
-        the same payload to its worker subprocesses.
+        Preparation workers ship their run's trace to the parent this way,
+        and the shard backend ships the same payload to its worker
+        subprocesses; the receiver materializes the columns with one C-level
+        unpickle.
         """
         import pickle
 
@@ -186,125 +179,57 @@ class LoweredTrace:
         return trace
 
 
-_OPINFO = _build_opinfo()
-
 
 def lower_dynamic(
     dynamic: Sequence[DynamicInstruction], program_name: str = "program"
 ) -> LoweredTrace:
     """Lower a dynamic instruction stream into its columnar form.
 
-    This is the hot path of cold workload preparation (one walk over every
-    dynamic instruction), so the loop is tuned: opcode facts come from the
-    ``id``-keyed :func:`_build_opinfo` table, the register rename is inlined,
-    and the column appends are pre-bound.  The produced trace is
-    bit-identical to the straightforward formulation (the engine parity
-    tests would catch any drift).
+    The oracle lowering: one straightforward walk over the records of
+    :meth:`~repro.arch.executor.SequentialExecutor.run_reference`, against
+    which :func:`lower_steps` is tested.
     """
-    n = len(dynamic)
     reg_index: Dict[str, int] = {}
-    reg_names: List[str] = []
-    rename_get = reg_index.get
 
-    pcs: List[int] = []
-    next_pcs: List[int] = []
-    dst_col: List[int] = []
-    src0: List[int] = []
-    src1: List[int] = []
-    src2: List[int] = []
-    mem: List[int] = []
-    flags_col: List[int] = []
-    lat_col: List[int] = []
-    bclass_col: List[int] = []
-    pcs_append = pcs.append
-    next_pcs_append = next_pcs.append
-    dst_append = dst_col.append
-    src0_append = src0.append
-    src1_append = src1.append
-    src2_append = src2.append
-    mem_append = mem.append
-    flags_append = flags_col.append
-    lat_append = lat_col.append
-    bclass_append = bclass_col.append
-    opinfo = _OPINFO
+    def rename(reg: str) -> int:
+        return reg_index.setdefault(reg, len(reg_index))
 
+    columns: Tuple[List[int], ...] = tuple([] for _ in range(10))
+    pcs, next_pcs, dst, src0, src1, src2, mem, flags_col, lat_col, bclass_col = columns
     for dyn in dynamic:
-        is_load, is_store, is_leak, lat, bclass = opinfo[id(dyn.opcode)]
-        mem_address = dyn.mem_address
-        is_branch = dyn.is_branch
+        is_load, is_store, is_leak, lat, bclass = _OPINFO[dyn.opcode]
         flags = 0
-        if mem_address is None:
-            mem_address = -1
-        elif is_load:
-            flags = F_LOAD
-        elif is_store:
-            flags = F_STORE
-        if is_branch:
+        if dyn.mem_address is not None:
+            flags = F_LOAD if is_load else F_STORE if is_store else 0
+        if dyn.is_branch:
             flags |= F_BRANCH
             if lat == LAT_ALU:
                 lat = LAT_BRANCH
-        if dyn.crypto:
-            flags |= F_CRYPTO
-        if dyn.secret_operand:
-            flags |= F_SECRET
-        if is_leak:
-            flags |= F_LEAK
-        if dyn.taken:
-            flags |= F_TAKEN
+        for bit, present in (
+            (F_CRYPTO, dyn.crypto), (F_SECRET, dyn.secret_operand),
+            (F_LEAK, is_leak), (F_TAKEN, dyn.taken),
+        ):
+            if present:
+                flags |= bit
+        pcs.append(dyn.pc)
+        next_pcs.append(dyn.next_pc)
+        dst.append(-1 if dyn.dst is None else rename(dyn.dst))
+        srcs = [rename(reg) for reg in dyn.srcs[:3]] + [-1, -1, -1]
+        src0.append(srcs[0])
+        src1.append(srcs[1])
+        src2.append(srcs[2])
+        mem.append(-1 if dyn.mem_address is None else dyn.mem_address)
+        flags_col.append(flags)
+        lat_col.append(lat)
+        bclass_col.append(bclass)
 
-        dst = dyn.dst
-        if dst is None:
-            dst_i = -1
-        else:
-            dst_i = rename_get(dst)
-            if dst_i is None:
-                dst_i = len(reg_names)
-                reg_index[dst] = dst_i
-                reg_names.append(dst)
-        srcs = dyn.srcs
-        s0 = s1 = s2 = -1
-        n_srcs = len(srcs)
-        if n_srcs:
-            reg = srcs[0]
-            s0 = rename_get(reg)
-            if s0 is None:
-                s0 = len(reg_names)
-                reg_index[reg] = s0
-                reg_names.append(reg)
-            if n_srcs > 1:
-                reg = srcs[1]
-                s1 = rename_get(reg)
-                if s1 is None:
-                    s1 = len(reg_names)
-                    reg_index[reg] = s1
-                    reg_names.append(reg)
-                if n_srcs > 2:
-                    reg = srcs[2]
-                    s2 = rename_get(reg)
-                    if s2 is None:
-                        s2 = len(reg_names)
-                        reg_index[reg] = s2
-                        reg_names.append(reg)
-
-        pcs_append(dyn.pc)
-        next_pcs_append(dyn.next_pc)
-        dst_append(dst_i)
-        src0_append(s0)
-        src1_append(s1)
-        src2_append(s2)
-        mem_append(mem_address)
-        flags_append(flags)
-        lat_append(lat)
-        bclass_append(bclass)
-
-    max_pc = max(max(pcs, default=0), max(next_pcs, default=0))
     return LoweredTrace(
         program_name=program_name,
-        n=n,
-        reg_names=reg_names,
+        n=len(pcs),
+        reg_names=list(reg_index),
         pcs=pcs,
         next_pcs=next_pcs,
-        dst=dst_col,
+        dst=dst,
         src0=src0,
         src1=src1,
         src2=src2,
@@ -312,17 +237,85 @@ def lower_dynamic(
         flags=flags_col,
         lat_class=lat_col,
         bclass=bclass_col,
-        max_pc=max_pc,
+        max_pc=max(max(pcs, default=0), max(next_pcs, default=0)),
+    )
+
+
+def lower_steps(
+    program: Program,
+    pcs: List[int],
+    last_next_pc: int,
+    mem: List[int],
+    secret: Sequence[bool],
+    taken: Sequence[Optional[bool]],
+) -> LoweredTrace:
+    """Lower the per-step columns of a recording fast run.
+
+    ``pcs``, ``mem`` (``-1`` where the step had no address), ``secret`` and
+    ``taken`` hold one entry per step; each step's next PC is the following
+    step's PC, and ``last_next_pc`` the final one.  Every other column is a
+    fact of the instruction at the step's PC, computed once per executed PC.
+    Renaming registers while walking the PCs in first-execution order gives
+    the same dense indices as renaming them at their first appearance in
+    the stream.
+    """
+    facts: List[Tuple[int, ...]] = [()] * (max(pcs) + 1)
+    reg_index: Dict[str, int] = {}
+    for pc in dict.fromkeys(pcs):
+        instruction = program[pc]
+        is_load, is_store, is_leak, lat, bclass = _OPINFO[instruction.opcode]
+        flags = F_LOAD if is_load else F_STORE if is_store else 0
+        if instruction.is_branch:
+            flags |= F_BRANCH
+            if lat == LAT_ALU:
+                lat = LAT_BRANCH
+        if instruction.crypto or program.is_crypto_pc(pc):
+            flags |= F_CRYPTO
+        if is_leak:
+            flags |= F_LEAK
+        # Destination before sources: the order lower_dynamic renames in.
+        regs = [instruction.dst if instruction.writes_register else None]
+        regs += instruction.srcs[:3]
+        regs += [None] * (4 - len(regs))
+        renamed = [-1 if reg is None else reg_index.setdefault(reg, len(reg_index)) for reg in regs]
+        facts[pc] = (*renamed, flags, lat, bclass)
+
+    dst, src0, src1, src2, static_flags, lat_class, bclass_col = (
+        list(column) for column in zip(*map(facts.__getitem__, pcs))
+    )
+    next_pcs = pcs[1:]
+    next_pcs.append(last_next_pc)
+    return LoweredTrace(
+        program_name=program.name,
+        n=len(pcs),
+        reg_names=list(reg_index),
+        pcs=pcs,
+        next_pcs=next_pcs,
+        dst=dst,
+        src0=src0,
+        src1=src1,
+        src2=src2,
+        mem=mem,
+        flags=[
+            static | (F_SECRET if sec else 0) | (F_TAKEN if tak else 0)
+            for static, sec, tak in zip(static_flags, secret, taken)
+        ],
+        lat_class=lat_class,
+        bclass=bclass_col,
+        max_pc=max(len(facts) - 1, last_next_pc),
     )
 
 
 def lower_execution(result: ExecutionResult) -> LoweredTrace:
-    """Lower ``result.dynamic`` once, memoizing the trace on the result.
+    """The timing trace of ``result``, memoized on the result.
 
-    The memo lives on the :class:`ExecutionResult` instance itself, so every
-    policy / config / flush point that shares the execution also shares the
-    lowering — including the legacy per-point :func:`repro.uarch.core.simulate`
-    path.
+    A recording :meth:`~repro.arch.executor.SequentialExecutor.run` already
+    carries its trace (:func:`lower_steps`), so this returns it; a result
+    from the oracle loop, or one whose memo was dropped, is lowered from
+    ``result.dynamic`` once.  The memo lives on the
+    :class:`ExecutionResult` instance itself, so every policy / config /
+    flush point that shares the execution also shares the lowering —
+    including the legacy per-point :func:`repro.uarch.core.simulate` path.
 
     Raises
     ------

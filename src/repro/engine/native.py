@@ -195,6 +195,15 @@ def compiler_available() -> bool:
     return find_toolchain() is not None
 
 
+def probed_compiler() -> Optional[bool]:
+    """:func:`compiler_available` as far as this process already probed it
+    for the current environment; ``None`` if it has not (nothing is run)."""
+    env = os.environ.get(TOOLCHAIN_ENV, "").strip()
+    if env not in _TOOLCHAINS:
+        return None
+    return _TOOLCHAINS[env] is not None
+
+
 # --------------------------------------------------------------------------- #
 # Compile + artifact cache + load
 # --------------------------------------------------------------------------- #

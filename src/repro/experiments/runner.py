@@ -103,13 +103,14 @@ class DesignPoint:
 class WorkloadArtifacts:
     """Everything derived once per workload and shared across design points.
 
-    ``result`` keeps its ``DynamicInstruction`` records only when this
-    process executed the kernel; artifacts loaded from the cache or shipped
-    by a preparation worker hold a record-free result, and the timing engine
-    reads the lowered trace instead.  When records are needed after all — the
-    ``lowered-trace`` entry is missing or corrupt, or a pending point's
-    policy has no engine spec — :meth:`recorded_result` rebuilds them by
-    re-executing the kernel, at most once per artifact.
+    ``result`` carries its lowered trace, and builds its
+    ``DynamicInstruction`` records on demand, only when this process
+    executed the kernel; artifacts loaded from the cache or shipped by a
+    preparation worker hold a record-free result, and the timing engine
+    reads the lowered trace instead.  When the trace or the records are
+    needed after all — the ``lowered-trace`` entry is missing or corrupt, or
+    a pending point's policy has no engine spec — :meth:`recorded_result`
+    re-executes the kernel, at most once per artifact.
     """
 
     name: str
@@ -182,11 +183,12 @@ class WorkloadArtifacts:
             self.cache.put("simulation", self.name, digest, result)
 
     def recorded_result(self) -> ExecutionResult:
-        """``result`` with its dynamic records, re-executing if it has none.
+        """``result`` with its lowered trace and on-demand records,
+        re-executing the kernel if it has neither.
 
         The re-run must reproduce the stored instruction count and final
-        state; its records are then kept on ``result``, so this executes
-        the kernel at most once per artifact.
+        state; it then replaces ``result``, so this executes the kernel at
+        most once per artifact.
         """
         if not self.result.has_records:
             rerun = self.kernel.run(0)
@@ -198,7 +200,7 @@ class WorkloadArtifacts:
                     f"workload {self.name!r}: re-execution does not reproduce "
                     "the prepared run"
                 )
-            self.result.dynamic = rerun.dynamic
+            self.result = rerun
         return self.result
 
     def lowered_trace(self) -> LoweredTrace:
@@ -314,8 +316,9 @@ def artifacts_for_kernel(
     parameters.  The kernel's correctness check always re-runs, so a stale
     or corrupt cache entry cannot silently poison an experiment.  A cold
     preparation executes each input exactly once: the verified run of
-    ``inputs[0]`` is Algorithm 2's primary execution, and the returned
-    artifacts keep its records.
+    ``inputs[0]`` is Algorithm 2's primary execution, the returned artifacts
+    keep it, and its lowered trace is persisted next to the record-free
+    result.
     """
     name = name or kernel.name
     params = trace_params or TraceParameters()
@@ -349,6 +352,7 @@ def artifacts_for_kernel(
         )
         if cache is not None and digest is not None:
             cache.put("workload-artifacts", name, digest, (result.without_records(), bundle))
+            cache.put("lowered-trace", name, lowered_trace_digest(digest), lower_execution(result))
     return WorkloadArtifacts(
         name=name,
         suite=suite,

@@ -200,10 +200,6 @@ class ArtifactCache:
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-    def clear_memory(self) -> None:
-        """Drop the in-memory level (the disk level survives)."""
-        self._memo.clear()
-
     def entry_count(self) -> int:
         """Number of entries currently on disk (0 when memory-only)."""
         if self.root is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import repro
 from repro.isa.program import Program
@@ -61,14 +61,6 @@ def inputs_fingerprint(inputs: Sequence[Mapping[int, int]]) -> str:
     """Content hash of the confidential-input set used to diff traces."""
     normalized = tuple(tuple(sorted(mapping.items())) for mapping in inputs)
     return stable_digest(normalized)
-
-
-def fingerprint_memory(memory: Dict[int, int]) -> str:
-    return stable_digest(tuple(sorted(memory.items())))
-
-
-def combine_digests(digests: Iterable[str]) -> str:
-    return stable_digest(tuple(digests))
 
 
 @lru_cache(maxsize=1)

@@ -4,24 +4,21 @@ Two axes parallelize independently:
 
 * **Preparation** — each workload's sequential execution + trace generation
   is pure and isolated, so workers compute ``(ExecutionResult, TraceBundle)``
-  payloads, lower the run they executed, and ship back the record-free
-  result, the bundle and the preserialized lowered trace (the
+  payloads and ship back the record-free result, the bundle and the
+  preserialized lowered trace their recording run produced (the
   ``KernelProgram`` itself holds unpicklable verify closures and is rebuilt
-  in the parent, which is cheap).  ``DynamicInstruction`` records never
-  leave the worker that executed the kernel.
+  in the parent, which is cheap).  No ``DynamicInstruction`` record is
+  built on this path.
   Preparation covers both the 22-workload registry *and* non-registry
   kernels named by a :class:`~repro.api.request.WorkloadRef` — e.g. the
   Figure 8 synthetic (primitive, mix) grid — so workers build the kernel
   from its ref instead of the parent serializing an unpicklable program
   object.
 * **Simulation** — every (workload × design × config × flush × warmup) point
-  is independent.  Workers are forked *after* the parent has prepared the
-  artifacts, so they inherit the prepared state by copy-on-write; the parent
-  additionally publishes each workload's columnar trace (lowered once) as
-  preserialized bytes (:meth:`LoweredTrace.to_bytes`), so workers
-  materialize the columns with one C-level unpickle instead of re-walking
-  the per-instruction object stream, and only the small task tuples and
-  ``SimulationResult`` payloads cross process boundaries.
+  is independent.  The parent loads each pending workload's lowered trace
+  onto its artifacts and *then* forks the workers, so they inherit the
+  prepared state — traces included — by copy-on-write; only the small task
+  tuples and ``SimulationResult`` payloads cross process boundaries.
 
 Both paths fall back to serial execution when ``jobs <= 1``, when there is
 only one task, or when the platform lacks the ``fork`` start method — results
@@ -124,11 +121,10 @@ def build_kernel(ref: "WorkloadRef"):
 def _prepare_kernel_task(task: Tuple["WorkloadRef", Optional[str], TraceParameters]):
     """Prepare one ref; returns ``(name, record-free result, bundle, trace bytes)``.
 
-    A worker that executed the kernel also lowers that run (persisting the
-    ``lowered-trace`` entry when the cache is disk-backed), so the parent
-    never lowers; on a ``workload-artifacts`` hit there is no run to lower
-    and the trace bytes are ``None`` — the parent loads the entry only if a
-    point misses.
+    A worker that executed the kernel ships the trace its run lowered
+    (preparation also persisted it when the cache is disk-backed); on a
+    ``workload-artifacts`` hit there is no run and the trace bytes are
+    ``None`` — the parent loads the entry only if a point misses.
     """
     ref, cache_root, params = task
     cache = ArtifactCache(root=cache_root) if cache_root else None
@@ -208,23 +204,15 @@ def prepare_kernels_parallel(
 #: Artifacts visible to forked simulation workers (set only around the pool).
 _FORK_ARTIFACTS: Dict[str, WorkloadArtifacts] = {}
 
-#: One worker task: every pending point of one workload — so the worker's
+#: One worker task: every pending point of one workload, so the worker's
 #: ``simulate_batch`` shares one lowering across them all (and warm-up state
-#: within each config) — plus the workload's columnar trace preserialized by
-#: the parent.  Shipping the lowered columns as bytes means a worker's batch
-#: starts from one C-level unpickle instead of re-lowering the
-#: ``DynamicInstruction`` object stream per worker.  The fully
-#: self-contained version of this payload shape — no fork inheritance at
-#: all — is :class:`repro.api.shard.ShardTask`, which the subprocess shard
-#: backend ships over pipes.
-_BatchTask = Tuple[str, Tuple["SimulationRequest", ...], bytes]
+#: within each config).  The lowering itself is inherited through the fork.
+_BatchTask = Tuple[str, Tuple["SimulationRequest", ...]]
 
 
 def _simulate_batch_task(task: _BatchTask) -> Tuple[str, List[Tuple[SimulationKey, SimulationResult]]]:
-    name, requests, trace_payload = task
-    artifact = _FORK_ARTIFACTS[name]
-    artifact.result._lowered_trace = LoweredTrace.from_bytes(trace_payload)  # type: ignore[attr-defined]
-    return name, _run_batch(artifact, requests)
+    name, requests = task
+    return name, _run_batch(_FORK_ARTIFACTS[name], requests)
 
 
 def _run_batch(
@@ -242,17 +230,12 @@ def _group_tasks(
 
     The engine's ``simulate_batch`` keys its warm-state builders by config
     internally, so a single per-workload task still shares warm-up within
-    each config while computing the (config-independent) lowering once —
-    in the parent, whose preserialized columns every worker reuses.
+    each config while the (config-independent) lowering is loaded once —
+    in the parent, before the fork, so every worker inherits it.
     """
-    return [
-        (
-            workload,
-            tuple(requests),
-            by_name[workload].lowered_trace().to_bytes(),
-        )
-        for workload, requests in groups.items()
-    ]
+    for workload in groups:
+        by_name[workload].lowered_trace()
+    return [(workload, tuple(requests)) for workload, requests in groups.items()]
 
 
 def simulate_points(

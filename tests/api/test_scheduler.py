@@ -347,3 +347,18 @@ def test_requests_leave_the_default_workload_set_alone():
     assert len(service.expand(matrix)) == 1
     assert [artifact.name for artifact in service.artifacts()] == [WORKLOAD]
     service.close()
+
+
+def test_service_stats_report_only_a_compiler_probe_already_made(monkeypatch):
+    from repro.engine import native
+
+    probes = []
+    monkeypatch.setattr(native, "_TOOLCHAINS", {})
+    monkeypatch.setattr(native, "_probe_compiler", lambda path: probes.append(path))
+    service = make_service()
+    assert service.stats()["native_compiler"] is None  # not probed
+    monkeypatch.setenv(native.TOOLCHAIN_ENV, "/nonexistent/cc")
+    native.find_toolchain()  # resolves nothing, so it compiles nothing
+    assert service.stats()["native_compiler"] is False
+    assert probes == []
+    service.close()

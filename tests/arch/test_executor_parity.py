@@ -1,12 +1,17 @@
 """Differential tests: the decoded fast loop against the reference loop.
 
-``SequentialExecutor.run`` interprets a per-PC decoded table;
-``SequentialExecutor.run_reference`` steps each :class:`Instruction` through
-``_step``.  Every field of the :class:`ExecutionResult` must agree, and both
-loops must raise the same :class:`ExecutionError` messages.
+``SequentialExecutor.run`` interprets a per-PC decoded table and lowers its
+own timing trace; ``SequentialExecutor.run_reference`` steps each
+:class:`Instruction` through ``_step`` and records a
+:class:`DynamicInstruction` per step.  Every field of the
+:class:`ExecutionResult` must agree, the fast run's trace must be the
+oracle's ``lower_dynamic`` lowering of the reference records byte for byte,
+and both loops must raise the same :class:`ExecutionError` messages.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 from repro.arch.executor import ExecutionError, SequentialExecutor, decode_program
 from repro.crypto.synthetic import build_synthetic, mix_labels
 from repro.crypto.workloads import get_workload, workload_names
+from repro.engine.lowering import lower_dynamic, lower_execution
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import Opcode
 
@@ -23,9 +29,17 @@ def assert_same_result(fast, reference):
     assert fast.program is reference.program
     assert fast.state == reference.state
     assert fast.observations == reference.observations
-    assert fast.dynamic == reference.dynamic
     assert fast.branch_outcomes == reference.branch_outcomes
     assert fast.instruction_count == reference.instruction_count
+    assert fast.has_records == reference.has_records
+    if reference.has_records:
+        oracle = lower_dynamic(reference.dynamic, reference.program.name)
+        assert lower_execution(fast).to_bytes() == oracle.to_bytes()
+        assert fast._replay is not None  # the run's own trace: no record was built
+    else:
+        assert fast.dynamic == reference.dynamic == []
+        with pytest.raises(ValueError, match="record-free"):
+            lower_execution(fast)
 
 
 def run_both(program, record_dynamic=True, max_steps=5_000_000, **kwargs):
@@ -85,6 +99,68 @@ def test_fast_run_records_its_seconds_outside_equality(toy_program):
 
 def test_program_is_decoded_once(toy_program):
     assert decode_program(toy_program) is decode_program(toy_program)
+
+
+# --------------------------------------------------------------------------- #
+# Records on demand
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def reference_runs(monkeypatch):
+    """Count every ``SequentialExecutor.run_reference`` call."""
+    calls = []
+    original = SequentialExecutor.run_reference
+
+    def run_reference(self, program, *args, **kwargs):
+        calls.append(program.name)
+        return original(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(SequentialExecutor, "run_reference", run_reference)
+    return calls
+
+
+def test_fresh_records_come_from_the_oracle_once(reference_runs):
+    kernel = get_workload("Poly1305_ctmul").kernel()
+    fast = kernel.run(0)
+    assert reference_runs == []
+    assert fast.has_records
+    records = fast.dynamic
+    assert fast.dynamic is records
+    assert reference_runs == [kernel.program.name]
+    reference = SequentialExecutor().run_reference(
+        kernel.program, memory_overrides=kernel.inputs[0]
+    )
+    assert records == reference.dynamic
+    assert len(records) == fast.instruction_count
+    assert lower_dynamic(records, kernel.program.name).to_bytes() == lower_execution(
+        fast
+    ).to_bytes()
+
+
+def test_owed_records_must_reproduce_the_run(reference_runs):
+    kernel = get_workload("ChaCha20_ct").kernel()
+    fast = kernel.run(0)
+    fast.state.registers["tampered"] = 1
+    with pytest.raises(ExecutionError, match="does not reproduce"):
+        fast.dynamic
+    assert reference_runs == [kernel.program.name]
+
+
+def test_record_free_results_refuse_to_lower():
+    kernel = get_workload("ChaCha20_ct").kernel()
+    free = SequentialExecutor(record_dynamic=False).run(
+        kernel.program, memory_overrides=kernel.inputs[0]
+    )
+    fresh = kernel.run(0)
+    stripped = pickle.loads(pickle.dumps(fresh.without_records()))
+    for result in (free, stripped):
+        assert not result.has_records
+        assert result.dynamic == []
+        assert not hasattr(result, "_lowered_trace")
+        with pytest.raises(ValueError, match="record-free"):
+            lower_execution(result)
+    assert stripped.state == fresh.state
+    assert stripped.instruction_count == fresh.instruction_count
+    assert fresh.has_records  # the copy leaves the run intact
 
 
 # --------------------------------------------------------------------------- #
@@ -149,7 +225,7 @@ leaf_ops = st.one_of(
     st.tuples(st.just("declassify"), regs),
     st.tuples(st.just("leak"), regs),
     st.tuples(st.just("nop"), st.sampled_from(["nop", "fence", "hint"])),
-    st.tuples(st.just("odd"), st.sampled_from(["alu3", "nop_src"]), regs),
+    st.tuples(st.just("odd"), st.sampled_from(["alu3", "nop_src", "load2", "branch2"]), regs),
     st.just(("ret",)),
 )
 
@@ -234,6 +310,14 @@ class _Emitter:
             _, shape, reg = op
             if shape == "alu3":
                 b.emit(Opcode.ADD, dst=reg, srcs=(reg, "b", "c"))
+            elif shape == "load2":
+                b.emit(Opcode.LOAD, dst=reg, srcs=(reg, "b"))
+            elif shape == "branch2":
+                # Taken or not, the next PC is the same: only the taken
+                # flag tells the two apart.
+                skip = b.label("skip")
+                b.emit(Opcode.BNEZ, srcs=(reg, "b"), target=skip)
+                b.place(skip)
             else:
                 b.emit(Opcode.NOP, srcs=(reg,))
         elif kind == "ret":
@@ -330,6 +414,7 @@ def test_generated_programs_reach_every_fast_kind():
             ("csel", "a", "b", "c", "d"), ("load", "a", True, 1),
             ("store", "a", False, 2), ("declassify", "a"), ("leak", "a"),
             ("nop", "fence"), ("nop", "hint"), ("odd", "alu3", "a"),
+            ("odd", "load2", "a"), ("odd", "branch2", "a"),
             ("movi", "a", 0), ("if", "a", True, [("call", [("call", [("ret",)])])]),
             ("loop", 2, [("nop", "nop")]), ("ret",),
         ]
@@ -339,6 +424,6 @@ def test_generated_programs_reach_every_fast_kind():
     assert set(ALU_OPS) | {
         Opcode.NOT, Opcode.MOVI, Opcode.MOV, Opcode.CSEL, Opcode.LOAD, Opcode.STORE,
         Opcode.DECLASSIFY, Opcode.LEAK, Opcode.FENCE, Opcode.HINT, Opcode.BEQZ,
-        Opcode.JMP, Opcode.CALL, Opcode.RET,
+        Opcode.BNEZ, Opcode.JMP, Opcode.CALL, Opcode.RET,
     } <= executed
     assert_loops_agree(program)

@@ -231,3 +231,20 @@ def test_warm_cache_run_skips_all_heavy_work(capsys, tmp_path, trace_counter):
     warm_out = capsys.readouterr().out
     assert len(trace_counter) == 1  # nothing re-traced on the warm run
     assert warm_out == cold_out  # identical reproduced tables
+
+
+def test_python_tier_run_starts_no_compiler(capsys, monkeypatch):
+    """Neither the run nor its --stats line probes a C compiler."""
+    from repro.engine import native
+    from repro.engine.kernels import TIER_ENV
+
+    probes = []
+    monkeypatch.setenv(TIER_ENV, "python")
+    monkeypatch.setattr(native, "_TOOLCHAINS", {})
+    monkeypatch.setattr(native, "_probe_compiler", lambda path: probes.append(path))
+    argv = ["--workloads", "Poly1305_ctmul", "--no-cache", "--jobs", "1"]
+    assert main(["all", *argv, "--stats"]) == 0
+    assert "points simulated" in capsys.readouterr().err
+    assert main(["figure9", *argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["native_compiler"] is None
+    assert probes == []

@@ -141,6 +141,7 @@ def test_policy_without_engine_spec_on_record_free_artifact(
 
 def test_reexecution_must_reproduce_the_prepared_run(artifact_cache, monkeypatch):
     prepare_workload(WORKLOAD, cache=artifact_cache)
+    _evict(artifact_cache.root, "lowered-trace")
     warm = prepare_workload(WORKLOAD, cache=ArtifactCache(root=artifact_cache.root))
     other_input = warm.kernel.run(1)
     monkeypatch.setattr(warm.kernel, "run", lambda index=0: other_input)
