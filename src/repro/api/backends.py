@@ -114,10 +114,10 @@ class SubprocessShardBackend(ExecutionBackend):
         outcomes = self._run_workers(artifacts, pending, jobs)
         computed = 0
         for workload, results in outcomes.items():
-            artifact = artifacts[workload]
-            for request, result in zip(pending[workload], results):
-                artifact.persist_simulation(request.key(), result)
-                computed += 1
+            artifacts[workload].persist_simulations(
+                (request.key(), result) for request, result in zip(pending[workload], results)
+            )
+            computed += len(results)
         return computed
 
     # ------------------------------------------------------------------ #

@@ -443,7 +443,9 @@ class RemoteBackend(ExecutionBackend):
                     self.listener(event)
                 except Exception:  # noqa: BLE001 - progress must not kill the run
                     pass
-        results = handle.result()
-        for request, result in results:
-            artifacts[request.workload.name].persist_simulation(request.key(), result)
+        groups: Dict[str, list] = {}
+        for request, result in handle.result():
+            groups.setdefault(request.workload.name, []).append((request.key(), result))
+        for name, results in groups.items():
+            artifacts[name].persist_simulations(results)
         return computed

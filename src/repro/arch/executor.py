@@ -119,8 +119,9 @@ class ExecutionResult:
     observations: List[Observation]
     instruction_count: int
     branch_outcomes: Dict[int, List[int]] = field(default_factory=dict)
-    #: Host wall-clock seconds :meth:`SequentialExecutor.run` took (0.0 for
-    #: other producers); excluded from equality.
+    #: Host wall-clock seconds :meth:`SequentialExecutor.run` spent executing
+    #: (its trace lowering excluded; 0.0 for other producers); excluded from
+    #: equality.
     seconds: float = field(default=0.0, compare=False)
     #: The records :meth:`SequentialExecutor.run_reference` made, or that
     #: :attr:`dynamic` built.
@@ -364,6 +365,8 @@ class SequentialExecutor:
             instruction_count=steps,
             branch_outcomes=branch_outcomes,
         )
+        # The run's time, not the lowering's: Algorithm 2 reads only the run.
+        result.seconds = time.perf_counter() - start
         if record:
             from repro.engine.lowering import lower_steps  # lazy: engine imports arch
 
@@ -373,7 +376,6 @@ class SequentialExecutor:
             result._replay = (
                 max_steps, dict(initial_registers or {}), dict(memory_overrides or {})
             )
-        result.seconds = time.perf_counter() - start
         return result
 
     def run_reference(

@@ -5,27 +5,34 @@ one self-contained C translation unit per specialization point) and the batch
 layer's kernel call sites:
 
 * **Toolchain discovery** — ``$REPRO_NATIVE_CC`` if set, else the first of
-  ``cc`` / ``gcc`` / ``clang`` that can actually produce a loadable shared
-  object (probed once per environment value with a trivial test kernel).  No
-  working compiler means :func:`get_native_kernel` returns ``None`` and the
-  batch layer silently stays on the python kernels.
-* **Compiled-artifact caching** — each kernel's ``.so`` bytes are
+  ``cc`` / ``gcc`` / ``clang`` that answers ``--version`` (resolved once per
+  environment value; the first ``--version`` line is the toolchain
+  fingerprint).  Whether the compiler can actually produce a loadable
+  shared object is probed with a trivial test kernel only just before this
+  process's first real compile, so a warm run never starts the compiler.
+  No compiler, or one that fails the probe, means :func:`get_native_kernel`
+  returns ``None`` and the batch layer silently stays on the python kernels.
+* **Compiled-artifact caching** — each kernel's ``.so`` is
   content-addressed in the pipeline's :class:`~repro.pipeline.artifacts
   .ArtifactCache` under kind ``native-kernel``, keyed on (source digest ×
-  toolchain fingerprint × compiler flags).  Finding that digest would mean
-  rendering the C unit, so lookups go through a *kernel index* first: one
-  entry per (C ABI × :func:`~repro.pipeline.hashing.code_fingerprint` ×
-  toolchain × flags), next to the ``.so`` files, mapping each render key —
-  the plain values :func:`~repro.engine.emit.c.c_kernel_source` depends on
-  — to its artifact digest.  An index hit loads the ``.so`` with no
-  render; only a miss renders, digests, loads or compiles, and merges its
-  entry into the on-disk index.  Warm runs neither render nor compile:
-  the bytes are materialized into a per-process directory and
-  ``dlopen``-ed.  :data:`compile_count` / :data:`compile_seconds` /
-  :data:`cache_hits` / :data:`render_count` expose the split to the batch
-  stats and benchmarks.  The cache root is the ``cache_dir`` the caller
-  passes (the pipeline's, for ``--cache-dir``); without one (``--no-cache``)
-  kernels live in a memory-only cache for the life of the process.
+  toolchain fingerprint × compiler flags), and stored as a plain ``.so``
+  file.  Finding that digest would mean rendering the C unit, so lookups go
+  through a *kernel index* first: one entry per (C ABI ×
+  :func:`~repro.pipeline.hashing.code_fingerprint` × toolchain × flags),
+  next to the ``.so`` files, mapping each render key — the plain values
+  :func:`~repro.engine.emit.c.c_kernel_source` depends on — to its artifact
+  digest.  An index hit loads the ``.so`` with no render; only a miss
+  renders, digests, loads or compiles, and merges its entry into the
+  on-disk index.  Warm runs neither render nor compile: each ``.so`` is
+  ``dlopen``-ed in place, from its cache file, after a check that the file
+  holds every byte its ELF headers point at (a torn entry would otherwise
+  die of ``SIGBUS``; one that fails is quarantined and recompiled).
+  :data:`compile_count` / :data:`compile_seconds` / :data:`cache_hits` /
+  :data:`render_count` expose the split to the batch stats and benchmarks.
+  The cache root is the ``cache_dir`` the caller passes (the pipeline's,
+  for ``--cache-dir``); without one (``--no-cache``) a compiled kernel is
+  written to a temp file, ``dlopen``-ed and unlinked at once, so the
+  process leaves no file behind.
 * **The session bridge** — a compiled kernel is one call
   ``int64_t kernel(int64_t *a)`` over machine addresses
   (:data:`repro.engine.emit.c.ARG_SLOTS`).  :class:`NativeKernel` presents
@@ -56,6 +63,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 import time
@@ -118,22 +126,48 @@ class NativeCompileError(RuntimeError):
 # Toolchain discovery
 # --------------------------------------------------------------------------- #
 class Toolchain:
-    """One probed, working C compiler."""
+    """One resolved C compiler.
 
-    __slots__ = ("path", "fingerprint")
+    ``works`` is ``None`` until the probe compile ran (just before the first
+    real compile), then whether it built and loaded a trivial kernel.
+    """
+
+    __slots__ = ("path", "fingerprint", "works", "index")
 
     def __init__(self, path: str, fingerprint: str) -> None:
         self.path = path
         self.fingerprint = fingerprint
+        self.works: Optional[bool] = None
+        #: The kernel-index digest for this toolchain (see :func:`_index_digest`).
+        self.index: Optional[str] = None
 
 
-#: Probe results keyed by the ``REPRO_NATIVE_CC`` value in effect (``""`` for
-#: unset), so tests can flip the environment without clearing caches.
+#: Resolved toolchains keyed by the ``REPRO_NATIVE_CC`` value in effect
+#: (``""`` for unset), so tests can flip the environment without clearing
+#: caches.
 _TOOLCHAINS: Dict[str, Optional[Toolchain]] = {}
 
 
-def _probe_compiler(path: str) -> Optional[Toolchain]:
-    """Compile + load a trivial kernel; return a fingerprint on success."""
+def _identify(path: str) -> Optional[Toolchain]:
+    """The toolchain at ``path``, fingerprinted by its ``--version``."""
+    global last_error
+    try:
+        version = subprocess.run(
+            [path, "--version"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+    except OSError as exc:
+        last_error = f"{path!r} --version failed: {exc}"
+        return None
+    if version.returncode != 0:
+        last_error = f"{path!r} --version exited {version.returncode}"
+        return None
+    first_line = version.stdout.decode(errors="replace").splitlines()
+    fingerprint = f"{os.path.realpath(path)}|{first_line[0] if first_line else ''}"
+    return Toolchain(path, fingerprint)
+
+
+def _probe_compiler(path: str) -> bool:
+    """Compile + load a trivial kernel: whether ``path`` can build one."""
     global last_error
     tmpdir = tempfile.mkdtemp(prefix="repro-native-probe-")
     try:
@@ -151,57 +185,69 @@ def _probe_compiler(path: str) -> Optional[Toolchain]:
                 f"probe compile failed for {path!r}: "
                 + proc.stderr.decode(errors="replace").strip()
             )
-            return None
+            return False
         lib = ctypes.CDLL(so_path)
         lib.kernel  # the symbol must resolve
-        version = subprocess.run(
-            [path, "--version"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-        )
-        first_line = version.stdout.decode(errors="replace").splitlines()
-        fingerprint = f"{os.path.realpath(path)}|{first_line[0] if first_line else ''}"
-        return Toolchain(path, fingerprint)
+        return True
     except OSError as exc:
         last_error = f"probe failed for {path!r}: {exc}"
-        return None
+        return False
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
+def _check_works(toolchain: Toolchain) -> None:
+    """Probe ``toolchain`` once, before its first compile in this process."""
+    if toolchain.works is None:
+        toolchain.works = _probe_compiler(toolchain.path)
+    if not toolchain.works:
+        raise NativeCompileError(last_error or f"{toolchain.path!r} fails its probe")
+
+
 def find_toolchain() -> Optional[Toolchain]:
-    """The working compiler for the current environment, probed once."""
+    """The compiler for the current environment, resolved once (no compile)."""
     global last_error
     env = os.environ.get(TOOLCHAIN_ENV, "").strip()
     if env in _TOOLCHAINS:
         return _TOOLCHAINS[env]
     toolchain: Optional[Toolchain] = None
     candidates = (env,) if env else DEFAULT_COMPILERS
-    probed = False
+    resolved = False
     for candidate in candidates:
         path = shutil.which(candidate)
         if path is None:
             continue
-        probed = True
-        toolchain = _probe_compiler(path)
+        resolved = True
+        toolchain = _identify(path)
         if toolchain is not None:
             break
-    if toolchain is None and not probed:
+    if toolchain is None and not resolved:
         last_error = f"no C compiler resolves (candidates: {', '.join(candidates)})"
     _TOOLCHAINS[env] = toolchain
     return toolchain
 
 
 def compiler_available() -> bool:
-    """Whether the native tier can run here (a probed, working compiler)."""
-    return find_toolchain() is not None
+    """Whether the native tier can compile here (a probed, working compiler)."""
+    toolchain = find_toolchain()
+    if toolchain is None:
+        return False
+    try:
+        _check_works(toolchain)
+    except NativeCompileError:
+        return False
+    return True
 
 
 def probed_compiler() -> Optional[bool]:
-    """:func:`compiler_available` as far as this process already probed it
-    for the current environment; ``None`` if it has not (nothing is run)."""
+    """Whether this process resolved a usable compiler for the current
+    environment (false once it failed its probe); ``None`` if it has not
+    looked (nothing is run)."""
     env = os.environ.get(TOOLCHAIN_ENV, "").strip()
     if env not in _TOOLCHAINS:
         return None
-    return _TOOLCHAINS[env] is not None
+    toolchain = _TOOLCHAINS[env]
+    return toolchain is not None and toolchain.works is not False
 
 
 # --------------------------------------------------------------------------- #
@@ -214,7 +260,6 @@ _ARTIFACTS: Dict[Optional[str], Any] = {}
 #: pinned in ``_LIBS`` — a collected library would leave dangling pointers).
 _LOADED: Dict[str, Callable] = {}
 _LIBS: Dict[str, ctypes.CDLL] = {}
-_SO_DIR: Optional[str] = None
 
 #: ``NativeKernel`` instances (or ``None`` for a memoized failure) keyed on
 #: the render key plus the toolchain fingerprint.
@@ -256,13 +301,16 @@ def _index_digest(toolchain: Toolchain) -> str:
 
     The code fingerprint covers the emitter and the IR, so any ``.py`` edit
     starts a fresh index: one re-render per kernel, but no recompile while
-    the rendered unit (and so its ``.so`` digest) is unchanged.
+    the rendered unit (and so its ``.so`` digest) is unchanged.  Computed
+    once per toolchain.
     """
-    from repro.pipeline import hashing
+    if toolchain.index is None:
+        from repro.pipeline import hashing
 
-    return hashing.stable_digest(
-        C_ABI_VERSION, hashing.code_fingerprint(), toolchain.fingerprint, C_FLAGS
-    )
+        toolchain.index = hashing.stable_digest(
+            C_ABI_VERSION, hashing.code_fingerprint(), toolchain.fingerprint, C_FLAGS
+        )
+    return toolchain.index
 
 
 def _read_index(artifacts, digest: str) -> Dict[Tuple, str]:
@@ -338,20 +386,40 @@ def _compile_so(source: str, toolchain: Toolchain) -> bytes:
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 
-def _so_dir() -> str:
-    global _SO_DIR
-    if _SO_DIR is None:
-        _SO_DIR = tempfile.mkdtemp(prefix="repro-native-so-")
-    return _SO_DIR
+def _elf_intact(path: str) -> bool:
+    """Whether ``path`` holds every byte its ELF headers point at.
+
+    ``dlopen`` maps a truncated shared object without complaint, and the
+    process then dies of ``SIGBUS`` on the first touch of a missing page, so
+    a torn cache entry must be refused before it is loaded.
+    """
+    with open(path, "rb") as handle:
+        head = handle.read(4096)
+        size = os.fstat(handle.fileno()).st_size
+    if len(head) < 52 or head[:4] != b"\x7fELF" or head[4] not in (1, 2):
+        return False
+    order = "<" if head[5] == 1 else ">"
+    if head[4] == 2:  # ELFCLASS64
+        phoff, shoff = struct.unpack_from(order + "QQ", head, 32)
+        phentsize, phnum, shentsize, shnum = struct.unpack_from(order + "HHHH", head, 54)
+        segment = order + "I4xQ16xQ"  # p_type, p_offset, p_filesz
+    else:
+        phoff, shoff = struct.unpack_from(order + "II", head, 28)
+        phentsize, phnum, shentsize, shnum = struct.unpack_from(order + "HHHH", head, 42)
+        segment = order + "II8xI"
+    end = max(shoff + shnum * shentsize, phoff + phnum * phentsize)
+    if phoff + phnum * phentsize > len(head):
+        return False
+    for index in range(phnum):
+        p_type, offset, filesz = struct.unpack_from(segment, head, phoff + index * phentsize)
+        if p_type == 1:  # PT_LOAD
+            end = max(end, offset + filesz)
+    return end <= size
 
 
-def _load_kernel(digest: str, so_bytes: bytes) -> Callable:
-    path = os.path.join(_so_dir(), digest + ".so")
-    if not os.path.exists(path):
-        temp_path = f"{path}.{os.getpid()}.tmp"
-        with open(temp_path, "wb") as handle:
-            handle.write(so_bytes)
-        os.replace(temp_path, path)
+def _dlopen(digest: str, path: str) -> Callable:
+    if not _elf_intact(path):
+        raise OSError(f"{path}: not a complete shared object")
     lib = ctypes.CDLL(path)
     fn = lib.kernel
     fn.restype = ctypes.c_int64
@@ -361,17 +429,47 @@ def _load_kernel(digest: str, so_bytes: bytes) -> Callable:
     return fn
 
 
+def _load_entry(artifacts, digest: str, path: str) -> Optional[Callable]:
+    """``dlopen`` a cached ``.so`` in place; a rejected file is quarantined."""
+    try:
+        return _dlopen(digest, path)
+    except OSError as exc:
+        artifacts.quarantine(path, exc)
+        return None
+
+
+def _load_bytes(digest: str, so_bytes: bytes) -> Callable:
+    """``dlopen`` a kernel held only in memory: through a temp file that is
+    unlinked as soon as it is mapped."""
+    fd, path = tempfile.mkstemp(prefix="repro-native-", suffix=".so")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(so_bytes)
+        return _dlopen(digest, path)
+    finally:
+        os.unlink(path)
+
+
 def _load_cached(artifacts, kind: str, digest: str) -> Optional[Callable]:
     """The kernel for one artifact digest if already loaded or cached."""
     global cache_hits
     fn = _LOADED.get(digest)
     if fn is None:
-        so_bytes = artifacts.get(ARTIFACT_KIND, kind, digest)
-        if so_bytes is None:
+        path = artifacts.entry_file(ARTIFACT_KIND, kind, digest)
+        fn = None if path is None else _load_entry(artifacts, digest, path)
+        if fn is None:
             return None
-        fn = _load_kernel(digest, so_bytes)
     cache_hits += 1
     return fn
+
+
+def _store_and_load(artifacts, kind: str, digest: str, so_bytes: bytes) -> Callable:
+    """Cache a freshly compiled ``.so`` and load it from its cache file (or,
+    without a disk cache or after a rejected store, from memory)."""
+    artifacts.put(ARTIFACT_KIND, kind, digest, so_bytes)
+    path = artifacts.entry_file(ARTIFACT_KIND, kind, digest)
+    fn = None if path is None else _load_entry(artifacts, digest, path)
+    return fn if fn is not None else _load_bytes(digest, so_bytes)
 
 
 def get_native_kernel(
@@ -390,9 +488,9 @@ def get_native_kernel(
     serve this point — no working compiler, or the toolchain rejected the
     unit — and the caller should fall back to :func:`repro.engine.kernels
     .get_kernel`.  Warm process restarts pay one kernel-index lookup and one
-    artifact-cache read per kernel, never a render or a compile.
+    in-place ``dlopen`` per kernel, never a render or a compile.
     ``cache_dir`` is the artifact-cache root; ``None`` keeps the kernel
-    in a memory-only cache, so nothing is written to disk.
+    in memory only, so no file outlives the load.
     """
     global compile_count, compile_seconds, render_count, last_error
     toolchain = find_toolchain()
@@ -433,12 +531,12 @@ def get_native_kernel(
             digest = _artifact_digest(source, toolchain)
             fn = _load_cached(artifacts, spec.kind, digest)
             if fn is None:
+                _check_works(toolchain)
                 start = time.perf_counter()
                 so_bytes = _compile_so(source, toolchain)
                 compile_seconds += time.perf_counter() - start
                 compile_count += 1
-                artifacts.put(ARTIFACT_KIND, spec.kind, digest, so_bytes)
-                fn = _load_kernel(digest, so_bytes)
+                fn = _store_and_load(artifacts, spec.kind, digest, so_bytes)
             _record_index(artifacts, index, render_key, digest)
         kernel = NativeKernel(fn, spec, config, bool(collect_stats), digest)
     except (NativeCompileError, OSError) as exc:
@@ -454,8 +552,8 @@ def counters_snapshot() -> Tuple[int, float, int]:
 
 
 def clear_native_memo() -> None:
-    """Drop the per-process kernel memo, kernel-index memo, trace payloads,
-    and scratch pools.
+    """Drop the per-process kernel memo, kernel-index memo (and index
+    digests), trace payloads, and scratch pools.
 
     Chained from :func:`repro.engine.kernels.clear_kernel_cache` so bench
     per-repetition timing exercises the whole pipeline.  Loaded libraries
@@ -464,6 +562,9 @@ def clear_native_memo() -> None:
     """
     _KERNEL_MEMO.clear()
     _INDEX.clear()
+    for toolchain in _TOOLCHAINS.values():
+        if toolchain is not None:
+            toolchain.index = None
     _TRACE_PAYLOADS.clear()
     _SCRATCH.clear()
 

@@ -170,17 +170,24 @@ class WorkloadArtifacts:
             self._missed[key] = digest
         return None
 
-    def persist_simulation(self, key: SimulationKey, result: SimulationResult) -> None:
-        """Seed the memo *and* the disk cache with an external result.
+    def persist_simulations(
+        self, results: Iterable[Tuple[SimulationKey, SimulationResult]]
+    ) -> None:
+        """Seed the memo *and* the disk cache with external results, in one
+        cache commit.
 
         The counterpart of :meth:`store_simulation` for backends whose
-        workers computed the result outside this process's cache handle.
+        workers computed the results outside this process's cache handle.
         """
-        self.simulations[key] = result
-        self._missed.pop(key, None)
-        digest = self._simulation_digest(key)
-        if digest is not None:
-            self.cache.put("simulation", self.name, digest, result)
+        stored = []
+        for key, result in results:
+            self.simulations[key] = result
+            self._missed.pop(key, None)
+            digest = self._simulation_digest(key)
+            if digest is not None:
+                stored.append((digest, result))
+        if stored:
+            self.cache.put_many("simulation", self.name, stored)
 
     def recorded_result(self) -> ExecutionResult:
         """``result`` with its lowered trace and on-demand records,
@@ -282,13 +289,17 @@ class WorkloadArtifacts:
                 batch_stats=batch_stats,
                 cache_dir=self.cache.root if self.cache is not None else None,
             )
+            stored = []
             for point, simulation in zip(pending, simulations):
                 cache_key = point.key()
                 self.simulations[cache_key] = simulation
                 results[cache_key] = simulation
                 sim_digest = pending_digests[cache_key]
-                if self.cache is not None and sim_digest is not None:
-                    self.cache.put("simulation", self.name, sim_digest, simulation)
+                if sim_digest is not None:
+                    stored.append((sim_digest, simulation))
+            if stored:
+                # One commit for the whole batch, not one write per point.
+                self.cache.put_many("simulation", self.name, stored)
         return results
 
     def store_simulation(self, key: SimulationKey, result: SimulationResult) -> None:

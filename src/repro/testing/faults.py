@@ -27,11 +27,13 @@ Sites:
     ``die`` (``os._exit``) models a worker crash mid-task; ``crash`` raises
     inside the worker; ``delay`` stalls it.
 ``cache-put``
-    Between the artifact cache's temp-file write and its atomic rename —
-    the window a crash must not corrupt.  ``crash``/``die``/``delay``.
+    Between the artifact cache's temp-file write and its atomic rename, or
+    between a store's row writes and their commit — the window a crash
+    must not corrupt.  ``crash``/``die``/``delay``.
 ``cache-stored``
-    After the rename.  ``corrupt`` truncates the just-stored entry in
-    place, modeling torn disk writes the cache must quarantine on read.
+    After the rename or the commit.  ``corrupt`` truncates the just-stored
+    entry (or every payload the commit stored) in place, modeling torn
+    disk writes the cache must quarantine on read.
 ``gateway-request``
     At the top of the HTTP gateway's request dispatch, before routing.
     ``crash`` surfaces as a typed 500 to the client; ``die`` models the
@@ -234,6 +236,10 @@ class ActivePlan:
 
     @staticmethod
     def _corrupt_file(fault: Fault, context: dict) -> None:
+        corrupt = context.get("corrupt")
+        if corrupt is not None:  # the site knows how to tear what it stored
+            corrupt()
+            return
         path = context.get("path")
         if not path or not os.path.exists(path):
             return

@@ -10,8 +10,10 @@ process mid-sweep followed by a restart that resumes the journaled job to
 the same final tables.  Every blocking wait carries a timeout.
 """
 
+import contextlib
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -23,6 +25,7 @@ from repro.api import ScenarioMatrix, ShardWorkerError, SimulationService
 from repro.api.journal import JOURNAL_NAME, JobJournal
 from repro.api.remote import RemoteServiceClient
 from repro.pipeline import ArtifactCache
+from repro.pipeline.artifacts import STORE_FILES
 from repro.testing import (
     DIE_STATUS,
     FAULT_PLAN_ENV,
@@ -46,6 +49,14 @@ BIG_MATRIX = ScenarioMatrix(
 )
 
 RESULT_TIMEOUT = 300
+
+#: Served runs hold the simulation batch open this long after its commit
+#: (the third cache store: preparation stores the workload's artifacts and
+#: lowered trace first).  The whole batch lands in one commit, so a kill or
+#: a signal timed on the committed rows must still find the job mid-round.
+HOLD_BATCH = Fault("cache-stored", 2, "delay", delay=2.0)
+
+SIMULATION_STORE = STORE_FILES["simulation"]
 
 
 def serial_service(names=(WORKLOAD,), cache_root=None):
@@ -123,7 +134,7 @@ def test_cache_put_crash_leaves_no_partial_entry(tmp_path):
     partial entry nor a stray temp file, and a clean rerun heals."""
     root = str(tmp_path)
     # Put order is deterministic under the serial backend: workload
-    # artifacts, lowered trace, then one entry per simulation point.
+    # artifacts, lowered trace, then one commit for the simulation batch.
     plan = FaultPlan.scripted(Fault("cache-put", 2, "crash"))
     with activate(plan) as active:
         service = serial_service(cache_root=root)
@@ -134,9 +145,10 @@ def test_cache_put_crash_leaves_no_partial_entry(tmp_path):
         name
         for _dir, _sub, names in os.walk(root)
         for name in names
-        if not name.endswith(".pkl")
+        if not name.endswith(".pkl") and not name.startswith(SIMULATION_STORE)
     ]
     assert leftovers == []  # no temp files, no partial entries
+    assert cached_point_count(root) == 0  # the batch's rows rolled back
 
     healed = serial_service(cache_root=root)
     answer = healed.submit(MATRIX).result(timeout=RESULT_TIMEOUT)
@@ -144,15 +156,18 @@ def test_cache_put_crash_leaves_no_partial_entry(tmp_path):
 
 
 def test_corrupt_store_is_quarantined_and_recomputed(tmp_path):
-    """An entry torn on disk *after* its atomic rename (bit rot, torn
-    write-back) is quarantined on the next read and recomputed to the
-    same bytes."""
+    """Entries torn on disk *after* their commit (bit rot, torn write-back)
+    are quarantined on the next read and recomputed to the same bytes."""
     root = str(tmp_path)
+    # The third store is the simulation batch's commit: it tears every
+    # point the batch stored.
     plan = FaultPlan.scripted(Fault("cache-stored", 2, "corrupt"))
     with activate(plan) as active:
         first = serial_service(cache_root=root)
         answer = first.submit(MATRIX).result(timeout=RESULT_TIMEOUT)
         assert [fault.action for fault in active.fired] == ["corrupt"]
+    points = len(first.expand(MATRIX))
+    assert cached_point_count(root) == points
 
     rerun_cache = ArtifactCache(root=root)
     rerun = SimulationService(
@@ -160,14 +175,14 @@ def test_corrupt_store_is_quarantined_and_recomputed(tmp_path):
     )
     again = rerun.submit(MATRIX).result(timeout=RESULT_TIMEOUT)
     assert again.to_json() == answer.to_json()
-    assert rerun_cache.stats.quarantined == 1
-    quarantined = [
-        name
-        for _dir, _sub, names in os.walk(root)
-        for name in names
-        if name.endswith(".corrupt")
-    ]
-    assert len(quarantined) == 1
+    # Each torn row was deleted on read; the recompute stored it again.
+    assert rerun_cache.stats.quarantined == points
+    assert cached_point_count(root) == points
+    healed = ArtifactCache(root=root)
+    assert SimulationService(
+        names=[WORKLOAD], jobs=1, backend="serial", cache=healed
+    ).run(MATRIX).to_json() == answer.to_json()
+    assert healed.stats.quarantined == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -229,28 +244,32 @@ class ServeProcess:
         return self.process.wait(timeout=120)
 
 
-def cached_point_count(state_dir):
-    """Completed simulation points in the state dir's disk cache.
+def cached_point_count(cache_root):
+    """Simulation points committed to the disk cache under ``cache_root``.
 
-    The serial backend persists each point the moment it computes (the
-    atomic-rename cache), and the journal records no per-point state — so
-    *this* is the signal that a sweep is mid-round.
+    A batch of points lands in one commit of the cache's simulation store,
+    and the journal records no per-point state — so *this* is the signal
+    that a job has committed work.
     """
-    cache_root = os.path.join(state_dir, "cache")
-    return sum(
-        1
-        for dirpath, _subdirs, names in os.walk(cache_root)
-        if "simulation" in dirpath
-        for name in names
-        if name.endswith(".pkl")
-    )
+    path = os.path.join(cache_root, "v1", "simulation", SIMULATION_STORE)
+    if not os.path.exists(path):
+        return 0
+    with contextlib.closing(sqlite3.connect(path, timeout=60)) as conn:
+        try:
+            return conn.execute("SELECT count(*) FROM entries").fetchone()[0]
+        except sqlite3.OperationalError as error:
+            if "no such table" not in str(error):
+                raise
+            return 0  # the store is being created
 
 
 def wait_for_cached_points(state_dir, count, timeout=120):
-    """Block until ``count`` simulation points are on disk (sweep mid-round)."""
+    """Block until ``count`` simulation points of the state dir's cache are
+    committed (a job is under way)."""
+    cache_root = os.path.join(state_dir, "cache")
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if cached_point_count(state_dir) >= count:
+        if cached_point_count(cache_root) >= count:
             return
         time.sleep(0.005)
     raise AssertionError(f"cache never reached {count} simulation points")
@@ -265,7 +284,7 @@ def test_kill9_mid_sweep_then_restart_resumes_to_identical_tables(
 ):
     state_dir = str(tmp_path / "state")
 
-    first = ServeProcess(state_dir)
+    first = ServeProcess(state_dir, env=repro_env(FaultPlan.scripted(HOLD_BATCH)))
     try:
         client = RemoteServiceClient(first.address)
         handle = client.submit(BIG_MATRIX, tags=("sweep",))
@@ -303,7 +322,7 @@ def test_kill9_mid_sweep_then_restart_resumes_to_identical_tables(
 def test_sigterm_drains_cleanly_and_restart_resumes(tmp_path, big_baseline):
     state_dir = str(tmp_path / "state")
 
-    first = ServeProcess(state_dir)
+    first = ServeProcess(state_dir, env=repro_env(FaultPlan.scripted(HOLD_BATCH)))
     try:
         client = RemoteServiceClient(first.address)
         handle = client.submit(BIG_MATRIX)
@@ -497,7 +516,7 @@ def test_gateway_die_mid_request_then_restart_keeps_ownership(
 
     # Request 0 (the submit) passes; request 1 kills the process mid-dispatch.
     first = GatewayProcess(
-        state_dir, FaultPlan.scripted(Fault("gateway-request", 1, "die"))
+        state_dir, FaultPlan.scripted(Fault("gateway-request", 1, "die"), HOLD_BATCH)
     )
     try:
         status, body = first.request("POST", "/v1/jobs", key=key,

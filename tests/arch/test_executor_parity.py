@@ -97,6 +97,26 @@ def test_fast_run_records_its_seconds_outside_equality(toy_program):
     assert fast == reference
 
 
+def test_fast_run_seconds_exclude_its_trace_lowering(toy_program, monkeypatch):
+    """``seconds`` is the run alone: Algorithm 2's step A adds it to its
+    own time, and the timing-trace lowering is not Algorithm 2's work."""
+    import time
+
+    from repro.engine import lowering
+
+    real = lowering.lower_steps
+
+    def slow_lower_steps(*args):
+        time.sleep(0.5)
+        return real(*args)
+
+    monkeypatch.setattr(lowering, "lower_steps", slow_lower_steps)
+    start = time.perf_counter()
+    fast = SequentialExecutor().run(toy_program)
+    assert time.perf_counter() - start >= 0.5  # the stub did run
+    assert 0.0 < fast.seconds < 0.5
+
+
 def test_program_is_decoded_once(toy_program):
     assert decode_program(toy_program) is decode_program(toy_program)
 
@@ -226,6 +246,7 @@ leaf_ops = st.one_of(
     st.tuples(st.just("leak"), regs),
     st.tuples(st.just("nop"), st.sampled_from(["nop", "fence", "hint"])),
     st.tuples(st.just("odd"), st.sampled_from(["alu3", "nop_src", "load2", "branch2"]), regs),
+    st.tuples(st.just("fresh"), st.sampled_from(ALU_OPS), regs),
     st.just(("ret",)),
 )
 
@@ -255,6 +276,7 @@ class _Emitter:
         self.secret = self.b.alloc_secret("secret", [-(i + 1) << 62 for i in range(WORDS)])
         self.depth = 0
         self.functions = 0
+        self.fresh = 0
 
     def base(self, secret: bool) -> int:
         return self.secret if secret else self.public
@@ -320,6 +342,13 @@ class _Emitter:
                 b.place(skip)
             else:
                 b.emit(Opcode.NOP, srcs=(reg,))
+        elif kind == "fresh":
+            # Destination and first source both used for the first time
+            # here, so the lowering's renaming order (destination first)
+            # decides their dense indices.
+            _, opcode, reg = op
+            self.fresh += 1
+            b.emit(opcode, dst=f"n{self.fresh}", srcs=(f"m{self.fresh}", reg))
         elif kind == "ret":
             # Inside a function this returns early; at top level the call
             # stack is empty and the program halts.
@@ -414,7 +443,7 @@ def test_generated_programs_reach_every_fast_kind():
             ("csel", "a", "b", "c", "d"), ("load", "a", True, 1),
             ("store", "a", False, 2), ("declassify", "a"), ("leak", "a"),
             ("nop", "fence"), ("nop", "hint"), ("odd", "alu3", "a"),
-            ("odd", "load2", "a"), ("odd", "branch2", "a"),
+            ("odd", "load2", "a"), ("odd", "branch2", "a"), ("fresh", Opcode.ADD, "a"),
             ("movi", "a", 0), ("if", "a", True, [("call", [("call", [("ret",)])])]),
             ("loop", 2, [("nop", "nop")]), ("ret",),
         ]

@@ -19,7 +19,9 @@ Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
   ``cache_dir``.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -35,6 +37,7 @@ from repro.engine.kernels import TIER_ENV, clear_kernel_cache, get_kernel
 from repro.experiments.runner import DESIGN_BUILDERS
 from repro.pipeline import hashing
 from repro.pipeline.artifacts import CACHE_DIR_ENV
+from repro.testing import Fault, FaultPlan, activate
 from repro.uarch.config import GOLDEN_COVE_LIKE
 
 needs_compiler = pytest.mark.skipif(
@@ -239,10 +242,7 @@ def _index_files(kernel_dir):
 
 
 def _so_files(kernel_dir):
-    return sorted(
-        p for p in kernel_dir.iterdir()
-        if not p.name.startswith(native.INDEX_NAME + "-") and p.suffix == ".pkl"
-    )
+    return sorted(p for p in kernel_dir.iterdir() if p.suffix == ".so")
 
 
 def _lookup(kernel_dir):
@@ -319,6 +319,24 @@ def test_index_entry_for_missing_so_recompiles(
     assert native.render_count > renders
     assert native.compile_count > compiles
     assert native_stats == _run_python(toy_execution, toy_bundle, monkeypatch)
+
+
+@needs_compiler
+def test_torn_so_is_quarantined_and_recompiled(native_cache, monkeypatch):
+    """A ``.so`` torn right after its store is refused before ``dlopen``
+    (a truncated shared object would die of SIGBUS, not fail to load):
+    the file is quarantined, this process loads the compiled bytes from
+    memory, and the next process recompiles."""
+    plan = FaultPlan.scripted(Fault("cache-stored", 0, "corrupt"))
+    with activate(plan) as active:
+        assert _lookup(native_cache) is not None
+        assert [fault.action for fault in active.fired] == ["corrupt"]
+    assert list(native_cache.glob("*.so.corrupt")) and not _so_files(native_cache)
+    _fresh_process(monkeypatch)
+    renders, compiles = _counts()
+    assert _lookup(native_cache) is not None
+    assert _counts() == (renders + 1, compiles + 1)
+    assert len(_so_files(native_cache)) == 1
 
 
 @needs_compiler
@@ -405,10 +423,29 @@ def test_no_cache_run_writes_no_native_kernel(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    # The kernels were compiled and loaded (from the process's temp dir).
-    assert list(scratch.rglob("*.so"))
     assert list(home.rglob("*")) == []
     assert list(root.rglob("*")) == []
+    # Each kernel was loaded through a temp file unlinked at once.
+    assert list(scratch.rglob("*")) == []
+
+
+@needs_compiler
+def test_cached_native_runs_leave_tmpdir_empty(tmp_path):
+    """With a disk cache, a cold run (which compiles) and a warm run (which
+    loads every kernel in place from the cache) leave ``$TMPDIR`` empty."""
+    root, scratch = tmp_path / "cache", tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch), PYTHONPATH=os.pathsep.join(sys.path))
+    argv = [sys.executable, "-m", "repro", "figure7", "--workloads", "Poly1305_ctmul",
+            "--cache-dir", str(root), "--engine-tier", "native", "--format", "json"]
+    for run in ("cold", "warm"):
+        if run == "warm":  # every point recomputes, from the cached kernels
+            shutil.rmtree(root / "v1" / "simulation")
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["stats"]["native_compiler"] is True
+        assert list((root / "v1" / native.ARTIFACT_KIND).glob("*.so"))
+        assert list(scratch.rglob("*")) == [], run
 
 
 # --------------------------------------------------------------------------- #

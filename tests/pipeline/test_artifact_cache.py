@@ -1,6 +1,8 @@
 """The content-addressed on-disk artifact cache."""
 
+import os
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from repro.pipeline import (
     program_fingerprint,
     stable_digest,
 )
+from repro.pipeline.artifacts import STORE_FILES
 from repro.pipeline.parallel import workload_artifact_digest
 
 WORKLOAD = "SHA-256"
@@ -100,8 +103,6 @@ def test_corrupt_entry_is_quarantined_not_rereread(tmp_path):
     """A truncated pickle is renamed aside on first read — it must not be
     re-read and re-missed on every subsequent run — and the recompute
     re-stores a valid entry at the original path."""
-    import os
-
     cache = ArtifactCache(root=str(tmp_path))
     cache.put("kind", "entry", "d" * 24, {"payload": 42})
     path = cache.path_for("kind", "entry", "d" * 24)
@@ -162,3 +163,119 @@ def test_default_cache_dir_is_isolated(isolated_cache_root, tmp_path_factory):
     # The autouse conftest fixture keeps every default-root write in a temp dir.
     assert default_cache_dir() == str(isolated_cache_root)
     assert Path(default_cache_dir()).is_relative_to(tmp_path_factory.getbasetemp())
+
+
+# --------------------------------------------------------------------------- #
+# The simulation store
+# --------------------------------------------------------------------------- #
+SWEEP_WORKLOADS = ["ChaCha20_ct", "Poly1305_ctmul"]
+
+
+def _sweep_service(root):
+    from repro.api import SimulationService
+
+    return SimulationService(
+        names=SWEEP_WORKLOADS, jobs=1, backend="serial", cache=ArtifactCache(root=root)
+    )
+
+
+def _sweep_matrix():
+    from repro.api import ScenarioMatrix
+
+    return ScenarioMatrix(designs=("unsafe-baseline", "cassandra", "spt"))
+
+
+def _simulation_files(root):
+    return sorted(os.listdir(os.path.join(root, "v1", "simulation")))
+
+
+def test_a_serial_sweep_commits_once_per_batch(tmp_path):
+    """Each workload's batch is one store commit, and no per-point file
+    is written."""
+    from repro.testing import FaultPlan, activate
+
+    root = str(tmp_path)
+    service = _sweep_service(root)
+    service.artifacts()  # preparation's file puts happen before the count
+    with activate(FaultPlan()) as active:
+        answer = service.run(_sweep_matrix())
+        assert active.visits("cache-put") == len(SWEEP_WORKLOADS)
+        assert active.visits("cache-stored") == len(SWEEP_WORKLOADS)
+    assert service.cache.stats.stores >= len(answer)
+    assert all(name.startswith(STORE_FILES["simulation"]) for name in _simulation_files(root))
+    assert ArtifactCache(root=root).entry_count() == service.cache.entry_count()
+
+
+def test_deleting_the_simulation_directory_evicts_every_point(tmp_path):
+    root = str(tmp_path)
+    first = _sweep_service(root)
+    answer = first.run(_sweep_matrix())
+    assert first.points_simulated == len(answer)
+
+    warm = _sweep_service(root)
+    assert warm.run(_sweep_matrix()).to_json() == answer.to_json()
+    assert warm.points_simulated == 0  # every point came from the store
+
+    shutil.rmtree(os.path.join(root, "v1", "simulation"))
+    evicted = _sweep_service(root)
+    assert evicted.run(_sweep_matrix()).to_json() == answer.to_json()
+    assert evicted.points_simulated == len(answer)
+
+
+def test_a_deleted_store_is_not_read_through_an_open_connection(tmp_path):
+    cache = ArtifactCache(root=str(tmp_path))
+    cache.put_many("simulation", "w", [("d1", {"cycles": 1}), ("d2", {"cycles": 2})])
+    assert cache.reload("simulation", "w", "d1") == {"cycles": 1}
+    shutil.rmtree(tmp_path / "v1" / "simulation")
+    assert cache.reload("simulation", "w", "d1") is None
+    cache.put_many("simulation", "w", [("d3", {"cycles": 3})])
+    assert ArtifactCache(root=str(tmp_path)).entry_count() == 1
+
+
+def test_an_unreadable_store_is_set_aside_and_replaced(tmp_path):
+    cache = ArtifactCache(root=str(tmp_path))
+    cache.put_many("simulation", "w", [("d1", {"cycles": 1})])
+    directory = tmp_path / "v1" / "simulation"
+    for path in directory.iterdir():
+        path.unlink()
+    store = directory / STORE_FILES["simulation"]
+    store.write_bytes(b"not a database" * 100)
+
+    reader = ArtifactCache(root=str(tmp_path))
+    assert reader.get("simulation", "w", "d1") is None
+    assert reader.stats.quarantined == 1
+    assert (directory / (store.name + ".corrupt")).exists()
+    reader.put_many("simulation", "w", [("d1", {"cycles": 1})])
+    assert ArtifactCache(root=str(tmp_path)).get("simulation", "w", "d1") == {"cycles": 1}
+
+
+def test_a_forked_child_writes_through_its_own_connection(tmp_path):
+    """The child neither uses nor closes the connection it inherited: its
+    commit lands, and the parent's connection keeps working."""
+    cache = ArtifactCache(root=str(tmp_path))
+    cache.put_many("simulation", "w", [("parent", 1)])
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its status
+        try:
+            cache.put_many("simulation", "w", [("child", 2)])
+            os._exit(0 if cache.reload("simulation", "w", "parent") == 1 else 1)
+        except BaseException:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    assert os.WEXITSTATUS(status) == 0
+    cache.put_many("simulation", "w", [("after", 3)])
+    fresh = ArtifactCache(root=str(tmp_path))
+    assert [fresh.get("simulation", "w", d) for d in ("parent", "child", "after")] == [1, 2, 3]
+
+
+def test_raw_entries_are_stored_verbatim_and_not_memoized(tmp_path):
+    cache = ArtifactCache(root=str(tmp_path))
+    cache.put("native-kernel", "unsafe", "d" * 24, b"\x7fELF...")
+    path = cache.entry_file("native-kernel", "unsafe", "d" * 24)
+    assert path.endswith(".so")
+    with open(path, "rb") as handle:
+        assert handle.read() == b"\x7fELF..."
+    assert cache.entry_count() == 1
+    memory = ArtifactCache(root=None)
+    memory.put("native-kernel", "unsafe", "d" * 24, b"\x7fELF...")
+    assert memory.entry_file("native-kernel", "unsafe", "d" * 24) is None
