@@ -9,7 +9,7 @@ interrupt study's BTU-flush point — two ways:
   (:meth:`CoreModel.run_reference`) with full per-policy warm-up passes;
 * **kernels** — one :func:`repro.engine.batch.simulate_batch` call per
   workload on the python tier (``REPRO_ENGINE_TIER=python``): shared
-  lowering and component warm-up, generated per-(policy × config) kernels
+  lowering and component warm-up, generated per-policy-shape kernels
   over flat-array state, residency proofs, static counters, measured-pass
   dedup.  Their ratio is ``speedup``, gated with ``--min-speedup``.
 

@@ -3,7 +3,8 @@
 This package lowers the timing model onto flat integer columns so that the
 policy-independent cost of walking a workload's dynamic instruction stream
 is paid once per workload instead of once per simulation point, and then
-compiles the measured pass itself per (policy × config).
+compiles the measured pass itself per policy shape (the config is runtime
+data, read from each point's config table).
 
 The specialization chain, fastest to most general — **each layer is
 required to be bit-identical to the one below it, and the layer below is
@@ -18,14 +19,14 @@ always the golden model**::
         │                  point onto the python tier when no compiler
         │                  works.
         ▼
-    kernels.get_kernel()   the *python* tier: generated
-        │                  per-(EnginePolicySpec × CoreConfig) kernels over
+    kernels.get_kernel()   the *python* tier: generated per-shape kernels
+        │                  (EnginePolicySpec × feature flags) over
         │                  flat-array state, lowered from the typed kernel
         │                  IR (repro.engine.ir) by the python emitter:
-        │                  geometry constants inlined, dead policy branches
-        │                  dropped, cache models deleted under no-eviction
-        │                  residency proofs, trace-property statistics
-        │                  precomputed.
+        │                  geometry read from the point's config table,
+        │                  dead policy branches dropped, cache models
+        │                  deleted under no-eviction residency proofs,
+        │                  trace-property statistics precomputed.
         ▼
     CoreModel.run_reference()
                            the seed object-based loop driving the full
@@ -63,15 +64,17 @@ Layer tour, bottom to top:
    handful of C-level copies; the object models in :mod:`repro.uarch`
    remain the behavioural source of truth.
 3. :mod:`repro.engine.ir` — the typed kernel IR: one
-   :func:`~repro.engine.ir.build_kernel_ir` tree per policy family, plus
-   the transforms (``specialize`` / ``strip_stats`` / constant folding)
-   that burn a (policy spec × config × feature) point into a fully
-   resolved tree.  :mod:`repro.engine.emit` holds the emitters over it:
-   ``emit.python`` renders the per-point kernel source, ``emit.c`` the
-   native tier's C units.
+   :func:`~repro.engine.ir.build_kernel_ir` tree per policy spec, plus
+   the transforms (``specialize`` / ``strip_stats``) that resolve one
+   feature point into a fully lowered tree.  No config value enters the
+   tree: kernels bind geometry, widths, latencies and sizes from the
+   point's config table (:data:`~repro.engine.state.TABLE_FIELDS`).
+   :mod:`repro.engine.emit` holds the emitters over it: ``emit.python``
+   renders the kernel source, ``emit.c`` the native tier's C units.
 4. :mod:`repro.engine.kernels` — :func:`~repro.engine.kernels.get_kernel`
    lowers the IR through the python emitter and ``exec``-compiles one
-   measured-pass kernel per (policy spec × config), cached per process.
+   measured-pass kernel per shape (policy spec × feature flags), cached
+   per process.
    ``REPRO_ENGINE_TIER`` (:func:`~repro.engine.kernels.engine_tier`)
    selects the tier.
 5. :mod:`repro.engine.warmup` — component-wise warm-state construction:

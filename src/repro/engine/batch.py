@@ -17,8 +17,9 @@ policy-independent work once —
   policies on traces where the shared d-cache replay is not provably exact)
   run private full warm-up passes — and those run on the fast path too;
 * the measured (and private warm-up) passes run on **generated kernels**
-  (:mod:`repro.engine.kernels`) specialized per (policy spec × config) over
-  the flat-array state of :mod:`repro.engine.state`, with the per-workload
+  (:mod:`repro.engine.kernels`) specialized per policy shape over the
+  flat-array state of :mod:`repro.engine.state` — each point's config
+  reaches its kernel as the state's config table — with the per-workload
   setup — BTU replay payload extraction, the crypto-PC table, warm-state
   conversion — shared across every point of the batch.
 
@@ -539,7 +540,6 @@ def simulate_batch(
             if use_native:
                 kernel = native.get_native_kernel(
                     spec,
-                    point_config,
                     flush_active,
                     icache_resident=icache_ok,
                     dcache_resident=dcache_ok,
@@ -549,7 +549,6 @@ def simulate_batch(
                 if kernel is not None and (flush_private or forwarding_private):
                     warm_kernel = native.get_native_kernel(
                         spec,
-                        point_config,
                         flush_active,
                         collect_stats=False,
                         cache_dir=cache_dir,
@@ -569,9 +568,7 @@ def simulate_batch(
                 # the first pass runs cold, and its miss timing feeds
                 # the cycle-triggered BTU flushes.
                 if warm_kernel is None:
-                    warm_kernel = get_kernel(
-                        spec, point_config, flush_active, collect_stats=False
-                    )
+                    warm_kernel = get_kernel(spec, flush_active, collect_stats=False)
                 for _ in range(passes):
                     start = time.perf_counter()
                     warm_kernel(
@@ -591,7 +588,6 @@ def simulate_batch(
             if kernel is None:
                 kernel = get_kernel(
                     spec,
-                    point_config,
                     flush_active,
                     icache_resident=icache_ok,
                     dcache_resident=dcache_ok,

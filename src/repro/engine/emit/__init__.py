@@ -3,9 +3,8 @@
 Two targets exist today:
 
 * :mod:`repro.engine.emit.python` — renders one specialized tree into the
-  exec-compiled per-(spec × config) Python source the engine has always
-  run (byte-identical to the historical string generator; pinned by golden
-  snapshots and the fuzz parity suite).
+  exec-compiled per-shape Python source (pinned by golden snapshots and
+  the fuzz parity suite).  Its line renderer serves the C tree too.
 * :mod:`repro.engine.emit.c` — renders the same specialized tree into one
   self-contained C translation unit (``int64_t kernel(int64_t *a)`` over a
   flat argument vector).  :mod:`repro.engine.native` owns compiling,

@@ -5,11 +5,15 @@ not translate the python tree — C has no exceptions, dicts, or lists — it
 builds its *own* statement tree with :func:`build_c_kernel_ir`, mirroring
 :func:`repro.engine.ir.build_kernel_ir` stage by stage, out of the same IR
 node types: the same :class:`~repro.engine.ir.Guard` features in the same
-positions, the same :class:`~repro.engine.ir.Stat` markers, and the same
-foldable :class:`~repro.engine.ir.Mod` / :class:`~repro.engine.ir.Div` /
-:class:`~repro.engine.ir.ScaledDiv` arithmetic nodes — so one cached build
-serves every :class:`~repro.engine.ir.KernelFeatures` point through the
-unchanged :func:`~repro.engine.ir.lower_kernel` transform pipeline.
+positions and the same :class:`~repro.engine.ir.Stat` markers — so one
+cached build per policy spec serves every
+:class:`~repro.engine.ir.KernelFeatures` point through the unchanged
+:func:`~repro.engine.ir.lower_kernel` transform pipeline.  Like the python
+kernels, a C unit holds no config value: its prologue binds geometry,
+widths, latencies and sizes from the point's config table (the ``table``
+slot), so one compiled unit serves every config.  Its cache arithmetic is
+the python kernels' with ``/`` for ``//``: every operand is non-negative,
+where C's truncating ``/`` and ``%`` agree with Python's.
 
 The generated kernel is one C function::
 
@@ -29,8 +33,9 @@ bit-identical to the flat models of :mod:`repro.engine.state`:
   of insertion order, reproducing the dict's oldest-key eviction;
 * **RSB** — a bounded ring; **loop predictor** — dense per-PC rows plus a
   creation journal so unpacking never scans the dense tables;
-* **store queue** — a small ring with linear scan (capacity
-  ``sq_size + 1``, the dict's transient overfull state);
+* **store queue** — a small ring with linear scan in the per-call
+  ``si_buf`` scratch (capacity ``sq_size + 1``, the dict's transient
+  overfull state);
 * **issue port map** — an open-addressed hash (counts, 0 = empty) sized to
   load factor ≤ ½, replacing the defaultdict;
 * **L2 / L3** — dense per-set way counts + tag rows with a touched-set
@@ -45,32 +50,28 @@ exact message the python kernels produce.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
+from repro.engine.emit.python import render
 from repro.engine.ir import (
     Block,
-    Expr,
     Guard,
     KernelFeatures,
     L,
     Line,
-    Mod,
-    Div,
-    ScaledDiv,
-    Stat,
     Stmt,
     lines,
     lower_kernel,
     stat,
 )
 from repro.engine.kernels import DYNAMIC_COUNTERS, relevant_flag_mask
-from repro.uarch.config import CoreConfig
+from repro.engine.state import TABLE_NAMES, TABLE_SLOT
 from repro.uarch.defenses.base import EnginePolicySpec
 
 #: Bumped whenever the argument layout or prelude changes incompatibly —
 #: part of the compiled-artifact cache key, so stale ``.so`` files can never
 #: be loaded against a new ABI.
-C_ABI_VERSION = 3
+C_ABI_VERSION = 4
 
 #: Scalar slots (plain int64 values; ``io`` ones are read at entry and
 #: written back at exit so a session's calls chain).
@@ -108,6 +109,8 @@ _POINTERS = (
     "src2",
     "flags",
     "lat_cls",
+    # The point's config table (repro.engine.state.TABLE_FIELDS).
+    "table",
     # Per-workload read-only tables.
     "crypto_pcs",  # uint8
     "plan_cls",  # uint8
@@ -138,8 +141,10 @@ _POINTERS = (
     "l3_cnt",
     "l3_data",
     "l3_occ",
-    # Per-call scratch (zeroed by the kernel at entry).
+    # Per-call scratch (zeroed by the kernel at entry where it must be).
     "reg_ready",
+    "commit_ring",
+    "si_buf",  # 3 * (sq_size + 1): store-queue addresses, completes, commits
     "ib_keys",
     "ib_vals",
 )
@@ -178,49 +183,19 @@ static int64_t seg_find(const int64_t *buf, int64_t lo, int64_t hi,
 _INDENT = "    "
 
 
-def render(body: Sequence[Stmt]) -> str:
-    """Render a fully lowered C tree (no Guard/Stat nodes) into source text.
-
-    The exact mirror of :func:`repro.engine.emit.python.render`, joining
-    :meth:`~repro.engine.ir.Expr.render_c` instead of ``render`` — C's
-    ``/`` and ``%`` agree with Python's on the non-negative operands these
-    kernels compute with, and the fold transform has already turned
-    power-of-two sites into shifts and masks anyway.
-    """
-    out: List[str] = []
-    _walk(body, 0, out)
-    return "\n".join(out) + "\n"
-
-
-def _walk(body: Sequence[Stmt], depth: int, out: List[str]) -> None:
-    for stmt in body:
-        if isinstance(stmt, Line):
-            pieces = [
-                part.render_c() if isinstance(part, Expr) else part
-                for part in stmt.parts
-            ]
-            out.append(_INDENT * depth + "".join(pieces))
-        elif isinstance(stmt, Block):
-            _walk(stmt.body, depth + stmt.indent, out)
-        elif isinstance(stmt, (Guard, Stat)):
-            raise TypeError(
-                f"unlowered {type(stmt).__name__} node reached the emitter; "
-                "run repro.engine.ir.lower_kernel first"
-            )
-        else:  # pragma: no cover - no other statement kinds exist
-            raise TypeError(f"unknown IR statement {stmt!r}")
-
-
 def c_kernel_source(
     spec: EnginePolicySpec,
-    config: CoreConfig,
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
     btu_elide: bool = False,
     collect_stats: bool = True,
 ) -> str:
-    """The complete C translation unit for one specialization point."""
+    """The complete C translation unit for one kernel shape.
+
+    Rendered by the python emitter's line renderer: the lowered C tree is
+    plain lines and blocks, exactly like the python one.
+    """
     features = KernelFeatures.derive(
         spec,
         flush_active,
@@ -230,7 +205,7 @@ def c_kernel_source(
         collect_stats=collect_stats,
     )
     return _PRELUDE + "\n" + render(
-        lower_kernel(build_c_kernel_ir(spec, config), features)
+        lower_kernel(build_c_kernel_ir(spec), features)
     )
 
 
@@ -245,7 +220,7 @@ def source_digest(source: str) -> str:
 # --------------------------------------------------------------------------- #
 # The C kernel tree
 # --------------------------------------------------------------------------- #
-_C_IR_CACHE: Dict[Tuple[EnginePolicySpec, tuple], List[Stmt]] = {}
+_C_IR_CACHE: Dict[EnginePolicySpec, List[Stmt]] = {}
 
 
 def clear_c_ir_cache() -> None:
@@ -258,16 +233,15 @@ def _a(name: str) -> str:
     return f"a[{ARG[name]}]"
 
 
-def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
-    """The full native measured-pass tree for one (spec × config) pair.
+def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
+    """The full native measured-pass tree for one policy spec.
 
     Mirrors :func:`repro.engine.ir.build_kernel_ir` stage by stage — same
-    Guard/Stat placement, same constant inlining, same foldable arithmetic
-    nodes — over the C data-structure mappings described in the module
+    Guard/Stat placement, same config locals bound from the point's config
+    table — over the C data-structure mappings described in the module
     docstring.  One cached build serves all 2⁵ feature points.
     """
-    key = (spec, config.identity())
-    cached = _C_IR_CACHE.get(key)
+    cached = _C_IR_CACHE.get(spec)
     if cached is not None:
         return cached
 
@@ -276,15 +250,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
     traced = cassandra and not lite
     gate_mask = spec.gate_mask
     allow_fwd = spec.allow_store_forwarding
-    l1i, l1d, l2, l3 = config.l1i, config.l1d, config.l2, config.l3
-    rob = config.rob_size
-    pht_mask = (1 << config.pht_bits) - 1
-    hist_mask = (1 << config.global_history_bits) - 1
     mg_mask = 1 | gate_mask
     flag_mask = relevant_flag_mask(spec)
-    # One slot beyond the store queue: the dict model goes transiently
-    # overfull between insert and evict.
-    sicap = config.sq_size + 1
 
     body: List[Stmt] = []
 
@@ -302,10 +269,22 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             f"const int64_t *s2_col = PI64({_a('src2')});",
             f"const int64_t *fl_col = PI64({_a('flags')});",
             f"const int64_t *lc_col = PI64({_a('lat_cls')});",
-            "static const int64_t lat_tab[5] = "
-            f"{{{config.alu_latency}, {config.mul_latency}, "
-            f"{config.div_latency}, {config.store_latency}, "
-            f"{config.branch_resolve_latency}}};",
+            f"const int64_t *cfg = PI64({_a('table')});",
+        )
+    )
+    body.extend(
+        L(f"const int64_t {name} = cfg[{slot}];")
+        for slot, name in enumerate(TABLE_NAMES)
+    )
+    body.extend(
+        lines(
+            # The latency classes' five latencies, in class order.
+            f"const int64_t *lat_tab = cfg + {TABLE_SLOT['alu_latency']};",
+            "const int64_t pht_mask = ((int64_t)1 << pht_bits) - 1;",
+            "const int64_t hist_mask = ((int64_t)1 << global_history_bits) - 1;",
+            # One slot beyond the store queue: the dict model goes
+            # transiently overfull between insert and evict.
+            "const int64_t sq_cap = sq_size + 1;",
         )
     )
     body.append(
@@ -401,15 +380,15 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             f"int64_t *reg_ready = PI64({_a('reg_ready')}) + 1;",
             f"memset(reg_ready - 1, 0, (size_t)({_a('num_regs')} + 2)"
             " * sizeof(int64_t));",
-            f"int64_t commit_ring[{rob}];",
-            "memset(commit_ring, 0, sizeof commit_ring);",
+            f"int64_t *commit_ring = PI64({_a('commit_ring')});",
+            "memset(commit_ring, 0, (size_t)rob_size * sizeof(int64_t));",
             f"int64_t *ib_keys = PI64({_a('ib_keys')});",
             f"int64_t *ib_vals = PI64({_a('ib_vals')});",
             f"const int64_t ib_mask = {_a('ib_mask')};",
             "memset(ib_vals, 0, (size_t)(ib_mask + 1) * sizeof(int64_t));",
-            f"int64_t si_addr[{sicap}];",
-            f"int64_t si_complete[{sicap}];",
-            f"int64_t si_commit[{sicap}];",
+            f"int64_t *si_addr = PI64({_a('si_buf')});",
+            "int64_t *si_complete = si_addr + sq_cap;",
+            "int64_t *si_commit = si_complete + sq_cap;",
             "int64_t si_head = 0;",
             "int64_t si_len = 0;",
             "int64_t fetch_cycle = 0;",
@@ -419,9 +398,12 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "int64_t committed_this_cycle = 0;",
             "int64_t window_resolve_cycle = 0;",
             "int64_t index = 0;",
+            # The tail loop's commit-ring slot: index % rob_size, kept as a
+            # wrapping counter so the loop divides nothing.
+            "int64_t ri = 0;",
             "int64_t dst, s0, s1, s2, fl, lat;",
             "int64_t pc = 0, npc, bc, ready, t, i, line, seg_end, tag;",
-            "int64_t candidate, ri, bound, dispatch_cycle, exec_latency;",
+            "int64_t candidate, bound, dispatch_cycle, exec_latency;",
             "int64_t addr, i0, q, k, h;",
             "int64_t issue_cycle, busy, ib_h, complete_cycle, commit_cycle;",
             "int64_t resolve_cycle, predicted, taken, pidx, counter;",
@@ -470,28 +452,23 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "if (fetch_not_before > fetch_cycle) {",
             "    fetch_cycle = fetch_not_before;",
             "    fetched_this_cycle = 1;",
-            f"}} else if (fetched_this_cycle >= {config.fetch_width}) {{",
+            "} else if (fetched_this_cycle >= fetch_width) {",
             "    fetch_cycle += 1;",
             "    fetched_this_cycle = 1;",
             "} else {",
             "    fetched_this_cycle += 1;",
             "}",
         )
-        assoc = l1i.associativity
         full: List[Stmt] = [
             L("pc = pcs_col[index];"),
             L(
                 "candidate = fetch_cycle > fetch_not_before"
                 " ? fetch_cycle : fetch_not_before;"
             ),
-            L("line = ", ScaledDiv("pc", 4, l1i.line_bytes), ";"),
-            L(
-                "seg_end = ",
-                Mod("line", l1i.num_sets),
-                f" * {assoc} + {assoc};",
-            ),
-            L("tag = ", Div("line", l1i.num_sets), ";"),
-            L(f"i = seg_find(l1i, seg_end - {assoc}, seg_end, tag);"),
+            L("line = (pc * 4) / l1i_line_bytes;"),
+            L("seg_end = (line % l1i_num_sets) * l1i_associativity + l1i_associativity;"),
+            L("tag = line / l1i_num_sets;"),
+            L("i = seg_find(l1i, seg_end - l1i_associativity, seg_end, tag);"),
             L("if (i >= 0) {"),
             L(
                 "    memmove(l1i + i, l1i + i + 1,"
@@ -501,12 +478,12 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             L("} else {"),
             Block((stat("l1i_miss += 1;"),), 1),
             L(
-                f"    memmove(l1i + seg_end - {assoc},"
-                f" l1i + seg_end - {assoc} + 1,"
-                f" (size_t){assoc - 1} * sizeof(int64_t));"
+                "    memmove(l1i + seg_end - l1i_associativity,"
+                " l1i + seg_end - l1i_associativity + 1,"
+                " (size_t)(l1i_associativity - 1) * sizeof(int64_t));"
             ),
             L("    l1i[seg_end - 1] = tag;"),
-            L(f"    candidate += {l2.latency};"),
+            L("    candidate += l2_latency;"),
             L("}"),
         ]
         full.extend(
@@ -515,7 +492,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    fetch_cycle = candidate;",
                 "    fetched_this_cycle = 0;",
                 "}",
-                f"if (fetched_this_cycle >= {config.fetch_width}) {{",
+                "if (fetched_this_cycle >= fetch_width) {",
                 "    fetch_cycle += 1;",
                 "    fetched_this_cycle = 0;",
                 "}",
@@ -525,9 +502,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         return [Guard("icache_resident", tuple(resident), tuple(full))]
 
     def dispatch_stage(rob_active: bool) -> List[Stmt]:
-        out: List[Stmt] = [L(f"ready = fetch_cycle + {config.frontend_depth};")]
+        out: List[Stmt] = [L("ready = fetch_cycle + frontend_depth;")]
         if rob_active:
-            out.append(L("ri = ", Mod("index", rob, bare=True), ";"))
             out.extend(
                 lines(
                     "bound = commit_ring[ri];",
@@ -561,22 +537,18 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         )
 
     # ------------------------ cache-model builders -------------------------- #
-    d_line = ScaledDiv("addr", config.word_bytes, l1d.line_bytes)
-    l2_line_src = ScaledDiv("addr", config.word_bytes, l2.line_bytes)
-    l3_line_src = ScaledDiv("addr", config.word_bytes, l3.line_bytes)
-
-    def dense_level(level: str, cfg, line_src: Expr, miss: List[Stmt]) -> List[Stmt]:
+    def dense_level(level: str, miss: List[Stmt]) -> List[Stmt]:
         """One dense-array cache level; ``miss`` statements run on a miss.
 
         Same decision tree as the python tier's sparse-dict level: create
         (journalled into the occupied-set list), hit-reorder, shift-install
         on a full set, or append — all three non-hit arms run ``miss``.
         """
-        assoc = cfg.associativity
+        assoc = f"{level}_associativity"
         return [
-            L(f"{level}_line = ", line_src, ";"),
-            L(f"{level}_set = ", Mod(f"{level}_line", cfg.num_sets), ";"),
-            L(f"{level}_tag = ", Div(f"{level}_line", cfg.num_sets), ";"),
+            L(f"{level}_line = (addr * word_bytes) / {level}_line_bytes;"),
+            L(f"{level}_set = {level}_line % {level}_num_sets;"),
+            L(f"{level}_tag = {level}_line / {level}_num_sets;"),
             L(f"sbase = {level}_set * {assoc};"),
             L(f"scnt = {level}_cnt[{level}_set];"),
             L("if (scnt == 0) {"),
@@ -600,9 +572,9 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             L(
                 f"        memmove({level}_data + sbase,"
                 f" {level}_data + sbase + 1,"
-                f" (size_t){assoc - 1} * sizeof(int64_t));"
+                f" (size_t)({assoc} - 1) * sizeof(int64_t));"
             ),
-            L(f"        {level}_data[sbase + {assoc - 1}] = {level}_tag;"),
+            L(f"        {level}_data[sbase + {assoc} - 1] = {level}_tag;"),
             Block(tuple(miss), 2),
             L("    } else {"),
             L(f"        {level}_data[sbase + scnt] = {level}_tag;"),
@@ -613,30 +585,20 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         ]
 
     def l2_l3_stage(load: bool) -> List[Stmt]:
-        def l3_level() -> List[Stmt]:
-            miss = (
-                lines(f"exec_latency += {config.memory_latency};") if load else []
-            )
-            return dense_level("l3", l3, l3_line_src, miss)
-
         l2_miss: List[Stmt] = []
         if load:
-            l2_miss.extend(lines(f"exec_latency += {l3.latency};"))
-        l2_miss.extend(l3_level())
-        return dense_level("l2", l2, l2_line_src, l2_miss)
+            l2_miss.extend(lines("exec_latency += l3_latency;"))
+        l3_miss = lines("exec_latency += memory_latency;") if load else []
+        l2_miss.extend(dense_level("l3", l3_miss))
+        return dense_level("l2", l2_miss)
 
     def l1d_stage(load: bool) -> List[Stmt]:
-        resident = lines(f"exec_latency = {l1d.latency};") if load else []
-        assoc = l1d.associativity
+        resident = lines("exec_latency = l1d_latency;") if load else []
         full: List[Stmt] = [
-            L("line = ", d_line, ";"),
-            L(
-                "seg_end = ",
-                Mod("line", l1d.num_sets),
-                f" * {assoc} + {assoc};",
-            ),
-            L("tag = ", Div("line", l1d.num_sets), ";"),
-            L(f"i = seg_find(l1d, seg_end - {assoc}, seg_end, tag);"),
+            L("line = (addr * word_bytes) / l1d_line_bytes;"),
+            L("seg_end = (line % l1d_num_sets) * l1d_associativity + l1d_associativity;"),
+            L("tag = line / l1d_num_sets;"),
+            L("i = seg_find(l1d, seg_end - l1d_associativity, seg_end, tag);"),
             L("if (i >= 0) {"),
             L(
                 "    memmove(l1d + i, l1d + i + 1,"
@@ -645,19 +607,19 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             L("    l1d[seg_end - 1] = tag;"),
         ]
         if load:
-            full.append(L(f"    exec_latency = {l1d.latency};"))
+            full.append(L("    exec_latency = l1d_latency;"))
         full.append(L("} else {"))
         miss_arm: List[Stmt] = [stat("l1d_miss += 1;")]
         miss_arm.extend(
             lines(
-                f"memmove(l1d + seg_end - {assoc},"
-                f" l1d + seg_end - {assoc} + 1,"
-                f" (size_t){assoc - 1} * sizeof(int64_t));",
+                "memmove(l1d + seg_end - l1d_associativity,"
+                " l1d + seg_end - l1d_associativity + 1,"
+                " (size_t)(l1d_associativity - 1) * sizeof(int64_t));",
                 "l1d[seg_end - 1] = tag;",
             )
         )
         if load:
-            miss_arm.extend(lines(f"exec_latency = {l1d.latency + l2.latency};"))
+            miss_arm.extend(lines("exec_latency = l1d_latency + l2_latency;"))
         miss_arm.extend(l2_l3_stage(load))
         full.append(Block(tuple(miss_arm), 1))
         full.append(L("}"))
@@ -669,8 +631,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "q = -1;",
             "for (k = 0; k < si_len; k++) {",
             "    h = si_head + k;",
-            f"    if (h >= {sicap}) {{",
-            f"        h -= {sicap};",
+            "    if (h >= sq_cap) {",
+            "        h -= sq_cap;",
             "    }",
             "    if (si_addr[h] == addr) {",
             "        q = h;",
@@ -701,7 +663,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                     "if (t > ready) {",
                     "    ready = t;",
                     "}",
-                    f"exec_latency = {config.store_forward_latency};",
+                    "exec_latency = store_forward_latency;",
                 )
             )
             load_body.append(Block(tuple(fwd_arm), 1))
@@ -741,7 +703,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         out.append(L("}"))
         return out
 
-    def issue_commit_stage(latency: str, ring_slot: str) -> List[Stmt]:
+    def issue_commit_stage(latency: str, rob_active: bool) -> List[Stmt]:
         """Issue bandwidth, register write-back, and commit bandwidth.
 
         The python tier's ``issue_busy`` defaultdict becomes an open-addressed
@@ -755,10 +717,10 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "}",
             "busy = ib_vals[ib_h];",
         )
-        return lines(
+        out = lines(
             "issue_cycle = ready;",
             *probe,
-            f"while (busy >= {config.issue_width}) {{",
+            "while (busy >= issue_width) {",
             "    issue_cycle += 1;",
             *("    " + text for text in probe),
             "}",
@@ -770,16 +732,28 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "if (commit_cycle > last_commit_cycle) {",
             "    last_commit_cycle = commit_cycle;",
             "    committed_this_cycle = 1;",
-            f"}} else if (committed_this_cycle >= {config.commit_width}) {{",
+            "} else if (committed_this_cycle >= commit_width) {",
             "    last_commit_cycle = commit_cycle = last_commit_cycle + 1;",
             "    committed_this_cycle = 1;",
             "} else {",
             "    commit_cycle = last_commit_cycle;",
             "    committed_this_cycle += 1;",
             "}",
-            f"commit_ring[{ring_slot}] = commit_cycle;",
-            "index += 1;",
         )
+        if rob_active:
+            out.extend(
+                lines(
+                    "commit_ring[ri] = commit_cycle;",
+                    "ri += 1;",
+                    "if (ri == rob_size) {",
+                    "    ri = 0;",
+                    "}",
+                )
+            )
+        else:
+            out.extend(lines("commit_ring[index] = commit_cycle;"))
+        out.extend(lines("index += 1;"))
+        return out
 
     def store_stage() -> List[Stmt]:
         """Store install + store-queue update under a single F_STORE test.
@@ -799,17 +773,17 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    si_commit[q] = commit_cycle;",
                 "} else {",
                 "    h = si_head + si_len;",
-                f"    if (h >= {sicap}) {{",
-                f"        h -= {sicap};",
+                "    if (h >= sq_cap) {",
+                "        h -= sq_cap;",
                 "    }",
                 "    si_addr[h] = addr;",
                 "    si_complete[h] = complete_cycle;",
                 "    si_commit[h] = commit_cycle;",
                 "    si_len += 1;",
-                f"    if (si_len > {config.sq_size}) {{",
+                "    if (si_len > sq_size) {",
                 "        si_head += 1;",
-                f"        if (si_head >= {sicap}) {{",
-                f"            si_head -= {sicap};",
+                "        if (si_head >= sq_cap) {",
+                "            si_head -= sq_cap;",
                 "        }",
                 "        si_len -= 1;",
                 "    }",
@@ -827,17 +801,17 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         """
         return lines(
             "if (btb_val[pc] < 0) {",
-            f"    if (btb_count >= {config.btb_entries}) {{",
+            "    if (btb_count >= btb_entries) {",
             "        btb_val[btb_fifo[btb_head]] = -1;",
             "        btb_head += 1;",
-            f"        if (btb_head >= {config.btb_entries}) {{",
-            f"            btb_head -= {config.btb_entries};",
+            "        if (btb_head >= btb_entries) {",
+            "            btb_head -= btb_entries;",
             "        }",
             "        btb_count -= 1;",
             "    }",
             "    h = btb_head + btb_count;",
-            f"    if (h >= {config.btb_entries}) {{",
-            f"        h -= {config.btb_entries};",
+            "    if (h >= btb_entries) {",
+            "        h -= btb_entries;",
             "    }",
             "    btb_fifo[h] = pc;",
             "    btb_count += 1;",
@@ -847,16 +821,16 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
 
     def rsb_push() -> List[Stmt]:
         return lines(
-            f"if (rsb_len >= {config.rsb_entries}) {{",
+            "if (rsb_len >= rsb_entries) {",
             "    rsb_head += 1;",
-            f"    if (rsb_head >= {config.rsb_entries}) {{",
-            f"        rsb_head -= {config.rsb_entries};",
+            "    if (rsb_head >= rsb_entries) {",
+            "        rsb_head -= rsb_entries;",
             "    }",
             "    rsb_len -= 1;",
             "}",
             "h = rsb_head + rsb_len;",
-            f"if (h >= {config.rsb_entries}) {{",
-            f"    h -= {config.rsb_entries};",
+            "if (h >= rsb_entries) {",
+            "    h -= rsb_entries;",
             "}",
             "rsb_buf[h] = pc + 1;",
             "rsb_len += 1;",
@@ -869,7 +843,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         out.extend(
             lines(
                 "if (bc == 1) {",
-                f"    pidx = (pc ^ history) & {pht_mask};",
+                "    pidx = (pc ^ history) & pht_mask;",
                 "    counter = pht[pidx];",
                 "    lp = loop_present[pc];",
                 "    if (lp && loop_conf[pc] >= 2 && loop_trip[pc] >= 0) {",
@@ -898,7 +872,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    }",
                 "    if (taken) {",
                 "        pht[pidx] = counter < 3 ? counter + 1 : 3;",
-                f"        history = ((history << 1) | 1) & {hist_mask};",
+                "        history = ((history << 1) | 1) & hist_mask;",
                 "        if (loop_trip[pc] == loop_run[pc]) {",
                 "            c = loop_conf[pc];",
                 "            loop_conf[pc] = c < 7 ? c + 1 : 7;",
@@ -914,7 +888,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             lines(
                 "    } else {",
                 "        pht[pidx] = counter > 0 ? counter - 1 : 0;",
-                f"        history = (history << 1) & {hist_mask};",
+                "        history = (history << 1) & hist_mask;",
                 "        loop_run[pc] += 1;",
                 "    }",
             )
@@ -943,8 +917,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    if (rsb_len > 0) {",
                 "        rsb_len -= 1;",
                 "        h = rsb_head + rsb_len;",
-                f"        if (h >= {config.rsb_entries}) {{",
-                f"            h -= {config.rsb_entries};",
+                "        if (h >= rsb_entries) {",
+                "            h -= rsb_entries;",
                 "        }",
                 "        predicted = rsb_buf[h];",
                 "    } else {",
@@ -1013,7 +987,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         """Mispredict redirect + speculation-window bookkeeping."""
         out: List[Stmt] = lines(
             "if (predicted != npc) {",
-            f"    redirect = resolve_cycle + {config.mispredict_penalty};",
+            "    redirect = resolve_cycle + mispredict_penalty;",
         )
         out.append(
             stat(
@@ -1123,7 +1097,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             )
             elide_arm.append(Block((stat("n_btu_misses += 1;"),), 2))
             elide_arm.append(
-                Block(tuple(lines(f"extra = {config.btu.miss_latency};")), 2)
+                Block(tuple(lines("extra = btu_miss_latency;")), 2)
             )
             elide_arm.append(L("    }"))
             # Full residency model over the session-owned LRU buffer.
@@ -1142,8 +1116,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 Block(
                     tuple(
                         lines(
-                            f"extra = {config.btu.miss_latency};",
-                            f"if (res_len >= {config.btu.entries}) {{",
+                            "extra = btu_miss_latency;",
+                            "if (res_len >= btu_entries) {",
                             "    memmove(res_buf, res_buf + 1,"
                             " (size_t)(res_len - 1) * sizeof(int64_t));",
                             "    res_len -= 1;",
@@ -1158,7 +1132,6 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             full_arm.append(L("    }"))
             full_arm.append(Block(tuple(lines("pos = btu_pos[pc];")), 1))
             base.append(Guard("btu_elide", tuple(elide_arm), tuple(full_arm)))
-            epe = config.btu.elements_per_entry
             replay: List[Stmt] = lines(
                 "tl = tgt_len[pc];",
                 "tidx = pos % tl;",
@@ -1168,12 +1141,15 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    eid = eid_data[tgt_off[pc] + tidx];",
             )
             replay.append(
-                L(f"    if (eid >= {epe} && ", Mod("eid", epe), " == 0) {")
+                L(
+                    "    if (eid >= btu_elements_per_entry"
+                    " && eid % btu_elements_per_entry == 0) {"
+                )
             )
             replay.append(Block((stat("n_btu_prefetches += 1;"),), 2))
             replay.extend(
                 lines(
-                    f"        extra += {config.btu.prefetch_latency};",
+                    "        extra += btu_prefetch_latency;",
                     "    }",
                     "}",
                     "if (target != npc) {",
@@ -1198,7 +1174,6 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
 
     # -------------------------- instruction body ---------------------------- #
     def instruction_body(rob_active: bool) -> List[Stmt]:
-        ring_slot = "ri" if rob_active else "index"
         out: List[Stmt] = []
         out.extend(fetch_stage())
         out.extend(dispatch_stage(rob_active))
@@ -1208,13 +1183,13 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         slow.append(L("exec_latency = lat;"))
         slow.extend(mem_gate_stage())
         slow.append(L("i0 = index;"))
-        slow.extend(issue_commit_stage("exec_latency", ring_slot))
+        slow.extend(issue_commit_stage("exec_latency", rob_active))
         slow.extend(store_stage())
         slow.extend(branch_stage())
         out.append(Block(tuple(slow), 1))
         out.append(L("} else {"))
         fast: List[Stmt] = list(operand_stage())
-        fast.extend(issue_commit_stage("lat", ring_slot))
+        fast.extend(issue_commit_stage("lat", rob_active))
         out.append(Block(tuple(fast), 1))
         out.append(L("}"))
         out.append(
@@ -1245,7 +1220,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
     # The head loop needs no ROB-occupancy bound (nothing has committed
     # ``rob_size`` back yet); the tail reads it unconditionally.  ``fl`` is
     # the premasked flags word: zero means "pure ALU work", the fast path.
-    body.append(L(f"const int64_t head_end = n < {rob} ? n : {rob};"))
+    body.append(L("const int64_t head_end = n < rob_size ? n : rob_size;"))
     body.append(L("while (index < head_end) {"))
     body.append(
         Block(tuple(row_loads() + instruction_body(rob_active=False)), 1)
@@ -1371,5 +1346,5 @@ def build_c_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         Block(tuple(body), 1),
         L("}"),
     ]
-    _C_IR_CACHE[key] = tree
+    _C_IR_CACHE[spec] = tree
     return tree

@@ -2,19 +2,15 @@
 
 This is deliberately the dumbest possible emitter: every specialization
 decision was already resolved by the IR transforms, so all that remains is
-indentation bookkeeping and joining :class:`~repro.engine.ir.Line` parts
-(literal strings interleaved with rendered expression nodes).  The output
-is byte-identical to the historical string-concatenation generator in
-:mod:`repro.engine.kernels` — pinned by the golden snapshots under
-``tests/engine/golden/`` — so the exec/compile layer above it did not have
-to change at all.
+indentation bookkeeping over :class:`~repro.engine.ir.Line` texts.  The
+output is pinned by the golden snapshots under ``tests/engine/golden/``.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.engine.ir import Block, Expr, Guard, Line, Stat, Stmt
+from repro.engine.ir import Block, Guard, Line, Stat, Stmt
 
 _INDENT = "    "
 
@@ -29,11 +25,7 @@ def render(body: Sequence[Stmt]) -> str:
 def _walk(body: Sequence[Stmt], depth: int, out: List[str]) -> None:
     for stmt in body:
         if isinstance(stmt, Line):
-            pieces = [
-                part.render() if isinstance(part, Expr) else part
-                for part in stmt.parts
-            ]
-            out.append(_INDENT * depth + "".join(pieces))
+            out.append(_INDENT * depth + stmt.text)
         elif isinstance(stmt, Block):
             _walk(stmt.body, depth + stmt.indent, out)
         elif isinstance(stmt, (Guard, Stat)):

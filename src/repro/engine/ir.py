@@ -3,28 +3,26 @@
 :mod:`repro.engine.kernels` used to build its specialized source by string
 concatenation, which welded the *what* (the measured pass's structure and
 its specializations) to the *how* (rendering CPython source).  This module
-is the *what*: a small statement/expression tree plus the specialization
-decisions as explicit, unit-testable transforms.  Emitters — today
-:mod:`repro.engine.emit.python` (exec-compiled per-config source) and
+is the *what*: a small statement tree plus the specialization decisions as
+explicit, unit-testable transforms.  Emitters — today
+:mod:`repro.engine.emit.python` (exec-compiled kernel source) and
 :mod:`repro.engine.emit.c` (C translation units for the native tier) — are
 the *how*.
 
-The IR is deliberately thin: kernel code is straight-line Python with
-constant-folded arithmetic, so statements are literal lines (:class:`Line`)
-grouped by :class:`Block` indentation, and the only structured expressions
-are the ones a transform needs to rewrite (:class:`Mod`, :class:`Div`,
-:class:`ScaledDiv` — the power-of-two folding sites).  Three node kinds
-carry the specialization decisions:
+The IR is deliberately thin: kernel code is straight-line source, so
+statements are literal lines (:class:`Line`) grouped by :class:`Block`
+indentation.  No config value is ever written into a line: geometry,
+widths, latencies and sizes are locals the kernel binds from the point's
+config table (:data:`~repro.engine.state.TABLE_FIELDS`) in its prologue.
+Two node kinds carry the specialization decisions:
 
 * :class:`Guard` — a generation-time conditional on one boolean *feature*
   (``flush`` / ``icache_resident`` / ``dcache_resident`` / ``btu_elide`` /
   ``stats``), resolved by :func:`specialize`;
 * :class:`Stat` — statements that exist only in statistics-collecting
-  kernels, resolved by :func:`strip_stats` (warm-up kernels drop them);
-* the pow2-foldable expressions, resolved by :func:`fold_pow2` into
-  shift/mask nodes.
+  kernels, resolved by :func:`strip_stats` (warm-up kernels drop them).
 
-:func:`build_kernel_ir` constructs one tree per (spec × config) — the tree
+:func:`build_kernel_ir` constructs one tree per policy spec — the tree
 still contains every Guard/Stat variant, so one build (cached per process)
 serves all 2⁵ specializations — and :func:`lower_kernel` runs the transform
 pipeline for one :class:`KernelFeatures` point, checking each transform's
@@ -32,140 +30,22 @@ postcondition:
 
     specialize   →  no Guard nodes remain
     strip_stats  →  no Stat nodes remain
-    fold_pow2    →  no foldable Mod/Div/ScaledDiv remains
 
-The python emitter renders the lowered tree into source that is
-byte-identical to the historical string-concatenation generator — pinned by
-the golden snapshots under ``tests/engine/golden/`` and by the fuzz parity
-suite.
+A kernel unit is therefore fixed by its *shape* — the spec plus the
+feature point — and serves every config; the golden snapshots under
+``tests/engine/golden/`` pin one rendering per shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from repro.uarch.config import CoreConfig
+from repro.engine.state import TABLE_NAMES
 from repro.uarch.defenses.base import EnginePolicySpec
 
 #: The boolean features a :class:`Guard` may test.
 FEATURES = ("flush", "icache_resident", "dcache_resident", "btu_elide", "stats")
-
-
-def pow2(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
-
-
-# --------------------------------------------------------------------------- #
-# Expressions
-# --------------------------------------------------------------------------- #
-class Expr:
-    """Base class for structured (transformable) expression parts.
-
-    Every node renders to two syntaxes: :meth:`render` (Python source, the
-    python emitter) and :meth:`render_c` (C source, the native emitter).
-    Both targets only ever see non-negative operands, so C's
-    truncating ``/`` and ``%`` agree with Python's ``//`` and ``%`` — the
-    ``//`` spelling itself cannot be reused because ``//`` opens a comment
-    in C.
-    """
-
-    def render(self) -> str:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def render_c(self) -> str:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Mod(Expr):
-    """``var % n`` — foldable to a mask when ``n`` is a power of two.
-
-    ``bare`` omits the surrounding parentheses (statement-RHS position).
-    """
-
-    var: str
-    n: int
-    bare: bool = False
-
-    def render(self) -> str:
-        text = f"{self.var} % {self.n}"
-        return text if self.bare else f"({text})"
-
-    def render_c(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    """``var // n`` — foldable to a right shift when ``n`` is a power of two."""
-
-    var: str
-    n: int
-
-    def render(self) -> str:
-        return f"({self.var} // {self.n})"
-
-    def render_c(self) -> str:
-        return f"({self.var} / {self.n})"
-
-
-@dataclass(frozen=True)
-class ScaledDiv(Expr):
-    """``(var * scale) // line_bytes`` — the cache-line address expression."""
-
-    var: str
-    scale: int
-    line_bytes: int
-
-    def render(self) -> str:
-        return f"(({self.var} * {self.scale}) // {self.line_bytes})"
-
-    def render_c(self) -> str:
-        return f"(({self.var} * {self.scale}) / {self.line_bytes})"
-
-
-@dataclass(frozen=True)
-class BitAnd(Expr):
-    """``var & mask`` — the folded form of a power-of-two :class:`Mod`."""
-
-    var: str
-    mask: int
-    bare: bool = False
-
-    def render(self) -> str:
-        text = f"{self.var} & {self.mask}"
-        return text if self.bare else f"({text})"
-
-    def render_c(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True)
-class Shr(Expr):
-    var: str
-    k: int
-
-    def render(self) -> str:
-        return f"({self.var} >> {self.k})"
-
-    def render_c(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True)
-class Shl(Expr):
-    var: str
-    k: int
-
-    def render(self) -> str:
-        return f"({self.var} << {self.k})"
-
-    def render_c(self) -> str:
-        return self.render()
-
-
-Part = Union[str, Expr]
 
 
 # --------------------------------------------------------------------------- #
@@ -177,9 +57,9 @@ class Stmt:
 
 @dataclass(frozen=True)
 class Line(Stmt):
-    """One source line: literal strings interleaved with expression nodes."""
+    """One source line."""
 
-    parts: Tuple[Part, ...]
+    text: str
 
 
 @dataclass(frozen=True)
@@ -210,12 +90,12 @@ class Guard(Stmt):
             raise ValueError(f"unknown kernel feature {self.feature!r}")
 
 
-def L(*parts: Part) -> Line:
-    return Line(tuple(parts))
+def L(text: str) -> Line:
+    return Line(text)
 
 
 def lines(*texts: str) -> List[Stmt]:
-    return [Line((text,)) for text in texts]
+    return [Line(text) for text in texts]
 
 
 def stat(*texts: str) -> Stat:
@@ -320,47 +200,6 @@ def strip_stats(body: Sequence[Stmt], collect_stats: bool) -> List[Stmt]:
     return out
 
 
-def _fold_part(part: Part) -> Part:
-    if isinstance(part, Mod) and pow2(part.n):
-        return BitAnd(part.var, part.n - 1, part.bare)
-    if isinstance(part, Div) and pow2(part.n):
-        return Shr(part.var, part.n.bit_length() - 1)
-    if isinstance(part, ScaledDiv) and pow2(part.scale) and pow2(part.line_bytes):
-        shift = part.line_bytes.bit_length() - part.scale.bit_length()
-        if shift > 0:
-            return Shr(part.var, shift)
-        if shift == 0:
-            return part.var
-        return Shl(part.var, -shift)
-    return part
-
-
-def fold_pow2(body: Sequence[Stmt]) -> List[Stmt]:
-    """Fold power-of-two divisions/modulos into shifts and masks.
-
-    Postcondition: :func:`foldable_sites` of the result is empty.
-    """
-    out: List[Stmt] = []
-    for stmt in body:
-        if isinstance(stmt, Line):
-            out.append(Line(tuple(_fold_part(part) for part in stmt.parts)))
-        elif isinstance(stmt, Block):
-            out.append(Block(tuple(fold_pow2(stmt.body)), stmt.indent))
-        elif isinstance(stmt, Stat):
-            out.append(Stat(tuple(fold_pow2(stmt.body))))
-        elif isinstance(stmt, Guard):
-            out.append(
-                Guard(
-                    stmt.feature,
-                    tuple(fold_pow2(stmt.then)),
-                    tuple(fold_pow2(stmt.orelse)),
-                )
-            )
-        else:  # pragma: no cover - no other statement kinds exist
-            out.append(stmt)
-    return out
-
-
 # --------------------------------------------------------------------------- #
 # Postcondition probes (used by lower_kernel and the unit tests)
 # --------------------------------------------------------------------------- #
@@ -392,28 +231,6 @@ def has_stats(body: Sequence[Stmt]) -> bool:
     return False
 
 
-def foldable_sites(body: Sequence[Stmt]) -> List[Expr]:
-    """Every pow2-foldable expression still present (postcondition probe)."""
-    found: List[Expr] = []
-
-    def probe_line(line: Line) -> None:
-        for part in line.parts:
-            if isinstance(part, Expr) and _fold_part(part) is not part:
-                found.append(part)
-
-    for stmt in body:
-        if isinstance(stmt, Line):
-            probe_line(stmt)
-        elif isinstance(stmt, Block):
-            found.extend(foldable_sites(stmt.body))
-        elif isinstance(stmt, Stat):
-            found.extend(foldable_sites(stmt.body))
-        elif isinstance(stmt, Guard):
-            found.extend(foldable_sites(stmt.then))
-            found.extend(foldable_sites(stmt.orelse))
-    return found
-
-
 def lower_kernel(body: Sequence[Stmt], features: KernelFeatures) -> List[Stmt]:
     """Run the full transform pipeline for one specialization point."""
     specialized = specialize(body, features.as_mapping())
@@ -423,30 +240,36 @@ def lower_kernel(body: Sequence[Stmt], features: KernelFeatures) -> List[Stmt]:
     stripped = strip_stats(specialized, features.stats)
     if has_stats(stripped):  # pragma: no cover - transform invariant
         raise RuntimeError("strip_stats left Stat nodes behind")
-    folded = fold_pow2(stripped)
-    sites = foldable_sites(folded)
-    if sites:  # pragma: no cover - transform invariant
-        raise RuntimeError(f"fold_pow2 left foldable sites behind: {sites}")
-    return folded
+    return stripped
 
 
 # --------------------------------------------------------------------------- #
 # The kernel tree
 # --------------------------------------------------------------------------- #
-_IR_CACHE: Dict[Tuple[EnginePolicySpec, tuple], List[Stmt]] = {}
+_IR_CACHE: Dict[EnginePolicySpec, List[Stmt]] = {}
 
 
-def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
-    """The full measured-pass tree for one (spec × config) pair.
+def _table_unpack(names: Sequence[str], source: str) -> List[Stmt]:
+    """``(name, ...) = source`` over several lines, four names a line."""
+    out: List[Stmt] = [L("(")]
+    for start in range(0, len(names), 4):
+        out.append(L("    " + ", ".join(names[start : start + 4]) + ","))
+    out.append(L(f") = {source}"))
+    return out
 
-    Spec-level structure (Cassandra vs BPU flow, gate mask, forwarding) and
-    config constants are resolved at build time — they change which code
-    exists and which literals appear.  The five boolean axes stay in the
-    tree as Guard/Stat variants, so one cached build serves every
-    :class:`KernelFeatures` point.
+
+def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
+    """The full measured-pass tree for one policy spec.
+
+    Spec-level structure (Cassandra vs BPU flow, gate mask, forwarding) is
+    resolved at build time — it changes which code exists.  Geometry,
+    widths, latencies and sizes are not: the kernel binds them to locals
+    from the point's config table (:data:`~repro.engine.state.TABLE_FIELDS`)
+    in its prologue, so one kernel serves every config.  The five boolean
+    axes stay in the tree as Guard/Stat variants, so one cached build
+    serves every :class:`KernelFeatures` point.
     """
-    key = (spec, config.identity())
-    cached = _IR_CACHE.get(key)
+    cached = _IR_CACHE.get(spec)
     if cached is not None:
         return cached
 
@@ -455,10 +278,6 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
     traced = cassandra and not lite
     gate_mask = spec.gate_mask
     allow_fwd = spec.allow_store_forwarding
-    l1i, l1d, l2, l3 = config.l1i, config.l1d, config.l2, config.l3
-    rob = config.rob_size
-    pht_mask = (1 << config.pht_bits) - 1
-    hist_mask = (1 << config.global_history_bits) - 1
     # The memory/gate section only concerns loads and gated instructions:
     # store bookkeeping is post-commit and store counts are static, so the
     # umbrella test is F_LOAD plus the policy's gate bits.
@@ -467,6 +286,13 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
     body: List[Stmt] = []
 
     # ------------------------------ prologue ------------------------------ #
+    body.extend(_table_unpack(TABLE_NAMES, "state.table"))
+    body.extend(
+        lines(
+            "pht_mask = (1 << pht_bits) - 1",
+            "hist_mask = (1 << global_history_bits) - 1",
+        )
+    )
     body.append(
         Guard(
             "icache_resident",
@@ -529,7 +355,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         lines(
             # One extra slot: dst == -1 writes reg_ready[-1] (never read).
             "reg_ready = [0] * (trace.num_regs + 1)",
-            f"commit_ring = [0] * {rob}",
+            "commit_ring = [0] * rob_size",
             "store_inflight = {}",
             "si_get = store_inflight.get",
             # defaultdict: a missed probe reads 0 via C-level __missing__, which
@@ -542,6 +368,9 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "committed_this_cycle = 0",
             "window_resolve_cycle = 0",
             "index = 0",
+            # The tail loop's commit-ring slot: index % rob_size, kept as a
+            # wrapping counter so the loop divides nothing.
+            "ri = 0",
         )
     )
     body.append(Guard("flush", tuple(lines("next_btu_flush = btu_flush_interval"))))
@@ -568,7 +397,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "if fetch_not_before > fetch_cycle:",
             "    fetch_cycle = fetch_not_before",
             "    fetched_this_cycle = 1",
-            f"elif fetched_this_cycle >= {config.fetch_width}:",
+            "elif fetched_this_cycle >= fetch_width:",
             "    fetch_cycle += 1",
             "    fetched_this_cycle = 1",
             "else:",
@@ -581,29 +410,25 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "candidate = fetch_cycle if fetch_cycle > fetch_not_before"
                 " else fetch_not_before"
             ),
-            L("line = ", ScaledDiv("pc", 4, l1i.line_bytes)),
-            L(
-                "seg_end = ",
-                Mod("line", l1i.num_sets),
-                f" * {l1i.associativity} + {l1i.associativity}",
-            ),
-            L("tag = ", Div("line", l1i.num_sets)),
+            L("line = (pc * 4) // l1i_line_bytes"),
+            L("seg_end = (line % l1i_num_sets) * l1i_associativity + l1i_associativity"),
+            L("tag = line // l1i_num_sets"),
             L("try:"),
-            L(f"    i = l1i_index(tag, seg_end - {l1i.associativity}, seg_end)"),
+            L("    i = l1i_index(tag, seg_end - l1i_associativity, seg_end)"),
             L("    del l1i[i]"),
             L("    l1i.insert(seg_end - 1, tag)"),
             L("except ValueError:"),
             Block((stat("l1i_miss += 1"),), 1),
-            L(f"    del l1i[seg_end - {l1i.associativity}]"),
+            L("    del l1i[seg_end - l1i_associativity]"),
             L("    l1i.insert(seg_end - 1, tag)"),
-            L(f"    candidate += {l2.latency}"),
+            L("    candidate += l2_latency"),
         ]
         full.extend(
             lines(
                 "if candidate > fetch_cycle:",
                 "    fetch_cycle = candidate",
                 "    fetched_this_cycle = 0",
-                f"if fetched_this_cycle >= {config.fetch_width}:",
+                "if fetched_this_cycle >= fetch_width:",
                 "    fetch_cycle += 1",
                 "    fetched_this_cycle = 0",
                 "fetched_this_cycle += 1",
@@ -616,10 +441,9 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         # bounded by ROB occupancy).  The head loop covers the first
         # ``rob_size`` instructions, where the bound cannot apply and the
         # ring index is just ``index``; the tail reads the bound
-        # unconditionally through a shared ring slot.
-        out: List[Stmt] = [L(f"ready = fetch_cycle + {config.frontend_depth}")]
+        # unconditionally through the wrapping ring slot ``ri``.
+        out: List[Stmt] = [L("ready = fetch_cycle + frontend_depth")]
         if rob_active:
-            out.append(L("ri = ", Mod("index", rob, bare=True)))
             out.extend(
                 lines(
                     "bound = commit_ring[ri]",
@@ -646,97 +470,58 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         )
 
     # ------------------------ cache-model builders -------------------------- #
-    d_line = ScaledDiv("addr", config.word_bytes, l1d.line_bytes)
-    l2_line = ScaledDiv("addr", config.word_bytes, l2.line_bytes)
-    l3_line = ScaledDiv("addr", config.word_bytes, l3.line_bytes)
-
-    def sparse_level(level: str, cfg, line_src: Expr, miss: List[Stmt]) -> List[Stmt]:
+    def sparse_level(level: str, miss: List[Stmt]) -> List[Stmt]:
         """One sparse-dict cache level; ``miss`` statements run on a miss."""
         return [
-            L(f"{level}_line = ", line_src),
-            L(f"{level}_ways = {level}_get(", Mod(f"{level}_line", cfg.num_sets), ")"),
-            L(f"{level}_tag = ", Div(f"{level}_line", cfg.num_sets)),
+            L(f"{level}_line = (addr * word_bytes) // {level}_line_bytes"),
+            L(f"{level}_ways = {level}_get({level}_line % {level}_num_sets)"),
+            L(f"{level}_tag = {level}_line // {level}_num_sets"),
             L(f"if {level}_ways is None:"),
-            L(
-                f"    {level}_sets[",
-                Mod(f"{level}_line", cfg.num_sets),
-                f"] = [{level}_tag]",
-            ),
+            L(f"    {level}_sets[{level}_line % {level}_num_sets] = [{level}_tag]"),
             Block(tuple(miss), 1),
             L(f"elif {level}_tag in {level}_ways:"),
             L(f"    {level}_ways.remove({level}_tag)"),
             L(f"    {level}_ways.append({level}_tag)"),
             L("else:"),
             L(f"    {level}_ways.append({level}_tag)"),
-            L(f"    if len({level}_ways) > {cfg.associativity}:"),
+            L(f"    if len({level}_ways) > {level}_associativity:"),
             L(f"        del {level}_ways[0]"),
             Block(tuple(miss), 1),
         ]
 
     def l2_l3_stage(load: bool) -> List[Stmt]:
         """L2 access whose miss arms charge L3 latency and fall to the L3."""
-
-        def l3_level() -> List[Stmt]:
-            miss = lines(f"exec_latency += {config.memory_latency}") if load else []
-            return sparse_level("l3", l3, l3_line, miss)
-
-        def l2_miss_arm() -> List[Stmt]:
-            arm: List[Stmt] = []
-            if load:
-                arm.extend(lines(f"exec_latency += {l3.latency}"))
-            arm.extend(l3_level())
-            return arm
-
-        out: List[Stmt] = [
-            L("l2_line = ", l2_line),
-            L("l2_ways = l2_get(", Mod("l2_line", l2.num_sets), ")"),
-            L("l2_tag = ", Div("l2_line", l2.num_sets)),
-            L("if l2_ways is None:"),
-            L("    l2_sets[", Mod("l2_line", l2.num_sets), "] = [l2_tag]"),
-            Block(tuple(l2_miss_arm()), 1),
-        ]
-        out.extend(
-            lines(
-                "elif l2_tag in l2_ways:",
-                "    l2_ways.remove(l2_tag)",
-                "    l2_ways.append(l2_tag)",
-                "else:",
-                "    l2_ways.append(l2_tag)",
-                f"    if len(l2_ways) > {l2.associativity}:",
-                "        del l2_ways[0]",
-            )
-        )
-        out.append(Block(tuple(l2_miss_arm()), 1))
-        return out
+        l2_miss: List[Stmt] = []
+        if load:
+            l2_miss.extend(lines("exec_latency += l3_latency"))
+        l3_miss = lines("exec_latency += memory_latency") if load else []
+        l2_miss.extend(sparse_level("l3", l3_miss))
+        return sparse_level("l2", l2_miss)
 
     def l1d_stage(load: bool) -> List[Stmt]:
         """One L1D access: residency-proved constant, or the full model."""
-        resident = lines(f"exec_latency = {l1d.latency}") if load else []
+        resident = lines("exec_latency = l1d_latency") if load else []
         full: List[Stmt] = [
-            L("line = ", d_line),
-            L(
-                "seg_end = ",
-                Mod("line", l1d.num_sets),
-                f" * {l1d.associativity} + {l1d.associativity}",
-            ),
-            L("tag = ", Div("line", l1d.num_sets)),
+            L("line = (addr * word_bytes) // l1d_line_bytes"),
+            L("seg_end = (line % l1d_num_sets) * l1d_associativity + l1d_associativity"),
+            L("tag = line // l1d_num_sets"),
             L("try:"),
-            L(f"    i = l1d_index(tag, seg_end - {l1d.associativity}, seg_end)"),
+            L("    i = l1d_index(tag, seg_end - l1d_associativity, seg_end)"),
             L("    del l1d[i]"),
             L("    l1d.insert(seg_end - 1, tag)"),
         ]
         if load:
-            full.append(Block(tuple(lines(f"exec_latency = {l1d.latency}")), 1))
+            full.append(Block(tuple(lines("exec_latency = l1d_latency")), 1))
         full.append(L("except ValueError:"))
         miss_arm: List[Stmt] = [stat("l1d_miss += 1")]
         miss_arm.extend(
             lines(
-                f"del l1d[seg_end - {l1d.associativity}]",
+                "del l1d[seg_end - l1d_associativity]",
                 "l1d.insert(seg_end - 1, tag)",
             )
         )
         if load:
-            miss_arm.extend(lines(f"exec_latency = {l1d.latency + l2.latency}"))
+            miss_arm.extend(lines("exec_latency = l1d_latency + l2_latency"))
         miss_arm.extend(l2_l3_stage(load))
         full.append(Block(tuple(miss_arm), 1))
         return [Guard("dcache_resident", tuple(resident), tuple(full))]
@@ -760,7 +545,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                     "t = inflight[0]",
                     "if t > ready:",
                     "    ready = t",
-                    f"exec_latency = {config.store_forward_latency}",
+                    "exec_latency = store_forward_latency",
                 )
             )
             load_body.append(Block(tuple(fwd_arm), 1))
@@ -792,12 +577,12 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         out.append(Block(tuple(inner), 1))
         return out
 
-    def issue_commit_stage(latency: str, ring_slot: str) -> List[Stmt]:
+    def issue_commit_stage(latency: str, rob_active: bool) -> List[Stmt]:
         """Issue bandwidth, register write-back, and commit bandwidth."""
-        return lines(
+        out = lines(
             "issue_cycle = ready",
             "busy = issue_busy[issue_cycle]",
-            f"while busy >= {config.issue_width}:",
+            "while busy >= issue_width:",
             "    issue_cycle += 1",
             "    busy = issue_busy[issue_cycle]",
             "issue_busy[issue_cycle] = busy + 1",
@@ -807,15 +592,26 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             "if commit_cycle > last_commit_cycle:",
             "    last_commit_cycle = commit_cycle",
             "    committed_this_cycle = 1",
-            f"elif committed_this_cycle >= {config.commit_width}:",
+            "elif committed_this_cycle >= commit_width:",
             "    last_commit_cycle = commit_cycle = last_commit_cycle + 1",
             "    committed_this_cycle = 1",
             "else:",
             "    commit_cycle = last_commit_cycle",
             "    committed_this_cycle += 1",
-            f"commit_ring[{ring_slot}] = commit_cycle",
-            "index += 1",
         )
+        if rob_active:
+            out.extend(
+                lines(
+                    "commit_ring[ri] = commit_cycle",
+                    "ri += 1",
+                    "if ri == rob_size:",
+                    "    ri = 0",
+                )
+            )
+        else:
+            out.extend(lines("commit_ring[index] = commit_cycle"))
+        out.extend(lines("index += 1"))
+        return out
 
     def store_stage() -> List[Stmt]:
         """Store install + store-queue update under a single F_STORE test.
@@ -829,7 +625,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         inner.extend(
             lines(
                 "store_inflight[addr] = (complete_cycle, commit_cycle)",
-                f"if len(store_inflight) > {config.sq_size}:",
+                "if len(store_inflight) > sq_size:",
                 "    del store_inflight[next(iter(store_inflight))]",
             )
         )
@@ -842,7 +638,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         out.extend(
             lines(
                 "if bc == 1:",
-                f"    pidx = (pc ^ history) & {pht_mask}",
+                "    pidx = (pc ^ history) & pht_mask",
                 "    counter = pht[pidx]",
                 "    loop = loops_get(pc)",
                 "    if loop is not None and loop[2] >= 2 and loop[1] >= 0:",
@@ -862,7 +658,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "        loop = loops[pc] = [0, -1, 0]",
                 "    if taken:",
                 "        pht[pidx] = counter + 1 if counter < 3 else 3",
-                f"        history = ((history << 1) | 1) & {hist_mask}",
+                "        history = ((history << 1) | 1) & hist_mask",
                 "        if loop[1] == loop[0]:",
                 "            c = loop[2]",
                 "            loop[2] = c + 1 if c < 7 else 7",
@@ -870,12 +666,12 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "            loop[2] = 0",
                 "            loop[1] = loop[0]",
                 "        loop[0] = 0",
-                f"        if pc not in btb and len(btb) >= {config.btb_entries}:",
+                "        if pc not in btb and len(btb) >= btb_entries:",
                 "            del btb[next(iter(btb))]",
                 "        btb[pc] = npc",
                 "    else:",
                 "        pht[pidx] = counter - 1 if counter > 0 else 0",
-                f"        history = (history << 1) & {hist_mask}",
+                "        history = (history << 1) & hist_mask",
                 "        loop[0] += 1",
             )
         )
@@ -891,7 +687,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "elif bc == 2:",
                 "    predicted = npc",
                 "elif bc == 3:",
-                f"    if len(rsb) >= {config.rsb_entries}:",
+                "    if len(rsb) >= rsb_entries:",
                 "        del rsb[0]",
                 "    rsb.append(pc + 1)",
                 "    predicted = npc",
@@ -911,12 +707,12 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             lines(
                 "elif bc == 4:",
                 "    predicted = btb_get(pc, -1)",
-                f"    if len(rsb) >= {config.rsb_entries}:",
+                "    if len(rsb) >= rsb_entries:",
                 "        del rsb[0]",
                 "    rsb.append(pc + 1)",
                 "    if predicted < 0:",
                 "        predicted = pc + 1",
-                f"    if pc not in btb and len(btb) >= {config.btb_entries}:",
+                "    if pc not in btb and len(btb) >= btb_entries:",
                 "        del btb[next(iter(btb))]",
                 "    btb[pc] = npc",
             )
@@ -934,7 +730,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    predicted = btb_get(pc, -1)",
                 "    if predicted < 0:",
                 "        predicted = pc + 1",
-                f"    if pc not in btb and len(btb) >= {config.btb_entries}:",
+                "    if pc not in btb and len(btb) >= btb_entries:",
                 "        del btb[next(iter(btb))]",
                 "    btb[pc] = npc",
             )
@@ -957,7 +753,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         """Mispredict redirect + speculation-window bookkeeping."""
         out: List[Stmt] = lines(
             "if predicted != npc:",
-            f"    redirect = resolve_cycle + {config.mispredict_penalty}",
+            "    redirect = resolve_cycle + mispredict_penalty",
         )
         out.append(
             stat(
@@ -1066,7 +862,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             )
             elide_arm.append(Block((stat("n_btu_misses += 1"),), 2))
             elide_arm.append(
-                Block(tuple(lines(f"extra = {config.btu.miss_latency}")), 2)
+                Block(tuple(lines("extra = btu_miss_latency")), 2)
             )
             # Full residency model; evictions drop the LRU entry (the
             # reference also checkpoints the victim, which kernels omit
@@ -1084,8 +880,8 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 Block(
                     tuple(
                         lines(
-                            f"extra = {config.btu.miss_latency}",
-                            f"if len(btu_resident) >= {config.btu.entries}:",
+                            "extra = btu_miss_latency",
+                            "if len(btu_resident) >= btu_entries:",
                             "    del btu_resident[0]",
                             "btu_resident.append(pc)",
                         )
@@ -1095,7 +891,6 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
             )
             full_arm.append(Block(tuple(lines("pos = btu_pos[pc]")), 1))
             base.append(Guard("btu_elide", tuple(elide_arm), tuple(full_arm)))
-            epe = config.btu.elements_per_entry
             replay: List[Stmt] = lines(
                 "targets = btu_targets[pc]",
                 "tidx = pos % len(targets)",
@@ -1105,12 +900,15 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
                 "    eid = btu_eids[pc][tidx]",
             )
             replay.append(
-                L(f"    if eid >= {epe} and ", Mod("eid", epe), " == 0:")
+                L(
+                    "    if eid >= btu_elements_per_entry"
+                    " and eid % btu_elements_per_entry == 0:"
+                )
             )
             replay.append(Block((stat("n_btu_prefetches += 1"),), 2))
             replay.extend(
                 lines(
-                    f"        extra += {config.btu.prefetch_latency}",
+                    "        extra += btu_prefetch_latency",
                     "if target != npc:",
                     "    raise ReplayMismatchError(",
                     '        "BTU replay for PC %d produced target %d but the "',
@@ -1134,7 +932,6 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
     # carries no dead assignments (``dispatch_cycle`` and ``exec_latency``
     # exist only where the memory stage can read them).
     def instruction_body(rob_active: bool) -> List[Stmt]:
-        ring_slot = "ri" if rob_active else "index"
         out: List[Stmt] = []
         out.extend(fetch_stage())
         out.extend(dispatch_stage(rob_active))
@@ -1144,13 +941,13 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         slow.append(L("exec_latency = lat"))
         slow.extend(mem_gate_stage())
         slow.append(L("i0 = index"))
-        slow.extend(issue_commit_stage("exec_latency", ring_slot))
+        slow.extend(issue_commit_stage("exec_latency", rob_active))
         slow.extend(store_stage())
         slow.extend(branch_stage())
         out.append(Block(tuple(slow), 1))
         out.append(L("else:"))
         fast: List[Stmt] = list(operand_stage())
-        fast.extend(issue_commit_stage("lat", ring_slot))
+        fast.extend(issue_commit_stage("lat", rob_active))
         out.append(Block(tuple(fast), 1))
         # The reference also checkpoints every resident branch on a flush;
         # only the residency clear is observable (it re-triggers misses).
@@ -1252,7 +1049,7 @@ def build_kernel_ir(spec: EnginePolicySpec, config: CoreConfig) -> List[Stmt]:
         ),
         Block(tuple(body), 1),
     ]
-    _IR_CACHE[key] = tree
+    _IR_CACHE[spec] = tree
     return tree
 
 

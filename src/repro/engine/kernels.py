@@ -1,4 +1,4 @@
-"""Generated per-(policy × config) measured-pass kernels.
+"""Generated per-policy-shape measured-pass kernels.
 
 This module is the python tier of the engine's specialization chain::
 
@@ -8,13 +8,15 @@ Every kernel is required to be bit-identical to the reference loop, the
 golden model.  The reference loop walks the ``DynamicInstruction`` stream
 generically — every policy decision a hook call, every cache/BPU/BTU
 interaction a method call on the object models.  :func:`get_kernel` instead
-**generates Python source** for one exact (:class:`EnginePolicySpec` ×
-:class:`CoreConfig`) pair and ``exec``-compiles it once per process:
+**generates Python source** for one kernel *shape* — an
+:class:`EnginePolicySpec` plus the feature point below — and
+``exec``-compiles it once per process:
 
-* geometry and latency constants (set counts, associativities, line sizes,
-  widths, predictor masks, BTU sizing) are inlined as literals, with
-  divisions/modulos by powers of two folded to shifts and masks at
-  generation time;
+* geometry and latency values (set counts, associativities, line sizes,
+  widths, predictor sizes, BTU sizing) are runtime data: the prologue binds
+  them to locals from the point's config table
+  (:attr:`FlatState.table <repro.engine.state.FlatState>`), which costs
+  what a literal costs in CPython, so one kernel serves every config;
 * dead policy code is dropped at generation time — a no-forwarding policy
   has no forwarding branch, a policy with an empty gate mask has no gate
   test, a BPU-kind policy carries no Cassandra fetch flow or BTU code, a
@@ -41,25 +43,23 @@ interaction a method call on the object models.  :func:`get_kernel` instead
   and always model the caches in full: a cold warm-up pass takes misses,
   and its cycle timing feeds the BTU-flush points that need private warm-up.
 
-Since PR 6 the source itself is produced by the kernel IR: the structure
-and every specialization decision live in :mod:`repro.engine.ir` as a typed
-tree plus explicit transforms, and :mod:`repro.engine.emit.python` renders
-the lowered tree into exactly the source this module always compiled (the
-golden snapshots under ``tests/engine/golden/`` pin it byte-for-byte).
-This module remains the compile/cache layer and the home of the shared
+The source itself is produced by the kernel IR: the structure and every
+specialization decision live in :mod:`repro.engine.ir` as a typed tree plus
+explicit transforms, and :mod:`repro.engine.emit.python` renders the
+lowered tree (the golden snapshots under ``tests/engine/golden/`` pin it
+byte-for-byte, one per shape).  This module remains the compile/cache layer and the home of the shared
 batch-facing helpers (branch classification, flag premasks, the dynamic
 counter contract).
 
-Compiled kernels are cached per process keyed by
-``(spec, config.digest(), flush_active, residency, collect_stats)``.  The
-``REPRO_ENGINE_TIER`` environment variable selects the execution tier
-(``native`` / ``python`` — see :func:`engine_tier`).
+Compiled kernels are cached per process keyed by the shape: the spec plus
+its derived :class:`~repro.engine.ir.KernelFeatures` (flush, residency, BTU
+elision, stats).  The ``REPRO_ENGINE_TIER`` environment variable selects
+the execution tier (``native`` / ``python`` — see :func:`engine_tier`).
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import os
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -67,7 +67,6 @@ from repro.analysis.hints import HintTable
 from repro.engine.emit.python import render
 from repro.engine.ir import KernelFeatures, build_kernel_ir, lower_kernel
 from repro.engine.lowering import F_CRYPTO
-from repro.uarch.config import CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 from repro.uarch.defenses.cassandra import ReplayMismatchError
 
@@ -181,14 +180,13 @@ DYNAMIC_COUNTERS = (
 # --------------------------------------------------------------------------- #
 def kernel_source(
     spec: EnginePolicySpec,
-    config: CoreConfig,
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
     btu_elide: bool = False,
     collect_stats: bool = True,
 ) -> str:
-    """Render the specialized kernel source for one (spec × config) pair.
+    """Render the specialized kernel source for one shape.
 
     ``icache_resident`` / ``dcache_resident`` may only be set when the batch
     layer holds the corresponding no-eviction proof *and* the point starts
@@ -196,7 +194,7 @@ def kernel_source(
     all for that hierarchy.
 
     The heavy lifting lives in :mod:`repro.engine.ir` (one cached tree per
-    spec × config, specialization as explicit transforms) and
+    spec, specialization as explicit transforms) and
     :mod:`repro.engine.emit.python` (rendering); this function is the
     compatibility surface gluing them together.
     """
@@ -208,7 +206,7 @@ def kernel_source(
         btu_elide=btu_elide,
         collect_stats=collect_stats,
     )
-    return render(lower_kernel(build_kernel_ir(spec, config), features))
+    return render(lower_kernel(build_kernel_ir(spec), features))
 
 
 # --------------------------------------------------------------------------- #
@@ -220,44 +218,41 @@ _KERNEL_CACHE: Dict[Tuple, Callable] = {}
 compile_count = 0
 
 
-@functools.lru_cache(maxsize=None)
-def _config_digest(config: CoreConfig) -> str:
-    """``config.digest()`` memoized — the sha256 walk is per-point otherwise."""
-    return config.digest()
-
-
 def get_kernel(
     spec: EnginePolicySpec,
-    config: CoreConfig,
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
     btu_elide: bool = False,
     collect_stats: bool = True,
 ) -> Callable:
-    """The compiled kernel for ``(spec, config)``; generated at most once.
+    """The compiled kernel for one shape; generated at most once.
 
     ``flush_active`` selects whether the periodic-BTU-flush check is
     compiled in (the interval itself stays a runtime argument, so every
     interval of a sweep shares one kernel); the residency flags select the
     cache-free variants and are only legal under the batch layer's
-    no-eviction proofs.
+    no-eviction proofs.  The shape is the spec plus the *derived*
+    :class:`KernelFeatures` (a flush asked of an untraced spec is no
+    feature of its kernel); the config is not part of it — the kernel
+    reads it from ``state.table`` at every call.
     """
     key = (
         spec,
-        _config_digest(config),
-        bool(flush_active),
-        bool(icache_resident),
-        bool(dcache_resident),
-        bool(btu_elide),
-        bool(collect_stats),
+        KernelFeatures.derive(
+            spec,
+            flush_active,
+            icache_resident=icache_resident,
+            dcache_resident=dcache_resident,
+            btu_elide=btu_elide,
+            collect_stats=collect_stats,
+        ),
     )
     fn = _KERNEL_CACHE.get(key)
     if fn is None:
         global compile_count
         source = kernel_source(
             spec,
-            config,
             flush_active,
             icache_resident,
             dcache_resident,
@@ -269,7 +264,7 @@ def get_kernel(
             "__defaultdict_int": lambda: collections.defaultdict(int),
         }
         exec(
-            compile(source, f"<repro-kernel:{spec.kind}:{_config_digest(config)}>", "exec"),
+            compile(source, f"<repro-kernel:{spec.kind}>", "exec"),
             namespace,
         )
         fn = namespace["kernel"]

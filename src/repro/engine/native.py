@@ -69,6 +69,7 @@ import tempfile
 import time
 import weakref
 from array import array
+from dataclasses import astuple
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.emit.c import (
@@ -79,8 +80,9 @@ from repro.engine.emit.c import (
     c_kernel_source,
     source_digest,
 )
+from repro.engine.ir import KernelFeatures
 from repro.engine.kernels import DYNAMIC_COUNTERS
-from repro.uarch.config import CoreConfig
+from repro.engine.state import TABLE_SLOT
 from repro.uarch.defenses.base import EnginePolicySpec
 from repro.uarch.defenses.cassandra import ReplayMismatchError
 
@@ -474,7 +476,6 @@ def _store_and_load(artifacts, kind: str, digest: str, so_bytes: bytes) -> Calla
 
 def get_native_kernel(
     spec: EnginePolicySpec,
-    config: CoreConfig,
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
@@ -482,7 +483,7 @@ def get_native_kernel(
     collect_stats: bool = True,
     cache_dir: Optional[str] = None,
 ) -> Optional["NativeKernel"]:
-    """The compiled native kernel for one specialization point, or ``None``.
+    """The compiled native kernel for one kernel shape, or ``None``.
 
     ``None`` (memoized, so a point retries nothing) means the tier cannot
     serve this point — no working compiler, or the toolchain rejected the
@@ -496,17 +497,20 @@ def get_native_kernel(
     toolchain = find_toolchain()
     if toolchain is None:
         return None
+    features = KernelFeatures.derive(
+        spec,
+        flush_active,
+        icache_resident=icache_resident,
+        dcache_resident=dcache_resident,
+        btu_elide=btu_elide,
+        collect_stats=collect_stats,
+    )
     render_key = (
         spec.kind,
         spec.gate_mask,
         bool(spec.allow_store_forwarding),
         bool(spec.lite),
-        config.digest(),
-        bool(flush_active),
-        bool(icache_resident),
-        bool(dcache_resident),
-        bool(btu_elide),
-        bool(collect_stats),
+        *astuple(features),
     )
     key = (render_key, toolchain.fingerprint)
     if key in _KERNEL_MEMO:
@@ -520,7 +524,6 @@ def get_native_kernel(
         if fn is None:
             source = c_kernel_source(
                 spec,
-                config,
                 flush_active,
                 icache_resident=icache_resident,
                 dcache_resident=dcache_resident,
@@ -538,7 +541,7 @@ def get_native_kernel(
                 compile_count += 1
                 fn = _store_and_load(artifacts, spec.kind, digest, so_bytes)
             _record_index(artifacts, index, render_key, digest)
-        kernel = NativeKernel(fn, spec, config, bool(collect_stats), digest)
+        kernel = NativeKernel(fn, spec, bool(collect_stats), digest)
     except (NativeCompileError, OSError) as exc:
         last_error = f"native kernel unavailable for {spec.kind}: {exc}"
         kernel = None
@@ -841,8 +844,12 @@ def _open_session(
     flush_interval: Optional[int],
 ) -> _Session:
     payload = _trace_payload(trace)
-    config = kernel.config
     spec = kernel.spec
+    table = array("q", state.table)
+
+    def sized(name: str) -> int:
+        return table[TABLE_SLOT[name]]
+
     size = payload.max_pc + 2
     cassandra = spec.kind == "cassandra"
     traced = cassandra and not spec.lite
@@ -872,6 +879,8 @@ def _open_session(
     a[ARG["btb_count"]] = len(state.btb)
     a[ARG["rsb_len"]] = len(state.rsb)
     a[ARG["ib_mask"]] = payload.ib_mask
+    a[ARG["table"]] = _addr_of_array(table)
+    keep.append(table)
 
     # -------------------------- trace columns -------------------------- #
     for slot, col in payload.cols.items():
@@ -905,9 +914,9 @@ def _open_session(
     a[ARG["l1d"]] = _addr_of_array(state.l1d)
     a[ARG["pht"]] = _addr_of_array(state.pht)
 
-    session.btb_cap = config.btb_entries
+    session.btb_cap = sized("btb_entries")
     btb_val = array("q", b"\xff" * (8 * size))
-    btb_fifo = scratch(config.btb_entries)
+    btb_fifo = scratch(session.btb_cap)
     for slot, (pc, target) in enumerate(state.btb.items()):
         btb_val[pc] = target
         btb_fifo[slot] = pc
@@ -917,8 +926,8 @@ def _open_session(
     a[ARG["btb_fifo"]] = _addr_of_array(btb_fifo)
     keep.append(btb_val)
 
-    session.rsb_cap = config.rsb_entries
-    rsb_buf = scratch(config.rsb_entries)
+    session.rsb_cap = sized("rsb_entries")
+    rsb_buf = scratch(session.rsb_cap)
     for slot, value in enumerate(state.rsb):
         rsb_buf[slot] = value
     session.rsb_buf = rsb_buf
@@ -950,7 +959,7 @@ def _open_session(
             btu_dense[pc] = position
         session.btu_dense = btu_dense
         a[ARG["btu_pos"]] = _addr_of_array(btu_dense)
-        res_buf = scratch(config.btu.entries)
+        res_buf = scratch(sized("btu_entries"))
         for slot, pc in enumerate(state.btu_resident):
             res_buf[slot] = pc
         a[ARG["res_len"]] = len(state.btu_resident)
@@ -960,19 +969,17 @@ def _open_session(
         session.btu_dense = None
         session.res_buf = None
 
-    for level, cfg, sparse in (
-        ("l2", config.l2, state.l2),
-        ("l3", config.l3, state.l3),
-    ):
-        assoc = cfg.associativity
-        cnt = array("q", bytes(8 * cfg.num_sets))
-        data = scratch(cfg.num_sets * assoc)
-        occ = scratch(cfg.num_sets)
+    for level, sparse in (("l2", state.l2), ("l3", state.l3)):
+        num_sets = sized(f"{level}_num_sets")
+        assoc = sized(f"{level}_associativity")
+        cnt = array("q", bytes(8 * num_sets))
+        data = scratch(num_sets * assoc)
+        occ = scratch(num_sets)
         for index, ways in sparse.items():
             cnt[index] = len(ways)
             base = index * assoc
             data[base : base + len(ways)] = array("q", ways)
-        setattr(session, f"{level}_geom", (cfg.num_sets, assoc))
+        setattr(session, f"{level}_geom", (num_sets, assoc))
         setattr(session, f"{level}_cnt", cnt)
         setattr(session, f"{level}_data", data)
         setattr(session, f"{level}_occ", occ)
@@ -984,6 +991,8 @@ def _open_session(
 
     # --------------------------- scratch ------------------------------- #
     a[ARG["reg_ready"]] = _addr_of_array(scratch(payload.num_regs + 2))
+    a[ARG["commit_ring"]] = _addr_of_array(scratch(sized("rob_size")))
+    a[ARG["si_buf"]] = _addr_of_array(scratch(3 * (sized("sq_size") + 1)))
     a[ARG["ib_keys"]] = _addr_of_array(scratch(payload.ib_mask + 1))
     a[ARG["ib_vals"]] = _addr_of_array(scratch(payload.ib_mask + 1))
     return session
@@ -1000,12 +1009,11 @@ class NativeKernel:
     entirely.
     """
 
-    __slots__ = ("fn", "spec", "config", "collect_stats", "digest")
+    __slots__ = ("fn", "spec", "collect_stats", "digest")
 
-    def __init__(self, fn, spec, config, collect_stats, digest) -> None:
+    def __init__(self, fn, spec, collect_stats, digest) -> None:
         self.fn = fn
         self.spec = spec
-        self.config = config
         self.collect_stats = collect_stats
         self.digest = digest
 

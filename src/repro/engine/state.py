@@ -7,8 +7,9 @@ call them — they iterate over the flat representations defined here, chosen
 so that
 
 * the hot per-instruction structures are plain integer lists a kernel indexes
-  with inlined geometry constants (no per-access dict hashing for the L1s,
-  no attribute lookups, no per-branch method calls); and
+  with geometry read once from the point's config table (no per-access dict
+  hashing for the L1s, no attribute lookups, no per-branch method calls);
+  and
 * snapshot / restore for warm-up sharing is a handful of C-level
   ``list(...)`` / ``dict(...)`` copies instead of rebuilding unit objects.
 
@@ -51,9 +52,68 @@ another array is a single memcpy.
 from __future__ import annotations
 
 from array import array
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.uarch.config import CoreConfig
+
+#: The ``CoreConfig`` fields a kernel reads, in the order of the per-point
+#: config table (:func:`config_table`).  Kernels of both tiers bind each one
+#: to a local named after it, dots replaced by underscores
+#: (``l1d.num_sets`` → ``l1d_num_sets``), so one compiled kernel serves
+#: every config.  The five latencies come first and in latency-class order:
+#: the C kernels index them as one table.
+TABLE_FIELDS: Tuple[str, ...] = (
+    "alu_latency",
+    "mul_latency",
+    "div_latency",
+    "store_latency",
+    "branch_resolve_latency",
+    "fetch_width",
+    "issue_width",
+    "commit_width",
+    "frontend_depth",
+    "rob_size",
+    "sq_size",
+    "mispredict_penalty",
+    "store_forward_latency",
+    "memory_latency",
+    "pht_bits",
+    "global_history_bits",
+    "btb_entries",
+    "rsb_entries",
+    "word_bytes",
+    "l1i.line_bytes",
+    "l1i.num_sets",
+    "l1i.associativity",
+    "l1d.line_bytes",
+    "l1d.num_sets",
+    "l1d.associativity",
+    "l1d.latency",
+    "l2.line_bytes",
+    "l2.num_sets",
+    "l2.associativity",
+    "l2.latency",
+    "l3.line_bytes",
+    "l3.num_sets",
+    "l3.associativity",
+    "l3.latency",
+    "btu.entries",
+    "btu.elements_per_entry",
+    "btu.miss_latency",
+    "btu.prefetch_latency",
+)
+
+#: Kernel local names of :data:`TABLE_FIELDS`, and each one's table slot.
+TABLE_NAMES: Tuple[str, ...] = tuple(f.replace(".", "_") for f in TABLE_FIELDS)
+TABLE_SLOT: Dict[str, int] = {name: slot for slot, name in enumerate(TABLE_NAMES)}
+
+_TABLE_GETTER = attrgetter(*TABLE_FIELDS)
+
+
+def config_table(config: CoreConfig) -> Tuple[int, ...]:
+    """The per-point config table: the :data:`TABLE_FIELDS` values of ``config``."""
+    return _TABLE_GETTER(config)
 
 #: Immutable per-workload BTU replay payload:
 #: ``(targets, element_ids, long_trace)`` keyed by branch PC.
@@ -168,7 +228,8 @@ class FlatState:
     Everything here is plain lists / dicts / ints; the kernel binds each
     field to a local once and mutates in place (``history`` is written back
     at the end of the run).  The BTU replay payload fields are shared
-    read-only across every point of a workload.
+    read-only across every point of a workload.  ``table`` is the point's
+    config table (:func:`config_table`), the only config a kernel sees.
     """
 
     __slots__ = (
@@ -187,6 +248,7 @@ class FlatState:
         "btu_pos",
         "btu_committed",
         "btu_resident",
+        "table",
         # The native tier's per-point buffer session (opaque to this module;
         # owned by repro.engine.native).  ``None`` whenever no compiled
         # kernel holds live views over this state.
@@ -202,6 +264,7 @@ class FlatState:
         self.pht, self.history, self.btb, self.rsb, self.loops = flat_bpu_new(config)
         self.btu_targets, self.btu_eids, self.btu_long = data
         self.btu_pos, self.btu_committed, self.btu_resident = flat_btu_new(data)
+        self.table = config_table(config)
         self.native_session = None
 
     # ------------------------------------------------------------------ #

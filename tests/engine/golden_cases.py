@@ -1,14 +1,14 @@
 """The golden-source snapshot cases for the python and C kernel emitters.
 
-Each case names one (spec × config × specialization-axes) point whose
+Each case names one kernel shape (spec × specialization axes) whose
 emitted kernel source is pinned byte-for-byte under ``tests/engine/golden/``
 — ``<name>.py.txt`` for the python emitter, ``<name>.c.txt`` for the C
-emitter (both emitters lower the same specialized IR point).
+emitter (both emitters lower the same specialized IR point).  A shape's
+source does not depend on the config, so no case names one.
 The set is chosen so every specialization axis is visible in at least one
 snapshot: BPU vs Cassandra vs lite kind, gate masks, forwarding off, an
 active flush check, the residency-proved cache-free variants, the BTU
-no-eviction elision, the stats-free warm-up body, and a non-power-of-two
-ROB (generic ``%`` arithmetic where the default config folds to masks).
+no-eviction elision, and the stats-free warm-up body.
 
 Regenerate after an *intentional* emitter change with::
 
@@ -20,36 +20,24 @@ and read the diff — that is the point of the snapshots.
 from pathlib import Path
 
 from repro.engine.lowering import F_LEAK, F_LOAD, F_SECRET
-from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 
 #: Directory holding the checked-in snapshot files.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: name -> (spec, config, kernel_source keyword arguments)
+#: name -> (spec, kernel_source keyword arguments)
 GOLDEN_CASES = {
-    "bpu-default": (EnginePolicySpec(kind="bpu"), GOLDEN_COVE_LIKE, {}),
+    "bpu-default": (EnginePolicySpec(kind="bpu"), {}),
     "bpu-gated-nofwd": (
         EnginePolicySpec(
             kind="bpu", gate_mask=F_LOAD | F_LEAK, allow_store_forwarding=False
         ),
-        GOLDEN_COVE_LIKE,
         {},
     ),
-    "bpu-rob300": (EnginePolicySpec(kind="bpu"), CoreConfig(rob_size=300), {}),
-    "cassandra-default": (
-        EnginePolicySpec(kind="cassandra"),
-        GOLDEN_COVE_LIKE,
-        {},
-    ),
-    "cassandra-flush": (
-        EnginePolicySpec(kind="cassandra"),
-        GOLDEN_COVE_LIKE,
-        {"flush_active": True},
-    ),
+    "cassandra-default": (EnginePolicySpec(kind="cassandra"), {}),
+    "cassandra-flush": (EnginePolicySpec(kind="cassandra"), {"flush_active": True}),
     "cassandra-resident-elide": (
         EnginePolicySpec(kind="cassandra"),
-        GOLDEN_COVE_LIKE,
         {
             "icache_resident": True,
             "dcache_resident": True,
@@ -58,12 +46,10 @@ GOLDEN_CASES = {
     ),
     "cassandra-lite-warm": (
         EnginePolicySpec(kind="cassandra", lite=True),
-        GOLDEN_COVE_LIKE,
         {"collect_stats": False},
     ),
     "prospect-resident": (
         EnginePolicySpec(kind="bpu", gate_mask=F_SECRET),
-        GOLDEN_COVE_LIKE,
         {"icache_resident": True, "dcache_resident": True},
     ),
 }
@@ -72,19 +58,19 @@ GOLDEN_CASES = {
 def render_case(name: str) -> str:
     from repro.engine.kernels import kernel_source
 
-    spec, config, kwargs = GOLDEN_CASES[name]
+    spec, kwargs = GOLDEN_CASES[name]
     kwargs = dict(kwargs)
     flush_active = kwargs.pop("flush_active", False)
-    return kernel_source(spec, config, flush_active, **kwargs)
+    return kernel_source(spec, flush_active, **kwargs)
 
 
 def render_c_case(name: str) -> str:
     from repro.engine.emit.c import c_kernel_source
 
-    spec, config, kwargs = GOLDEN_CASES[name]
+    spec, kwargs = GOLDEN_CASES[name]
     kwargs = dict(kwargs)
     flush_active = kwargs.pop("flush_active", False)
-    return c_kernel_source(spec, config, flush_active, **kwargs)
+    return c_kernel_source(spec, flush_active, **kwargs)
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance entry point

@@ -2,7 +2,7 @@
 
 ``tests/engine/test_parity.py`` pins the kernels' *results* to the golden
 models across the quick suite; this module pins the machinery itself — the
-``REPRO_ENGINE_TIER`` switch, the per-(spec × config) compilation cache, the dead-code and
+``REPRO_ENGINE_TIER`` switch, the per-shape compilation cache, the dead-code and
 residency specialization of the generated source, the measured-pass dedup,
 the per-tier batch accounting, and the flat-state conversions.
 """
@@ -30,7 +30,7 @@ from repro.engine.state import (
     flat_cache_to_sets,
 )
 from repro.experiments.runner import DESIGN_BUILDERS, prepare_workload
-from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
+from repro.uarch.config import GOLDEN_COVE_LIKE
 from repro.uarch.core import CoreModel
 from repro.uarch.defenses.base import EnginePolicySpec
 
@@ -136,42 +136,36 @@ def test_default_tier_never_imports_numpy(tmp_path):
 # --------------------------------------------------------------------------- #
 def test_kernel_cache_returns_same_callable():
     spec = EnginePolicySpec(kind="bpu")
-    first = get_kernel(spec, GOLDEN_COVE_LIKE, False)
-    assert get_kernel(spec, GOLDEN_COVE_LIKE, False) is first
+    first = get_kernel(spec, False)
+    assert get_kernel(spec, False) is first
+    # A flush asked of an untraced spec is no feature of its kernel.
+    assert get_kernel(spec, True) is first
     assert "def kernel(" in first.__repro_source__
-    # A different config digest compiles (and caches) a different kernel.
-    other = get_kernel(spec, CoreConfig(rob_size=128), False)
+    # A different shape compiles (and caches) a different kernel.
+    other = get_kernel(spec, False, collect_stats=False)
     assert other is not first
 
 
 def test_dead_policy_code_is_dropped_at_generation_time():
-    bpu = kernel_source(EnginePolicySpec(kind="bpu"), GOLDEN_COVE_LIKE, False)
+    bpu = kernel_source(EnginePolicySpec(kind="bpu"), False)
     assert "btu_pos" not in bpu  # no Cassandra fetch flow at all
     assert "plan_cls[pc]" not in bpu
     assert "window_resolve_cycle > ready" not in bpu  # no gate test
-    gated = kernel_source(
-        EnginePolicySpec(kind="bpu", gate_mask=16), GOLDEN_COVE_LIKE, False
-    )
+    gated = kernel_source(EnginePolicySpec(kind="bpu", gate_mask=16), False)
     assert "window_resolve_cycle > ready" in gated
     no_fwd = kernel_source(
-        EnginePolicySpec(kind="bpu", allow_store_forwarding=False),
-        GOLDEN_COVE_LIKE,
-        False,
+        EnginePolicySpec(kind="bpu", allow_store_forwarding=False), False
     )
     assert "n_stl_blocked" in no_fwd and "n_forwards" not in no_fwd
-    lite = kernel_source(
-        EnginePolicySpec(kind="cassandra", lite=True), GOLDEN_COVE_LIKE, False
-    )
+    lite = kernel_source(EnginePolicySpec(kind="cassandra", lite=True), False)
     assert "btu_targets" not in lite  # lite never replays traces
 
 
 def test_residency_proofs_delete_cache_models():
     spec = EnginePolicySpec(kind="bpu")
-    full = kernel_source(spec, GOLDEN_COVE_LIKE, False)
+    full = kernel_source(spec, False)
     assert "state.l1i" in full and "state.l1d" in full
-    resident = kernel_source(
-        spec, GOLDEN_COVE_LIKE, False, icache_resident=True, dcache_resident=True
-    )
+    resident = kernel_source(spec, False, icache_resident=True, dcache_resident=True)
     assert "state.l1i" not in resident
     assert "state.l1d" not in resident
     assert "l2_sets" not in resident
@@ -180,27 +174,21 @@ def test_residency_proofs_delete_cache_models():
 
 def test_flush_check_compiled_only_when_active():
     spec = EnginePolicySpec(kind="cassandra")
-    without = kernel_source(spec, GOLDEN_COVE_LIKE, False)
+    without = kernel_source(spec, False)
     assert "next_btu_flush" not in without
-    with_flush = kernel_source(spec, GOLDEN_COVE_LIKE, True)
+    with_flush = kernel_source(spec, True)
     assert "next_btu_flush" in with_flush
 
 
 def test_btu_elide_requires_traced_flushless_kernel():
     with pytest.raises(ValueError):
-        kernel_source(
-            EnginePolicySpec(kind="bpu"), GOLDEN_COVE_LIKE, False, btu_elide=True
-        )
+        kernel_source(EnginePolicySpec(kind="bpu"), False, btu_elide=True)
     with pytest.raises(ValueError):
-        kernel_source(
-            EnginePolicySpec(kind="cassandra"), GOLDEN_COVE_LIKE, True, btu_elide=True
-        )
+        kernel_source(EnginePolicySpec(kind="cassandra"), True, btu_elide=True)
 
 
 def test_warm_kernels_carry_no_counters():
-    warm = kernel_source(
-        EnginePolicySpec(kind="cassandra"), GOLDEN_COVE_LIKE, False, collect_stats=False
-    )
+    warm = kernel_source(EnginePolicySpec(kind="cassandra"), False, collect_stats=False)
     assert "return None" in warm
     assert "n_btu_misses" not in warm
     assert "squash_cycles" not in warm

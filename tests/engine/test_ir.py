@@ -1,33 +1,24 @@
-"""Kernel IR unit tests: node rendering, transforms, and their contracts.
+"""Kernel IR unit tests: transforms and their contracts.
 
-The end-to-end guarantee (IR → python emitter ≡ historical generator) is
+The end-to-end guarantee (IR → emitted kernels ≡ the reference loop) is
 pinned by the golden snapshots and the fuzz parity suite; this module tests
 the IR layer in isolation — each transform's pre/post conditions, the
-feature-derivation rules, and the emitter's refusal to render unlowered
-trees.
+feature-derivation rules, the per-spec tree cache, and the emitter's
+refusal to render unlowered trees.
 """
 
 import pytest
 
+from repro.engine import ir
 from repro.engine.emit.python import render
 from repro.engine.ir import (
     FEATURES,
     Block,
-    BitAnd,
-    Div,
     Guard,
     KernelFeatures,
     L,
-    Line,
-    Mod,
-    ScaledDiv,
-    Shl,
-    Shr,
-    Stat,
     build_kernel_ir,
     clear_ir_cache,
-    fold_pow2,
-    foldable_sites,
     guard_features,
     has_stats,
     lines,
@@ -36,52 +27,11 @@ from repro.engine.ir import (
     stat,
     strip_stats,
 )
-from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 
 BPU = EnginePolicySpec(kind="bpu")
 CASSANDRA = EnginePolicySpec(kind="cassandra")
 LITE = EnginePolicySpec(kind="cassandra", lite=True)
-
-
-# --------------------------------------------------------------------------- #
-# Expression nodes
-# --------------------------------------------------------------------------- #
-def test_expr_rendering():
-    assert Mod("addr", 64).render() == "(addr % 64)"
-    assert Mod("index", 512, bare=True).render() == "index % 512"
-    assert Div("line", 128).render() == "(line // 128)"
-    assert ScaledDiv("pc", 4, 64).render() == "((pc * 4) // 64)"
-    assert BitAnd("addr", 63).render() == "(addr & 63)"
-    assert BitAnd("index", 511, bare=True).render() == "index & 511"
-    assert Shr("line", 7).render() == "(line >> 7)"
-    assert Shl("set_index", 3).render() == "(set_index << 3)"
-
-
-def test_fold_pow2_rewrites_only_power_of_two_sites():
-    body = [
-        L("a = ", Mod("addr", 64)),
-        L("b = ", Div("line", 128)),
-        L("c = ", Mod("addr", 100)),
-        Block((L("d = ", ScaledDiv("pc", 4, 64)),), indent=1),
-    ]
-    folded = fold_pow2(body)
-    assert render(folded) == (
-        "a = (addr & 63)\n"
-        "b = (line >> 7)\n"
-        "c = (addr % 100)\n"
-        "    d = (pc >> 4)\n"
-    )
-    # Only the non-power-of-two site survives as a division/modulo.
-    assert len(foldable_sites(folded)) == 0
-
-
-def test_scaled_div_folds_to_shift_var_or_scale():
-    # scale < line_bytes: net right shift; equal: the variable itself;
-    # greater: net left shift — all exact for powers of two.
-    assert render(fold_pow2([L("x = ", ScaledDiv("pc", 4, 64))])) == "x = (pc >> 4)\n"
-    assert render(fold_pow2([L("x = ", ScaledDiv("pc", 64, 64))])) == "x = pc\n"
-    assert render(fold_pow2([L("x = ", ScaledDiv("pc", 128, 64))])) == "x = (pc << 1)\n"
 
 
 # --------------------------------------------------------------------------- #
@@ -159,43 +109,30 @@ def test_emitter_refuses_unlowered_nodes():
 
 def test_lower_kernel_output_is_fully_resolved():
     features = KernelFeatures.derive(CASSANDRA, flush_active=False, btu_elide=True)
-    lowered = lower_kernel(build_kernel_ir(CASSANDRA, GOLDEN_COVE_LIKE), features)
+    lowered = lower_kernel(build_kernel_ir(CASSANDRA), features)
     assert guard_features(lowered) == []
     assert not has_stats(lowered)
-    assert foldable_sites(lowered) == []
     # The result is genuinely renderable and compilable.
     compile(render(lowered), "<ir-test>", "exec")
-
-
-def test_non_pow2_geometry_keeps_arithmetic_sites():
-    # GOLDEN_COVE_LIKE's L2/L3 set counts are not powers of two, so the raw
-    # tree must carry foldable-probe-visible sites that fold_pow2 leaves as
-    # real divisions — the probe only reports sites it *would* rewrite.
-    tree = build_kernel_ir(BPU, GOLDEN_COVE_LIKE)
-    features = KernelFeatures.derive(BPU, flush_active=False)
-    source = render(lower_kernel(tree, features))
-    assert "% 1280" in source  # L2 sets: 1280 is not a power of two
-    assert "% 64" not in source  # line offsets folded to shifts/masks
 
 
 # --------------------------------------------------------------------------- #
 # The IR cache
 # --------------------------------------------------------------------------- #
 def test_build_kernel_ir_is_cached_per_spec_config():
+    """One tree per spec: the config is not an input of the build."""
     clear_ir_cache()
-    a = build_kernel_ir(BPU, GOLDEN_COVE_LIKE)
-    b = build_kernel_ir(BPU, GOLDEN_COVE_LIKE)
-    assert a is b
-    c = build_kernel_ir(BPU, CoreConfig(rob_size=300))
-    assert c is not a
+    a = build_kernel_ir(BPU)
+    assert build_kernel_ir(BPU) is a
+    assert build_kernel_ir(CASSANDRA) is not a
+    assert set(ir._IR_CACHE) == {BPU, CASSANDRA}
     clear_ir_cache()
-    d = build_kernel_ir(BPU, GOLDEN_COVE_LIKE)
-    assert d is not a
+    assert build_kernel_ir(BPU) is not a
 
 
 def test_lower_kernel_does_not_mutate_the_cached_tree():
     clear_ir_cache()
-    tree = build_kernel_ir(CASSANDRA, GOLDEN_COVE_LIKE)
+    tree = build_kernel_ir(CASSANDRA)
     before = render(strip_stats(specialize(tree, KernelFeatures.derive(
         CASSANDRA, flush_active=False).as_mapping()), True))
     lower_kernel(tree, KernelFeatures.derive(CASSANDRA, flush_active=True))

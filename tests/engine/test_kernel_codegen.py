@@ -1,25 +1,32 @@
 """Static analysis of the generated kernel sources.
 
-Two layers of pinning beneath the behavioural parity suites:
+Three layers of pinning beneath the behavioural parity suites:
 
-* **golden snapshots** — eight representative (spec × config × feature)
-  corners rendered byte-for-byte against checked-in files (regenerate via
+* **golden snapshots** — seven representative (spec × feature) shapes
+  rendered byte-for-byte against checked-in files (regenerate via
   ``PYTHONPATH=src:tests python -m engine.golden_cases`` after an
   *intentional* codegen change);
 * **full-product compilability** — every kernel variant across the policy
-  family × config × flush × residency × elide × stats product must parse
+  family × flush × residency × elide × stats product must parse
   (``ast.parse``) and byte-compile, and basic structural invariants of the
   specialization must hold (dead policy code absent, residency deleting
-  cache models, stats variants dropping counters).
+  cache models, stats variants dropping counters);
+* **one unit per shape** — no config value is written into any unit (the
+  full-product sweeps check every variant), and a batch over several
+  configs compiles what one config compiles.
 """
 
 import ast
 import itertools
+import re
 
 import pytest
 
 from engine.golden_cases import GOLDEN_CASES, GOLDEN_DIR, render_case
-from repro.engine.kernels import kernel_source
+from repro.engine import kernels
+from repro.engine.batch import PointSpec, simulate_batch
+from repro.engine.kernels import TIER_ENV, kernel_source
+from repro.experiments.runner import DESIGN_BUILDERS
 from repro.uarch.config import GOLDEN_COVE_LIKE, BtuConfig, CacheConfig, CoreConfig
 from repro.uarch.defenses.base import EnginePolicySpec
 
@@ -48,49 +55,79 @@ CONFIGS = {
 }
 
 
+#: Config values that must never appear in a unit's source — every config
+#: reaches a unit only through ``state.table``.  Each is a ``CONFIGS`` field
+#: value (or mask) no kernel uses as a structural literal.
+BURNT = re.compile(r"\b(512|300|114|200|1280|30720|4096|1023|16383)\b")
+
+
 def _variants():
-    for (sname, spec), (cname, config) in itertools.product(
-        SPECS.items(), CONFIGS.items()
-    ):
+    for sname, spec in SPECS.items():
         traced = spec.kind == "cassandra" and not spec.lite
         for flush, ic, dc, elide, stats in itertools.product(
             (False, True), repeat=5
         ):
             if elide and (not traced or flush):
                 continue  # rejected by KernelFeatures.derive
-            yield sname, spec, cname, config, flush, ic, dc, elide, stats
+            yield sname, spec, flush, ic, dc, elide, stats
 
 
 def test_every_variant_parses_and_compiles():
     count = 0
-    for sname, spec, cname, config, flush, ic, dc, elide, stats in _variants():
+    for sname, spec, flush, ic, dc, elide, stats in _variants():
         source = kernel_source(
             spec,
-            config,
             flush_active=flush,
             icache_resident=ic,
             dcache_resident=dc,
             btu_elide=elide,
             collect_stats=not stats,
         )
-        label = f"{sname}/{cname} flush={flush} ic={ic} dc={dc} elide={elide}"
+        label = f"{sname} flush={flush} ic={ic} dc={dc} elide={elide}"
         tree = ast.parse(source)
         # Exactly one top-level function named `kernel`.
         assert [n.name for n in tree.body if isinstance(n, ast.FunctionDef)] == [
             "kernel"
         ], label
         compile(source, f"<codegen:{label}>", "exec")
+        assert not BURNT.findall(source), label
         count += 1
     # The product is the suite's coverage claim; a silent shrink (e.g. a
-    # variant axis wired to a constant) should fail loudly.  Per config:
+    # variant axis wired to a constant) should fail loudly:
     # 3 traced specs × 24 legal axis combos + 4 others × 16.
-    assert count == (3 * 24 + 4 * 16) * len(CONFIGS)
+    assert count == 3 * 24 + 4 * 16
+
+
+def configs_batch(execution, bundle, configs, **kwargs):
+    """Every design at every config over one program, in one batch."""
+    points = [
+        PointSpec(policy=build(bundle), config=config)
+        for config in configs
+        for build in DESIGN_BUILDERS.values()
+    ]
+    return simulate_batch(execution, bundle, points, **kwargs)
+
+
+def test_one_python_kernel_per_shape_across_configs(
+    toy_execution, toy_bundle, monkeypatch
+):
+    """A batch over every ``CONFIGS`` entry compiles exactly the kernels a
+    batch over one config compiles: the config is not part of a unit."""
+    monkeypatch.setenv(TIER_ENV, "python")
+    compiled = []
+    for configs in ([GOLDEN_COVE_LIKE], list(CONFIGS.values())):
+        kernels.clear_kernel_cache()
+        before = kernels.compile_count
+        configs_batch(toy_execution, toy_bundle, configs)
+        compiled.append(kernels.compile_count - before)
+    assert compiled[0] > 0
+    assert compiled[1] == compiled[0]
 
 
 @pytest.mark.parametrize("sname", ["unsafe", "spt", "prospect", "cassandra-lite"])
 def test_dead_policy_code_is_absent(sname):
     spec = SPECS[sname]
-    source = kernel_source(spec, GOLDEN_COVE_LIKE, flush_active=False)
+    source = kernel_source(spec, flush_active=False)
     if spec.kind == "bpu":
         for needle in ("plan_cls[", "btu_pos", "n_integrity"):
             assert needle not in source, (sname, needle)
@@ -106,10 +143,9 @@ def test_dead_policy_code_is_absent(sname):
 
 def test_residency_deletes_cache_models():
     spec = SPECS["unsafe"]
-    full = kernel_source(spec, GOLDEN_COVE_LIKE, flush_active=False)
+    full = kernel_source(spec, flush_active=False)
     resident = kernel_source(
         spec,
-        GOLDEN_COVE_LIKE,
         flush_active=False,
         icache_resident=True,
         dcache_resident=True,
@@ -122,9 +158,7 @@ def test_residency_deletes_cache_models():
 
 
 def test_warm_variant_drops_dynamic_counters():
-    source = kernel_source(
-        SPECS["cassandra"], GOLDEN_COVE_LIKE, flush_active=False, collect_stats=False
-    )
+    source = kernel_source(SPECS["cassandra"], flush_active=False, collect_stats=False)
     for needle in ("n_cond_mis", "squash_cycles +=", "n_btu_misses"):
         assert needle not in source
     assert "return None" in source

@@ -2,15 +2,18 @@
 
 Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
 
-* **golden snapshots** — the same eight representative corners rendered to C
+* **golden snapshots** — the same seven representative shapes rendered to C
   and pinned byte-for-byte (``tests/engine/golden/<name>.c.txt``; regenerate
   with ``PYTHONPATH=src:tests python -m engine.golden_cases``);
-* **full-product emit** — every variant of the policy family × config ×
-  flush × residency × elide × stats product must render (this leg needs no
+* **full-product emit** — every variant of the policy family × flush ×
+  residency × elide × stats product must render (this leg needs no
   compiler, so it also guards the stdlib-only environments);
 * **full-product syntax sweep** — the unique translation units of that
-  product must pass ``cc -fsyntax-only`` (the parity suite exercises real
+  product must pass ``cc -fsyntax-only -Wall -Werror``, bar the unused
+  locals every shape leaves behind (the parity suite exercises real
   compiles; this pins the long tail of variants no fuzz case selects);
+* **one unit per shape** — a native batch over several configs compiles
+  what one config compiles;
 * the **degraded path** (an unresolvable ``REPRO_NATIVE_CC`` must disable
   the tier without raising) and the ``clear_kernel_cache`` chain;
 * the **kernel index** — warm lookups never render, a code edit re-renders
@@ -28,7 +31,7 @@ import sys
 import pytest
 
 from engine.golden_cases import GOLDEN_CASES, GOLDEN_DIR, render_c_case
-from engine.test_kernel_codegen import CONFIGS, SPECS, _variants
+from engine.test_kernel_codegen import BURNT, CONFIGS, SPECS, _variants, configs_batch
 from repro.engine import native
 from repro.engine.emit import c as emit_c
 from repro.engine.emit.c import ARG, c_kernel_source, source_digest
@@ -45,10 +48,9 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def _render(spec, config, flush, ic, dc, elide, stats):
+def _render(spec, flush, ic, dc, elide, stats):
     return c_kernel_source(
         spec,
-        config,
         flush_active=flush,
         icache_resident=ic,
         dcache_resident=dc,
@@ -59,15 +61,16 @@ def _render(spec, config, flush, ic, dc, elide, stats):
 
 def test_every_variant_renders():
     count = 0
-    for sname, spec, cname, config, flush, ic, dc, elide, stats in _variants():
-        source = _render(spec, config, flush, ic, dc, elide, stats)
-        label = f"{sname}/{cname} flush={flush} ic={ic} dc={dc} elide={elide}"
+    for sname, spec, flush, ic, dc, elide, stats in _variants():
+        source = _render(spec, flush, ic, dc, elide, stats)
+        label = f"{sname} flush={flush} ic={ic} dc={dc} elide={elide}"
         assert "int64_t kernel(int64_t *a)" in source, label
         assert source.count("int64_t kernel") == 1, label
+        assert not BURNT.findall(source), label
         count += 1
     # Same coverage claim as the python sweep: a silent shrink of the
     # variant product should fail loudly.
-    assert count == (3 * 24 + 4 * 16) * len(CONFIGS)
+    assert count == 3 * 24 + 4 * 16
 
 
 @needs_compiler
@@ -76,8 +79,8 @@ def test_every_variant_syntax_checks(tmp_path):
     # flush axis is forced off for non-traced specs), so the compiler only
     # sees each unique source once.
     unique = {}
-    for _sname, spec, _cname, config, flush, ic, dc, elide, stats in _variants():
-        source = _render(spec, config, flush, ic, dc, elide, stats)
+    for _sname, spec, flush, ic, dc, elide, stats in _variants():
+        source = _render(spec, flush, ic, dc, elide, stats)
         unique.setdefault(source_digest(source), source)
     paths = []
     for i, source in enumerate(unique.values()):
@@ -88,7 +91,15 @@ def test_every_variant_syntax_checks(tmp_path):
     for start in range(0, len(paths), 64):
         chunk = paths[start : start + 64]
         proc = subprocess.run(
-            [toolchain.path, "-fsyntax-only", "-w", *chunk],
+            [
+                toolchain.path,
+                "-fsyntax-only",
+                "-Wall",
+                "-Werror",
+                "-Wno-unused-variable",
+                "-Wno-unused-but-set-variable",
+                *chunk,
+            ],
             capture_output=True,
             text=True,
         )
@@ -98,7 +109,7 @@ def test_every_variant_syntax_checks(tmp_path):
 @pytest.mark.parametrize("sname", ["unsafe", "spt", "prospect", "cassandra-lite"])
 def test_dead_policy_code_is_absent(sname):
     spec = SPECS[sname]
-    source = c_kernel_source(spec, GOLDEN_COVE_LIKE, flush_active=False)
+    source = c_kernel_source(spec, flush_active=False)
     if spec.kind == "bpu":
         for needle in ("plan_cls", "btu_pos", "n_integrity"):
             assert needle not in source, (sname, needle)
@@ -115,10 +126,9 @@ def test_dead_policy_code_is_absent(sname):
 
 def test_residency_deletes_cache_models():
     spec = SPECS["unsafe"]
-    full = c_kernel_source(spec, GOLDEN_COVE_LIKE, flush_active=False)
+    full = c_kernel_source(spec, flush_active=False)
     resident = c_kernel_source(
         spec,
-        GOLDEN_COVE_LIKE,
         flush_active=False,
         icache_resident=True,
         dcache_resident=True,
@@ -132,10 +142,8 @@ def test_residency_deletes_cache_models():
 
 
 def test_warm_variant_drops_counter_writes():
-    warm = c_kernel_source(
-        SPECS["cassandra"], GOLDEN_COVE_LIKE, flush_active=False, collect_stats=False
-    )
-    stats = c_kernel_source(SPECS["cassandra"], GOLDEN_COVE_LIKE, flush_active=False)
+    warm = c_kernel_source(SPECS["cassandra"], flush_active=False, collect_stats=False)
+    stats = c_kernel_source(SPECS["cassandra"], flush_active=False)
     for name in ("counter_cycles", "counter_squash_cycles", "counter_btu_misses"):
         slot = f"a[{ARG[name]}] ="
         assert slot in stats, name
@@ -146,8 +154,8 @@ def test_warm_variant_drops_counter_writes():
 
 
 def test_source_digest_tracks_abi_and_content():
-    a = c_kernel_source(SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False)
-    b = c_kernel_source(SPECS["cassandra"], GOLDEN_COVE_LIKE, flush_active=False)
+    a = c_kernel_source(SPECS["unsafe"], flush_active=False)
+    b = c_kernel_source(SPECS["cassandra"], flush_active=False)
     assert source_digest(a) == source_digest(a)
     assert source_digest(a) != source_digest(b)
 
@@ -156,11 +164,32 @@ def test_degraded_path_without_compiler(monkeypatch):
     monkeypatch.setenv(native.TOOLCHAIN_ENV, "/nonexistent/cc")
     assert native.find_toolchain() is None
     assert not native.compiler_available()
-    kernel = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False
-    )
+    kernel = native.get_native_kernel(SPECS["unsafe"], flush_active=False)
     assert kernel is None
     assert native.last_error
+
+
+@needs_compiler
+def test_one_native_kernel_per_shape_across_configs(
+    tmp_path, toy_execution, toy_bundle, monkeypatch
+):
+    """A native batch over every ``CONFIGS`` entry compiles exactly the
+    units a batch over one config compiles, and serves every point."""
+    monkeypatch.setenv(TIER_ENV, "native")
+    compiled = []
+    for run, configs in enumerate(([GOLDEN_COVE_LIKE], list(CONFIGS.values()))):
+        _fresh_process(monkeypatch)
+        before = native.compile_count
+        stats = BatchStats()
+        results = configs_batch(
+            toy_execution, toy_bundle, configs,
+            batch_stats=stats, cache_dir=str(tmp_path / f"cache{run}"),
+        )
+        assert stats.native_points == len(results), native.last_error
+        compiled.append(native.compile_count - before)
+    native.clear_native_memo()
+    assert compiled[0] > 0
+    assert compiled[1] == compiled[0]
 
 
 @needs_compiler
@@ -168,13 +197,13 @@ def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
     clear_kernel_cache()
     before = native.compile_count
     first = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False, cache_dir=str(tmp_path)
+        SPECS["unsafe"], flush_active=False, cache_dir=str(tmp_path)
     )
     assert first is not None
     assert native.compile_count == before + 1
     # Same point again: served from the in-process memo, no new compile.
     again = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False, cache_dir=str(tmp_path)
+        SPECS["unsafe"], flush_active=False, cache_dir=str(tmp_path)
     )
     assert again is first
     assert native.compile_count == before + 1
@@ -183,7 +212,7 @@ def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
     hits = native.cache_hits
     native.clear_native_memo()
     warm = native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False, cache_dir=str(tmp_path)
+        SPECS["unsafe"], flush_active=False, cache_dir=str(tmp_path)
     )
     assert warm is not None
     assert native.compile_count == before + 1
@@ -193,8 +222,8 @@ def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
 def test_clear_kernel_cache_chains_every_layer():
     from repro.engine import ir, kernels
 
-    get_kernel(SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False)
-    emit_c.build_c_kernel_ir(SPECS["unsafe"], GOLDEN_COVE_LIKE)
+    get_kernel(SPECS["unsafe"], flush_active=False)
+    emit_c.build_c_kernel_ir(SPECS["unsafe"])
     native._KERNEL_MEMO[("sentinel",)] = None
     native._INDEX[("sentinel-root", "sentinel-digest")] = {}
     assert kernels._KERNEL_CACHE and ir._IR_CACHE and emit_c._C_IR_CACHE
@@ -247,8 +276,7 @@ def _so_files(kernel_dir):
 
 def _lookup(kernel_dir):
     return native.get_native_kernel(
-        SPECS["unsafe"], GOLDEN_COVE_LIKE, flush_active=False,
-        cache_dir=_cache_root(kernel_dir),
+        SPECS["unsafe"], flush_active=False, cache_dir=_cache_root(kernel_dir)
     )
 
 

@@ -14,6 +14,7 @@ the golden model directly.
 
 import pytest
 
+from repro.engine import native
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import TIER_ENV
 from repro.experiments.runner import (
@@ -22,7 +23,7 @@ from repro.experiments.runner import (
     DesignPoint,
     prepare_workload,
 )
-from repro.uarch.config import CoreConfig
+from repro.uarch.config import BtuConfig, CacheConfig, CoreConfig
 from repro.uarch.core import CoreModel
 
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
@@ -137,6 +138,69 @@ def test_batch_matches_reference_on_non_default_config(quick_artifacts):
     for design, simulation in zip(ALL_DESIGNS, simulations):
         reference = legacy_simulate(art, design, config=small)
         assert_bit_identical(reference, simulation, f"{design}/small-config")
+
+
+#: A config with no power of two in anything a kernel computes with — set
+#: counts, line sizes, the word size, ROB, store queue, predictor and BTU
+#: sizing — and caches small enough that every level evicts.  Kernels read
+#: all of it from the point's config table.
+ODD_CONFIG = CoreConfig(
+    fetch_width=3,
+    issue_width=3,
+    commit_width=5,
+    rob_size=37,
+    sq_size=5,
+    frontend_depth=7,
+    mispredict_penalty=11,
+    store_forward_latency=3,
+    alu_latency=2,
+    mul_latency=5,
+    div_latency=13,
+    store_latency=3,
+    branch_resolve_latency=2,
+    pht_bits=7,
+    global_history_bits=5,
+    btb_entries=11,
+    rsb_entries=3,
+    word_bytes=12,
+    l1i=CacheConfig(5 * 24 * 3, 24, 3, 5, name="L1I"),
+    l1d=CacheConfig(3 * 40 * 3, 40, 3, 4, name="L1D"),
+    l2=CacheConfig(7 * 40 * 5, 40, 5, 13, name="L2"),
+    l3=CacheConfig(11 * 40 * 7, 40, 7, 31, name="L3"),
+    memory_latency=97,
+    btu=BtuConfig(entries=3, elements_per_entry=5, miss_latency=17, prefetch_latency=3),
+)
+
+
+@pytest.mark.parametrize(
+    "tier, flush", [("python", None), ("python", 300), ("native", 300)]
+)
+def test_batch_matches_reference_on_odd_geometry(quick_artifacts, monkeypatch, tier, flush):
+    """Both tiers stay exact when no geometry is a power of two.  (The
+    flush interval only reaches the Cassandra kernels, so the native leg
+    compiles the default shape of every other design alongside.)"""
+    if tier == "native" and not native.compiler_available():
+        pytest.skip("no working C toolchain")
+    monkeypatch.setenv(TIER_ENV, tier)
+    art = quick_artifacts[QUICK_WORKLOADS[0]]
+    specs = [
+        PointSpec(
+            policy=DESIGN_BUILDERS[design](art.bundle),
+            config=ODD_CONFIG,
+            btu_flush_interval=flush,
+        )
+        for design in ALL_DESIGNS
+    ]
+    stats = BatchStats()
+    simulations = simulate_batch(
+        art.result, art.bundle, specs, batch_stats=stats,
+        program_name=art.kernel.program.name,
+    )
+    served = stats.native_points if tier == "native" else stats.kernel_points
+    assert served == len(specs)
+    for design, simulation in zip(ALL_DESIGNS, simulations):
+        reference = legacy_simulate(art, design, config=ODD_CONFIG, flush=flush)
+        assert_bit_identical(reference, simulation, f"{design}/odd/{tier}/{flush}")
 
 
 def test_artifact_simulate_routes_through_engine_and_matches(quick_artifacts):

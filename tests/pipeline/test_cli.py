@@ -248,3 +248,40 @@ def test_python_tier_run_starts_no_compiler(capsys, monkeypatch):
     assert main(["figure9", *argv, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["stats"]["native_compiler"] is None
     assert probes == []
+
+
+def test_quick_suite_writes_only_into_its_cache_dir(tmp_path):
+    """A cold and then a warm ``repro all --workloads quick`` on the fork
+    backend write nothing outside ``$REPRO_CACHE_DIR``: HOME, TMPDIR and the
+    working directory, each an empty directory, stay empty after each run."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    dirs = {name: tmp_path / name for name in ("home", "tmp", "work", "cache")}
+    for path in dirs.values():
+        path.mkdir()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    # No inherited REPRO_* setting (tier, fault plan, cache) may steer the run.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(
+        HOME=str(dirs["home"]),
+        TMPDIR=str(dirs["tmp"]),
+        REPRO_CACHE_DIR=str(dirs["cache"]),
+        PYTHONPATH=os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        ),
+    )
+    argv = [sys.executable, "-m", "repro", "all", "--workloads", "quick",
+            "--backend", "fork", "--jobs", "2"]
+    for run in ("cold", "warm"):
+        completed = subprocess.run(
+            argv, cwd=dirs["work"], env=env, capture_output=True, text=True
+        )
+        assert completed.returncode == 0, (run, completed.stderr)
+        assert {
+            name: sorted(os.listdir(path)) for name, path in dirs.items() if name != "cache"
+        } == {"home": [], "tmp": [], "work": []}, run
+        assert os.listdir(dirs["cache"]), run
