@@ -41,8 +41,9 @@ the compiler (without ``--cache-dir`` they stay in memory).  Compilation happens
 during the (untimed) parity pass — the same treatment the python kernels
 get — so the timed phase measures steady-state execution; the compile cost
 and artifact-cache hit split are reported as ``native_compile_seconds`` /
-``native_cache_hits``, and the C units rendered on kernel-index misses as
-``native_render_count`` (zero on a warm rerun).  The aggregate ``native_speedup`` (over the python
+``native_cache_hits``, and the C units rendered as ``native_render_count``
+(one per kernel shape the suite uses; on a warm rerun every rendered unit
+is a cache hit, so it equals ``native_cache_hits``).  The aggregate ``native_speedup`` (over the python
 kernel phase) can be gated with ``--min-native-speedup``; the phase is
 skipped with a note when no working C compiler exists, and the gate then
 fails loudly rather than vacuously passing.

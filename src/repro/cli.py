@@ -156,8 +156,8 @@ def _add_engine_tier_argument(parser: argparse.ArgumentParser) -> None:
         metavar="TIER",
         help="measured-pass execution tier: 'native' (C kernels compiled "
         "through the system toolchain, cached as shared objects; falls back "
-        "per point when no compiler works) or 'python' (per-config generated "
-        "kernels; the default); "
+        "per point when no compiler works) or 'python' (generated kernels, one "
+        "per policy shape; the default); "
         f"equivalent to setting {TIER_ENV}",
     )
 

@@ -6,7 +6,7 @@ builds its *own* statement tree with :func:`build_c_kernel_ir`, mirroring
 :func:`repro.engine.ir.build_kernel_ir` stage by stage, out of the same IR
 node types: the same :class:`~repro.engine.ir.Guard` features in the same
 positions and the same :class:`~repro.engine.ir.Stat` markers — so one
-cached build per policy spec serves every
+build per policy spec serves every
 :class:`~repro.engine.ir.KernelFeatures` point through the unchanged
 :func:`~repro.engine.ir.lower_kernel` transform pipeline.  Like the python
 kernels, a C unit holds no config value: its prologue binds geometry,
@@ -220,14 +220,6 @@ def source_digest(source: str) -> str:
 # --------------------------------------------------------------------------- #
 # The C kernel tree
 # --------------------------------------------------------------------------- #
-_C_IR_CACHE: Dict[EnginePolicySpec, List[Stmt]] = {}
-
-
-def clear_c_ir_cache() -> None:
-    """Drop every cached C kernel tree (test isolation helper)."""
-    _C_IR_CACHE.clear()
-
-
 def _a(name: str) -> str:
     """The argument-vector access expression for one slot."""
     return f"a[{ARG[name]}]"
@@ -239,12 +231,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     Mirrors :func:`repro.engine.ir.build_kernel_ir` stage by stage — same
     Guard/Stat placement, same config locals bound from the point's config
     table — over the C data-structure mappings described in the module
-    docstring.  One cached build serves all 2⁵ feature points.
+    docstring.  One build serves all 2⁵ feature points.
     """
-    cached = _C_IR_CACHE.get(spec)
-    if cached is not None:
-        return cached
-
     cassandra = spec.kind == "cassandra"
     lite = spec.lite
     traced = cassandra and not lite
@@ -1341,10 +1329,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     body.append(Guard("stats", tuple(return_block)))
     body.append(L("return 0;"))
 
-    tree: List[Stmt] = [
+    return [
         L("int64_t kernel(int64_t *a) {"),
         Block(tuple(body), 1),
         L("}"),
     ]
-    _C_IR_CACHE[spec] = tree
-    return tree

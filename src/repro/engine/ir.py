@@ -23,8 +23,8 @@ Two node kinds carry the specialization decisions:
   kernels, resolved by :func:`strip_stats` (warm-up kernels drop them).
 
 :func:`build_kernel_ir` constructs one tree per policy spec — the tree
-still contains every Guard/Stat variant, so one build (cached per process)
-serves all 2⁵ specializations — and :func:`lower_kernel` runs the transform
+still contains every Guard/Stat variant, so one build serves all 2⁵
+specializations — and :func:`lower_kernel` runs the transform
 pipeline for one :class:`KernelFeatures` point, checking each transform's
 postcondition:
 
@@ -246,9 +246,6 @@ def lower_kernel(body: Sequence[Stmt], features: KernelFeatures) -> List[Stmt]:
 # --------------------------------------------------------------------------- #
 # The kernel tree
 # --------------------------------------------------------------------------- #
-_IR_CACHE: Dict[EnginePolicySpec, List[Stmt]] = {}
-
-
 def _table_unpack(names: Sequence[str], source: str) -> List[Stmt]:
     """``(name, ...) = source`` over several lines, four names a line."""
     out: List[Stmt] = [L("(")]
@@ -266,13 +263,9 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     widths, latencies and sizes are not: the kernel binds them to locals
     from the point's config table (:data:`~repro.engine.state.TABLE_FIELDS`)
     in its prologue, so one kernel serves every config.  The five boolean
-    axes stay in the tree as Guard/Stat variants, so one cached build
-    serves every :class:`KernelFeatures` point.
+    axes stay in the tree as Guard/Stat variants, so one build serves
+    every :class:`KernelFeatures` point.
     """
-    cached = _IR_CACHE.get(spec)
-    if cached is not None:
-        return cached
-
     cassandra = spec.kind == "cassandra"
     lite = spec.lite
     traced = cassandra and not lite
@@ -1042,17 +1035,10 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         Guard("stats", tuple(return_block), tuple(lines("return None")))
     )
 
-    tree: List[Stmt] = [
+    return [
         L(
             "def kernel(trace, state, rows, crypto_pcs, plan_cls, plan_stp,"
             " btu_flush_interval):"
         ),
         Block(tuple(body), 1),
     ]
-    _IR_CACHE[spec] = tree
-    return tree
-
-
-def clear_ir_cache() -> None:
-    """Drop every cached kernel tree (test isolation helper)."""
-    _IR_CACHE.clear()

@@ -275,17 +275,13 @@ def get_kernel(
 
 
 def clear_kernel_cache() -> None:
-    """Drop every compiled kernel *and* the caches feeding the compile.
+    """Drop every compiled kernel, python and native.
 
-    Chains the python/C IR build caches and the native tier's kernel memo so
-    bench per-repetition compile timing measures the whole pipeline (IR
-    build → transforms → emit → compile), not just the final ``exec``.
+    Chains the native tier's kernel memo so bench per-repetition compile
+    timing measures the whole pipeline (IR build → transforms → emit →
+    compile or load) in both tiers, not a memo hit.
     """
     _KERNEL_CACHE.clear()
-    from repro.engine.emit.c import clear_c_ir_cache
-    from repro.engine.ir import clear_ir_cache
     from repro.engine.native import clear_native_memo
 
-    clear_ir_cache()
-    clear_c_ir_cache()
     clear_native_memo()

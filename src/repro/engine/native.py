@@ -12,18 +12,15 @@ layer's kernel call sites:
   process's first real compile, so a warm run never starts the compiler.
   No compiler, or one that fails the probe, means :func:`get_native_kernel`
   returns ``None`` and the batch layer silently stays on the python kernels.
-* **Compiled-artifact caching** — each kernel's ``.so`` is
-  content-addressed in the pipeline's :class:`~repro.pipeline.artifacts
-  .ArtifactCache` under kind ``native-kernel``, keyed on (source digest ×
-  toolchain fingerprint × compiler flags), and stored as a plain ``.so``
-  file.  Finding that digest would mean rendering the C unit, so lookups go
-  through a *kernel index* first: one entry per (C ABI ×
-  :func:`~repro.pipeline.hashing.code_fingerprint` × toolchain × flags),
-  next to the ``.so`` files, mapping each render key — the plain values
-  :func:`~repro.engine.emit.c.c_kernel_source` depends on — to its artifact
-  digest.  An index hit loads the ``.so`` with no render; only a miss
-  renders, digests, loads or compiles, and merges its entry into the
-  on-disk index.  Warm runs neither render nor compile: each ``.so`` is
+* **Kernel acquisition** — the chain *memo → render → digest → load or
+  compile*.  The per-process memo is keyed on the kernel shape (spec ×
+  :class:`~repro.engine.ir.KernelFeatures`) and the toolchain fingerprint;
+  a miss renders the C unit, and each ``.so`` is content-addressed in the
+  pipeline's :class:`~repro.pipeline.artifacts.ArtifactCache` under kind
+  ``native-kernel``, keyed on (source digest × toolchain fingerprint ×
+  compiler flags), and stored as a plain ``.so`` file.  A fresh process
+  therefore renders each shape it uses once (a few milliseconds a unit)
+  and compiles nothing while that unit's ``.so`` is cached: each ``.so`` is
   ``dlopen``-ed in place, from its cache file, after a check that the file
   holds every byte its ELF headers point at (a torn entry would otherwise
   die of ``SIGBUS``; one that fails is quarantined and recompiled).
@@ -58,7 +55,6 @@ state, not geometry.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import os
@@ -69,13 +65,11 @@ import tempfile
 import time
 import weakref
 from array import array
-from dataclasses import astuple
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.emit.c import (
     ARG,
     ARG_SLOTS,
-    C_ABI_VERSION,
     C_FLAGS,
     c_kernel_source,
     source_digest,
@@ -97,12 +91,9 @@ ARTIFACT_KIND = "native-kernel"
 #: Compilers probed, in order, when ``REPRO_NATIVE_CC`` is unset.
 DEFAULT_COMPILERS = ("cc", "gcc", "clang")
 
-#: ArtifactCache name of the kernel index entries (see the module docstring).
-INDEX_NAME = "index"
-
 #: Kernels compiled (not served from the artifact cache) by this process.
 compile_count = 0
-#: C units rendered by this process — kernel-index misses only.
+#: C units rendered by this process — one per kernel-memo miss.
 render_count = 0
 #: Wall-clock seconds spent inside the C compiler by this process.
 compile_seconds = 0.0
@@ -134,14 +125,12 @@ class Toolchain:
     real compile), then whether it built and loaded a trivial kernel.
     """
 
-    __slots__ = ("path", "fingerprint", "works", "index")
+    __slots__ = ("path", "fingerprint", "works")
 
     def __init__(self, path: str, fingerprint: str) -> None:
         self.path = path
         self.fingerprint = fingerprint
         self.works: Optional[bool] = None
-        #: The kernel-index digest for this toolchain (see :func:`_index_digest`).
-        self.index: Optional[str] = None
 
 
 #: Resolved toolchains keyed by the ``REPRO_NATIVE_CC`` value in effect
@@ -264,12 +253,8 @@ _LOADED: Dict[str, Callable] = {}
 _LIBS: Dict[str, ctypes.CDLL] = {}
 
 #: ``NativeKernel`` instances (or ``None`` for a memoized failure) keyed on
-#: the render key plus the toolchain fingerprint.
+#: the kernel shape plus the toolchain fingerprint.
 _KERNEL_MEMO: Dict[Tuple, Optional["NativeKernel"]] = {}
-
-#: Kernel-index entries (render key → artifact digest) as this process last
-#: read or wrote them, by (cache root, index digest).
-_INDEX: Dict[Tuple[Optional[str], str], Dict[Tuple, str]] = {}
 
 
 def _artifact_cache(root: Optional[str] = None):
@@ -293,74 +278,6 @@ def _artifact_digest(source: str, toolchain: Toolchain) -> str:
     h.update(b"\x00")
     h.update(" ".join(C_FLAGS).encode())
     return h.hexdigest()
-
-
-# --------------------------------------------------------------------------- #
-# The kernel index: render key → artifact digest, without rendering
-# --------------------------------------------------------------------------- #
-def _index_digest(toolchain: Toolchain) -> str:
-    """One index per (C ABI × code fingerprint × toolchain × flags).
-
-    The code fingerprint covers the emitter and the IR, so any ``.py`` edit
-    starts a fresh index: one re-render per kernel, but no recompile while
-    the rendered unit (and so its ``.so`` digest) is unchanged.  Computed
-    once per toolchain.
-    """
-    if toolchain.index is None:
-        from repro.pipeline import hashing
-
-        toolchain.index = hashing.stable_digest(
-            C_ABI_VERSION, hashing.code_fingerprint(), toolchain.fingerprint, C_FLAGS
-        )
-    return toolchain.index
-
-
-def _read_index(artifacts, digest: str) -> Dict[Tuple, str]:
-    # A corrupt entry is quarantined by the cache and reads as a miss.
-    entries = artifacts.reload(ARTIFACT_KIND, INDEX_NAME, digest)
-    return dict(entries) if isinstance(entries, dict) else {}
-
-
-def _index(artifacts, digest: str) -> Dict[Tuple, str]:
-    key = (artifacts.root, digest)
-    entries = _INDEX.get(key)
-    if entries is None:
-        entries = _INDEX[key] = _read_index(artifacts, digest)
-    return entries
-
-
-@contextlib.contextmanager
-def _index_lock(artifacts, digest: str):
-    """Serialize read-merge-write of one index across processes."""
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX: merges may race
-        yield
-        return
-    path = artifacts.path_for(ARTIFACT_KIND, INDEX_NAME, digest) + ".lock"
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "a") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        yield
-
-
-def _record_index(artifacts, digest: str, render_key: Tuple, artifact: str) -> None:
-    """Merge one entry into the on-disk index and write it back atomically.
-
-    Best effort: an unwritable cache only costs later processes a render.
-    """
-    entries = _index(artifacts, digest)
-    entries[render_key] = artifact
-    if artifacts.root is None:
-        return
-    try:
-        with _index_lock(artifacts, digest):
-            merged = _read_index(artifacts, digest)
-            merged.update(entries)
-            artifacts.put(ARTIFACT_KIND, INDEX_NAME, digest, merged)
-    except OSError:
-        return
-    _INDEX[(artifacts.root, digest)] = dict(merged)
 
 
 # --------------------------------------------------------------------------- #
@@ -488,8 +405,10 @@ def get_native_kernel(
     ``None`` (memoized, so a point retries nothing) means the tier cannot
     serve this point — no working compiler, or the toolchain rejected the
     unit — and the caller should fall back to :func:`repro.engine.kernels
-    .get_kernel`.  Warm process restarts pay one kernel-index lookup and one
-    in-place ``dlopen`` per kernel, never a render or a compile.
+    .get_kernel`.  A memo miss renders the C unit through the module-global
+    :func:`c_kernel_source`, digests it, and ``dlopen``-s the cached ``.so``
+    in place, compiling only when no intact one is cached; a warm process
+    restart thus pays one render and one load per kernel, never a compile.
     ``cache_dir`` is the artifact-cache root; ``None`` keeps the kernel
     in memory only, so no file outlives the load.
     """
@@ -505,42 +424,30 @@ def get_native_kernel(
         btu_elide=btu_elide,
         collect_stats=collect_stats,
     )
-    render_key = (
-        spec.kind,
-        spec.gate_mask,
-        bool(spec.allow_store_forwarding),
-        bool(spec.lite),
-        *astuple(features),
-    )
-    key = (render_key, toolchain.fingerprint)
+    key = (spec, features, toolchain.fingerprint)
     if key in _KERNEL_MEMO:
         return _KERNEL_MEMO[key]
     kernel: Optional[NativeKernel] = None
     try:
+        source = c_kernel_source(
+            spec,
+            flush_active,
+            icache_resident=icache_resident,
+            dcache_resident=dcache_resident,
+            btu_elide=btu_elide,
+            collect_stats=collect_stats,
+        )
+        render_count += 1
+        digest = _artifact_digest(source, toolchain)
         artifacts = _artifact_cache(cache_dir)
-        index = _index_digest(toolchain)
-        digest = _index(artifacts, index).get(render_key)
-        fn = None if digest is None else _load_cached(artifacts, spec.kind, digest)
+        fn = _load_cached(artifacts, spec.kind, digest)
         if fn is None:
-            source = c_kernel_source(
-                spec,
-                flush_active,
-                icache_resident=icache_resident,
-                dcache_resident=dcache_resident,
-                btu_elide=btu_elide,
-                collect_stats=collect_stats,
-            )
-            render_count += 1
-            digest = _artifact_digest(source, toolchain)
-            fn = _load_cached(artifacts, spec.kind, digest)
-            if fn is None:
-                _check_works(toolchain)
-                start = time.perf_counter()
-                so_bytes = _compile_so(source, toolchain)
-                compile_seconds += time.perf_counter() - start
-                compile_count += 1
-                fn = _store_and_load(artifacts, spec.kind, digest, so_bytes)
-            _record_index(artifacts, index, render_key, digest)
+            _check_works(toolchain)
+            start = time.perf_counter()
+            so_bytes = _compile_so(source, toolchain)
+            compile_seconds += time.perf_counter() - start
+            compile_count += 1
+            fn = _store_and_load(artifacts, spec.kind, digest, so_bytes)
         kernel = NativeKernel(fn, spec, bool(collect_stats), digest)
     except (NativeCompileError, OSError) as exc:
         last_error = f"native kernel unavailable for {spec.kind}: {exc}"
@@ -555,8 +462,7 @@ def counters_snapshot() -> Tuple[int, float, int]:
 
 
 def clear_native_memo() -> None:
-    """Drop the per-process kernel memo, kernel-index memo (and index
-    digests), trace payloads, and scratch pools.
+    """Drop the per-process kernel memo, trace payloads, and scratch pools.
 
     Chained from :func:`repro.engine.kernels.clear_kernel_cache` so bench
     per-repetition timing exercises the whole pipeline.  Loaded libraries
@@ -564,10 +470,6 @@ def clear_native_memo() -> None:
     as a :data:`cache_hits` warm hit, exactly like an artifact-cache read.
     """
     _KERNEL_MEMO.clear()
-    _INDEX.clear()
-    for toolchain in _TOOLCHAINS.values():
-        if toolchain is not None:
-            toolchain.index = None
     _TRACE_PAYLOADS.clear()
     _SCRATCH.clear()
 

@@ -291,15 +291,6 @@ class ArtifactCache:
                 self._note_quarantine(f"{store.path}#{digest}", "deleted its row", error)
                 return None
 
-    def reload(self, kind: str, name: str, digest: str) -> Any:
-        """``get`` that bypasses the memo: the entry as it is on disk now.
-
-        For entries other processes rewrite in place (merge-on-write
-        indexes), where a memoized copy may be stale.
-        """
-        self._memo.pop(self._memo_key(kind, name, digest), None)
-        return self.get(kind, name, digest)
-
     def quarantine(self, path: str, error: Exception) -> None:
         """Move a corrupt file entry to ``<path>.corrupt`` and log once."""
         try:
@@ -339,10 +330,10 @@ class ArtifactCache:
         if kind in STORE_FILES:
             self.put_many(kind, name, [(digest, payload)])
             return
-        raw = kind in RAW_SUFFIXES and isinstance(payload, bytes)
+        raw = kind in RAW_SUFFIXES
         if not raw:
             self._memo[self._memo_key(kind, name, digest)] = payload
-        path = self._file(kind, name, digest, RAW_SUFFIXES[kind] if raw else ".pkl")
+        path = self._file(kind, name, digest, RAW_SUFFIXES.get(kind, ".pkl"))
         if path is None:
             return
         directory = os.path.dirname(path)

@@ -88,8 +88,15 @@ class WarehouseIngestor:
 
     def _ingest_point(self, event: JobEvent) -> None:
         from repro.api.gateway.usage import tenant_from_tags
+        from repro.engine import native
         from repro.engine.kernels import engine_tier
 
+        # The tier that served the point: a native request without a
+        # compiler runs on the python kernels.  (One shape the toolchain
+        # rejects still reads "native": the tier is recorded per run.)
+        tier = engine_tier()
+        if tier == "native" and native.find_toolchain() is None:
+            tier = "python"
         request = event.request
         artifact = self.service.artifact(request.workload)
         result = artifact.cached_simulation(request.key())
@@ -103,7 +110,7 @@ class WarehouseIngestor:
                 result,
                 fingerprint=self.fingerprint,
                 recorded=self.clock(),
-                engine_tier=engine_tier(),
+                engine_tier=tier,
                 job_id=event.job_id,
                 tags=tags,
                 tenant=tenant_from_tags(tags),

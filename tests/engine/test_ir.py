@@ -3,13 +3,12 @@
 The end-to-end guarantee (IR → emitted kernels ≡ the reference loop) is
 pinned by the golden snapshots and the fuzz parity suite; this module tests
 the IR layer in isolation — each transform's pre/post conditions, the
-feature-derivation rules, the per-spec tree cache, and the emitter's
+feature-derivation rules, the per-spec tree build, and the emitter's
 refusal to render unlowered trees.
 """
 
 import pytest
 
-from repro.engine import ir
 from repro.engine.emit.python import render
 from repro.engine.ir import (
     FEATURES,
@@ -18,7 +17,6 @@ from repro.engine.ir import (
     KernelFeatures,
     L,
     build_kernel_ir,
-    clear_ir_cache,
     guard_features,
     has_stats,
     lines,
@@ -117,21 +115,18 @@ def test_lower_kernel_output_is_fully_resolved():
 
 
 # --------------------------------------------------------------------------- #
-# The IR cache
+# The tree build
 # --------------------------------------------------------------------------- #
-def test_build_kernel_ir_is_cached_per_spec_config():
-    """One tree per spec: the config is not an input of the build."""
-    clear_ir_cache()
+def test_build_kernel_ir_depends_on_the_spec_alone():
+    """One tree per spec, built afresh on each call: the config is not an
+    input of the build, and equal specs give equal trees."""
     a = build_kernel_ir(BPU)
-    assert build_kernel_ir(BPU) is a
-    assert build_kernel_ir(CASSANDRA) is not a
-    assert set(ir._IR_CACHE) == {BPU, CASSANDRA}
-    clear_ir_cache()
-    assert build_kernel_ir(BPU) is not a
+    again = build_kernel_ir(BPU)
+    assert again == a and again is not a
+    assert build_kernel_ir(CASSANDRA) != a
 
 
 def test_lower_kernel_does_not_mutate_the_cached_tree():
-    clear_ir_cache()
     tree = build_kernel_ir(CASSANDRA)
     before = render(strip_stats(specialize(tree, KernelFeatures.derive(
         CASSANDRA, flush_active=False).as_mapping()), True))

@@ -16,10 +16,10 @@ Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
   what one config compiles;
 * the **degraded path** (an unresolvable ``REPRO_NATIVE_CC`` must disable
   the tier without raising) and the ``clear_kernel_cache`` chain;
-* the **kernel index** — warm lookups never render, a code edit re-renders
-  without recompiling, stale and corrupt entries recover, concurrent
-  writers merge, and native artifacts land under the service's
-  ``cache_dir``.
+* **kernel acquisition** — a warm lookup renders through the module-global
+  renderer but compiles nothing, a source-tree edit recompiles nothing, a
+  missing or torn ``.so`` is recompiled, and native artifacts land under
+  the service's ``cache_dir``.
 """
 
 import json
@@ -33,7 +33,6 @@ import pytest
 from engine.golden_cases import GOLDEN_CASES, GOLDEN_DIR, render_c_case
 from engine.test_kernel_codegen import BURNT, CONFIGS, SPECS, _variants, configs_batch
 from repro.engine import native
-from repro.engine.emit import c as emit_c
 from repro.engine.emit.c import ARG, c_kernel_source, source_digest
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import TIER_ENV, clear_kernel_cache, get_kernel
@@ -220,23 +219,18 @@ def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
 
 
 def test_clear_kernel_cache_chains_every_layer():
-    from repro.engine import ir, kernels
+    from repro.engine import kernels
 
     get_kernel(SPECS["unsafe"], flush_active=False)
-    emit_c.build_c_kernel_ir(SPECS["unsafe"])
     native._KERNEL_MEMO[("sentinel",)] = None
-    native._INDEX[("sentinel-root", "sentinel-digest")] = {}
-    assert kernels._KERNEL_CACHE and ir._IR_CACHE and emit_c._C_IR_CACHE
+    assert kernels._KERNEL_CACHE
     clear_kernel_cache()
     assert not kernels._KERNEL_CACHE
-    assert not ir._IR_CACHE
-    assert not emit_c._C_IR_CACHE
     assert not native._KERNEL_MEMO
-    assert not native._INDEX
 
 
 # --------------------------------------------------------------------------- #
-# The kernel index
+# Kernel acquisition: memo → render → load or compile
 # --------------------------------------------------------------------------- #
 def _fresh_process(monkeypatch):
     """Forget every in-process native layer, as a new process would."""
@@ -261,13 +255,6 @@ def native_cache(tmp_path, monkeypatch):
 
 def _cache_root(kernel_dir):
     return str(kernel_dir.parent.parent)
-
-
-def _index_files(kernel_dir):
-    return sorted(
-        p for p in kernel_dir.iterdir()
-        if p.name.startswith(native.INDEX_NAME + "-") and p.suffix == ".pkl"
-    )
 
 
 def _so_files(kernel_dir):
@@ -303,24 +290,35 @@ def _run_python(execution, bundle, monkeypatch):
 
 
 @needs_compiler
-def test_warm_lookup_never_renders(native_cache, monkeypatch, toy_execution, toy_bundle):
+def test_warm_lookup_compiles_nothing(
+    native_cache, monkeypatch, toy_execution, toy_bundle
+):
+    """A fresh process over a warm cache renders each shape once, through
+    the module-global ``c_kernel_source`` (the name perfbench wraps for
+    ``native.render.s``), and loads every ``.so`` without a compile."""
     cold = _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
-    assert len(_index_files(native_cache)) == 1
     _fresh_process(monkeypatch)
+    rendered = []
+    render = native.c_kernel_source
 
-    def no_render(*args, **kwargs):
-        raise AssertionError("a warm kernel lookup rendered C")
+    def counting_render(*args, **kwargs):
+        rendered.append(args[0])
+        return render(*args, **kwargs)
 
-    monkeypatch.setattr(native, "c_kernel_source", no_render)
-    before, hits = _counts(), native.cache_hits
+    monkeypatch.setattr(native, "c_kernel_source", counting_render)
+    (renders, compiles), hits = _counts(), native.cache_hits
     warm = _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
-    assert _counts() == before
-    assert native.cache_hits > hits
+    assert native.compile_count == compiles
+    assert rendered and len(rendered) == native.render_count - renders
+    assert native.cache_hits - hits == len(rendered)
     assert warm == cold == _run_python(toy_execution, toy_bundle, monkeypatch)
 
 
 @needs_compiler
 def test_code_edit_rerenders_without_recompiling(native_cache, monkeypatch):
+    """A ``.so`` is keyed on the unit it was compiled from, not on the
+    source tree: after an edit elsewhere, a fresh process re-renders and
+    loads the cached ``.so``."""
     assert _lookup(native_cache) is not None
     renders, compiles = _counts()
     _fresh_process(monkeypatch)
@@ -329,24 +327,20 @@ def test_code_edit_rerenders_without_recompiling(native_cache, monkeypatch):
     assert _lookup(native_cache) is not None
     assert _counts() == (renders + 1, compiles)
     assert native.cache_hits == hits + 1
-    # One index per code fingerprint; the .so stays content-addressed.
-    assert len(_index_files(native_cache)) == 2
     assert len(_so_files(native_cache)) == 1
 
 
 @needs_compiler
-def test_index_entry_for_missing_so_recompiles(
-    native_cache, monkeypatch, toy_execution, toy_bundle
-):
-    _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
+def test_missing_so_recompiles(native_cache, monkeypatch):
+    kernel = _lookup(native_cache)
+    assert kernel is not None
     for path in _so_files(native_cache):
         path.unlink()
     _fresh_process(monkeypatch)
     renders, compiles = _counts()
-    native_stats = _run_native(toy_execution, toy_bundle, monkeypatch, native_cache)
-    assert native.render_count > renders
-    assert native.compile_count > compiles
-    assert native_stats == _run_python(toy_execution, toy_bundle, monkeypatch)
+    assert _lookup(native_cache).digest == kernel.digest
+    assert _counts() == (renders + 1, compiles + 1)
+    assert len(_so_files(native_cache)) == 1
 
 
 @needs_compiler
@@ -368,47 +362,6 @@ def test_torn_so_is_quarantined_and_recompiled(native_cache, monkeypatch):
 
 
 @needs_compiler
-def test_corrupt_index_is_quarantined(native_cache, monkeypatch):
-    assert _lookup(native_cache) is not None
-    (index,) = _index_files(native_cache)
-    index.write_bytes(b"not a pickle")
-    _fresh_process(monkeypatch)
-    renders, compiles = _counts()
-    kernel = _lookup(native_cache)
-    assert kernel is not None
-    assert _counts() == (renders + 1, compiles)
-    assert index.with_name(index.name + ".corrupt").exists()
-    # The re-render rewrote a readable index: the next process skips it.
-    _fresh_process(monkeypatch)
-    assert _lookup(native_cache).digest == kernel.digest
-    assert _counts() == (renders + 1, compiles)
-
-
-_WRITER = """
-import sys
-from repro.engine import native
-artifacts = native._artifact_cache(sys.argv[1])
-for i in range(int(sys.argv[3])):
-    native._record_index(artifacts, "merge-test", (sys.argv[2], i), f"{sys.argv[2]}{i}")
-"""
-
-
-def test_concurrent_index_writers_merge(tmp_path):
-    root = str(tmp_path)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    writers = [
-        subprocess.Popen([sys.executable, "-c", _WRITER, root, name, "40"], env=env)
-        for name in ("a", "b")
-    ]
-    assert [writer.wait() for writer in writers] == [0, 0]
-    native.clear_native_memo()
-    merged = native._read_index(native._artifact_cache(root), "merge-test")
-    assert merged == {
-        (name, i): f"{name}{i}" for name in ("a", "b") for i in range(40)
-    }
-
-
-@needs_compiler
 @pytest.mark.parametrize("backend", ["serial", "fork", "shard"])
 def test_native_artifacts_honour_cache_dir(tmp_path, monkeypatch, backend):
     from repro.api import ScenarioMatrix, build_service
@@ -425,7 +378,7 @@ def test_native_artifacts_honour_cache_dir(tmp_path, monkeypatch, backend):
     finally:
         native.clear_native_memo()
     kernel_dir = chosen / "v1" / native.ARTIFACT_KIND
-    assert _index_files(kernel_dir) and _so_files(kernel_dir)
+    assert _so_files(kernel_dir)
     assert not ambient.exists()
 
 

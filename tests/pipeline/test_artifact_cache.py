@@ -225,9 +225,11 @@ def test_deleting_the_simulation_directory_evicts_every_point(tmp_path):
 def test_a_deleted_store_is_not_read_through_an_open_connection(tmp_path):
     cache = ArtifactCache(root=str(tmp_path))
     cache.put_many("simulation", "w", [("d1", {"cycles": 1}), ("d2", {"cycles": 2})])
-    assert cache.reload("simulation", "w", "d1") == {"cycles": 1}
+    cache._memo.clear()  # read the store, not the memo put_many seeded
+    assert cache.get("simulation", "w", "d1") == {"cycles": 1}
+    cache._memo.clear()
     shutil.rmtree(tmp_path / "v1" / "simulation")
-    assert cache.reload("simulation", "w", "d1") is None
+    assert cache.get("simulation", "w", "d1") is None
     cache.put_many("simulation", "w", [("d3", {"cycles": 3})])
     assert ArtifactCache(root=str(tmp_path)).entry_count() == 1
 
@@ -258,7 +260,8 @@ def test_a_forked_child_writes_through_its_own_connection(tmp_path):
     if pid == 0:  # pragma: no cover - the child reports through its status
         try:
             cache.put_many("simulation", "w", [("child", 2)])
-            os._exit(0 if cache.reload("simulation", "w", "parent") == 1 else 1)
+            cache._memo.clear()
+            os._exit(0 if cache.get("simulation", "w", "parent") == 1 else 1)
         except BaseException:
             os._exit(2)
     _, status = os.waitpid(pid, 0)

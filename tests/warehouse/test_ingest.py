@@ -7,6 +7,8 @@ import pytest
 
 from repro.api import ScenarioMatrix, SimulationService
 from repro.api.request import SimulationRequest
+from repro.engine import native
+from repro.engine.kernels import TIER_ENV
 from repro.warehouse import (
     FINGERPRINT_ENV,
     Query,
@@ -88,6 +90,19 @@ def test_untagged_job_has_no_tenant(tmp_path, service):
     (row,) = store.select()
     assert row.tags == ()
     assert row.tenant is None
+    store.close()
+
+
+def test_rows_record_the_tier_that_served_them(tmp_path, service, monkeypatch):
+    """A native request without a compiler runs on the python kernels, and
+    its rows say so."""
+    monkeypatch.setenv(TIER_ENV, "native")
+    monkeypatch.setenv(native.TOOLCHAIN_ENV, "/nonexistent/cc")
+    store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
+    attach_ingestor(service, store, fingerprint="fp-live")
+    service.run(MATRIX)
+    wait_for_rows(store, 2)
+    assert [row.engine_tier for row in store.select()] == ["python", "python"]
     store.close()
 
 
