@@ -16,10 +16,15 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from queue import Queue
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.api.request import SimulationRequest
 from repro.api.results import ResultSet
+
+if TYPE_CHECKING:
+    from repro.uarch.core import SimulationResult
 
 #: Every event kind a job can emit, in rough lifecycle order.
 EVENT_KINDS = (
@@ -43,13 +48,22 @@ class JobCancelled(RuntimeError):
 
 @dataclass(frozen=True)
 class JobEvent:
-    """One observation of a job's progress (JSON-round-trippable)."""
+    """One observation of a job's progress (JSON-round-trippable).
+
+    ``result`` is in-process only: a local scheduler's ``point-done`` and
+    ``cache-hit`` events carry the point's full result for listeners (the
+    warehouse ingestor), but it never reaches :meth:`as_dict`, so the wire
+    and the journal see only the payload's cycles.
+    """
 
     kind: str
     job_id: str
     seq: int
     request: Optional[SimulationRequest] = None
     payload: Optional[Dict[str, Any]] = None
+    result: Optional[SimulationResult] = field(
+        default=None, compare=False, repr=False
+    )
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -38,6 +38,7 @@ from repro.api.results import ResultSet
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.api.journal import JobJournal
     from repro.api.service import RequestsLike, SimulationService
+    from repro.uarch.core import SimulationResult
 
 
 class Scheduler:
@@ -211,6 +212,7 @@ class Scheduler:
         kind: str,
         request: Optional[SimulationRequest] = None,
         payload: Optional[dict] = None,
+        result: Optional[SimulationResult] = None,
     ) -> JobEvent:
         event = JobEvent(
             kind=kind,
@@ -218,6 +220,7 @@ class Scheduler:
             seq=next(self._seq),
             request=request,
             payload=payload,
+            result=result,
         )
         if self.journal is not None:
             # Write-ahead: durable before any subscriber observes it.
@@ -229,8 +232,10 @@ class Scheduler:
     def _point_payload(result) -> dict:
         """The payload of a point-done/cache-hit event: the point's cycles.
 
-        The result itself is in the artifact memo (and disk cache) by the
-        time the event is emitted; the journal records no per-point state.
+        The full result rides the same event in process only
+        (:attr:`JobEvent.result`, never serialized), so the wire and the
+        journal carry just the cycles; the journal records no per-point
+        state.
         """
         return {"cycles": result.cycles}
 
@@ -272,7 +277,8 @@ class Scheduler:
                 resolved[request] = cached
                 cache_hits += 1
                 self._emit(
-                    handle, "cache-hit", request, payload=self._point_payload(cached)
+                    handle, "cache-hit", request,
+                    payload=self._point_payload(cached), result=cached,
                 )
             else:
                 groups.setdefault(request.workload.name, []).append(request)
@@ -310,7 +316,8 @@ class Scheduler:
                         )
                     resolved[request] = result
                     self._emit(
-                        handle, "point-done", request, payload=self._point_payload(result)
+                        handle, "point-done", request,
+                        payload=self._point_payload(result), result=result,
                     )
         finally:
             service.points_simulated += computed

@@ -21,9 +21,10 @@ The generated kernel is one C function::
 
 ``a`` is a flat argument vector (:data:`ARG_SLOTS`): scalars, machine
 addresses of int64/uint8 buffers, and one output slot per dynamic counter.
-:mod:`repro.engine.native` owns packing Python state into those buffers,
-compiling/caching the shared library, and unpacking afterwards.  Python
-container state maps onto C-friendly layouts whose observable behaviour is
+:mod:`repro.engine.native` owns packing Python state into those buffers and
+compiling/caching the shared library; nothing is read back but the
+counters and the scalars that chain a session's calls.  Python container
+state maps onto C-friendly layouts whose observable behaviour is
 bit-identical to the flat models of :mod:`repro.engine.state`:
 
 * **L1I / L1D / PHT** — the ``array('q')`` buffers of
@@ -32,15 +33,15 @@ bit-identical to the flat models of :mod:`repro.engine.state`:
 * **BTB** — a dense ``pc → target`` table (``-1`` absent) plus a FIFO ring
   of insertion order, reproducing the dict's oldest-key eviction;
 * **RSB** — a bounded ring; **loop predictor** — dense per-PC rows plus a
-  creation journal so unpacking never scans the dense tables;
+  presence byte per PC;
 * **store queue** — a small ring with linear scan in the per-call
   ``si_buf`` scratch (capacity ``sq_size + 1``, the dict's transient
   overfull state);
 * **issue port map** — an open-addressed hash (counts, 0 = empty) sized to
   load factor ≤ ½, replacing the defaultdict;
-* **L2 / L3** — dense per-set way counts + tag rows with a touched-set
-  journal, so session setup/teardown is proportional to the *occupied* set
-  count, never the geometry.
+* **L2 / L3** — dense per-set way counts + tag rows; the tag rows are
+  pooled garbage-tolerant scratch (a set's count says how many of its ways
+  are live), so session setup writes only the *occupied* sets.
 
 ``ReplayMismatchError`` surfaces as a nonzero return code with the
 offending PCs parked in the ``err_*`` slots; the wrapper re-raises with the
@@ -71,10 +72,12 @@ from repro.uarch.defenses.base import EnginePolicySpec
 #: Bumped whenever the argument layout or prelude changes incompatibly —
 #: part of the compiled-artifact cache key, so stale ``.so`` files can never
 #: be loaded against a new ABI.
-C_ABI_VERSION = 4
+C_ABI_VERSION = 5
 
-#: Scalar slots (plain int64 values; ``io`` ones are read at entry and
-#: written back at exit so a session's calls chain).
+#: Scalar slots (plain int64 values).  ``history``, ``btb_head`` /
+#: ``btb_count``, ``rsb_head`` / ``rsb_len`` and ``res_len`` are read at
+#: entry and written back at exit so a session's calls chain; ``err_*`` are
+#: written only on a replay mismatch.
 _SCALARS = (
     "n",
     "num_regs",
@@ -87,9 +90,6 @@ _SCALARS = (
     "rsb_len",
     "res_len",
     "n_traced",
-    "loop_n",
-    "l2_occ_n",
-    "l3_occ_n",
     "ib_mask",
     "err_a",
     "err_b",
@@ -132,15 +132,12 @@ _POINTERS = (
     "loop_trip",
     "loop_conf",
     "loop_present",  # uint8
-    "loop_keys",
     "btu_pos",
     "res_buf",
     "l2_cnt",
     "l2_data",
-    "l2_occ",
     "l3_cnt",
     "l3_data",
-    "l3_occ",
     # Per-call scratch (zeroed by the kernel at entry where it must be).
     "reg_ready",
     "commit_ring",
@@ -154,9 +151,6 @@ ARG_SLOTS: Tuple[str, ...] = (
     _SCALARS + _POINTERS + tuple("counter_" + name for name in DYNAMIC_COUNTERS)
 )
 ARG: Dict[str, int] = {name: index for index, name in enumerate(ARG_SLOTS)}
-
-#: Buffer slots whose element type is uint8 (everything else is int64).
-U8_ARGS = frozenset({"crypto_pcs", "plan_cls", "btu_long", "loop_present"})
 
 #: Compiler flags the native module passes (part of the artifact cache key).
 C_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-w")
@@ -291,12 +285,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                     f"int64_t *l1d = PI64({_a('l1d')});",
                     f"int64_t *l2_cnt = PI64({_a('l2_cnt')});",
                     f"int64_t *l2_data = PI64({_a('l2_data')});",
-                    f"int64_t *l2_occ = PI64({_a('l2_occ')});",
-                    f"int64_t l2_occ_n = {_a('l2_occ_n')};",
                     f"int64_t *l3_cnt = PI64({_a('l3_cnt')});",
                     f"int64_t *l3_data = PI64({_a('l3_data')});",
-                    f"int64_t *l3_occ = PI64({_a('l3_occ')});",
-                    f"int64_t l3_occ_n = {_a('l3_occ_n')};",
                     "int64_t l2_line, l2_set, l2_tag, l3_line, l3_set, l3_tag;",
                     "int64_t sbase, scnt;",
                 )
@@ -318,8 +308,6 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             f"int64_t *loop_trip = PI64({_a('loop_trip')});",
             f"int64_t *loop_conf = PI64({_a('loop_conf')});",
             f"uint8_t *loop_present = PU8({_a('loop_present')});",
-            f"int64_t *loop_keys = PI64({_a('loop_keys')});",
-            f"int64_t loop_n = {_a('loop_n')};",
         )
     )
     if cassandra:
@@ -528,9 +516,9 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     def dense_level(level: str, miss: List[Stmt]) -> List[Stmt]:
         """One dense-array cache level; ``miss`` statements run on a miss.
 
-        Same decision tree as the python tier's sparse-dict level: create
-        (journalled into the occupied-set list), hit-reorder, shift-install
-        on a full set, or append — all three non-hit arms run ``miss``.
+        Same decision tree as the python tier's sparse-dict level: create,
+        hit-reorder, shift-install on a full set, or append — all three
+        non-hit arms run ``miss``.
         """
         assoc = f"{level}_associativity"
         return [
@@ -542,8 +530,6 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             L("if (scnt == 0) {"),
             L(f"    {level}_cnt[{level}_set] = 1;"),
             L(f"    {level}_data[sbase] = {level}_tag;"),
-            L(f"    {level}_occ[{level}_occ_n] = {level}_set;"),
-            L(f"    {level}_occ_n += 1;"),
             Block(tuple(miss), 1),
             L("} else {"),
             L(
@@ -848,15 +834,12 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                 "        predicted = pc + 1;",
                 "    }",
                 # The reference updates the PHT, then the history, then the
-                # loop entry; both taken arms preserve that order.  New loop
-                # entries are journalled for the session unpack.
+                # loop entry; both taken arms preserve that order.
                 "    if (!lp) {",
                 "        loop_present[pc] = 1;",
                 "        loop_run[pc] = 0;",
                 "        loop_trip[pc] = -1;",
                 "        loop_conf[pc] = 0;",
-                "        loop_keys[loop_n] = pc;",
-                "        loop_n += 1;",
                 "    }",
                 "    if (taken) {",
                 "        pht[pidx] = counter < 3 ? counter + 1 : 3;",
@@ -1230,7 +1213,6 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             f"{_a('btb_count')} = btb_count;",
             f"{_a('rsb_head')} = rsb_head;",
             f"{_a('rsb_len')} = rsb_len;",
-            f"{_a('loop_n')} = loop_n;",
         )
     )
     if traced:
@@ -1241,18 +1223,6 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                 tuple(lines(f"{_a('res_len')} = res_len;")),
             )
         )
-    body.append(
-        Guard(
-            "dcache_resident",
-            (),
-            tuple(
-                lines(
-                    f"{_a('l2_occ_n')} = l2_occ_n;",
-                    f"{_a('l3_occ_n')} = l3_occ_n;",
-                )
-            ),
-        )
-    )
 
     def counter_set(name: str, value: str) -> Line:
         return L(f"{_a('counter_' + name)} = {value};")

@@ -39,11 +39,12 @@ layer's kernel call sites:
   containers into C-friendly buffers (a *session*, parked on
   ``state.native_session``), warm-up calls chain over the same session
   without any Python-side round trip (the kernels write their persistent
-  scalars back into the argument vector), and the stats call unpacks
-  everything into the state's dicts/lists, returns the
-  :data:`~repro.engine.kernels.DYNAMIC_COUNTERS` dict, and closes the
-  session.  ``ReplayMismatchError`` comes back as a nonzero return code and
-  is re-raised with byte-identical messages.
+  scalars back into the argument vector), and the stats call reads the
+  :data:`~repro.engine.kernels.DYNAMIC_COUNTERS` out of the vector and
+  closes the session.  Nothing is written back into the state's
+  dicts/lists: the measured pass is a point's last, and the batch layer
+  drops the state after it.  ``ReplayMismatchError`` comes back as a
+  nonzero return code and is re-raised with byte-identical messages.
 
 Per-trace immutable payloads (columns converted to ``array('q')``, the
 flattened BTU replay tables, dense per-PC plan tables) are memoized per
@@ -632,108 +633,13 @@ def _replay_tables(payload: _TracePayload, state) -> _ReplayTables:
 class _Session:
     """Live C views over one :class:`FlatState`, reused warm → measured."""
 
-    __slots__ = (
-        "trace",
-        "a",
-        "address",
-        "keep",
-        "traced",
-        "btb_cap",
-        "rsb_cap",
-        "btb_val",
-        "btb_fifo",
-        "rsb_buf",
-        "loop_run",
-        "loop_trip",
-        "loop_conf",
-        "loop_keys",
-        "loop_seeded",
-        "btu_dense",
-        "res_buf",
-        "l2_geom",
-        "l3_geom",
-        "l2_cnt",
-        "l2_data",
-        "l2_occ",
-        "l2_seeded",
-        "l3_cnt",
-        "l3_data",
-        "l3_occ",
-        "l3_seeded",
-        "scratch",
-    )
+    __slots__ = ("trace", "a", "address", "keep", "scratch")
 
-    # ------------------------------------------------------------------ #
-    # Teardown
-    # ------------------------------------------------------------------ #
     def close(self) -> None:
         for arr in self.scratch:
             _scratch_release(arr)
         self.scratch = []
         self.keep = []
-
-    def unpack(self, state) -> None:
-        """Write every kernel-visible mutation back into ``state``."""
-        a = self.a
-        state.history = a[ARG["history"]]
-        # BTB: the FIFO ring holds exactly the live keys in insertion order,
-        # which is the dict order the python kernels maintain.
-        btb: Dict[int, int] = {}
-        cap = self.btb_cap
-        if cap:
-            head = a[ARG["btb_head"]]
-            val, fifo = self.btb_val, self.btb_fifo
-            for k in range(a[ARG["btb_count"]]):
-                pc = fifo[(head + k) % cap]
-                btb[pc] = val[pc]
-        state.btb = btb
-        rsb: List[int] = []
-        cap = self.rsb_cap
-        if cap:
-            head = a[ARG["rsb_head"]]
-            buf = self.rsb_buf
-            for k in range(a[ARG["rsb_len"]]):
-                rsb.append(buf[(head + k) % cap])
-        state.rsb = rsb
-        # Loop predictor: seeded entries keep their insertion order, new
-        # entries come from the creation journal — no dense-table scan.
-        run, trip, conf = self.loop_run, self.loop_trip, self.loop_conf
-        loops: Dict[int, List[int]] = {}
-        for pc in self.loop_seeded:
-            loops[pc] = [run[pc], trip[pc], conf[pc]]
-        keys = self.loop_keys
-        for k in range(a[ARG["loop_n"]]):
-            pc = keys[k]
-            loops[pc] = [run[pc], trip[pc], conf[pc]]
-        state.loops = loops
-        if self.traced:
-            dense = self.btu_dense
-            state.btu_pos = {pc: dense[pc] for pc in state.btu_pos}
-            res = self.res_buf
-            state.btu_resident = [res[k] for k in range(a[ARG["res_len"]])]
-        state.l2 = self._unpack_level(
-            self.l2_seeded, self.l2_cnt, self.l2_data, self.l2_occ,
-            a[ARG["l2_occ_n"]], self.l2_geom[1],
-        )
-        state.l3 = self._unpack_level(
-            self.l3_seeded, self.l3_cnt, self.l3_data, self.l3_occ,
-            a[ARG["l3_occ_n"]], self.l3_geom[1],
-        )
-
-    @staticmethod
-    def _unpack_level(seeded, cnt, data, occ, occ_n, assoc) -> Dict[int, List[int]]:
-        # Seeded sets can never re-enter the journal (way counts only grow),
-        # so the two passes are disjoint and the order — seeded first, then
-        # creation order — is the python dict's insertion order.
-        sets: Dict[int, List[int]] = {}
-        for index in seeded:
-            base = index * assoc
-            sets[index] = list(data[base : base + cnt[index]])
-        for k in range(occ_n):
-            index = occ[k]
-            base = index * assoc
-            sets[index] = list(data[base : base + cnt[index]])
-        return sets
 
 
 def _open_session(
@@ -758,7 +664,6 @@ def _open_session(
 
     session = _Session()
     session.trace = trace
-    session.traced = traced
     session.keep = []
     session.scratch = []
     keep = session.keep
@@ -811,47 +716,36 @@ def _open_session(
 
     # ------------------------ mutable state ----------------------------- #
     # L1I / L1D / PHT are the state's own array('q') buffers, mutated in
-    # place — no pack, no unpack.
+    # place; everything else is packed here and never read back — the
+    # measured pass returns only its counters.
     a[ARG["l1i"]] = _addr_of_array(state.l1i)
     a[ARG["l1d"]] = _addr_of_array(state.l1d)
     a[ARG["pht"]] = _addr_of_array(state.pht)
 
-    session.btb_cap = sized("btb_entries")
     btb_val = array("q", b"\xff" * (8 * size))
-    btb_fifo = scratch(session.btb_cap)
+    btb_fifo = scratch(sized("btb_entries"))
     for slot, (pc, target) in enumerate(state.btb.items()):
         btb_val[pc] = target
         btb_fifo[slot] = pc
-    session.btb_val = btb_val
-    session.btb_fifo = btb_fifo
     a[ARG["btb_val"]] = _addr_of_array(btb_val)
     a[ARG["btb_fifo"]] = _addr_of_array(btb_fifo)
     keep.append(btb_val)
 
-    session.rsb_cap = sized("rsb_entries")
-    rsb_buf = scratch(session.rsb_cap)
+    rsb_buf = scratch(sized("rsb_entries"))
     for slot, value in enumerate(state.rsb):
         rsb_buf[slot] = value
-    session.rsb_buf = rsb_buf
     a[ARG["rsb_buf"]] = _addr_of_array(rsb_buf)
 
     loop_run = scratch(size)
     loop_trip = scratch(size)
     loop_conf = scratch(size)
-    loop_keys = scratch(size)
     loop_present = bytearray(size)
     for pc, row in state.loops.items():
         loop_present[pc] = 1
         loop_run[pc], loop_trip[pc], loop_conf[pc] = row
-    session.loop_run = loop_run
-    session.loop_trip = loop_trip
-    session.loop_conf = loop_conf
-    session.loop_keys = loop_keys
-    session.loop_seeded = list(state.loops)
     a[ARG["loop_run"]] = _addr_of_array(loop_run)
     a[ARG["loop_trip"]] = _addr_of_array(loop_trip)
     a[ARG["loop_conf"]] = _addr_of_array(loop_conf)
-    a[ARG["loop_keys"]] = _addr_of_array(loop_keys)
     a[ARG["loop_present"]] = _addr_of_bytearray(loop_present, keep)
     keep.append(loop_present)
 
@@ -859,36 +753,24 @@ def _open_session(
         btu_dense = scratch(size)
         for pc, position in state.btu_pos.items():
             btu_dense[pc] = position
-        session.btu_dense = btu_dense
         a[ARG["btu_pos"]] = _addr_of_array(btu_dense)
         res_buf = scratch(sized("btu_entries"))
         for slot, pc in enumerate(state.btu_resident):
             res_buf[slot] = pc
         a[ARG["res_len"]] = len(state.btu_resident)
-        session.res_buf = res_buf
         a[ARG["res_buf"]] = _addr_of_array(res_buf)
-    else:
-        session.btu_dense = None
-        session.res_buf = None
 
     for level, sparse in (("l2", state.l2), ("l3", state.l3)):
         num_sets = sized(f"{level}_num_sets")
         assoc = sized(f"{level}_associativity")
         cnt = array("q", bytes(8 * num_sets))
         data = scratch(num_sets * assoc)
-        occ = scratch(num_sets)
         for index, ways in sparse.items():
             cnt[index] = len(ways)
             base = index * assoc
             data[base : base + len(ways)] = array("q", ways)
-        setattr(session, f"{level}_geom", (num_sets, assoc))
-        setattr(session, f"{level}_cnt", cnt)
-        setattr(session, f"{level}_data", data)
-        setattr(session, f"{level}_occ", occ)
-        setattr(session, f"{level}_seeded", list(sparse))
         a[ARG[f"{level}_cnt"]] = _addr_of_array(cnt)
         a[ARG[f"{level}_data"]] = _addr_of_array(data)
-        a[ARG[f"{level}_occ"]] = _addr_of_array(occ)
         keep.append(cnt)
 
     # --------------------------- scratch ------------------------------- #
@@ -957,7 +839,6 @@ class NativeKernel:
         counters = {
             name: a[ARG["counter_" + name]] for name in DYNAMIC_COUNTERS
         }
-        session.unpack(state)
         state.native_session = None
         session.close()
         return counters

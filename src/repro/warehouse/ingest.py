@@ -3,11 +3,11 @@
 :class:`WarehouseIngestor` is a scheduler listener — the same
 :class:`~repro.api.jobs.JobEvent` hook the gateway's
 :class:`~repro.api.gateway.usage.UsageService` rides — that lands every
-``point-done`` and ``cache-hit`` in the store as it happens.  Because the
-scheduler emits ``prepared`` before any point event and resolves results
-into the artifact memo first, the listener can look the full
-:class:`~repro.uarch.core.SimulationResult` up by key instead of widening
-the event wire format.
+``point-done`` and ``cache-hit`` in the store as it happens.  The scheduler
+hands each of those events the full
+:class:`~repro.uarch.core.SimulationResult` it already holds
+(:attr:`~repro.api.jobs.JobEvent.result`, in process only), so the listener
+neither looks the result up again nor widens the event wire format.
 
 Attach the listener *before* :func:`repro.api.journal.resume_jobs` runs
 (``repro serve --state-dir`` and ``repro gateway`` both do): a resumed
@@ -60,12 +60,10 @@ class WarehouseIngestor:
     def __init__(
         self,
         store: WarehouseStore,
-        service,
         fingerprint: Optional[str] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.store = store
-        self.service = service
         self.fingerprint = fingerprint or default_fingerprint()
         self.clock = clock
         self._lock = threading.Lock()
@@ -80,7 +78,7 @@ class WarehouseIngestor:
             payload = event.payload or {}
             with self._lock:
                 self._tags[event.job_id] = tuple(payload.get("tags") or ())
-        elif event.kind in ("point-done", "cache-hit") and event.request is not None:
+        elif event.result is not None:  # point-done / cache-hit
             self._ingest_point(event)
         elif event.terminal:
             with self._lock:
@@ -97,17 +95,12 @@ class WarehouseIngestor:
         tier = engine_tier()
         if tier == "native" and native.find_toolchain() is None:
             tier = "python"
-        request = event.request
-        artifact = self.service.artifact(request.workload)
-        result = artifact.cached_simulation(request.key())
-        if result is None:  # pragma: no cover - the scheduler resolves
-            return  # results into the memo before emitting the event
         with self._lock:
             tags = self._tags.get(event.job_id, ())
         self.store.upsert(
             WarehouseRow.from_entry(
-                request,
-                result,
+                event.request,
+                event.result,
                 fingerprint=self.fingerprint,
                 recorded=self.clock(),
                 engine_tier=tier,
@@ -125,7 +118,7 @@ def attach_ingestor(
     service, store: WarehouseStore, fingerprint: Optional[str] = None
 ) -> WarehouseIngestor:
     """Wire an ingestor onto a service's scheduler; returns the listener."""
-    ingestor = WarehouseIngestor(store, service, fingerprint=fingerprint)
+    ingestor = WarehouseIngestor(store, fingerprint=fingerprint)
     service.scheduler.add_listener(ingestor.on_event)
     return ingestor
 

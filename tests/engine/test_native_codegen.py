@@ -11,7 +11,8 @@ Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
 * **full-product syntax sweep** — the unique translation units of that
   product must pass ``cc -fsyntax-only -Wall -Werror``, bar the unused
   locals every shape leaves behind (the parity suite exercises real
-  compiles; this pins the long tail of variants no fuzz case selects);
+  compiles; this pins the long tail of variants no fuzz case selects),
+  and between them must touch every argument-vector slot;
 * **one unit per shape** — a native batch over several configs compiles
   what one config compiles;
 * the **degraded path** (an unresolvable ``REPRO_NATIVE_CC`` must disable
@@ -22,8 +23,10 @@ Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
   the service's ``cache_dir``.
 """
 
+import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,7 +36,7 @@ import pytest
 from engine.golden_cases import GOLDEN_CASES, GOLDEN_DIR, render_c_case
 from engine.test_kernel_codegen import BURNT, CONFIGS, SPECS, _variants, configs_batch
 from repro.engine import native
-from repro.engine.emit.c import ARG, c_kernel_source, source_digest
+from repro.engine.emit.c import ARG, ARG_SLOTS, c_kernel_source, source_digest
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import TIER_ENV, clear_kernel_cache, get_kernel
 from repro.experiments.runner import DESIGN_BUILDERS
@@ -72,17 +75,33 @@ def test_every_variant_renders():
     assert count == 3 * 24 + 4 * 16
 
 
-@needs_compiler
-def test_every_variant_syntax_checks(tmp_path):
-    # Distinct variants can fold to identical translation units (e.g. the
-    # flush axis is forced off for non-traced specs), so the compiler only
-    # sees each unique source once.
+@functools.lru_cache(maxsize=None)
+def _unique_sources():
+    """The variant product's distinct translation units.  Distinct variants
+    can fold to identical units (e.g. the flush axis is forced off for
+    non-traced specs)."""
     unique = {}
     for _sname, spec, flush, ic, dc, elide, stats in _variants():
         source = _render(spec, flush, ic, dc, elide, stats)
         unique.setdefault(source_digest(source), source)
+    return tuple(unique.values())
+
+
+def test_every_arg_slot_is_used():
+    """Every argument-vector slot is read or written by some rendered
+    unit, so a slot nothing uses (a dead ABI entry) fails here."""
+    used = set()
+    for source in _unique_sources():
+        used.update(int(index) for index in re.findall(r"\ba\[(\d+)\]", source))
+    unused = [name for name in ARG_SLOTS if ARG[name] not in used]
+    assert not unused
+
+
+@needs_compiler
+def test_every_variant_syntax_checks(tmp_path):
+    # The compiler sees each unique source once.
     paths = []
-    for i, source in enumerate(unique.values()):
+    for i, source in enumerate(_unique_sources()):
         path = tmp_path / f"k{i}.c"
         path.write_text(source)
         paths.append(str(path))
@@ -148,7 +167,7 @@ def test_warm_variant_drops_counter_writes():
         assert slot in stats, name
         assert slot not in warm, name
     # ... but keeps the persistent-state writebacks the next pass chains on.
-    for name in ("history", "btb_head", "rsb_head", "loop_n"):
+    for name in ("history", "btb_head", "btb_count", "rsb_head", "rsb_len", "res_len"):
         assert f"a[{ARG[name]}] =" in warm, name
 
 
@@ -172,28 +191,33 @@ def test_degraded_path_without_compiler(monkeypatch):
 def test_one_native_kernel_per_shape_across_configs(
     tmp_path, toy_execution, toy_bundle, monkeypatch
 ):
-    """A native batch over every ``CONFIGS`` entry compiles exactly the
-    units a batch over one config compiles, and serves every point."""
+    """A native batch over every ``CONFIGS`` entry needs exactly the units
+    a batch over one config compiled: over the same cache, a fresh process
+    renders as many units, compiles none, and serves every point."""
     monkeypatch.setenv(TIER_ENV, "native")
-    compiled = []
-    for run, configs in enumerate(([GOLDEN_COVE_LIKE], list(CONFIGS.values()))):
+    cache_dir = str(tmp_path / "cache")
+    rendered, compiled = [], []
+    for configs in ([GOLDEN_COVE_LIKE], list(CONFIGS.values())):
         _fresh_process(monkeypatch)
-        before = native.compile_count
+        renders, compiles = _counts()
         stats = BatchStats()
         results = configs_batch(
             toy_execution, toy_bundle, configs,
-            batch_stats=stats, cache_dir=str(tmp_path / f"cache{run}"),
+            batch_stats=stats, cache_dir=cache_dir,
         )
         assert stats.native_points == len(results), native.last_error
-        compiled.append(native.compile_count - before)
+        rendered.append(native.render_count - renders)
+        compiled.append(native.compile_count - compiles)
     native.clear_native_memo()
     assert compiled[0] > 0
-    assert compiled[1] == compiled[0]
+    assert compiled[1] == 0
+    assert rendered[1] == rendered[0]
 
 
 @needs_compiler
 def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
-    clear_kernel_cache()
+    # A fresh process: a unit an earlier test loaded must not skip the compile.
+    _fresh_process(monkeypatch)
     before = native.compile_count
     first = native.get_native_kernel(
         SPECS["unsafe"], flush_active=False, cache_dir=str(tmp_path)

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from repro.api import ScenarioMatrix, SimulationService
+from repro.api.gateway.usage import TENANT_TAG_PREFIX
+from repro.api.jobs import JobEvent
 from repro.api.request import SimulationRequest
 from repro.engine import native
 from repro.engine.kernels import TIER_ENV
@@ -19,7 +21,7 @@ from repro.warehouse import (
     default_fingerprint,
     ingest_file,
 )
-from repro.warehouse.store import SOURCE_BACKFILL, SOURCE_EVENT
+from repro.warehouse.store import SOURCE_BACKFILL, SOURCE_EVENT, WarehouseRow
 
 WORKLOAD = "ChaCha20_ct"
 MATRIX = ScenarioMatrix(designs=("unsafe-baseline", "cassandra"))
@@ -110,10 +112,10 @@ def test_fingerprint_env_overrides_tree_fingerprint(tmp_path, service, monkeypat
     monkeypatch.setenv(FINGERPRINT_ENV, "env-fp")
     assert default_fingerprint() == "env-fp"
     store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
-    ingestor = WarehouseIngestor(store, service)
+    ingestor = WarehouseIngestor(store)
     assert ingestor.fingerprint == "env-fp"
     # An explicit fingerprint still wins over the environment.
-    assert WarehouseIngestor(store, service, fingerprint="x").fingerprint == "x"
+    assert WarehouseIngestor(store, fingerprint="x").fingerprint == "x"
     monkeypatch.delenv(FINGERPRINT_ENV)
     assert default_fingerprint() not in ("env-fp", "")
     store.close()
@@ -129,6 +131,32 @@ def answered():
     results = service.run(MATRIX)
     service.close()
     return results
+
+
+def test_point_event_carries_its_result_into_the_store(tmp_path, answered, monkeypatch):
+    """The listener needs no service: a point event hands it the result."""
+    monkeypatch.setenv(TIER_ENV, "python")
+    store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
+    ingestor = WarehouseIngestor(store, fingerprint="fp-ev", clock=lambda: 42.0)
+    request, result = next(iter(answered))
+    tags = (TENANT_TAG_PREFIX + "acme",)
+    ingestor.on_event(JobEvent("queued", "job-7", 1, payload={"tags": list(tags)}))
+    done = JobEvent(
+        "point-done", "job-7", 2, request=request,
+        payload={"cycles": result.cycles}, result=result,
+    )
+    # The result rides in process only: the wire form is unchanged.
+    assert set(done.as_dict()) == {"kind", "job", "seq", "request", "payload"}
+    assert JobEvent.from_dict(done.as_dict()) == done
+    ingestor.on_event(done)
+    assert store.select() == [
+        WarehouseRow.from_entry(
+            request, result, fingerprint="fp-ev", recorded=42.0,
+            engine_tier="python", job_id="job-7", tags=tags, tenant="acme",
+        )
+    ]
+    assert ingestor.ingested == 1
+    store.close()
 
 
 def test_backfill_wire_dump_is_full_fidelity(tmp_path, answered):
