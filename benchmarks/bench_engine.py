@@ -17,10 +17,10 @@ A third timed phase, **service**, answers "what does the declarative
 ``repro.api`` layer cost?": the same per-workload point set expressed as
 :class:`~repro.api.request.SimulationRequest` batches through a
 :class:`~repro.api.service.SimulationService` with the serial backend
-(memos cleared per repetition, kernels active).  Since the job redesign,
-``service.run`` *is* a scheduler job, so this phase already pays the
-submit → dispatch → result round trip.  The difference against the direct
-``simulate_batch`` kernel phase is reported as
+(a fresh memory-only artifact cache per repetition, kernels active).
+Since the job redesign, ``service.run`` *is* a scheduler job, so this
+phase already pays the submit → dispatch → result round trip.  The
+difference against the direct ``simulate_batch`` kernel phase is reported as
 ``service_overhead_seconds`` / ``service_overhead_pct`` and can be gated
 with ``--max-service-overhead-pct`` (the CI bound asserts the facade adds
 under 2%).
@@ -144,7 +144,7 @@ def run_service(service, artifact) -> Dict[tuple, Dict[str, object]]:
 
     One :class:`SimulationRequest` batch per workload, serial backend,
     kernels active — so the delta against :func:`run_batch` on the python
-    tier is purely the api layer: request expansion, memo bookkeeping, and
+    tier is purely the api layer: request expansion, cache bookkeeping, and
     ResultSet assembly.
     """
     from repro.api import SimulationRequest
@@ -311,9 +311,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parity_seconds = time.perf_counter() - parity_start
 
     # The service phase drives the same artifacts through the declarative
-    # layer (the service prepared them above), clearing the simulation
-    # memos before every repetition so each run recomputes exactly what
-    # run_batch recomputes.
+    # layer (the service prepared them above), swapping a fresh memory-only
+    # artifact cache in before every repetition so each run recomputes
+    # exactly what run_batch recomputes.
     per_workload = []
     legacy_total = kernel_total = lowering_total = 0.0
     service_total = scheduler_total = native_total = 0.0
@@ -336,10 +336,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # differences between large timings, so the pair being compared
         # must see the same machine conditions — separate back-to-back
         # phase loops made the 2% gates hostage to scheduler/thermal noise.
-        # The artifact-level disk cache is detached for the duration so a
-        # --cache-dir run does not short-circuit the comparison.
+        # The artifact's cache is the simulation results' one memo: it is
+        # replaced by a fresh memory-only one before each service and
+        # scheduler phase, so no phase is a cache hit (and a --cache-dir
+        # run does not short-circuit the comparison).
         saved_cache = artifact.cache
-        artifact.cache = None
         kernel_seconds = inner_kernel = None
         native_seconds = inner_native = None
         service_runs = []
@@ -362,18 +363,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if native_seconds is None or elapsed < native_seconds:
                         native_seconds = elapsed
                         inner_native = native_stats
-                artifact.simulations.clear()
+                artifact.cache = ArtifactCache(root=None)
                 service_runs.append(_timed(lambda: run_service(service, artifact)))
-                artifact.simulations.clear()
+                artifact.cache = ArtifactCache(root=None)
                 scheduler_runs.append(
                     _timed(lambda: run_scheduler(service, artifact))
                 )
-                artifact.simulations.clear()
             service_seconds = min(service_runs)
             scheduler_seconds = min(scheduler_runs)
         finally:
             artifact.cache = saved_cache
-            artifact.simulations.clear()
         assert kernel_seconds is not None and inner_kernel is not None
 
         legacy_total += legacy_seconds

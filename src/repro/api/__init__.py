@@ -50,7 +50,7 @@ immediately with a :class:`JobHandle` streaming typed :class:`JobEvent`\\ s
 (``queued`` / ``prepared`` / ``point-started`` / ``point-done`` /
 ``cache-hit`` / terminal), and the :class:`~repro.api.scheduler.Scheduler`
 runs such jobs one at a time, in priority order, over the one shared
-backend and artifact cache (a point an earlier job computed is a memo
+backend and artifact cache (a point an earlier job computed is a cache
 hit).  One
 server, :class:`~repro.api.gateway.http.GatewayServer`, exposes a service
 over HTTP + Server-Sent Events: open as ``repro serve``, keyed as

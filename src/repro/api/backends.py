@@ -1,9 +1,10 @@
 """Pluggable execution backends for :class:`SimulationService`.
 
 A backend's contract is narrow: given the prepared artifacts and a request
-list, make sure every request's :class:`SimulationResult` ends up in its
-artifact's in-memory memo, and report how many points were actually
-computed (memoized points are free).  Three implementations ship:
+list, compute every request and return one :class:`SimulationResult` per
+request, in request order.  A backend neither probes nor persists: the
+scheduler probes the artifact cache before it calls one and writes the
+returned results into the cache afterwards.  Three implementations ship:
 
 * :class:`SerialBackend` — everything in the calling process, one grouped
   batch per workload (the reference semantics).
@@ -33,6 +34,7 @@ from repro.api.shard import ShardTask, ShardWorkerError, read_frame, write_frame
 if TYPE_CHECKING:  # pragma: no cover - types only (import cycle guard: the
     # experiments package's modules import repro.api at module scope)
     from repro.experiments.runner import WorkloadArtifacts
+    from repro.uarch.core import SimulationResult
 
 
 class ExecutionBackend:
@@ -53,8 +55,11 @@ class ExecutionBackend:
         artifacts: Mapping[str, WorkloadArtifacts],
         requests: Sequence[SimulationRequest],
         jobs: int,
-    ) -> int:
-        """Ensure every request's result is memoized; return points computed."""
+    ) -> List[SimulationResult]:
+        """Compute every request; one result per request, in request order.
+
+        Nothing is probed or persisted here (the scheduler does both).
+        """
         raise NotImplementedError
 
 
@@ -89,13 +94,11 @@ class ForkPoolBackend(ExecutionBackend):
 class SubprocessShardBackend(ExecutionBackend):
     """Self-contained per-workload shard tasks over worker-process pipes.
 
-    The parent resolves memo/disk-cache hits, serializes one
-    :class:`ShardTask` per pending workload group — columnar trace bytes,
-    pickled trace bundle, JSON requests — and drives up to ``jobs``
-    ``python -m repro.api.shard`` workers over stdin/stdout pipes.  Results
-    come back pickled, are seeded into the artifact memos, and persisted to
-    the disk cache (workers have no cache handle, by design: the wire
-    payloads must be sufficient).
+    The parent serializes one :class:`ShardTask` per workload group —
+    columnar trace bytes, pickled trace bundle, JSON requests — and drives
+    up to ``jobs`` ``python -m repro.api.shard`` workers over stdin/stdout
+    pipes.  Results come back pickled (workers have no cache handle, by
+    design: the wire payloads must be sufficient).
 
     A worker dying mid-task — EOF or a truncated length-prefixed frame —
     surfaces as a typed :class:`ShardWorkerError` naming the worker and the
@@ -108,41 +111,14 @@ class SubprocessShardBackend(ExecutionBackend):
     multiplexes_groups = True
 
     def execute(self, artifacts, requests, jobs):
-        pending = self._pending_groups(artifacts, requests)
-        if not pending:
-            return 0
-        outcomes = self._run_workers(artifacts, pending, jobs)
-        computed = 0
-        for workload, results in outcomes.items():
-            artifacts[workload].persist_simulations(
-                (request.key(), result) for request, result in zip(pending[workload], results)
-            )
-            computed += len(results)
-        return computed
+        from repro.pipeline.parallel import group_by_workload, in_request_order
+
+        outcomes = self._run_workers(artifacts, group_by_workload(artifacts, requests), jobs)
+        return in_request_order(requests, outcomes)
 
     # ------------------------------------------------------------------ #
     # Task construction
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _pending_groups(
-        artifacts: Mapping[str, WorkloadArtifacts],
-        requests: Sequence[SimulationRequest],
-    ) -> Dict[str, List[SimulationRequest]]:
-        """Per-workload request groups still missing after cache probes."""
-        groups: Dict[str, List[SimulationRequest]] = {}
-        seen = set()
-        for request in requests:
-            name = request.workload.name
-            if name not in artifacts:
-                raise KeyError(f"no prepared artifact for workload {name!r}")
-            identity = (name, request.key())
-            if identity in seen:
-                continue
-            seen.add(identity)
-            if artifacts[name].cached_simulation(request.key()) is None:
-                groups.setdefault(name, []).append(request)
-        return groups
-
     @staticmethod
     def _build_task(
         artifact: WorkloadArtifacts, group: Sequence[SimulationRequest]
@@ -191,7 +167,7 @@ class SubprocessShardBackend(ExecutionBackend):
         artifacts: Mapping[str, "WorkloadArtifacts"],
         pending: Dict[str, List[SimulationRequest]],
         jobs: int,
-    ) -> Dict[str, List["SimulationResult"]]:  # noqa: F821
+    ) -> Dict[str, List[SimulationResult]]:
         """Drive up to ``jobs`` worker processes off one shared task queue.
 
         Dispatch is dynamic — each worker pulls the next pending task as
@@ -209,8 +185,7 @@ class SubprocessShardBackend(ExecutionBackend):
         the last live worker dies with work outstanding.
         """
         workers = max(1, min(jobs, len(pending)))
-        cache = artifacts[next(iter(pending))].cache
-        worker_env = self._worker_env(cache.root if cache is not None else None)
+        worker_env = self._worker_env(artifacts[next(iter(pending))].cache.root)
         queue: List[str] = list(pending)
         failures: Dict[str, int] = {}
         outcomes: Dict[str, List] = {}

@@ -32,7 +32,7 @@ EVENT_KINDS = (
     "prepared",      # workload artifacts ready (payload: workloads)
     "point-started", # a pending point's batch was dispatched to the backend
     "point-done",    # a pending point finished computing (payload: cycles)
-    "cache-hit",     # a point resolved from memo/disk/another job's execution
+    "cache-hit",     # a point resolved from the artifact cache (memory or disk)
     "done",          # terminal: every point answered
     "failed",        # terminal: the job raised (payload: error)
     "cancelled",     # terminal: cancel() won the race (payload: completed)

@@ -413,11 +413,12 @@ class RemoteServiceClient:
 class RemoteBackend(ExecutionBackend):
     """Execute a service's pending points on a ``repro serve`` server.
 
-    The in-process scheduler stays local (experiments, memo, disk cache);
-    only the pending request batch crosses the wire, as one server-side
-    job whose events feed ``listener`` (the CLI progress line) and whose
-    rehydrated results are persisted into the local artifact memos and
-    disk cache.
+    The in-process scheduler stays local (experiments, probes, the
+    artifact cache); only the pending request batch crosses the wire, as
+    one server-side job whose events feed ``listener`` (the CLI progress
+    line) and whose rehydrated results it returns, in request order, for
+    the local scheduler to persist.  The server may answer some of them
+    from its own cache; locally they still count as simulated.
     """
 
     name = "remote"
@@ -434,18 +435,11 @@ class RemoteBackend(ExecutionBackend):
 
     def execute(self, artifacts, requests, jobs):
         handle = self.client.submit(list(requests), tags=("remote-backend",))
-        computed = 0
         for event in handle.events():
-            if event.kind == "point-done":
-                computed += 1
             if self.listener is not None:
                 try:
                     self.listener(event)
                 except Exception:  # noqa: BLE001 - progress must not kill the run
                     pass
-        groups: Dict[str, list] = {}
-        for request, result in handle.result():
-            groups.setdefault(request.workload.name, []).append((request.key(), result))
-        for name, results in groups.items():
-            artifacts[name].persist_simulations(results)
-        return computed
+        answer = handle.result()
+        return [answer.get(request) for request in requests]

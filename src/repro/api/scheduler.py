@@ -12,16 +12,18 @@ a typed :class:`~repro.api.jobs.JobEvent` stream.
 
 Guarantees:
 
-* **Shared memo/disk cache** — jobs run over the service's one set of
-  prepared artifacts, so a point any earlier job computed is a
-  ``cache-hit`` for the next (two jobs naming the same
+* **One result path** — the scheduler probes the service's artifact
+  cache once per point, hands the misses to the backend (which only
+  computes), and persists what it returns with one cache write per
+  workload group.  So a point any earlier job computed is a ``cache-hit``
+  for the next (two jobs naming the same
   :class:`~repro.api.request.SimulationRequest` execute it once).
 * **Priority ordering** — higher ``priority`` jobs are popped first; ties
   run in submission order.
 * **Cancellation** — :meth:`JobHandle.cancel` stops a queued job before it
   starts and a running job at its next workload-group boundary; points
-  that already finished stay memoized and disk-cached (the cache is always
-  consistent), and are available via :meth:`JobHandle.partial`.
+  that already finished are persisted in the artifact cache (the cache is
+  always consistent), and are available via :meth:`JobHandle.partial`.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ class Scheduler:
         groups: Dict[str, List[SimulationRequest]] = {}
         for request in requests:
             artifact = artifacts[request.workload.name]
-            cached = artifact.cached_simulation(request.key())
+            cached = artifact.cached_simulation(request)
             if cached is not None:
                 resolved[request] = cached
                 cache_hits += 1
@@ -303,18 +305,21 @@ class Scheduler:
                 ]
                 for request in round_requests:
                     self._emit(handle, "point-started", request)
-                computed += service.backend.execute(
+                results = service.backend.execute(
                     round_artifacts, round_requests, jobs=service.jobs
                 )
+                computed += len(results)
+                resolved.update(zip(round_requests, results, strict=True))
+                for name, group in round_groups:
+                    # One commit per workload group, not one per point.
+                    artifact = round_artifacts[name]
+                    artifact.cache.put_many(
+                        "simulation",
+                        name,
+                        [(artifact.simulation_digest(r), resolved[r]) for r in group],
+                    )
                 for request in round_requests:
-                    artifact = round_artifacts[request.workload.name]
-                    result = artifact.cached_simulation(request.key())
-                    if result is None:  # pragma: no cover - backend contract breach
-                        raise RuntimeError(
-                            f"backend {service.backend.name!r} failed to produce "
-                            f"a result for {request!r}"
-                        )
-                    resolved[request] = result
+                    result = resolved[request]
                     self._emit(
                         handle, "point-done", request,
                         payload=self._point_payload(result), result=result,

@@ -9,10 +9,12 @@ iterables or :class:`~repro.api.matrix.ScenarioMatrix` declarations, pick
 an :class:`~repro.api.backends.ExecutionBackend`, and receive a typed
 :class:`~repro.api.results.ResultSet`; the serial and fork backends hand
 those same requests to :func:`~repro.pipeline.parallel.simulate_points`.
-Experiments never touch points, memos, or pools directly — they run
-against an :class:`ExperimentContext` whose :meth:`~ExperimentContext.run`
-dispatches through the service (and is a pure memo lookup for anything the
-CLI already prefetched).
+The artifact cache is always there (memory-only without a disk root) and
+is the one memo of simulation results: the scheduler probes it and
+persists into it.  Experiments never touch points, memos, or pools
+directly — they run against an :class:`ExperimentContext` whose
+:meth:`~ExperimentContext.run` dispatches through the service (and is a
+pure cache lookup for anything the CLI already prefetched).
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class SimulationService:
     that open-axis matrices expand over; it is fixed here, so requests
     naming other workloads prepare them without changing it.  Within one
     service each workload's execution and Algorithm 2 tracing happen at
-    most once, and at most once *ever* with a disk ``cache`` attached.
+    most once, and at most once *ever* with a disk ``cache`` attached;
+    without one (``cache=None``) the service holds a memory-only cache.
     """
 
     def __init__(
@@ -63,10 +66,11 @@ class SimulationService:
         journal: Optional["JobJournal"] = None,
     ) -> None:
         from repro.crypto.workloads import workload_names
+        from repro.pipeline.artifacts import ArtifactCache
         from repro.pipeline.parallel import default_jobs
 
         self.names = tuple(names) if names is not None else tuple(workload_names())
-        self.cache = cache
+        self.cache = cache if cache is not None else ArtifactCache(root=None)
         self.jobs = jobs if jobs > 0 else default_jobs()
         self.backend = (
             backend if isinstance(backend, ExecutionBackend) else make_backend(backend)
@@ -77,7 +81,9 @@ class SimulationService:
         self._artifacts: Dict[str, WorkloadArtifacts] = {}
         #: Wall-clock seconds spent preparing so far.
         self.prepare_seconds: float = 0.0
-        #: Simulation points the backend computed (not memo or disk hits).
+        #: Simulation points the backend returned (not cache hits).  With
+        #: the remote backend this includes points the server answered
+        #: from its own cache.
         self.points_simulated: int = 0
         self._scheduler: Optional[Scheduler] = None
         self._scheduler_lock = threading.Lock()
@@ -101,7 +107,8 @@ class SimulationService:
             "points_simulated": self.points_simulated,
             "jobs": self.jobs,
         }
-        if self.cache is not None:
+        on_disk = self.cache.root is not None
+        if on_disk:
             report["cache_dir"] = self.cache.root
             report.update(self.cache.stats.as_dict())
         report["backend"] = self.backend.name
@@ -112,9 +119,7 @@ class SimulationService:
         # memo hits, quarantined corrupt entries), present even when the
         # disk cache is off so operators can tell "no cache" from "no
         # quarantines".
-        report["artifact_cache"] = (
-            self.cache.stats.as_dict() if self.cache is not None else None
-        )
+        report["artifact_cache"] = self.cache.stats.as_dict() if on_disk else None
         # Read the field, not the lazy property: stats() must never be the
         # thing that spins a scheduler (and its dispatcher thread) up.
         if self._scheduler is not None:
@@ -204,7 +209,7 @@ class SimulationService:
         The handle streams typed :class:`~repro.api.jobs.JobEvent`\\ s
         (``handle.events()``) and answers with the job's
         :class:`ResultSet` (``handle.result()``); ``handle.cancel()``
-        stops it.  A request an earlier job computed is a memo hit.
+        stops it.  A request an earlier job computed is a cache hit.
         """
         return self.scheduler.submit(what, priority=priority, tags=tags)
 
@@ -212,8 +217,8 @@ class SimulationService:
         """Expand, prepare, execute through the backend, and answer.
 
         The synchronous convenience over :meth:`submit`:
-        ``submit(what).result()``.  Already-memoized (or disk-cached)
-        points cost a lookup; the rest are grouped per workload and
+        ``submit(what).result()``.  Already-cached points (in memory or
+        on disk) cost a lookup; the rest are grouped per workload and
         dispatched to the configured backend.  The returned
         :class:`ResultSet` follows the expanded request order.
         """
@@ -273,7 +278,7 @@ class ExperimentContext:
         priority: int = 0,
         tags: Sequence[str] = (),
     ) -> ResultSet:
-        """Dispatch through the service; memo hits are effectively free.
+        """Dispatch through the service; cache hits are effectively free.
 
         Each call is one scheduler job, so its progress is observable as
         events (tagged with :attr:`tag` unless ``tags`` is given).
@@ -302,10 +307,10 @@ def build_service(
     from repro.crypto.workloads import resolve_workload_names
     from repro.pipeline.artifacts import ArtifactCache, default_cache_dir
 
-    cache = ArtifactCache(root=cache_dir or default_cache_dir()) if use_cache else None
+    root = (cache_dir or default_cache_dir()) if use_cache else None
     return SimulationService(
         names=resolve_workload_names(workloads),
-        cache=cache,
+        cache=ArtifactCache(root=root),
         jobs=jobs,
         backend=backend,
         journal=journal,
@@ -321,8 +326,8 @@ def default_context(
     """``ctx`` itself, or a fresh uncached context over ``names``.
 
     The standalone path for ``run_<experiment>()`` calls and
-    ``python -m repro.experiments.<module>`` invocations: no disk cache and
-    serial-by-default preparation.
+    ``python -m repro.experiments.<module>`` invocations: a memory-only
+    cache and serial-by-default preparation.
     """
     if ctx is not None:
         return ctx

@@ -1,12 +1,11 @@
 """Shared experiment infrastructure: build, trace, and simulate workloads.
 
 Artifact preparation (build + sequential execution + Algorithm 2 tracing) and
-timing simulation both memoize their results.  The simulation cache key covers
-*every* argument that changes the outcome — design, core configuration, BTU
-flush interval, and warmup passes — so sweeping a parameter never returns a
-stale result from an earlier point.  Preparation can additionally be backed by
-the on-disk content-addressed cache and the multiprocessing fan-out of
-:mod:`repro.pipeline`, which all experiments, benchmarks, and tests share.
+timing simulation both memoize their results in the artifact cache of
+:mod:`repro.pipeline` (memory-only without a disk root).  The simulation cache
+key covers *every* argument that changes the outcome — design, core
+configuration, BTU flush interval, and warmup passes — so sweeping a parameter
+never returns a stale result from an earlier point.
 """
 
 from __future__ import annotations
@@ -49,13 +48,8 @@ DESIGN_BUILDERS: Dict[str, Callable[[Optional[TraceBundle]], DefensePolicy]] = {
     "cassandra+prospect": lambda bundle: CassandraProspectPolicy(bundle),
 }
 
-#: A simulation-cache key: (design, config identity, flush interval, warmups).
-SimulationKey = Tuple[str, tuple, Optional[int], int]
-
-#: Most disk-cache misses a :class:`WorkloadArtifacts` remembers between a
-#: probe and the batch that computes the point (the table is cleared when
-#: full, which only costs a repeated probe).
-MISSED_PROBES_LIMIT = 4096
+#: A simulation-cache key: (design, config digest, flush interval, warmups).
+SimulationKey = Tuple[str, str, Optional[int], int]
 
 
 def lowered_trace_digest(content_digest: str) -> str:
@@ -79,9 +73,11 @@ def simulation_key(
 
     Every argument that affects the timing result participates: the historic
     key of (design, flush interval) alone silently returned the first
-    config's result for every subsequent config in a sweep.
+    config's result for every subsequent config in a sweep.  The config
+    enters as its digest (cached per config), which keeps the key's repr —
+    and hence :meth:`WorkloadArtifacts.simulation_digest` — short.
     """
-    return (design, config.identity(), btu_flush_interval, warmup_passes)
+    return (design, config.digest(), btu_flush_interval, warmup_passes)
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,10 @@ class DesignPoint:
         )
 
 
+#: What :meth:`WorkloadArtifacts.simulate_batch` accepts as a point.
+Point = Union[DesignPoint, "SimulationRequest"]
+
+
 @dataclass
 class WorkloadArtifacts:
     """Everything derived once per workload and shared across design points.
@@ -111,6 +111,10 @@ class WorkloadArtifacts:
     needed after all — the ``lowered-trace`` entry is missing or corrupt, or
     a pending point's policy has no engine spec — :meth:`recorded_result`
     re-executes the kernel, at most once per artifact.
+
+    No simulation result is kept here: ``cache`` is their one memo.  The
+    scheduler probes it (:meth:`cached_simulation`) and persists into it
+    what a backend computed through :meth:`simulate_batch`.
     """
 
     name: str
@@ -119,15 +123,10 @@ class WorkloadArtifacts:
     result: ExecutionResult
     bundle: TraceBundle
     analysis: BranchAnalysisStats
-    simulations: Dict[SimulationKey, SimulationResult] = field(default_factory=dict)
-    #: Optional disk cache + the workload's content digest; when both are set,
-    #: simulation results (small, deterministic) also persist across processes.
-    cache: Optional["ArtifactCache"] = field(default=None, repr=False)
-    content_digest: Optional[str] = field(default=None, repr=False)
-    #: Disk digests of points whose :meth:`cached_simulation` probe missed:
-    #: the batch that computes such a point next reuses the digest and skips
-    #: the second disk probe.  Entries go when the point is computed.
-    _missed: Dict[SimulationKey, str] = field(default_factory=dict, repr=False)
+    #: The artifact cache (memory-only without a disk root) and the
+    #: workload's content digest its entries are keyed on.
+    cache: "ArtifactCache" = field(repr=False)
+    content_digest: str = field(repr=False)
 
     def simulate(
         self,
@@ -136,58 +135,23 @@ class WorkloadArtifacts:
         btu_flush_interval: Optional[int] = None,
         warmup_passes: int = 1,
     ) -> SimulationResult:
-        """Simulate one design point (memoized on the full argument set)."""
+        """One design point: its cached result, or computed and persisted."""
         point = DesignPoint(design, config, btu_flush_interval, warmup_passes)
-        return self.simulate_batch([point])[point.key()]
+        result = self.cached_simulation(point)
+        if result is None:
+            [result] = self.simulate_batch([point])
+            self.cache.put("simulation", self.name, self.simulation_digest(point), result)
+        return result
 
-    def _simulation_digest(self, key: SimulationKey) -> Optional[str]:
-        """The disk-cache digest of one simulation point (None when uncached)."""
-        if self.cache is None or self.content_digest is None:
-            return None
+    def simulation_digest(self, point: Point) -> str:
+        """The artifact-cache digest of one simulation point."""
         from repro.pipeline.hashing import stable_digest
 
-        return stable_digest(self.content_digest, key)
+        return stable_digest(self.content_digest, point.key())
 
-    def cached_simulation(self, key: SimulationKey) -> Optional[SimulationResult]:
-        """A memoized or disk-cached result for ``key``, or ``None``.
-
-        Disk hits are seeded into the in-memory memo.  Execution backends
-        that cannot reach the artifact cache from their workers (the
-        subprocess shard backend) use this to resolve hits in the parent
-        before shipping the remaining points over the wire.
-        """
-        memoized = self.simulations.get(key)
-        if memoized is not None:
-            return memoized
-        digest = self._simulation_digest(key)
-        if digest is not None:
-            cached = self.cache.get("simulation", self.name, digest)
-            if cached is not None:
-                self.simulations[key] = cached
-                return cached
-            if len(self._missed) >= MISSED_PROBES_LIMIT:
-                self._missed.clear()
-            self._missed[key] = digest
-        return None
-
-    def persist_simulations(
-        self, results: Iterable[Tuple[SimulationKey, SimulationResult]]
-    ) -> None:
-        """Seed the memo *and* the disk cache with external results, in one
-        cache commit.
-
-        The counterpart of :meth:`store_simulation` for backends whose
-        workers computed the results outside this process's cache handle.
-        """
-        stored = []
-        for key, result in results:
-            self.simulations[key] = result
-            self._missed.pop(key, None)
-            digest = self._simulation_digest(key)
-            if digest is not None:
-                stored.append((digest, result))
-        if stored:
-            self.cache.put_many("simulation", self.name, stored)
+    def cached_simulation(self, point: Point) -> Optional[SimulationResult]:
+        """The cached result of ``point`` (memo or disk), or ``None``."""
+        return self.cache.get("simulation", self.name, self.simulation_digest(point))
 
     def recorded_result(self) -> ExecutionResult:
         """``result`` with its lowered trace and on-demand records,
@@ -215,100 +179,52 @@ class WorkloadArtifacts:
         cached = getattr(self.result, "_lowered_trace", None)
         if cached is not None:
             return cached
-        digest = None
-        if self.cache is not None and self.content_digest is not None:
-            digest = lowered_trace_digest(self.content_digest)
-            payload = self.cache.get("lowered-trace", self.name, digest)
-            if payload is not None:
-                self.result._lowered_trace = payload  # type: ignore[attr-defined]
-                return payload
+        digest = lowered_trace_digest(self.content_digest)
+        payload = self.cache.get("lowered-trace", self.name, digest)
+        if payload is not None:
+            self.result._lowered_trace = payload  # type: ignore[attr-defined]
+            return payload
         trace = lower_execution(self.recorded_result())
-        if digest is not None:
-            self.cache.put("lowered-trace", self.name, digest, trace)
+        self.cache.put("lowered-trace", self.name, digest, trace)
         return trace
 
     def simulate_batch(
         self,
-        points: Sequence[Union[DesignPoint, "SimulationRequest"]],
+        points: Sequence[Point],
         batch_stats: Optional[BatchStats] = None,
-    ) -> Dict[SimulationKey, SimulationResult]:
-        """Simulate many design points over one shared lowering and warm state.
+    ) -> List[SimulationResult]:
+        """Simulate design points over one shared lowering and warm state.
 
         ``points`` are :class:`DesignPoint`\\ s or
         :class:`~repro.api.request.SimulationRequest`\\ s (of this workload);
         only their design, config, flush interval and warm-up passes count.
+        Returns one result per point, in point order.
 
-        Points already in the memo (or the disk cache) are returned without
-        re-simulation; a point whose :meth:`cached_simulation` probe just
-        missed is not probed again.  The remainder run through
-        :func:`repro.engine.batch.simulate_batch`, which shares the columnar
-        trace, the per-workload setup, and the warm-up component snapshots
-        across every missing point.  Results are bit-identical to calling
-        :meth:`simulate` per point.
+        Every point is computed: nothing is probed or persisted here.  The
+        points run through :func:`repro.engine.batch.simulate_batch`, which
+        shares the columnar trace, the per-workload setup, and the warm-up
+        component snapshots across them.  Results are bit-identical to
+        calling :meth:`simulate` per point.
         """
-        results: Dict[SimulationKey, SimulationResult] = {}
-        pending: List[Union[DesignPoint, "SimulationRequest"]] = []
-        pending_digests: Dict[SimulationKey, Optional[str]] = {}
-        for point in points:
-            cache_key = point.key()
-            if cache_key in results or cache_key in pending_digests:
-                continue
-            memoized = self.simulations.get(cache_key)
-            if memoized is not None:
-                results[cache_key] = memoized
-                continue
-            sim_digest = self._missed.pop(cache_key, None)
-            if sim_digest is None:
-                sim_digest = self._simulation_digest(cache_key)
-                if sim_digest is not None:
-                    cached = self.cache.get("simulation", self.name, sim_digest)
-                    if cached is not None:
-                        self.simulations[cache_key] = cached
-                        results[cache_key] = cached
-                        continue
-            pending.append(point)
-            pending_digests[cache_key] = sim_digest
-
-        if pending:
-            specs = [
-                PointSpec(
-                    policy=DESIGN_BUILDERS[point.design](self.bundle),
-                    config=point.config,
-                    btu_flush_interval=point.btu_flush_interval,
-                    warmup_passes=point.warmup_passes,
-                )
-                for point in pending
-            ]
-            needs_records = any(spec.policy.engine_spec() is None for spec in specs)
-            simulations = simulate_batch(
-                self.recorded_result() if needs_records else self.result,
-                self.bundle,
-                specs,
-                trace=self.lowered_trace(),
-                program_name=self.kernel.program.name,
-                batch_stats=batch_stats,
-                cache_dir=self.cache.root if self.cache is not None else None,
+        specs = [
+            PointSpec(
+                policy=DESIGN_BUILDERS[point.design](self.bundle),
+                config=point.config,
+                btu_flush_interval=point.btu_flush_interval,
+                warmup_passes=point.warmup_passes,
             )
-            stored = []
-            for point, simulation in zip(pending, simulations):
-                cache_key = point.key()
-                self.simulations[cache_key] = simulation
-                results[cache_key] = simulation
-                sim_digest = pending_digests[cache_key]
-                if sim_digest is not None:
-                    stored.append((sim_digest, simulation))
-            if stored:
-                # One commit for the whole batch, not one write per point.
-                self.cache.put_many("simulation", self.name, stored)
-        return results
-
-    def store_simulation(self, key: SimulationKey, result: SimulationResult) -> None:
-        """Seed the memo with an externally computed result (parallel fan-out)."""
-        self.simulations[key] = result
-        self._missed.pop(key, None)
-
-    def normalized_time(self, design: str, baseline: str = "unsafe-baseline") -> float:
-        return self.simulate(design).cycles / self.simulate(baseline).cycles
+            for point in points
+        ]
+        needs_records = any(spec.policy.engine_spec() is None for spec in specs)
+        return simulate_batch(
+            self.recorded_result() if needs_records else self.result,
+            self.bundle,
+            specs,
+            trace=self.lowered_trace(),
+            program_name=self.kernel.program.name,
+            batch_stats=batch_stats,
+            cache_dir=self.cache.root,
+        )
 
 
 def artifacts_for_kernel(
@@ -320,11 +236,11 @@ def artifacts_for_kernel(
 ) -> WorkloadArtifacts:
     """Functionally execute and trace-analyse an already-built kernel.
 
-    With ``cache`` set, the expensive products (the sequential
-    :class:`ExecutionResult`, record-free, and the :class:`TraceBundle`) are
-    loaded from / stored to the content-addressed artifact cache, keyed on
-    the program content, the confidential-input set, and the trace
-    parameters.  The kernel's correctness check always re-runs, so a stale
+    The expensive products (the sequential :class:`ExecutionResult`,
+    record-free, and the :class:`TraceBundle`) are loaded from / stored to
+    the content-addressed artifact cache (a memory-only one when ``cache``
+    is not given), keyed on the program content, the confidential-input
+    set, and the trace parameters.  The kernel's correctness check always re-runs, so a stale
     or corrupt cache entry cannot silently poison an experiment.  A cold
     preparation executes each input exactly once: the verified run of
     ``inputs[0]`` is Algorithm 2's primary execution, the returned artifacts
@@ -334,14 +250,12 @@ def artifacts_for_kernel(
     name = name or kernel.name
     params = trace_params or TraceParameters()
 
-    payload = None
-    digest = None
-    if cache is not None:
-        from repro.pipeline.parallel import workload_artifact_digest
+    from repro.pipeline.artifacts import ArtifactCache
+    from repro.pipeline.parallel import workload_artifact_digest
 
-        digest = workload_artifact_digest(kernel, params)
-        payload = cache.get("workload-artifacts", name, digest)
-
+    cache = cache if cache is not None else ArtifactCache(root=None)
+    digest = workload_artifact_digest(kernel, params)
+    payload = cache.get("workload-artifacts", name, digest)
     if payload is not None:
         result, bundle = payload
         # A hit still re-verifies: a stale or corrupt entry must not
@@ -361,9 +275,8 @@ def artifacts_for_kernel(
             max_k=params.max_k,
             primary=result,
         )
-        if cache is not None and digest is not None:
-            cache.put("workload-artifacts", name, digest, (result.without_records(), bundle))
-            cache.put("lowered-trace", name, lowered_trace_digest(digest), lower_execution(result))
+        cache.put("workload-artifacts", name, digest, (result.without_records(), bundle))
+        cache.put("lowered-trace", name, lowered_trace_digest(digest), lower_execution(result))
     return WorkloadArtifacts(
         name=name,
         suite=suite,

@@ -18,15 +18,15 @@ DEFAULT_INVOCATIONS = 256
 
 
 def _scaled_stats(artifact: WorkloadArtifacts, invocations: int) -> BranchAnalysisStats:
-    """One workload's Table 1 statistics at ``invocations`` (disk-cached).
+    """One workload's Table 1 statistics at ``invocations`` (cached).
 
     The scaled statistics are a pure function of the prepared trace bundle,
     so they are stored as a ``table1-stats`` artifact keyed on the
     workload's content digest (which already covers the code fingerprint)
-    and the invocation count.  Uncached artifacts (``--no-cache``) recompute.
+    and the invocation count.  Under ``--no-cache`` the entry lives in the
+    service's memory-only cache, so a second run in the same process reads
+    it back instead of recomputing.
     """
-    if artifact.cache is None or artifact.content_digest is None:
-        return stats_from_bundle_scaled(artifact.bundle, invocations)
     return artifact.cache.load_or_compute(
         "table1-stats",
         artifact.name,

@@ -19,6 +19,7 @@ Two axes parallelize independently:
   onto its artifacts and *then* forks the workers, so they inherit the
   prepared state — traces included — by copy-on-write; only the small task
   tuples and ``SimulationResult`` payloads cross process boundaries.
+  Workers only compute: the caller persists what they return.
 
 Both paths fall back to serial execution when ``jobs <= 1``, when there is
 only one task, or when the platform lacks the ``fork`` start method — results
@@ -29,17 +30,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.tracegen import TraceParameters
 from repro.engine.lowering import LoweredTrace
 from repro.experiments.runner import (
-    SimulationKey,
     WorkloadArtifacts,
     artifacts_for_kernel,
     lowered_trace_digest,
     prepare_workload,
-    simulation_key,
 )
 from repro.pipeline.artifacts import ArtifactCache
 from repro.pipeline.hashing import (
@@ -127,8 +126,7 @@ def _prepare_kernel_task(task: Tuple["WorkloadRef", Optional[str], TraceParamete
     ``None`` — the parent loads the entry only if a point misses.
     """
     ref, cache_root, params = task
-    cache = ArtifactCache(root=cache_root) if cache_root else None
-    artifact = _prepare_ref(ref, cache=cache, params=params)
+    artifact = _prepare_ref(ref, cache=ArtifactCache(root=cache_root), params=params)
     result = artifact.result
     trace_bytes = artifact.lowered_trace().to_bytes() if result.has_records else None
     return ref.name, result.without_records(), artifact.bundle, trace_bytes
@@ -136,7 +134,7 @@ def _prepare_kernel_task(task: Tuple["WorkloadRef", Optional[str], TraceParamete
 
 def _prepare_ref(
     ref: "WorkloadRef",
-    cache: Optional[ArtifactCache],
+    cache: ArtifactCache,
     params: TraceParameters,
 ) -> WorkloadArtifacts:
     """Build + execute + trace one ref through the shared cache path."""
@@ -153,7 +151,7 @@ def _prepare_ref(
 
 def prepare_kernels_parallel(
     refs: Sequence["WorkloadRef"],
-    cache: Optional[ArtifactCache] = None,
+    cache: ArtifactCache,
     jobs: int = 0,
     trace_params: Optional[TraceParameters] = None,
 ) -> List[WorkloadArtifacts]:
@@ -161,9 +159,9 @@ def prepare_kernels_parallel(
 
     Workers build each kernel from its ref, run the sequential execution,
     Algorithm 2 tracing and the lowering, warm the shared disk cache (when
-    one is configured), and return record-free ``(result, bundle)`` payloads
-    plus the lowered traces; the parent seeds its own cache with both and
-    assembles the final :class:`WorkloadArtifacts` — including the
+    ``cache`` has a disk root), and return record-free ``(result, bundle)``
+    payloads plus the lowered traces; the parent seeds ``cache``'s memo with
+    both and assembles the final :class:`WorkloadArtifacts` — including the
     per-workload correctness check — through the exact same serial code
     path, without unpickling a record or lowering a trace.
     """
@@ -179,23 +177,21 @@ def prepare_kernels_parallel(
     if jobs <= 1 or len(refs) <= 1 or context is None:
         return [_prepare_ref(ref, cache=cache, params=params) for ref in refs]
 
-    cache_root = cache.root if cache is not None else None
-    tasks = [(ref, cache_root, params) for ref in refs]
+    tasks = [(ref, cache.root, params) for ref in refs]
     with context.Pool(processes=min(jobs, len(tasks))) as pool:
         payloads = pool.map(_prepare_kernel_task, tasks, chunksize=1)
 
     # Seed the parent's in-memory memo so assembly below never recomputes;
     # workers already persisted the payloads when the cache is disk-backed,
     # so a second disk write here would be pure waste.
-    parent_cache = cache if cache is not None else ArtifactCache(root=None)
     for name, result, bundle, trace_bytes in payloads:
         kernel = build_kernel(by_name[name])
         digest = workload_artifact_digest(kernel, params)
-        parent_cache.memoize("workload-artifacts", name, digest, (result, bundle))
+        cache.memoize("workload-artifacts", name, digest, (result, bundle))
         if trace_bytes is not None:
             trace = LoweredTrace.from_bytes(trace_bytes)
-            parent_cache.memoize("lowered-trace", name, lowered_trace_digest(digest), trace)
-    return [_prepare_ref(ref, cache=parent_cache, params=params) for ref in refs]
+            cache.memoize("lowered-trace", name, lowered_trace_digest(digest), trace)
+    return [_prepare_ref(ref, cache=cache, params=params) for ref in refs]
 
 
 # --------------------------------------------------------------------------- #
@@ -204,91 +200,74 @@ def prepare_kernels_parallel(
 #: Artifacts visible to forked simulation workers (set only around the pool).
 _FORK_ARTIFACTS: Dict[str, WorkloadArtifacts] = {}
 
-#: One worker task: every pending point of one workload, so the worker's
+#: One worker task: every request of one workload, so the worker's
 #: ``simulate_batch`` shares one lowering across them all (and warm-up state
 #: within each config).  The lowering itself is inherited through the fork.
 _BatchTask = Tuple[str, Tuple["SimulationRequest", ...]]
 
 
-def _simulate_batch_task(task: _BatchTask) -> Tuple[str, List[Tuple[SimulationKey, SimulationResult]]]:
+def _simulate_batch_task(task: _BatchTask) -> List[SimulationResult]:
     name, requests = task
-    return name, _run_batch(_FORK_ARTIFACTS[name], requests)
+    return _FORK_ARTIFACTS[name].simulate_batch(requests)
 
 
-def _run_batch(
-    artifact: WorkloadArtifacts, requests: Sequence["SimulationRequest"]
-) -> List[Tuple[SimulationKey, SimulationResult]]:
-    """The batch body both execution modes share."""
-    return list(artifact.simulate_batch(requests).items())
+def group_by_workload(
+    artifacts: Mapping[str, WorkloadArtifacts], requests: Iterable["SimulationRequest"]
+) -> Dict[str, List["SimulationRequest"]]:
+    """Requests per workload, each group in request order."""
+    groups: Dict[str, List["SimulationRequest"]] = {}
+    for request in requests:
+        name = request.workload.name
+        if name not in artifacts:
+            raise KeyError(f"no prepared artifact for workload {name!r}")
+        groups.setdefault(name, []).append(request)
+    return groups
 
 
-def _group_tasks(
-    groups: Dict[str, List["SimulationRequest"]],
-    by_name: Dict[str, WorkloadArtifacts],
-) -> List[_BatchTask]:
-    """Worker tasks from per-workload groups: one lowering per task.
-
-    The engine's ``simulate_batch`` keys its warm-state builders by config
-    internally, so a single per-workload task still shares warm-up within
-    each config while the (config-independent) lowering is loaded once —
-    in the parent, before the fork, so every worker inherits it.
-    """
-    for workload in groups:
-        by_name[workload].lowered_trace()
-    return [(workload, tuple(requests)) for workload, requests in groups.items()]
+def in_request_order(
+    requests: Sequence["SimulationRequest"],
+    outcomes: Mapping[str, Sequence[SimulationResult]],
+) -> List[SimulationResult]:
+    """Per-workload results (as :func:`group_by_workload` grouped them)
+    back in request order."""
+    answers = {name: iter(results) for name, results in outcomes.items()}
+    return [next(answers[request.workload.name]) for request in requests]
 
 
 def simulate_points(
     artifacts: Sequence[WorkloadArtifacts],
     requests: Iterable["SimulationRequest"],
     jobs: int = 0,
-) -> int:
-    """Run simulation requests, seeding each artifact's in-memory memo.
+) -> List[SimulationResult]:
+    """Compute every request; one result per request, in request order.
 
-    Requests already present in a memo are skipped.  Returns the number of
-    points actually simulated.  Pending requests are grouped by workload and
-    each group runs through :meth:`WorkloadArtifacts.simulate_batch`, so
-    the columnar lowering is computed once per group and the warm-up
-    component snapshots are shared across every design and flush-interval
-    within each config.  With ``jobs > 1`` the groups fan out over
-    forked workers that inherit the prepared artifacts read-only; the
-    resulting ``SimulationResult``s are stored back on the parent's
-    artifacts, so subsequent :meth:`WorkloadArtifacts.simulate` calls are
-    memo hits regardless of which mode computed them.
+    Requests are grouped by workload and each group runs through
+    :meth:`WorkloadArtifacts.simulate_batch`, so the columnar lowering is
+    computed once per group and the warm-up component snapshots are shared
+    across every design and flush-interval within each config.  With
+    ``jobs > 1`` the groups fan out over forked workers that inherit the
+    prepared artifacts read-only and only compute.  Nothing is probed or
+    persisted here: the scheduler does both, in the parent.
     """
     by_name = {artifact.name: artifact for artifact in artifacts}
-    groups: Dict[str, List["SimulationRequest"]] = {}
-    seen = set()
-    for request in requests:
-        name = request.workload.name
-        if name not in by_name:
-            raise KeyError(f"no prepared artifact for workload {name!r}")
-        identity = (name, request.key())
-        if identity in seen or request.key() in by_name[name].simulations:
-            continue
-        seen.add(identity)
-        groups.setdefault(name, []).append(request)
-    pending = len(seen)
-    if not pending:
-        return 0
-
+    requests = list(requests)
+    groups = group_by_workload(by_name, requests)
     jobs = jobs or default_jobs()
     context = _fork_context()
     if jobs <= 1 or len(groups) <= 1 or context is None:
-        for name, group in groups.items():
-            for key, result in _run_batch(by_name[name], group):
-                by_name[name].store_simulation(key, result)
-        return pending
+        outcomes = {name: by_name[name].simulate_batch(group) for name, group in groups.items()}
+        return in_request_order(requests, outcomes)
 
-    tasks = _group_tasks(groups, by_name)
+    # The lowering is config-independent: load it in the parent, before
+    # the fork, so every worker inherits it.
+    for name in groups:
+        by_name[name].lowered_trace()
+    tasks = [(name, tuple(group)) for name, group in groups.items()]
     global _FORK_ARTIFACTS
-    _FORK_ARTIFACTS = dict(by_name)
+    _FORK_ARTIFACTS = by_name
     try:
         with context.Pool(processes=min(jobs, len(tasks))) as pool:
-            outcomes = pool.map(_simulate_batch_task, tasks, chunksize=1)
+            results = pool.map(_simulate_batch_task, tasks, chunksize=1)
     finally:
         _FORK_ARTIFACTS = {}
-    for name, results in outcomes:
-        for key, result in results:
-            by_name[name].store_simulation(key, result)
-    return pending
+    return in_request_order(requests, dict(zip(groups, results)))

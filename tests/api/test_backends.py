@@ -2,8 +2,9 @@
 
 The acceptance bar of the API redesign: ``SerialBackend``,
 ``ForkPoolBackend``, and ``SubprocessShardBackend`` produce bit-identical
-``SimulationResult``s for the same request set, and the service's memo /
-disk-cache layers behave identically in front of each.
+``SimulationResult``s for the same request set, each returns them in
+request order, and the service's artifact cache behaves identically in
+front of each.
 """
 
 import pickle
@@ -34,20 +35,32 @@ PARITY_MATRIX = ScenarioMatrix(
 )
 
 
+#: The parity requests with the two workloads interleaved, for calling the
+#: backends directly: each must answer in this order, not grouped.
+DIRECT_REQUESTS = sorted(
+    PARITY_MATRIX.expand(NAMES), key=lambda request: (request.design, request.workload.name)
+)
+
+
 @pytest.fixture(scope="module")
 def backend_answers():
+    """Per backend: the service's answer, and the backend's own
+    ``execute`` over :data:`DIRECT_REQUESTS`."""
     answers = {}
     for backend in ("serial", "fork", "shard"):
         service = SimulationService(names=NAMES, jobs=2, backend=backend)
-        answers[backend] = service.run(PARITY_MATRIX)
+        answer = service.run(PARITY_MATRIX)
+        artifacts = {name: service.artifact(name) for name in NAMES}
+        direct = service.backend.execute(artifacts, DIRECT_REQUESTS, jobs=2)
+        answers[backend] = (answer, direct)
     return answers
 
 
 def test_three_way_backend_parity(backend_answers):
-    serial = backend_answers["serial"]
+    serial, _ = backend_answers["serial"]
     assert len(serial) == len(PARITY_MATRIX.expand(NAMES))
     for other_name in ("fork", "shard"):
-        other = backend_answers[other_name]
+        other, _ = backend_answers[other_name]
         assert serial.requests == other.requests
         for (request, ours), (_, theirs) in zip(serial, other):
             assert ours.stats.as_dict() == theirs.stats.as_dict(), (
@@ -56,6 +69,14 @@ def test_three_way_backend_parity(backend_answers):
             )
             assert ours.policy_name == theirs.policy_name
             assert ours.program_name == theirs.program_name
+    # Called directly, every backend returns one result per request, in
+    # request order.
+    for name, (_, direct) in backend_answers.items():
+        assert len(direct) == len(DIRECT_REQUESTS), name
+        for request, result in zip(DIRECT_REQUESTS, direct):
+            expected = serial.get(request)
+            assert result.program_name == expected.program_name, (name, request)
+            assert result.stats.as_dict() == expected.stats.as_dict(), (name, request)
 
 
 def test_rerun_is_pure_memo_lookup(backend_answers):

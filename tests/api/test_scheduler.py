@@ -140,11 +140,11 @@ class CancelAfterFirstRound(SerialBackend):
         self.calls = 0
 
     def execute(self, artifacts, requests, jobs):
-        computed = super().execute(artifacts, requests, jobs)
+        results = super().execute(artifacts, requests, jobs)
         self.calls += 1
         if self.calls == 1 and self.handle is not None:
             self.handle.cancel()
-        return computed
+        return results
 
 
 def test_cancel_mid_job_leaves_cache_consistent():
@@ -305,8 +305,8 @@ def test_service_stats_surface_artifact_cache_counters(tmp_path):
 
 
 def test_pending_points_are_probed_on_disk_once(tmp_path):
-    """The scheduler's cache probe and the batch that computes its misses
-    share one disk probe per point; disk hits still stream as cache hits."""
+    """The scheduler probes each point on disk once (the backend that
+    computes the misses probes nothing); disk hits stream as cache hits."""
     from repro.pipeline import ArtifactCache
 
     matrix = ScenarioMatrix(designs=("unsafe-baseline", "cassandra", "spt"))
@@ -333,6 +333,39 @@ def test_pending_points_are_probed_on_disk_once(tmp_path):
     assert kinds(again.history()).count("cache-hit") == 3
     assert again.history()[-1].payload["cache_hits"] == 3
     rerun.close()
+
+
+def test_a_serial_job_probes_each_point_once_and_commits_once_per_group(
+    tmp_path, monkeypatch
+):
+    """N fresh points over two workloads: exactly N ``simulation`` probes
+    through ``ArtifactCache.get`` and one ``put_many`` per workload group."""
+    from repro.pipeline import ArtifactCache
+
+    probes, commits = [], []
+    original_get, original_put_many = ArtifactCache.get, ArtifactCache.put_many
+
+    def counting_get(self, kind, name, digest):
+        if kind == "simulation":
+            probes.append(digest)
+        return original_get(self, kind, name, digest)
+
+    def counting_put_many(self, kind, name, entries):
+        entries = list(entries)
+        if kind == "simulation":
+            commits.append((name, len(entries)))
+        return original_put_many(self, kind, name, entries)
+
+    monkeypatch.setattr(ArtifactCache, "get", counting_get)
+    monkeypatch.setattr(ArtifactCache, "put_many", counting_put_many)
+    service = make_service(
+        names=[WORKLOAD, SECOND_WORKLOAD], cache=ArtifactCache(root=str(tmp_path))
+    )
+    answer = service.run(ScenarioMatrix(designs=("unsafe-baseline", "cassandra", "spt")))
+    assert len(answer) == 6
+    assert len(probes) == len(set(probes)) == 6
+    assert sorted(commits) == sorted([(WORKLOAD, 3), (SECOND_WORKLOAD, 3)])
+    service.close()
 
 
 def test_requests_leave_the_default_workload_set_alone():

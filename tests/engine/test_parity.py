@@ -204,17 +204,18 @@ def test_batch_matches_reference_on_odd_geometry(quick_artifacts, monkeypatch, t
 
 
 def test_artifact_simulate_routes_through_engine_and_matches(quick_artifacts):
-    """The memoized WorkloadArtifacts path returns the same bits."""
+    """The WorkloadArtifacts batch and per-point paths return the same bits."""
     art = quick_artifacts[QUICK_WORKLOADS[1]]
     points = [DesignPoint(design=design) for design in ALL_DESIGNS]
     results = art.simulate_batch(points)
-    for point in points:
+    assert len(results) == len(points)
+    for point, result in zip(points, results):
         reference = legacy_simulate(art, point.design)
-        assert_bit_identical(
-            reference, results[point.key()], f"artifact/{point.design}"
-        )
-        # And the per-point accessor is a memo hit with identical identity.
-        assert art.simulate(point.design) is results[point.key()]
+        assert_bit_identical(reference, result, f"artifact/{point.design}")
+        # The per-point accessor computes the same bits, then is a cache hit.
+        single = art.simulate(point.design)
+        assert_bit_identical(reference, single, f"simulate/{point.design}")
+        assert art.simulate(point.design) is single
 
 
 def test_custom_policy_subclass_falls_back_to_reference(quick_artifacts):

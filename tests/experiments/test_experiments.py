@@ -84,6 +84,24 @@ def test_table1_warm_run_reads_cached_stats(tmp_path, monkeypatch):
     assert table1() == cold
 
 
+def test_table1_without_a_disk_cache_reads_memoized_stats(monkeypatch):
+    """With no disk cache, the scaled stats live in the service's memory-only
+    cache: a second Table 1 in the same service does not re-run Algorithm 1.
+    (``count_kmers`` has no caller: Algorithm 1 runs through
+    ``compress_sequence``, which the guard patches.)"""
+    from repro.analysis import stats
+
+    with SimulationService(names=["ChaCha20_ct"], jobs=1) as service:
+        ctx = service.context()
+        first = run_table1(ctx=ctx, invocations=64)
+
+        def no_algorithm1(*_args, **_kwargs):
+            raise AssertionError("a second Table 1 must not re-run Algorithm 1")
+
+        monkeypatch.setattr(stats, "compress_sequence", no_algorithm1)
+        assert run_table1(ctx=ctx, invocations=64) == first
+
+
 def test_figure7_normalization_and_headline(ctx):
     rows = run_figure7(ctx=ctx)
     assert rows[-1]["workload"] == "geomean"

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.api import SimulationRequest, SimulationService, WorkloadRef
-from repro.experiments.runner import prepare_workload, simulation_key
-from repro.pipeline import prepare_kernels_parallel, simulate_points
+from repro.experiments.runner import prepare_workload
+from repro.pipeline import ArtifactCache, prepare_kernels_parallel, simulate_points
 from repro.pipeline.parallel import build_kernel
 from repro.uarch.config import CoreConfig
 
@@ -14,7 +14,7 @@ SMALL_CORE = CoreConfig(rob_size=64, fetch_width=4)
 
 
 def test_parallel_prepare_matches_serial():
-    parallel = prepare_kernels_parallel(REFS, jobs=2)
+    parallel = prepare_kernels_parallel(REFS, cache=ArtifactCache(), jobs=2)
     serial = [prepare_workload(name) for name in NAMES]
     for par, ser in zip(parallel, serial):
         assert par.name == ser.name
@@ -28,8 +28,6 @@ def test_parallel_prepare_warms_shared_disk_cache(artifact_cache):
     prepare_kernels_parallel(REFS, cache=artifact_cache, jobs=2)
     # Workers persisted the payloads; a cold in-memory cache over the same
     # root must hit for every workload.
-    from repro.pipeline import ArtifactCache
-
     warm = ArtifactCache(root=artifact_cache.root)
     for name in NAMES:
         prepare_workload(name, cache=warm)
@@ -48,28 +46,21 @@ def test_simulate_points_parallel_matches_serial():
     ]
 
     par_artifacts = [prepare_workload(name) for name in NAMES]
-    computed = simulate_points(par_artifacts, points, jobs=2)
-    assert computed == len(points)
+    parallel = simulate_points(par_artifacts, points, jobs=2)
+    serial = simulate_points([prepare_workload(name) for name in NAMES], points, jobs=1)
+    assert len(parallel) == len(serial) == len(points)
+    for request, par, ser in zip(points, parallel, serial):
+        assert par.program_name == ser.program_name
+        assert par.cycles == ser.cycles, request
+        assert par.stats.instructions == ser.stats.instructions
+        assert par.stats.bpu_mispredicted == ser.stats.bpu_mispredicted
 
-    ser_artifacts = [prepare_workload(name) for name in NAMES]
-    assert simulate_points(ser_artifacts, points, jobs=1) == len(points)
-
-    for par, ser in zip(par_artifacts, ser_artifacts):
-        assert set(par.simulations) == set(ser.simulations)
-        for key, result in par.simulations.items():
-            assert result.cycles == ser.simulations[key].cycles
-            assert result.stats.instructions == ser.simulations[key].stats.instructions
-            assert result.stats.bpu_mispredicted == ser.simulations[key].stats.bpu_mispredicted
-
-    # Every point landed in the memo: re-running is a no-op...
-    assert simulate_points(par_artifacts, points, jobs=2) == 0
-    # ...and simulate() returns the memoized object without recomputing.
-    small = par_artifacts[0].simulate("unsafe-baseline", config=SMALL_CORE)
-    assert small is par_artifacts[0].simulations[
-        simulation_key("unsafe-baseline", config=SMALL_CORE)
-    ]
+    # simulate_points only computes: nothing landed in the artifact cache.
+    by_name = {artifact.name: artifact for artifact in par_artifacts}
+    assert all(by_name[r.workload.name].cached_simulation(r) is None for r in points)
     # The non-default config got its own, slower result (stale-cache fix).
-    assert small.cycles > par_artifacts[0].simulate("unsafe-baseline").cycles
+    assert parallel[4].config == SMALL_CORE
+    assert parallel[4].cycles > parallel[0].cycles
 
 
 def test_pipeline_single_artifact_prepares_only_that_workload(artifact_cache):
@@ -106,8 +97,8 @@ def test_service_prepares_registry_and_synthetic_refs_in_one_fan_out(monkeypatch
 def test_synthetic_kernel_specs_prepare_in_workers():
     """Figure 8's (primitive, mix) grid builds inside workers, not the parent."""
     refs = [WorkloadRef.synthetic("chacha20", mix) for mix in ("90s/10c", "all-crypto")]
-    parallel = prepare_kernels_parallel(refs, jobs=2)
-    serial = prepare_kernels_parallel(refs, jobs=1)
+    parallel = prepare_kernels_parallel(refs, cache=ArtifactCache(), jobs=2)
+    serial = prepare_kernels_parallel(refs, cache=ArtifactCache(), jobs=1)
     assert [a.name for a in parallel] == [a.name for a in serial]
     for par, ser in zip(parallel, serial):
         assert par.suite == "synthetic"

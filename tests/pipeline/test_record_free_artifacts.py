@@ -62,7 +62,7 @@ def _prepare_counting_verifies(cache):
 
 def _cold(cache):
     cold = prepare_workload(WORKLOAD, cache=cache)
-    return {key: sim.as_dict() for key, sim in cold.simulate_batch(POINTS).items()}
+    return [sim.as_dict() for sim in cold.simulate_batch(POINTS)]
 
 
 def _evict(root, *kinds):
@@ -89,7 +89,6 @@ def test_persisted_payload_holds_no_records(artifact_cache):
 @pytest.mark.parametrize("damage", ["deleted", "corrupt"])
 def test_missing_lowered_trace_reexecutes_once(artifact_cache, counted_kernel_runs, damage):
     cold = _cold(artifact_cache)
-    _evict(artifact_cache.root, "simulation")
     if damage == "deleted":
         _evict(artifact_cache.root, "lowered-trace")
     else:
@@ -106,7 +105,7 @@ def test_missing_lowered_trace_reexecutes_once(artifact_cache, counted_kernel_ru
 
     warm_results = warm.simulate_batch(POINTS)
     assert counted_kernel_runs == [WORKLOAD]
-    assert {key: sim.as_dict() for key, sim in warm_results.items()} == cold
+    assert [sim.as_dict() for sim in warm_results] == cold
     assert warm_cache.stats.quarantined == (1 if damage == "corrupt" else 0)
     # The rebuilt lowering is stored again, and nothing re-executes twice.
     warm.simulate("spt")
