@@ -4,8 +4,9 @@ Three layers, mirroring the routers/services/models split:
 
 * :mod:`~repro.api.gateway.store` — **models**: the SQLite
   :class:`~repro.api.gateway.store.GatewayStore` (tenants, hashed API
-  keys, quotas, usage ledger, job ownership) living next to the job
-  journal in ``--state-dir``.
+  keys, quotas, usage ledger) living next to the job journal in
+  ``--state-dir``.  Job ownership and live load are read off the
+  scheduler's live handles, not stored.
 * :mod:`~repro.api.gateway.auth` / :mod:`~repro.api.gateway.quota` /
   :mod:`~repro.api.gateway.usage` — **services**: bearer-key
   authentication, pre-submit admission control, and event-stream usage

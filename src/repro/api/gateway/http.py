@@ -173,13 +173,11 @@ class GatewayServer:
         self.auth: Optional[AuthService] = None
         if store is not None:
             self.auth = AuthService(store)
-            self.quota = QuotaService(store, defaults, window_seconds=usage_window)
+            self.quota = QuotaService(
+                store, service.scheduler, defaults, window_seconds=usage_window
+            )
             self.usage = UsageService(store)
-            # Listener first, then adopt: jobs resumed after construction
-            # emit their (re-)queued events through the listener; jobs
-            # resumed *before* construction are picked up by the adopt scan.
             service.scheduler.add_listener(self.usage.on_event)
-            self.usage.adopt(service.scheduler)
         handler = type(
             "GatewayHandler",
             (_Handler,),
@@ -369,9 +367,8 @@ class GatewayServer:
         """The handle, iff ``tenant`` owns ``job_id`` (any job when there
         are no tenants); 404 otherwise.
 
-        Ownership is the store's job index, falling back to the live
-        handle's ``tenant:`` tag (covers a job submitted before its
-        ownership row committed).  Foreign jobs 404 — not 403 — so tenants
+        Ownership is the live handle's ``tenant:`` tag, which the journal
+        carries across restarts.  Foreign jobs 404 — not 403 — so tenants
         cannot probe for other tenants' job ids.
         """
         handle = self.service.scheduler.get_job(job_id)
@@ -379,10 +376,7 @@ class GatewayServer:
             raise ApiError(404, "not-found", f"no such job {job_id!r}")
         if tenant is None:
             return handle
-        owner = self.store.job_owner(job_id)
-        if owner is None:
-            owner = tenant_from_tags(handle.tags)
-        if owner != tenant.tenant_id:
+        if tenant_from_tags(handle.tags) != tenant.tenant_id:
             raise ApiError(404, "not-found", f"no such job {job_id!r}")
         return handle
 
@@ -413,7 +407,7 @@ class GatewayServer:
         )
 
     def _usage(self, request: "_Handler", tenant: Tenant) -> None:
-        active_jobs, queued_points = self.store.active_load(tenant.tenant_id)
+        active_jobs, queued_points = self.quota.live_load(tenant.tenant_id)
         window_points, _expires = self.store.points_in_window(
             tenant.tenant_id, self.quota.window_seconds
         )

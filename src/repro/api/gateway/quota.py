@@ -14,17 +14,22 @@ A breach raises :class:`QuotaExceeded` carrying ``retry_after`` seconds —
 for the windowed quota that is the honest time until the oldest ledger row
 ages out; for load quotas it is a short poll hint, since the limit clears
 whenever one of the tenant's own jobs finishes.  The router maps it to a
-429 with a ``Retry-After`` header.  Nothing is reserved: the check is
-advisory-read + submit, and the job row written at submit is what the next
-check counts.
+429 with a ``Retry-After`` header.  Live load is read off the scheduler:
+the tenant's unfinished handles and their points.  Nothing is reserved:
+the check is advisory-read + submit, and the submitted handle is what the
+next check counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.api.gateway.store import GatewayStore, Tenant
+from repro.api.gateway.usage import tenant_from_tags
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.api.scheduler import Scheduler
 
 #: The rolling usage window (seconds) behind "points per day".
 DEFAULT_WINDOW_SECONDS = 86400.0
@@ -56,10 +61,12 @@ class QuotaService:
     def __init__(
         self,
         store: GatewayStore,
+        scheduler: "Scheduler",
         defaults: Optional[QuotaDefaults] = None,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
     ) -> None:
         self.store = store
+        self.scheduler = scheduler
         self.defaults = defaults if defaults is not None else QuotaDefaults()
         self.window_seconds = window_seconds
 
@@ -84,6 +91,15 @@ class QuotaService:
             ),
         }
 
+    def live_load(self, tenant_id: str) -> Tuple[int, int]:
+        """``(unfinished jobs, their points)`` the tenant holds right now."""
+        live = [
+            handle
+            for handle in self.scheduler.jobs()
+            if not handle.done and tenant_from_tags(handle.tags) == tenant_id
+        ]
+        return len(live), sum(len(handle.requests) for handle in live)
+
     def check(self, tenant: Tenant, points: int) -> None:
         """Raise :class:`QuotaExceeded` if admitting ``points`` would breach.
 
@@ -91,7 +107,7 @@ class QuotaService:
         touches the journal or the queue.
         """
         limits = self.effective(tenant)
-        active_jobs, queued_points = self.store.active_load(tenant.tenant_id)
+        active_jobs, queued_points = self.live_load(tenant.tenant_id)
 
         limit = limits["max_concurrent_jobs"]
         if limit is not None and active_jobs >= limit:

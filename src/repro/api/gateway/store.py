@@ -1,4 +1,4 @@
-"""The gateway's models layer: tenants, API keys, quotas, usage, ownership.
+"""The gateway's models layer: tenants, API keys, quotas, usage.
 
 :class:`GatewayStore` is one SQLite file (``<state-dir>/gateway.sqlite3``)
 living next to the PR-8 job journal, holding everything the stateless HTTP
@@ -13,9 +13,10 @@ tier needs to remember across restarts:
 * **usage** — one ledger row per finished job: points answered, computed
   vs cache hits, wall seconds, native compile seconds.  The quota layer
   sums the rolling window over this table.
-* **jobs** — the job-ownership index (job id → tenant) plus a coarse
-  state, so routers can answer "is this *your* job?" without touching the
-  scheduler, and the quota layer can count a tenant's live load.
+
+Job ownership and live load are not stored: the scheduler's live handles
+hold them (a handle's ``tenant:`` tag and whether it has finished).  A
+``jobs`` table left by an older gateway is never read.
 
 Durability matches the journal's append-then-fsync discipline: the store
 runs in WAL mode with ``PRAGMA synchronous=FULL``, so every commit fsyncs
@@ -84,18 +85,7 @@ CREATE TABLE IF NOT EXISTS usage (
     outcome                TEXT NOT NULL DEFAULT 'done'
 );
 CREATE INDEX IF NOT EXISTS usage_tenant_time ON usage(tenant_id, recorded);
-CREATE TABLE IF NOT EXISTS jobs (
-    job_id    TEXT PRIMARY KEY,
-    tenant_id TEXT NOT NULL,
-    submitted REAL NOT NULL,
-    points    INTEGER NOT NULL,
-    state     TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant_id, state);
 """
-
-#: Job states the quota layer counts as live load.
-ACTIVE_JOB_STATES = ("queued", "running")
 
 
 @dataclass(frozen=True)
@@ -377,45 +367,10 @@ class GatewayStore:
         return self.get_tenant(matched)
 
     # ------------------------------------------------------------------ #
-    # Job ownership
-    # ------------------------------------------------------------------ #
-    def record_job(
-        self, job_id: str, tenant_id: str, points: int, state: str = "running"
-    ) -> None:
-        """Register (or refresh) the ownership row of one job."""
-        self._write(
-            (
-                "INSERT INTO jobs VALUES (?, ?, ?, ?, ?) "
-                "ON CONFLICT(job_id) DO UPDATE SET tenant_id=excluded.tenant_id, "
-                "points=excluded.points, state=excluded.state",
-                (job_id, tenant_id, time.time(), points, state),
-            )
-        )
-
-    def job_owner(self, job_id: str) -> Optional[str]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT tenant_id FROM jobs WHERE job_id=?", (job_id,)
-            ).fetchone()
-        return row[0] if row else None
-
-    def active_load(self, tenant_id: str) -> Tuple[int, int]:
-        """``(active jobs, queued points)`` the tenant currently holds."""
-        marks = ",".join("?" for _ in ACTIVE_JOB_STATES)
-        with self._lock:
-            row = self._conn.execute(
-                f"SELECT COUNT(*), COALESCE(SUM(points), 0) FROM jobs "
-                f"WHERE tenant_id=? AND state IN ({marks})",
-                (tenant_id, *ACTIVE_JOB_STATES),
-            ).fetchone()
-        return int(row[0]), int(row[1])
-
-    # ------------------------------------------------------------------ #
     # Usage ledger
     # ------------------------------------------------------------------ #
     def record_usage(self, record: UsageRecord) -> None:
-        """Land one finished job's ledger row and its ownership row's
-        terminal state (``record.outcome``) in one commit."""
+        """Land one finished job's ledger row."""
         self._write(
             (
                 "INSERT INTO usage (tenant_id, job_id, recorded, points, computed, "
@@ -432,8 +387,7 @@ class GatewayStore:
                     record.native_compile_seconds,
                     record.outcome,
                 ),
-            ),
-            ("UPDATE jobs SET state=? WHERE job_id=?", (record.outcome, record.job_id)),
+            )
         )
 
     def usage_totals(self, tenant_id: str) -> Dict[str, float]:

@@ -4,26 +4,23 @@
 :class:`~repro.api.jobs.JobEvent` stream clients see and, for every job
 tagged ``tenant:<id>``:
 
-* on ``queued`` — writes the job-ownership row (the routers' owner check
-  and the quota layer's live-load count) and starts a meter;
+* on ``queued`` — starts a meter;
 * on ``point-done`` / ``cache-hit`` — counts computed vs cached points;
 * on a terminal event — closes the meter into one usage-ledger row:
   points answered, computed, cache hits, wall seconds, and the delta of
   the native engine's compile-seconds counter across the job's lifetime
   (best-effort: concurrent jobs share one process-wide counter, so
   overlapping compiles attribute to whichever job's window they land in).
-  The ledger row and the ownership row's terminal state commit together.
 
 Ordering caveat: ``JobHandle._emit`` sets the finished flag *before*
 listeners run, so a caller unblocked by ``result()`` can observe the
 ledger row a beat later — poll when asserting on it.
 
-Listeners fire for the ``queued`` event inside the submitting thread, so
-ownership is durably recorded before ``POST /v1/jobs`` responds.  For jobs
-revived by :func:`repro.api.journal.resume_jobs` (whose ``queued`` events
-pre-date this process), :meth:`UsageService.adopt` scans the scheduler and
-re-attaches ownership — tenancy rides the journaled tags, so it survives
-``kill -9``.
+Ordering rule: attach the listener (build the
+:class:`~repro.api.gateway.http.GatewayServer`) *before*
+:func:`repro.api.journal.resume_jobs`, so each resumed job's ``queued``
+event starts its meter.  Tenancy rides the journaled ``tenant:`` tag, so
+it survives ``kill -9``.
 """
 
 from __future__ import annotations
@@ -100,12 +97,10 @@ class UsageService:
         tenant_id = tenant_from_tags(payload.get("tags"))
         if tenant_id is None:
             return
-        points = int(payload.get("points", 0))
-        self.store.record_job(event.job_id, tenant_id, points, state="queued")
         with self._lock:
             self._meters[event.job_id] = _Meter(
                 tenant_id=tenant_id,
-                points=points,
+                points=int(payload.get("points", 0)),
                 native_seconds_at_start=_native_compile_seconds(),
             )
 
@@ -137,39 +132,3 @@ class UsageService:
                 outcome=event.kind,  # done / failed / cancelled
             )
         )
-
-    # ------------------------------------------------------------------ #
-    # Crash recovery
-    # ------------------------------------------------------------------ #
-    def adopt(self, scheduler) -> int:
-        """Re-attach ownership of jobs already living in ``scheduler``.
-
-        Called once at gateway startup, *after* ``resume_jobs``: resumed
-        jobs were re-submitted before this listener existed, so their
-        ``queued`` events were never observed here.  Tenancy rides the
-        journaled ``tenant:`` tag.  Non-terminal jobs get a fresh meter
-        (wall time restarts — the pre-crash portion is not recoverable).
-
-        Returns the number of jobs adopted.
-        """
-        adopted = 0
-        for handle in scheduler.jobs():
-            tenant_id = tenant_from_tags(handle.tags)
-            if tenant_id is None:
-                continue
-            adopted += 1
-            points = len(handle.requests)
-            if handle.done:
-                self.store.record_job(
-                    handle.job_id, tenant_id, points, state=handle.state
-                )
-                continue
-            self.store.record_job(handle.job_id, tenant_id, points, state="queued")
-            with self._lock:
-                if handle.job_id not in self._meters:
-                    self._meters[handle.job_id] = _Meter(
-                        tenant_id=tenant_id,
-                        points=points,
-                        native_seconds_at_start=_native_compile_seconds(),
-                    )
-        return adopted

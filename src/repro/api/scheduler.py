@@ -290,7 +290,7 @@ class Scheduler:
         # in one call so cross-workload parallelism is preserved; the serial
         # backend runs group-sized rounds — identical work, but cancellation
         # and point-done events land at every group boundary.
-        if getattr(service.backend, "multiplexes_groups", False) and len(groups) > 1:
+        if service.backend.multiplexes_groups and len(groups) > 1:
             rounds = [list(groups.items())]
         else:
             rounds = [[group] for group in groups.items()]

@@ -340,10 +340,8 @@ def _run_server(prog: str, args, open_store=None, **gateway_options) -> int:
             close()
         return 2
     try:
-        # The server (and a keyed server's usage listener) first, resume
-        # second: the resumed jobs' re-queued events then flow through the
-        # listener and re-attach tenant ownership before any client
-        # reconnects.
+        # Server (and a keyed server's usage listener) before resume: a
+        # resumed job's re-queued event then starts its usage meter.
         server = GatewayServer(
             service, store, host=args.host, port=args.port, **gateway_options
         )

@@ -65,10 +65,10 @@ Layer tour, bottom to top:
    remain the behavioural source of truth.
 3. :mod:`repro.engine.ir` — the typed kernel IR: one
    :func:`~repro.engine.ir.build_kernel_ir` tree per policy spec, plus
-   the transforms (``specialize`` / ``strip_stats``) that resolve one
-   feature point into a fully lowered tree.  No config value enters the
-   tree: kernels bind geometry, widths, latencies and sizes from the
-   point's config table (:data:`~repro.engine.state.TABLE_FIELDS`).
+   the ``specialize`` transform that resolves one feature point into a
+   fully lowered tree.  No config value enters the tree: kernels bind
+   geometry, widths, latencies and sizes from the point's config table
+   (:data:`~repro.engine.state.TABLE_FIELDS`).
    :mod:`repro.engine.emit` holds the emitters over it: ``emit.python``
    renders the kernel source, ``emit.c`` the native tier's C units.
 4. :mod:`repro.engine.kernels` — :func:`~repro.engine.kernels.get_kernel`

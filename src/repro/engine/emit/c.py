@@ -5,10 +5,10 @@ not translate the python tree — C has no exceptions, dicts, or lists — it
 builds its *own* statement tree with :func:`build_c_kernel_ir`, mirroring
 :func:`repro.engine.ir.build_kernel_ir` stage by stage, out of the same IR
 node types: the same :class:`~repro.engine.ir.Guard` features in the same
-positions and the same :class:`~repro.engine.ir.Stat` markers — so one
-build per policy spec serves every
+positions, statistics lines included (:func:`~repro.engine.ir.stat`) — so
+one build per policy spec serves every
 :class:`~repro.engine.ir.KernelFeatures` point through the unchanged
-:func:`~repro.engine.ir.lower_kernel` transform pipeline.  Like the python
+:func:`~repro.engine.ir.lower_kernel`.  Like the python
 kernels, a C unit holds no config value: its prologue binds geometry,
 widths, latencies and sizes from the point's config table (the ``table``
 slot), so one compiled unit serves every config.  Its cache arithmetic is
@@ -223,7 +223,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     """The full native measured-pass tree for one policy spec.
 
     Mirrors :func:`repro.engine.ir.build_kernel_ir` stage by stage — same
-    Guard/Stat placement, same config locals bound from the point's config
+    Guard placement, same config locals bound from the point's config
     table — over the C data-structure mappings described in the module
     docstring.  One build serves all 2⁵ feature points.
     """

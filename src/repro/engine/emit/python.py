@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.engine.ir import Block, Guard, Line, Stat, Stmt
+from repro.engine.ir import Block, Guard, Line, Stmt
 
 _INDENT = "    "
 
 
 def render(body: Sequence[Stmt]) -> str:
-    """Render a fully lowered tree (no Guard/Stat nodes) into source text."""
+    """Render a fully lowered tree (no Guard nodes) into source text."""
     out: List[str] = []
     _walk(body, 0, out)
     return "\n".join(out) + "\n"
@@ -28,7 +28,7 @@ def _walk(body: Sequence[Stmt], depth: int, out: List[str]) -> None:
             out.append(_INDENT * depth + stmt.text)
         elif isinstance(stmt, Block):
             _walk(stmt.body, depth + stmt.indent, out)
-        elif isinstance(stmt, (Guard, Stat)):
+        elif isinstance(stmt, Guard):
             raise TypeError(
                 f"unlowered {type(stmt).__name__} node reached the emitter; "
                 "run repro.engine.ir.lower_kernel first"

@@ -14,22 +14,18 @@ statements are literal lines (:class:`Line`) grouped by :class:`Block`
 indentation.  No config value is ever written into a line: geometry,
 widths, latencies and sizes are locals the kernel binds from the point's
 config table (:data:`~repro.engine.state.TABLE_FIELDS`) in its prologue.
-Two node kinds carry the specialization decisions:
-
-* :class:`Guard` — a generation-time conditional on one boolean *feature*
-  (``flush`` / ``icache_resident`` / ``dcache_resident`` / ``btu_elide`` /
-  ``stats``), resolved by :func:`specialize`;
-* :class:`Stat` — statements that exist only in statistics-collecting
-  kernels, resolved by :func:`strip_stats` (warm-up kernels drop them).
+One node kind carries the specialization decisions: :class:`Guard`, a
+generation-time conditional on one boolean *feature* (``flush`` /
+``icache_resident`` / ``dcache_resident`` / ``btu_elide`` / ``stats``),
+resolved by :func:`specialize`.  :func:`stat` builds the common
+``Guard("stats", ...)`` — statements that exist only in
+statistics-collecting kernels (warm-up kernels drop them).
 
 :func:`build_kernel_ir` constructs one tree per policy spec — the tree
-still contains every Guard/Stat variant, so one build serves all 2⁵
-specializations — and :func:`lower_kernel` runs the transform
-pipeline for one :class:`KernelFeatures` point, checking each transform's
-postcondition:
-
-    specialize   →  no Guard nodes remain
-    strip_stats  →  no Stat nodes remain
+still contains every Guard variant, so one build serves all 2⁵
+specializations — and :func:`lower_kernel` runs :func:`specialize` for
+one :class:`KernelFeatures` point and checks its postcondition: no Guard
+nodes remain.
 
 A kernel unit is therefore fixed by its *shape* — the spec plus the
 feature point — and serves every config; the golden snapshots under
@@ -71,13 +67,6 @@ class Block(Stmt):
 
 
 @dataclass(frozen=True)
-class Stat(Stmt):
-    """Statements present only when the kernel collects statistics."""
-
-    body: Tuple[Stmt, ...]
-
-
-@dataclass(frozen=True)
 class Guard(Stmt):
     """A generation-time conditional on one boolean feature."""
 
@@ -98,8 +87,9 @@ def lines(*texts: str) -> List[Stmt]:
     return [Line(text) for text in texts]
 
 
-def stat(*texts: str) -> Stat:
-    return Stat(tuple(lines(*texts)))
+def stat(*texts: str) -> Guard:
+    """Lines present only when the kernel collects statistics."""
+    return Guard("stats", tuple(lines(*texts)))
 
 
 # --------------------------------------------------------------------------- #
@@ -168,33 +158,6 @@ def specialize(body: Sequence[Stmt], features: Dict[str, bool]) -> List[Stmt]:
             out.extend(specialize(arm, features))
         elif isinstance(stmt, Block):
             out.append(Block(tuple(specialize(stmt.body, features)), stmt.indent))
-        elif isinstance(stmt, Stat):
-            out.append(Stat(tuple(specialize(stmt.body, features))))
-        else:
-            out.append(stmt)
-    return out
-
-
-def strip_stats(body: Sequence[Stmt], collect_stats: bool) -> List[Stmt]:
-    """Unwrap (or drop) every :class:`Stat` marker.
-
-    Postcondition: :func:`has_stats` of the result is False.
-    """
-    out: List[Stmt] = []
-    for stmt in body:
-        if isinstance(stmt, Stat):
-            if collect_stats:
-                out.extend(strip_stats(stmt.body, collect_stats))
-        elif isinstance(stmt, Block):
-            out.append(Block(tuple(strip_stats(stmt.body, collect_stats)), stmt.indent))
-        elif isinstance(stmt, Guard):
-            out.append(
-                Guard(
-                    stmt.feature,
-                    tuple(strip_stats(stmt.then, collect_stats)),
-                    tuple(strip_stats(stmt.orelse, collect_stats)),
-                )
-            )
         else:
             out.append(stmt)
     return out
@@ -213,34 +176,16 @@ def guard_features(body: Sequence[Stmt]) -> List[str]:
             found.extend(guard_features(stmt.orelse))
         elif isinstance(stmt, Block):
             found.extend(guard_features(stmt.body))
-        elif isinstance(stmt, Stat):
-            found.extend(guard_features(stmt.body))
     return found
 
 
-def has_stats(body: Sequence[Stmt]) -> bool:
-    for stmt in body:
-        if isinstance(stmt, Stat):
-            return True
-        if isinstance(stmt, Block) and has_stats(stmt.body):
-            return True
-        if isinstance(stmt, Guard) and (
-            has_stats(stmt.then) or has_stats(stmt.orelse)
-        ):
-            return True
-    return False
-
-
 def lower_kernel(body: Sequence[Stmt], features: KernelFeatures) -> List[Stmt]:
-    """Run the full transform pipeline for one specialization point."""
+    """Resolve every Guard for one specialization point."""
     specialized = specialize(body, features.as_mapping())
     remaining = guard_features(specialized)
     if remaining:  # pragma: no cover - transform invariant
         raise RuntimeError(f"specialize left guards behind: {remaining}")
-    stripped = strip_stats(specialized, features.stats)
-    if has_stats(stripped):  # pragma: no cover - transform invariant
-        raise RuntimeError("strip_stats left Stat nodes behind")
-    return stripped
+    return specialized
 
 
 # --------------------------------------------------------------------------- #
@@ -263,7 +208,7 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     widths, latencies and sizes are not: the kernel binds them to locals
     from the point's config table (:data:`~repro.engine.state.TABLE_FIELDS`)
     in its prologue, so one kernel serves every config.  The five boolean
-    axes stay in the tree as Guard/Stat variants, so one build serves
+    axes stay in the tree as Guard variants, so one build serves
     every :class:`KernelFeatures` point.
     """
     cassandra = spec.kind == "cassandra"

@@ -10,13 +10,15 @@ direct :class:`SimulationService` run.
 
 import http.client
 import json
+import os
 import socket
+import sqlite3
 import time
 
 import pytest
 
 from repro.api import ScenarioMatrix, SimulationRequest, SimulationService
-from repro.api.gateway import GatewayServer, GatewayStore
+from repro.api.gateway import GatewayServer, GatewayStore, QuotaDefaults
 from repro.api.results import ResultSet
 from repro.cli import gateway_main, serve_main
 from repro.testing import Fault, FaultPlan, activate
@@ -320,6 +322,42 @@ def test_points_per_day_quota_429_with_retry_after(gateway, tenant_key):
     assert "window" in body["message"]
     # The 2 ledger points age out a usage-window from now.
     assert int(headers["Retry-After"]) >= 1
+
+
+def test_stale_job_row_in_an_old_store_holds_no_quota_slot(tmp_path):
+    """An older gateway kept a ``jobs`` table of owner and state in its
+    store.  A row left ``queued`` for a job no scheduler holds (its ledger
+    write failed, or the gateway died before that commit) must not count as
+    live load: a restarted gateway admits the tenant's next job."""
+    state_dir = str(tmp_path)
+    with GatewayStore(state_dir) as store:
+        tenant = store.create_tenant("acme")
+        key, _meta = store.issue_key(tenant.tenant_id)
+    with sqlite3.connect(os.path.join(state_dir, "gateway.sqlite3")) as conn:
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS jobs (job_id TEXT PRIMARY KEY, "
+            "tenant_id TEXT NOT NULL, submitted REAL NOT NULL, "
+            "points INTEGER NOT NULL, state TEXT NOT NULL)"
+        )
+        conn.execute(
+            "INSERT INTO jobs VALUES ('job-7', ?, 0.0, 2, 'queued')",
+            (tenant.tenant_id,),
+        )
+    service = SimulationService(names=[WORKLOAD], jobs=1, backend="serial")
+    store = GatewayStore(state_dir)
+    server = GatewayServer(
+        service, store, port=0, defaults=QuotaDefaults(max_concurrent_jobs=1)
+    ).start()
+    try:
+        job = submit_matrix(server, key)
+        status, _h, _wire = call(
+            server, "GET", f"/v1/jobs/{job}/result?wait=120", key=key
+        )
+        assert status == 200
+    finally:
+        server.close()
+        service.close()
+        store.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -69,24 +69,8 @@ def test_keys_are_stored_hashed(store, tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Job ownership and the usage ledger
+# The usage ledger
 # --------------------------------------------------------------------------- #
-def test_job_ownership_and_active_load(store):
-    tenant = store.create_tenant("acme")
-    other = store.create_tenant("rival")
-    store.record_job("job-1", tenant.tenant_id, points=3, state="queued")
-    store.record_job("job-2", tenant.tenant_id, points=2, state="running")
-    store.record_job("job-3", other.tenant_id, points=9, state="running")
-
-    assert store.job_owner("job-1") == tenant.tenant_id
-    assert store.job_owner("job-9") is None
-    assert store.active_load(tenant.tenant_id) == (2, 5)
-
-    # The ledger row commits the job's terminal state with it.
-    store.record_usage(UsageRecord(tenant.tenant_id, "job-1", 1.0, 3, 2, 1, 0.5))
-    assert store.active_load(tenant.tenant_id) == (1, 2)
-
-
 def test_usage_totals_and_window(store):
     tenant = store.create_tenant("acme")
     now = 1_000_000.0
@@ -132,14 +116,16 @@ def test_reopen_sees_every_acknowledged_write(tmp_path):
         assert first._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
         tenant = first.create_tenant("acme", points_per_day=50)
         plaintext, key = first.issue_key(tenant.tenant_id, label="dev")
-        first.record_job("job-1", tenant.tenant_id, points=2, state="running")
+        tenant = first.set_quotas(
+            tenant.tenant_id, max_concurrent_jobs=2, points_per_day=50
+        )
         first.record_usage(
             UsageRecord(tenant.tenant_id, "job-0", 123.0, 1, 1, 0, 0.5)
         )
 
     with GatewayStore(str(tmp_path)) as second:
         assert second.lookup_key(plaintext) == tenant
-        assert second.job_owner("job-1") == tenant.tenant_id
+        assert second.get_tenant(tenant.tenant_id).max_concurrent_jobs == 2
         assert second.usage_totals(tenant.tenant_id)["jobs"] == 1
         assert [k.key_id for k in second.list_keys()] == [key.key_id]
 

@@ -259,7 +259,7 @@ def test_seq_and_job_ids_stay_monotonic_across_restart(tmp_path):
 def test_ids_and_seqs_survive_two_reopens_without_jobs(tmp_path):
     """Compaction drops every finished job's records; the reopen after it
     must still not reissue their ids or seqs (a reissued ``job-1`` would
-    take over the old job's gateway ownership row)."""
+    answer a client still holding the old job's id)."""
     journal = JobJournal(str(tmp_path))
     service = make_service(journal=journal)
     handle = service.submit(MATRIX)

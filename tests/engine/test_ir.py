@@ -18,12 +18,10 @@ from repro.engine.ir import (
     L,
     build_kernel_ir,
     guard_features,
-    has_stats,
     lines,
     lower_kernel,
     specialize,
     stat,
-    strip_stats,
 )
 from repro.uarch.defenses.base import EnginePolicySpec
 
@@ -80,28 +78,32 @@ def test_specialize_splices_selected_arms_and_removes_guards():
     features = {name: False for name in FEATURES}
     off = specialize(_guarded_tree(), features)
     assert guard_features(off) == []
-    assert render(strip_stats(off, True)) == "start\nno_flush()\n"
+    assert render(off) == "start\nno_flush()\n"
 
     on = specialize(_guarded_tree(), dict(features, flush=True, stats=True))
     assert guard_features(on) == []
-    assert render(strip_stats(on, True)) == "start\nflush_check()\n    n += 1\n"
+    assert render(on) == "start\nflush_check()\n    n += 1\n"
 
 
-def test_strip_stats_unwraps_or_drops():
+def test_specialize_keeps_or_drops_stat_lines():
+    """``stat`` lines are a ``stats`` Guard: kept when the kernel collects
+    statistics, dropped otherwise."""
     body = [L("work()"), stat("counter += 1")]
-    assert has_stats(body)
-    kept = strip_stats(body, True)
-    assert not has_stats(kept)
+    assert stat("counter += 1") == Guard("stats", then=(L("counter += 1"),))
+    assert guard_features(body) == ["stats"]
+    features = {name: False for name in FEATURES}
+    kept = specialize(body, dict(features, stats=True))
+    assert guard_features(kept) == []
     assert render(kept) == "work()\ncounter += 1\n"
-    dropped = strip_stats(body, False)
-    assert not has_stats(dropped)
+    dropped = specialize(body, features)
+    assert guard_features(dropped) == []
     assert render(dropped) == "work()\n"
 
 
 def test_emitter_refuses_unlowered_nodes():
     with pytest.raises(TypeError, match="unlowered Guard"):
         render([Guard("flush", then=(L("x"),))])
-    with pytest.raises(TypeError, match="unlowered Stat"):
+    with pytest.raises(TypeError, match="unlowered Guard"):
         render([stat("n += 1")])
 
 
@@ -109,7 +111,6 @@ def test_lower_kernel_output_is_fully_resolved():
     features = KernelFeatures.derive(CASSANDRA, flush_active=False, btu_elide=True)
     lowered = lower_kernel(build_kernel_ir(CASSANDRA), features)
     assert guard_features(lowered) == []
-    assert not has_stats(lowered)
     # The result is genuinely renderable and compilable.
     compile(render(lowered), "<ir-test>", "exec")
 
@@ -128,9 +129,9 @@ def test_build_kernel_ir_depends_on_the_spec_alone():
 
 def test_lower_kernel_does_not_mutate_the_cached_tree():
     tree = build_kernel_ir(CASSANDRA)
-    before = render(strip_stats(specialize(tree, KernelFeatures.derive(
-        CASSANDRA, flush_active=False).as_mapping()), True))
+    before = render(specialize(tree, KernelFeatures.derive(
+        CASSANDRA, flush_active=False).as_mapping()))
     lower_kernel(tree, KernelFeatures.derive(CASSANDRA, flush_active=True))
-    after = render(strip_stats(specialize(tree, KernelFeatures.derive(
-        CASSANDRA, flush_active=False).as_mapping()), True))
+    after = render(specialize(tree, KernelFeatures.derive(
+        CASSANDRA, flush_active=False).as_mapping()))
     assert before == after
