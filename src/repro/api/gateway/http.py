@@ -186,6 +186,7 @@ class GatewayServer:
         self._httpd = _Listener((host, port), handler)
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
+        self._serving = False
         self._closed = False
         _close_sockets_after_fork(self._httpd)
 
@@ -195,6 +196,7 @@ class GatewayServer:
 
     def start(self) -> "GatewayServer":
         """Serve on a daemon thread (the embeddable/test entry)."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.1},
@@ -206,6 +208,7 @@ class GatewayServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI entry)."""
+        self._serving = True
         self._httpd.serve_forever(poll_interval=0.1)
 
     def close(self) -> None:
@@ -213,7 +216,10 @@ class GatewayServer:
         if self._closed:
             return
         self._closed = True
-        self._httpd.shutdown()
+        if self._serving:
+            # Waits for the serve loop to exit; one that never began would
+            # never signal it.
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -403,6 +409,9 @@ class GatewayServer:
                     service.journal.path if service.journal is not None else None
                 ),
                 "store": self.store.path if keyed else None,
+                "usage_ledger_failures": (
+                    self.usage.ledger_failures if keyed else None
+                ),
             },
         )
 

@@ -16,6 +16,10 @@ Ordering caveat: ``JobHandle._emit`` sets the finished flag *before*
 listeners run, so a caller unblocked by ``result()`` can observe the
 ledger row a beat later — poll when asserting on it.
 
+A ledger write that fails loses that job's row; the job itself is
+unaffected.  Each loss is logged once and counted in
+:attr:`UsageService.ledger_failures`, which ``/healthz`` reports.
+
 Ordering rule: attach the listener (build the
 :class:`~repro.api.gateway.http.GatewayServer`) *before*
 :func:`repro.api.journal.resume_jobs`, so each resumed job's ``queued``
@@ -25,6 +29,7 @@ it survives ``kill -9``.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,6 +37,8 @@ from typing import Dict, Optional
 
 from repro.api.gateway.store import GatewayStore, UsageRecord
 from repro.api.jobs import JobEvent
+
+logger = logging.getLogger(__name__)
 
 #: The scheduler tag carrying ownership; everything after the colon is the
 #: tenant id.  User-supplied tags with this prefix are stripped at submit.
@@ -76,12 +83,15 @@ class UsageService:
         self.store = store
         self._lock = threading.Lock()
         self._meters: Dict[str, _Meter] = {}
+        #: Ledger rows lost to a failed store write since start.
+        self.ledger_failures = 0
 
     # ------------------------------------------------------------------ #
     # Scheduler listener
     # ------------------------------------------------------------------ #
     def on_event(self, event: JobEvent) -> None:
-        """The scheduler listener.  Exceptions are swallowed by the
+        """The scheduler listener.  A failed ledger write is counted in
+        :attr:`ledger_failures`; any other exception is swallowed by the
         emitting :class:`JobHandle` (a broken store must not kill jobs)."""
         if event.kind == "queued":
             self._on_queued(event)
@@ -117,18 +127,25 @@ class UsageService:
             meter = self._meters.pop(event.job_id, None)
         if meter is None:
             return
-        self.store.record_usage(
-            UsageRecord(
-                tenant_id=meter.tenant_id,
-                job_id=event.job_id,
-                recorded=time.time(),
-                points=meter.points,
-                computed=meter.computed,
-                cache_hits=meter.cache_hits,
-                wall_seconds=max(0.0, time.monotonic() - meter.started),
-                native_compile_seconds=max(
-                    0.0, _native_compile_seconds() - meter.native_seconds_at_start
-                ),
-                outcome=event.kind,  # done / failed / cancelled
-            )
+        record = UsageRecord(
+            tenant_id=meter.tenant_id,
+            job_id=event.job_id,
+            recorded=time.time(),
+            points=meter.points,
+            computed=meter.computed,
+            cache_hits=meter.cache_hits,
+            wall_seconds=max(0.0, time.monotonic() - meter.started),
+            native_compile_seconds=max(
+                0.0, _native_compile_seconds() - meter.native_seconds_at_start
+            ),
+            outcome=event.kind,  # done / failed / cancelled
         )
+        try:
+            self.store.record_usage(record)
+        except Exception as exc:  # noqa: BLE001 - counted and logged, not raised
+            with self._lock:
+                self.ledger_failures += 1
+            logger.warning(
+                "usage ledger: lost the row of tenant %s job %s: %s",
+                meter.tenant_id, event.job_id, exc,
+            )

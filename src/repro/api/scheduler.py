@@ -272,9 +272,12 @@ class Scheduler:
         resolved: Dict[SimulationRequest, object] = {}
         computed = cache_hits = 0
         groups: Dict[str, List[SimulationRequest]] = {}
+        # Each request is digested once: the probe and the put share it.
+        digests: Dict[SimulationRequest, str] = {}
         for request in requests:
             artifact = artifacts[request.workload.name]
-            cached = artifact.cached_simulation(request)
+            digest = digests[request] = artifact.simulation_digest(request)
+            cached = artifact.cache.get("simulation", artifact.name, digest)
             if cached is not None:
                 resolved[request] = cached
                 cache_hits += 1
@@ -316,7 +319,7 @@ class Scheduler:
                     artifact.cache.put_many(
                         "simulation",
                         name,
-                        [(artifact.simulation_digest(r), resolved[r]) for r in group],
+                        [(digests[r], resolved[r]) for r in group],
                     )
                 for request in round_requests:
                     result = resolved[request]

@@ -275,13 +275,16 @@ def get_kernel(
 
 
 def clear_kernel_cache() -> None:
-    """Drop every compiled kernel, python and native.
+    """Drop every compiled kernel, python and native, and every trace's
+    kept batch setup.
 
     Chains the native tier's kernel memo so bench per-repetition compile
     timing measures the whole pipeline (IR build → transforms → emit →
     compile or load) in both tiers, not a memo hit.
     """
     _KERNEL_CACHE.clear()
+    from repro.engine.batch import clear_trace_setups
     from repro.engine.native import clear_native_memo
 
     clear_native_memo()
+    clear_trace_setups()

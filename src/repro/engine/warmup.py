@@ -32,14 +32,18 @@ fields (:data:`KEY_FIELDS`).  :class:`WarmStateBuilder` computes each
 those fields*, in a :class:`WarmStore` shared by every config of one batch,
 and restores it into any number of per-point unit instances: a sweep that
 varies only ROB size, widths and latencies replays each component once, not
-once per config.  The only warm-up that cannot be shared is a BTU whose
-periodic flush interval is active — flush points are cycle-triggered, so
-those points run private full warm-up passes on the kernels instead (see
-:mod:`repro.engine.batch`).
+once per config.  The store's flat snapshots and proofs outlive the batch
+(:mod:`repro.engine.batch` keeps them per trace), so a later batch over the
+same trace restores them without walking it again.  The only warm-up that
+cannot be shared is a BTU whose periodic flush interval is active — flush
+points are cycle-triggered, so those points run private full warm-up passes
+on the kernels instead (see :mod:`repro.engine.batch`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.hints import HintTable
@@ -77,19 +81,43 @@ KEY_FIELDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+#: The most entries one table of a :class:`WarmStore` holds; past it the
+#: least recently used entry is dropped (and rebuilt if asked for again).
+#: The 144-config sweep grid reads at most 12 distinct flat snapshots and
+#: proofs per trace, so a long-lived server sweeping it keeps them all.
+RETAINED_WARM_ENTRIES = 64
+
+#: Guards every store table: the ``entries`` a trace keeps are shared by
+#: the batches of every thread that simulates it.  Held for dict operations
+#: only, never across a walk.
+_ENTRIES_LOCK = threading.Lock()
+
+
 class WarmStore:
     """The warm state one batch shares across its configs.
 
-    Holds the trace's event rows and every component snapshot and proof any
-    :class:`WarmStateBuilder` over it computed, keyed on the
-    :data:`KEY_FIELDS` values of the builder's config.  It lives as long as
-    the batch that made it; nothing is cached across batches.
+    Every component snapshot and proof any :class:`WarmStateBuilder` over it
+    computed is keyed on the :data:`KEY_FIELDS` values of the builder's
+    config.  The flat snapshots and proofs go to ``entries``, which the
+    caller may pass in to share it across batches over the same trace (at
+    most :data:`RETAINED_WARM_ENTRIES` of them, least recently used dropped
+    first).  What grows with the trace's length, the event rows and the
+    object-form snapshots the flat ones derive from, lives only as long as
+    this store.
     """
 
-    def __init__(self, trace: LoweredTrace, hint_table: Optional[HintTable] = None) -> None:
+    def __init__(
+        self,
+        trace: LoweredTrace,
+        hint_table: Optional[HintTable] = None,
+        entries: Optional["OrderedDict[tuple, object]"] = None,
+    ) -> None:
         self.trace = trace
         self.hint_table = hint_table
-        self.entries: Dict[tuple, object] = {}
+        self.entries: "OrderedDict[tuple, object]" = (
+            entries if entries is not None else OrderedDict()
+        )
+        self.objects: "OrderedDict[tuple, object]" = OrderedDict()
         self._rows: Optional[Tuple[bytearray, list, list]] = None
 
     def rows(self) -> Tuple[bytearray, List[Tuple[int, int, int, bool, bool]], List[Tuple[bool, int]]]:
@@ -142,19 +170,29 @@ class WarmStateBuilder:
         self.component_walks = 0
         self._field_values: Dict[str, tuple] = {}
 
-    def _shared(self, name: str, compute: Callable[[], object], *detail) -> object:
+    def _shared(
+        self, name: str, compute: Callable[[], object], *detail, retain: bool = True
+    ) -> object:
         """``compute()``, run once per store for ``detail`` and this config's
-        values of the :data:`KEY_FIELDS` of ``name``."""
+        values of the :data:`KEY_FIELDS` of ``name``; kept in the store's
+        ``entries`` when ``retain``, else in its batch-local ``objects``."""
         values = self._field_values.get(name)
         if values is None:
             config = self.config
             values = tuple(getattr(config, field) for field in KEY_FIELDS[name])
             self._field_values[name] = values
         key = (name, *detail, values)
-        entries = self.store.entries
-        if key not in entries:
-            entries[key] = compute()
-        return entries[key]
+        table = self.store.entries if retain else self.store.objects
+        with _ENTRIES_LOCK:
+            if key in table:
+                table.move_to_end(key)
+                return table[key]
+        value = compute()
+        with _ENTRIES_LOCK:
+            value = table.setdefault(key, value)
+            while len(table) > RETAINED_WARM_ENTRIES:
+                table.popitem(last=False)
+        return value
 
     # ------------------------------------------------------------------ #
     # Component snapshots
@@ -170,7 +208,7 @@ class WarmStateBuilder:
                     fetch(pc)
             return unit.snapshot_state()
 
-        return self._shared("icache", compute, "seq", passes)
+        return self._shared("icache", compute, "seq", passes, retain=False)
 
     def _dcache_state(self, passes: int):
         def compute():
@@ -187,7 +225,7 @@ class WarmStateBuilder:
                         store(addr)
             return unit.snapshot_state()
 
-        return self._shared("dcache", compute, "seq", passes)
+        return self._shared("dcache", compute, "seq", passes, retain=False)
 
     def _bpu_state(self, cls: str, passes: int):
         def compute():
@@ -204,7 +242,7 @@ class WarmStateBuilder:
                     update(bc, pc, npc, taken, predict(bc, pc, npc))
             return unit.snapshot_state()
 
-        return self._shared("bpu", compute, cls, passes)
+        return self._shared("bpu", compute, cls, passes, retain=False)
 
     def _btu_state(self, passes: int):
         def compute():
@@ -233,7 +271,7 @@ class WarmStateBuilder:
                         unit.lookup(pc)
             return unit.snapshot_state()
 
-        return self._shared("btu", compute, "replay", passes)
+        return self._shared("btu", compute, "replay", passes, retain=False)
 
     # ------------------------------------------------------------------ #
     # Flat conversions (the generated-kernel path)

@@ -113,8 +113,8 @@ class WorkloadArtifacts:
     re-executes the kernel, at most once per artifact.
 
     No simulation result is kept here: ``cache`` is their one memo.  The
-    scheduler probes it (:meth:`cached_simulation`) and persists into it
-    what a backend computed through :meth:`simulate_batch`.
+    scheduler probes it under :meth:`simulation_digest` and persists into
+    it what a backend computed through :meth:`simulate_batch`.
     """
 
     name: str
@@ -137,10 +137,11 @@ class WorkloadArtifacts:
     ) -> SimulationResult:
         """One design point: its cached result, or computed and persisted."""
         point = DesignPoint(design, config, btu_flush_interval, warmup_passes)
-        result = self.cached_simulation(point)
+        digest = self.simulation_digest(point)
+        result = self.cache.get("simulation", self.name, digest)
         if result is None:
             [result] = self.simulate_batch([point])
-            self.cache.put("simulation", self.name, self.simulation_digest(point), result)
+            self.cache.put("simulation", self.name, digest, result)
         return result
 
     def simulation_digest(self, point: Point) -> str:
@@ -148,10 +149,6 @@ class WorkloadArtifacts:
         from repro.pipeline.hashing import stable_digest
 
         return stable_digest(self.content_digest, point.key())
-
-    def cached_simulation(self, point: Point) -> Optional[SimulationResult]:
-        """The cached result of ``point`` (memo or disk), or ``None``."""
-        return self.cache.get("simulation", self.name, self.simulation_digest(point))
 
     def recorded_result(self) -> ExecutionResult:
         """``result`` with its lowered trace and on-demand records,

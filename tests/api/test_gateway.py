@@ -10,9 +10,11 @@ direct :class:`SimulationService` run.
 
 import http.client
 import json
+import logging
 import os
 import socket
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -125,6 +127,7 @@ def test_healthz_is_unauthenticated_and_reports_scheduler(gateway):
     assert body["store"].endswith("gateway.sqlite3")
     assert body["scheduler"]["paused"] is False
     assert "queue_depth" in body["scheduler"]
+    assert isinstance(body["usage_ledger_failures"], int)
     # Artifact-cache counters ride along (null here: the disk cache is off).
     assert "artifact_cache" in body
 
@@ -416,6 +419,49 @@ def test_gateway_request_crash_fault_is_a_typed_500(gateway, tenant_key):
     # The gateway survives: the next request routes normally.
     status, _h, _body = call(gateway, "GET", "/v1/workloads", key=key)
     assert status == 200
+
+
+def test_a_failed_ledger_write_is_counted_and_logged(gateway, tenant_key, caplog):
+    """The job's ledger row is lost when its store write fails; the loss
+    shows in ``/healthz`` and in one log line instead of vanishing."""
+    tenant, key = tenant_key
+    before = call(gateway, "GET", "/healthz")[2]["usage_ledger_failures"]
+    plan = FaultPlan.scripted(Fault("store-write", 0, "crash"))
+    with caplog.at_level(logging.WARNING, logger="repro.api.gateway.usage"):
+        with activate(plan) as active:
+            job = submit_matrix(gateway, key)
+            status, _h, _wire = call(
+                gateway, "GET", f"/v1/jobs/{job}/result?wait=120", key=key
+            )
+            assert status == 200
+            # The listener runs a beat after result() unblocks: poll.
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                health = call(gateway, "GET", "/healthz")[2]
+                if health["usage_ledger_failures"] > before:
+                    break
+                time.sleep(0.02)
+            assert [fault.site for fault in active.fired] == ["store-write"]
+    assert health["usage_ledger_failures"] == before + 1
+    assert gateway.store.usage_totals(tenant.tenant_id)["jobs"] == 0
+    lost = [r for r in caplog.records if job in r.getMessage()]
+    assert len(lost) == 1 and tenant.tenant_id in lost[0].getMessage()
+
+
+def test_close_without_a_serve_loop_returns():
+    """``close()`` on a server whose loop never ran (neither ``start()`` nor
+    ``serve_forever()``) releases the port instead of waiting forever."""
+    service = SimulationService(names=[WORKLOAD], jobs=1, backend="serial")
+    server = GatewayServer(service, port=0)
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10)
+    try:
+        assert not closer.is_alive(), "close() hung"
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((server.host, server.port), timeout=5).close()
+    finally:
+        service.close()
 
 
 # --------------------------------------------------------------------------- #

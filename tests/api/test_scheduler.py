@@ -339,11 +339,18 @@ def test_a_serial_job_probes_each_point_once_and_commits_once_per_group(
     tmp_path, monkeypatch
 ):
     """N fresh points over two workloads: exactly N ``simulation`` probes
-    through ``ArtifactCache.get`` and one ``put_many`` per workload group."""
+    through ``ArtifactCache.get``, one ``put_many`` per workload group, and
+    one digest per point, shared by its probe and its put."""
+    from repro.experiments.runner import WorkloadArtifacts
     from repro.pipeline import ArtifactCache
 
-    probes, commits = [], []
+    probes, commits, digested, stored = [], [], [], []
     original_get, original_put_many = ArtifactCache.get, ArtifactCache.put_many
+    original_digest = WorkloadArtifacts.simulation_digest
+
+    def counting_digest(self, point):
+        digested.append(point)
+        return original_digest(self, point)
 
     def counting_get(self, kind, name, digest):
         if kind == "simulation":
@@ -354,10 +361,12 @@ def test_a_serial_job_probes_each_point_once_and_commits_once_per_group(
         entries = list(entries)
         if kind == "simulation":
             commits.append((name, len(entries)))
+            stored.extend(digest for digest, _result in entries)
         return original_put_many(self, kind, name, entries)
 
     monkeypatch.setattr(ArtifactCache, "get", counting_get)
     monkeypatch.setattr(ArtifactCache, "put_many", counting_put_many)
+    monkeypatch.setattr(WorkloadArtifacts, "simulation_digest", counting_digest)
     service = make_service(
         names=[WORKLOAD, SECOND_WORKLOAD], cache=ArtifactCache(root=str(tmp_path))
     )
@@ -365,6 +374,8 @@ def test_a_serial_job_probes_each_point_once_and_commits_once_per_group(
     assert len(answer) == 6
     assert len(probes) == len(set(probes)) == 6
     assert sorted(commits) == sorted([(WORKLOAD, 3), (SECOND_WORKLOAD, 3)])
+    assert len(digested) == 6
+    assert sorted(stored) == sorted(probes)
     service.close()
 
 

@@ -243,14 +243,16 @@ def test_native_kernel_memo_and_artifact_cache(tmp_path, monkeypatch):
 
 
 def test_clear_kernel_cache_chains_every_layer():
-    from repro.engine import kernels
+    from repro.engine import batch, kernels
 
     get_kernel(SPECS["unsafe"], flush_active=False)
     native._KERNEL_MEMO[("sentinel",)] = None
+    batch._TRACE_SETUPS[0] = batch._TraceSetup(None)
     assert kernels._KERNEL_CACHE
     clear_kernel_cache()
     assert not kernels._KERNEL_CACHE
     assert not native._KERNEL_MEMO
+    assert not batch._TRACE_SETUPS
 
 
 # --------------------------------------------------------------------------- #

@@ -379,6 +379,8 @@ def _assert_batch_matches_single_points(artifact, points):
         artifact.result, artifact.bundle, points, batch_stats=batch_stats
     )
     for point, simulation in zip(points, batched):
+        # Forget the trace's kept setup: each single point builds its own.
+        batch_module.clear_trace_setups()
         alone = simulate_batch(artifact.result, artifact.bundle, [point])[0]
         assert simulation.as_dict() == alone.as_dict(), (
             point.policy.name,

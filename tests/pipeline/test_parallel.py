@@ -57,7 +57,10 @@ def test_simulate_points_parallel_matches_serial():
 
     # simulate_points only computes: nothing landed in the artifact cache.
     by_name = {artifact.name: artifact for artifact in par_artifacts}
-    assert all(by_name[r.workload.name].cached_simulation(r) is None for r in points)
+    for r in points:
+        artifact = by_name[r.workload.name]
+        digest = artifact.simulation_digest(r)
+        assert artifact.cache.get("simulation", artifact.name, digest) is None
     # The non-default config got its own, slower result (stale-cache fix).
     assert parallel[4].config == SMALL_CORE
     assert parallel[4].cycles > parallel[0].cycles
