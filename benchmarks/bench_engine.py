@@ -19,19 +19,20 @@ A third timed phase, **service**, answers "what does the declarative
 :class:`~repro.api.service.SimulationService` with the serial backend
 (a fresh memory-only artifact cache per repetition, kernels active).
 Since the job redesign, ``service.run`` *is* a scheduler job, so this
-phase already pays the submit → dispatch → result round trip.  The
-difference against the direct ``simulate_batch`` kernel phase is reported as
-``service_overhead_seconds`` / ``service_overhead_pct`` and can be gated
-with ``--max-service-overhead-pct`` (the CI bound asserts the facade adds
-under 2%).
+phase already pays the submit → dispatch → result round trip.  Its
+difference against the direct ``simulate_batch`` kernel phase of the same
+repetition — the median over repetitions, summed over workloads — is
+reported as ``service_overhead_seconds`` / ``service_overhead_pct`` and can
+be gated with ``--max-service-overhead-pct`` (the CI bound asserts the
+facade adds under 2%).
 
 A fourth phase, **scheduler**, prices the full job machinery end to end:
 ``service.submit(...)`` with a live ``events()`` consumer draining every
 typed :class:`~repro.api.jobs.JobEvent` (queued / prepared / per-point /
-done) before ``result()``.  Its delta over the same direct kernel phase is
-``scheduler_overhead_seconds`` / ``scheduler_overhead_pct``, gated with
-``--max-scheduler-overhead-pct`` (CI: 2%) — streaming progress must stay
-effectively free.
+done) before ``result()``.  Its paired delta over the same direct kernel
+phase, taken the same way, is ``scheduler_overhead_seconds`` /
+``scheduler_overhead_pct``, gated with ``--max-scheduler-overhead-pct``
+(CI: 2%) — streaming progress must stay effectively free.
 
 A fifth phase, **native**, times the same quick-suite point set under
 ``REPRO_ENGINE_TIER=native``: the generated C kernels compiled through the
@@ -53,10 +54,11 @@ untimed.  The columnar lowering — byte-identical shared input for every
 batch phase — is timed once per workload and reported as
 ``lowering_seconds`` instead of being charged to any of them; kernel
 compilation happens during the (untimed) parity pass and is a
-process-constant cost (``compile_count`` kernels).  Every phase takes the
-best of ``--repeat`` cold repetitions (each repetition rebuilds warm state
-and re-simulates every point; only the lowering memo persists), so every
-reported ratio compares like quantities.
+process-constant cost (``compile_count`` kernels).  Every phase runs
+``--repeat`` cold repetitions (each repetition rebuilds warm state and
+re-simulates every point; only the lowering memo persists), in an order
+reversed every other repetition; the reported walls and ratios take each
+phase's best, the overheads the paired medians above.
 
 The script verifies bit-for-bit parity of every batch path against the
 legacy reference loop on every point and **exits non-zero on any
@@ -71,6 +73,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -86,7 +89,7 @@ from repro.pipeline.artifacts import ArtifactCache
 from repro.uarch.core import CoreModel
 
 #: Schema of the report (and of trajectory entries).  Bump on layout change.
-BENCH_SCHEMA_VERSION = 8
+BENCH_SCHEMA_VERSION = 9
 
 ALL_DESIGNS = tuple(DESIGN_BUILDERS)
 
@@ -317,6 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     per_workload = []
     legacy_total = kernel_total = lowering_total = 0.0
     service_total = scheduler_total = native_total = 0.0
+    service_extra_total = scheduler_extra_total = 0.0
     for artifact in artifacts:
         # The lowering is byte-identical shared input for every batch path:
         # timed once, then left memoized for the phase timings below.
@@ -333,9 +337,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         # The kernel, service, and scheduler phases are interleaved within
         # each repetition: the service/scheduler overheads are small
-        # differences between large timings, so the pair being compared
-        # must see the same machine conditions — separate back-to-back
-        # phase loops made the 2% gates hostage to scheduler/thermal noise.
+        # differences between large timings, so each is gated on the
+        # median over repetitions of its paired difference against the
+        # same repetition's kernel phase (a difference of two minima let
+        # one fast kernel run fail both gates), and the phase order is
+        # reversed every other repetition so neither side of a pair always
+        # runs first.
         # The artifact's cache is the simulation results' one memo: it is
         # replaced by a fresh memory-only one before each service and
         # scheduler phase, so no phase is a cache hit (and a --cache-dir
@@ -343,43 +350,47 @@ def main(argv: Optional[List[str]] = None) -> int:
         # also starts without the trace's kept batch setup, so every phase
         # rebuilds its warm state and plans, as one batch alone would.
         saved_cache = artifact.cache
-        kernel_seconds = inner_kernel = None
-        native_seconds = inner_native = None
-        service_runs = []
-        scheduler_runs = []
+        walls: Dict[str, List[float]] = {
+            "kernel": [], "native": [], "service": [], "scheduler": []
+        }
+        stats_of: Dict[str, List[BatchStats]] = {"kernel": [], "native": []}
+
+        def batch_phase(name: str, tier: str, cache_dir: Optional[str]) -> None:
+            batch_stats = BatchStats()
+            walls[name].append(
+                _timed(lambda: run_batch(artifact, tier, batch_stats, cache_dir))
+            )
+            stats_of[name].append(batch_stats)
+
+        def job_phase(name: str, run) -> None:
+            artifact.cache = ArtifactCache(root=None)
+            walls[name].append(_timed(lambda: run(service, artifact)))
+
+        phases = [lambda: batch_phase("kernel", "python", None)]
+        if native_ok:
+            # Adjacent to the kernel phase for the same reason the
+            # service/scheduler pairs are: native_speedup is a ratio of
+            # these two timings.
+            phases.append(lambda: batch_phase("native", "native", args.cache_dir))
+        phases.append(lambda: job_phase("service", run_service))
+        phases.append(lambda: job_phase("scheduler", run_scheduler))
         try:
-            for _ in range(repeat):
-                batch_stats = BatchStats()
-                clear_trace_setups()
-                elapsed = _timed(lambda: run_batch(artifact, "python", batch_stats))
-                if kernel_seconds is None or elapsed < kernel_seconds:
-                    kernel_seconds = elapsed
-                    inner_kernel = batch_stats
-                if native_ok:
-                    # Interleaved with the kernel phase for the same reason
-                    # the service/scheduler pairs are: native_speedup is a
-                    # ratio of these two timings.
-                    native_stats = BatchStats()
+            for rep in range(repeat):
+                for phase in phases if rep % 2 == 0 else phases[::-1]:
                     clear_trace_setups()
-                    elapsed = _timed(
-                        lambda: run_batch(artifact, "native", native_stats, args.cache_dir)
-                    )
-                    if native_seconds is None or elapsed < native_seconds:
-                        native_seconds = elapsed
-                        inner_native = native_stats
-                artifact.cache = ArtifactCache(root=None)
-                clear_trace_setups()
-                service_runs.append(_timed(lambda: run_service(service, artifact)))
-                artifact.cache = ArtifactCache(root=None)
-                clear_trace_setups()
-                scheduler_runs.append(
-                    _timed(lambda: run_scheduler(service, artifact))
-                )
-            service_seconds = min(service_runs)
-            scheduler_seconds = min(scheduler_runs)
+                    phase()
         finally:
             artifact.cache = saved_cache
-        assert kernel_seconds is not None and inner_kernel is not None
+        best = walls["kernel"].index(min(walls["kernel"]))
+        kernel_seconds, inner_kernel = walls["kernel"][best], stats_of["kernel"][best]
+        native_seconds = inner_native = None
+        if native_ok:
+            best = walls["native"].index(min(walls["native"]))
+            native_seconds, inner_native = walls["native"][best], stats_of["native"][best]
+        service_seconds = min(walls["service"])
+        scheduler_seconds = min(walls["scheduler"])
+        service_extra = _median_paired_difference(walls["service"], walls["kernel"])
+        scheduler_extra = _median_paired_difference(walls["scheduler"], walls["kernel"])
 
         legacy_total += legacy_seconds
         kernel_total += kernel_seconds
@@ -387,6 +398,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             native_total += native_seconds
         service_total += service_seconds
         scheduler_total += scheduler_seconds
+        service_extra_total += service_extra
+        scheduler_extra_total += scheduler_extra
         lowering_total += lowering_seconds
         per_workload.append(
             {
@@ -406,15 +419,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "service_seconds": round(service_seconds, 4),
                 "scheduler_seconds": round(scheduler_seconds, 4),
                 # What the declarative request layer adds on top of the
-                # direct simulate_batch call for the same points.
-                "service_overhead_seconds": round(
-                    max(service_seconds - kernel_seconds, 0.0), 4
-                ),
+                # direct simulate_batch call for the same points (median
+                # paired difference; negative when within noise).
+                "service_overhead_seconds": round(service_extra, 4),
                 # What the full job machinery (submit, dispatch, streamed
                 # per-point events, result assembly) adds on top of it.
-                "scheduler_overhead_seconds": round(
-                    max(scheduler_seconds - kernel_seconds, 0.0), 4
-                ),
+                "scheduler_overhead_seconds": round(scheduler_extra, 4),
                 # The kernel path's time outside generated-kernel execution:
                 # warm-state restores, shared column/plan construction,
                 # result assembly.  This is the short-trace overhead floor
@@ -436,11 +446,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     speedup = legacy_total / kernel_total if kernel_total else 0.0
     native_speedup = kernel_total / native_total if native_total else 0.0
-    service_overhead = max(service_total - kernel_total, 0.0)
+    service_overhead = max(service_extra_total, 0.0)
     service_overhead_pct = (
         service_overhead / kernel_total * 100.0 if kernel_total else 0.0
     )
-    scheduler_overhead = max(scheduler_total - kernel_total, 0.0)
+    scheduler_overhead = max(scheduler_extra_total, 0.0)
     scheduler_overhead_pct = (
         scheduler_overhead / kernel_total * 100.0 if kernel_total else 0.0
     )
@@ -565,6 +575,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 1
     return 0
+
+
+def _median_paired_difference(walls: List[float], baseline: List[float]) -> float:
+    """The median over repetitions of ``walls[i] - baseline[i]``."""
+    return statistics.median(wall - base for wall, base in zip(walls, baseline))
 
 
 def _timed(fn) -> float:

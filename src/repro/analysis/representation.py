@@ -22,7 +22,7 @@ correctness criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.kmers import KmersResult, compact_pattern_store
 from repro.analysis.vanilla import VanillaElement
@@ -148,11 +148,6 @@ class HardwareTrace:
         return self.trace_length <= BTU_ENTRY_ELEMENTS
 
     @property
-    def pattern_overflow(self) -> bool:
-        """Whether the pattern store exceeds one Pattern Table entry."""
-        return len(self.pattern_store) > BTU_ENTRY_ELEMENTS
-
-    @property
     def storage_bits(self) -> int:
         pattern_bits = sum(element.storage_bits for element in self.pattern_store)
         trace_bits = sum(element.storage_bits for element in self.trace_elements)
@@ -183,16 +178,6 @@ class HardwareTrace:
                             * pattern_element.repetitions
                         )
         return targets
-
-    def iter_targets(self) -> Iterator[int]:
-        """Infinite target generator, replaying the trace forever."""
-        while True:
-            produced = False
-            for target in self.replay():
-                produced = True
-                yield target
-            if not produced:  # pragma: no cover - defensive for empty traces
-                return
 
 
 def _split_repetitions(count: int) -> List[int]:

@@ -416,10 +416,14 @@ def _serve_until_drained(
     # multiprocessing.Pool.terminate() stops stragglers with SIGTERM, and
     # a worker that swallows that signal into _request_shutdown never
     # exits — the parent's join() inside Pool.__exit__ then wedges the
-    # dispatcher thread (and with it the drain) forever.
+    # dispatcher thread (and with it the drain) forever.  Each worker also
+    # leads its own process group, so a signal to the server's group (a
+    # terminal's ^C, a service manager's stop) reaches only the server,
+    # which drains; a worker killed by it would strand its pool task.
     def _reset_signals_in_child() -> None:
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, signal.SIG_DFL)
+        os.setpgid(0, 0)
 
     os.register_at_fork(after_in_child=_reset_signals_in_child)
     try:

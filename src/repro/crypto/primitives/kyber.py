@@ -36,10 +36,6 @@ class KyberParams:
     eta: int = 2
     name: str = "kyber512-reduced"
 
-    @property
-    def poly_bytes(self) -> int:
-        return 2 * self.n
-
 
 #: Reduced analogues of the two parameter sets the paper benchmarks.
 KYBER512 = KyberParams(n=64, k=2, eta=2, name="kyber512-reduced")

@@ -117,16 +117,6 @@ def wots_sign(digest: bytes, seed: bytes, params: SphincsParams) -> List[bytes]:
     return [chain(secret, 0, digit, params) for secret, digit in zip(secrets, digits)]
 
 
-def wots_verify(digest: bytes, signature: Sequence[bytes], public: bytes, params: SphincsParams) -> bool:
-    """Complete each chain and compare against the compressed public key."""
-    digits = message_to_digits(digest, params)
-    completed = [
-        chain(sig, digit, params.winternitz - 1 - digit, params)
-        for sig, digit in zip(signature, digits)
-    ]
-    return params.hash_fn(b"".join(completed)) == public
-
-
 def merkle_tree(leaves: Sequence[bytes], params: SphincsParams) -> List[List[bytes]]:
     """Build a full Merkle tree; ``levels[0]`` is the leaf level."""
     hash_fn = params.hash_fn

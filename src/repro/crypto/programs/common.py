@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
 from repro.arch.executor import ExecutionResult, SequentialExecutor
 from repro.isa.builder import ProgramBuilder
@@ -84,40 +84,6 @@ def words_to_bytes_be(words: Sequence[int], word_bytes: int = 4) -> bytes:
 # --------------------------------------------------------------------------- #
 # Emitter fragments used by several kernels
 # --------------------------------------------------------------------------- #
-def emit_copy_words(b: ProgramBuilder, dst_base: int, src_base: int, count: int) -> None:
-    """Emit a word-copy loop ``dst[i] = src[i]`` for ``i in range(count)``."""
-    i = b.reg("cp_i")
-    src = b.reg("cp_src")
-    dst = b.reg("cp_dst")
-    val = b.reg("cp_val")
-    with b.for_range(i, 0, count):
-        b.movi(src, src_base)
-        b.add(src, src, i)
-        b.load(val, src)
-        b.movi(dst, dst_base)
-        b.add(dst, dst, i)
-        b.store(val, dst)
-
-
-def emit_xor_words(b: ProgramBuilder, dst_base: int, a_base: int, b_base: int, count: int) -> None:
-    """Emit ``dst[i] = a[i] ^ b[i]`` for ``i in range(count)``."""
-    i = b.reg("xw_i")
-    addr = b.reg("xw_addr")
-    lhs = b.reg("xw_a")
-    rhs = b.reg("xw_b")
-    with b.for_range(i, 0, count):
-        b.movi(addr, a_base)
-        b.add(addr, addr, i)
-        b.load(lhs, addr)
-        b.movi(addr, b_base)
-        b.add(addr, addr, i)
-        b.load(rhs, addr)
-        b.xor(lhs, lhs, rhs)
-        b.movi(addr, dst_base)
-        b.add(addr, addr, i)
-        b.store(lhs, addr)
-
-
 def emit_mersenne_mulmod(
     b: ProgramBuilder,
     dst: str,

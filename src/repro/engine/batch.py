@@ -14,10 +14,10 @@ policy-independent work once —
   of being re-simulated per policy or per config;
 * what depends on the (trace, bundle) pair alone — the flat warm snapshots
   and proofs, the branch-flow plans, the BTU replay payload, the crypto-PC
-  table and the trace-property counts — is kept for as long as the trace
-  lives, so a later batch over the same trace (the next served job) pays
-  only for its own points.  The per-instruction columns and rows a python
-  kernel iterates grow with the trace and are rebuilt per batch;
+  table, the trace-property counts and the native kernels' inputs — is
+  kept for as long as the trace lives, so a later batch over the same
+  trace (the next served job) pays only for its own points.  The columns
+  and rows a python kernel iterates are rebuilt per batch;
 * only points whose warm-up is genuinely cycle-dependent (an active BTU
   flush interval under a trace-replaying policy, or forwarding-allowed
   policies on traces where the shared d-cache replay is not provably exact)
@@ -45,7 +45,7 @@ from __future__ import annotations
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.tracegen import TraceBundle
@@ -152,8 +152,10 @@ class _TraceSetup:
     alone: the warm store's flat snapshots and proofs (``warm``, bounded by
     :data:`~repro.engine.warmup.RETAINED_WARM_ENTRIES`) and the setup
     ``tables`` (plans, BTU replay payload, crypto-PC table, base counts,
-    gate checks).  Nothing in it grows with the trace's length, and nothing
-    in it refers to the trace."""
+    gate checks, and the native tier's inputs).  Only the native inputs
+    grow with the trace's length — copies of its columns, kept while the
+    trace lives, for the native kernels of every batch over it — and
+    nothing in it refers to the trace."""
 
     __slots__ = ("bundle", "warm", "tables")
 
@@ -308,10 +310,10 @@ def simulate_batch(
     # Per-workload kernel-path setup, computed lazily and shared by every
     # point: the BTU replay payload (targets / element ids / long flags are
     # config-independent), the crypto-PC table, the static branch-flow plan,
-    # and the trace-property counts live in the trace's kept ``tables``
-    # (racing threads may both compute one; ``setdefault`` keeps the first).
-    # The per-instruction columns and rows go to the batch-local
-    # ``batch_shared``.
+    # the trace-property counts and the native inputs live in the trace's
+    # kept ``tables`` (racing threads may both compute one; ``setdefault``
+    # keeps the first).  The python kernels' per-instruction columns and
+    # rows go to the batch-local ``batch_shared``.
     tables = setup.tables
     batch_shared: Dict[object, object] = {}
 
@@ -488,6 +490,23 @@ def simulate_batch(
             plan = tables.setdefault(("plan", lite), plan)
         return plan  # type: ignore[return-value]
 
+    def shared_native_inputs(traced: bool, point_config: CoreConfig) -> native.TraceInputs:
+        """The native kernels' trace inputs; a trace-replaying spec's add
+        the dense single-target table and the BTU replay tables."""
+        key = ("native", traced)
+        inputs = tables.get(key)
+        if inputs is None:
+            if traced:
+                inputs = native.replay_inputs(
+                    shared_native_inputs(False, point_config),
+                    shared_plan(False, point_config)[1],
+                    shared_btu_data(point_config),
+                )
+            else:
+                inputs = native.trace_inputs(trace)
+            inputs = tables.setdefault(key, inputs)
+        return inputs  # type: ignore[return-value]
+
     simulations: List = []
     for point in points:
         point_config = point.config if point.config is not None else config
@@ -606,10 +625,10 @@ def simulate_batch(
                     if warm_kernel is None:
                         kernel = None
             native_point = kernel is not None
-            # Native kernels premask the flags column in compiled code,
-            # so they skip the shared pre-zipped rows entirely.
+            # Native kernels premask the flags column in compiled code, so
+            # their ``rows`` are the trace's kept inputs, not row tuples.
             rows = (
-                None
+                shared_native_inputs(cassandra and not spec.lite, point_config)
                 if native_point
                 else shared_rows(point_config, relevant_flag_mask(spec))
             )

@@ -46,16 +46,20 @@ layer's kernel call sites:
   drops the state after it.  ``ReplayMismatchError`` comes back as a
   nonzero return code and is re-raised with byte-identical messages.
 
-Per-trace immutable payloads (columns converted to ``array('q')``, the
-flattened BTU replay tables, dense per-PC plan tables) are memoized per
-``LoweredTrace`` identity with a ``weakref.finalize`` cleanup, and the large
-garbage-tolerant scratch buffers (L2/L3 way tables, the issue-port hash) are
-pooled across sessions, so per-point setup cost is proportional to occupied
+The per-trace inputs every session reads (the columns as ``array('q')``;
+for trace-replaying specs also the dense single-target table and the
+flattened BTU replay tables) come from two plain builders,
+:func:`trace_inputs` and :func:`replay_inputs`.  The batch layer keeps their
+results in its per-trace setup, which lives exactly as long as the trace,
+and hands them to each kernel call as ``rows``.  The large garbage-tolerant
+scratch buffers (L2/L3 way tables, the issue-port hash) are pooled across
+sessions process-wide, so per-point setup cost is proportional to occupied
 state, not geometry.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import hashlib
 import os
@@ -64,7 +68,6 @@ import struct
 import subprocess
 import tempfile
 import time
-import weakref
 from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -77,7 +80,7 @@ from repro.engine.emit.c import (
 )
 from repro.engine.ir import KernelFeatures
 from repro.engine.kernels import DYNAMIC_COUNTERS
-from repro.engine.state import TABLE_SLOT
+from repro.engine.state import TABLE_SLOT, BtuReplayData
 from repro.uarch.defenses.base import EnginePolicySpec
 from repro.uarch.defenses.cassandra import ReplayMismatchError
 
@@ -245,9 +248,6 @@ def probed_compiler() -> Optional[bool]:
 # --------------------------------------------------------------------------- #
 # Compile + artifact cache + load
 # --------------------------------------------------------------------------- #
-#: Artifact caches by root directory (``None``: the memory-only cache).
-_ARTIFACTS: Dict[Optional[str], Any] = {}
-
 #: Loaded kernel entry points by artifact digest (the ``CDLL`` objects are
 #: pinned in ``_LIBS`` — a collected library would leave dangling pointers).
 _LOADED: Dict[str, Callable] = {}
@@ -256,19 +256,6 @@ _LIBS: Dict[str, ctypes.CDLL] = {}
 #: ``NativeKernel`` instances (or ``None`` for a memoized failure) keyed on
 #: the kernel shape plus the toolchain fingerprint.
 _KERNEL_MEMO: Dict[Tuple, Optional["NativeKernel"]] = {}
-
-
-def _artifact_cache(root: Optional[str] = None):
-    """The kernel cache under ``root``; memory-only when ``root`` is None,
-    so a run without an artifact cache leaves no kernel on disk."""
-    # Imported lazily: repro.pipeline pulls in the experiment runner, which
-    # imports the batch layer, which imports this module.
-    from repro.pipeline.artifacts import ArtifactCache
-
-    cache = _ARTIFACTS.get(root)
-    if cache is None:
-        cache = _ARTIFACTS[root] = ArtifactCache(root=root)
-    return cache
 
 
 def _artifact_digest(source: str, toolchain: Toolchain) -> str:
@@ -414,6 +401,10 @@ def get_native_kernel(
     in memory only, so no file outlives the load.
     """
     global compile_count, compile_seconds, render_count, last_error
+    # Imported lazily: repro.pipeline pulls in the experiment runner, which
+    # imports the batch layer, which imports this module.
+    from repro.pipeline.artifacts import ArtifactCache
+
     toolchain = find_toolchain()
     if toolchain is None:
         return None
@@ -440,7 +431,7 @@ def get_native_kernel(
         )
         render_count += 1
         digest = _artifact_digest(source, toolchain)
-        artifacts = _artifact_cache(cache_dir)
+        artifacts = ArtifactCache(root=cache_dir)
         fn = _load_cached(artifacts, spec.kind, digest)
         if fn is None:
             _check_works(toolchain)
@@ -463,7 +454,7 @@ def counters_snapshot() -> Tuple[int, float, int]:
 
 
 def clear_native_memo() -> None:
-    """Drop the per-process kernel memo, trace payloads, and scratch pools.
+    """Drop the per-process kernel memo and scratch pools.
 
     Chained from :func:`repro.engine.kernels.clear_kernel_cache` so bench
     per-repetition timing exercises the whole pipeline.  Loaded libraries
@@ -471,7 +462,6 @@ def clear_native_memo() -> None:
     as a :data:`cache_hits` warm hit, exactly like an artifact-cache read.
     """
     _KERNEL_MEMO.clear()
-    _TRACE_PAYLOADS.clear()
     _SCRATCH.clear()
 
 
@@ -505,10 +495,12 @@ _SCRATCH_KEEP = 4
 
 def _scratch_acquire(count: int) -> "array":
     count = max(count, 1)
-    pool = _SCRATCH.get(count)
-    if pool:
-        return pool.pop()
-    return array("q", bytes(8 * count))
+    try:
+        # One atomic pop: threads batching at once never share a buffer,
+        # and one that finds the pool empty allocates.
+        return _SCRATCH[count].pop()
+    except (KeyError, IndexError):
+        return array("q", bytes(8 * count))
 
 
 def _scratch_release(arr: "array") -> None:
@@ -518,30 +510,8 @@ def _scratch_release(arr: "array") -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Per-trace immutable payloads
+# Per-trace inputs (kept by the batch layer for the trace's lifetime)
 # --------------------------------------------------------------------------- #
-class _ReplayTables:
-    """The flattened BTU replay payload for one ``btu_targets`` family."""
-
-    __slots__ = (
-        "targets",  # strong ref — keeps the id() key valid
-        "tgt_off",
-        "tgt_len",
-        "tgt_data",
-        "eid_data",
-        "btu_long",
-        "traced_pcs",
-    )
-
-
-class _TracePayload:
-    """Everything immutable the sessions of one ``LoweredTrace`` share."""
-
-    __slots__ = ("n", "num_regs", "max_pc", "cols", "plans", "replays", "ib_mask")
-
-
-_TRACE_PAYLOADS: Dict[int, _TracePayload] = {}
-
 #: Trace column name → argument-slot name.
 _COLUMN_SLOTS = (
     ("pcs", "pcs"),
@@ -557,74 +527,56 @@ _COLUMN_SLOTS = (
 )
 
 
-def _trace_payload(trace) -> _TracePayload:
-    key = id(trace)
-    payload = _TRACE_PAYLOADS.get(key)
-    if payload is not None:
-        return payload
-    payload = _TracePayload()
-    payload.n = trace.n
-    payload.num_regs = trace.num_regs
-    payload.max_pc = trace.max_pc
-    payload.cols = {
-        slot: array("q", getattr(trace, attr)) for attr, slot in _COLUMN_SLOTS
-    }
+class TraceInputs:
+    """What every native session over one trace reads and none writes
+    (filled by :func:`trace_inputs` and :func:`replay_inputs`)."""
+
+
+def trace_inputs(trace) -> TraceInputs:
+    """The trace's columns as ``array('q')`` keyed by argument slot, and
+    their sizes."""
+    inputs = TraceInputs()
+    inputs.n = trace.n
+    inputs.num_regs = trace.num_regs
+    inputs.max_pc = trace.max_pc
+    inputs.cols = {slot: array("q", getattr(trace, attr)) for attr, slot in _COLUMN_SLOTS}
     # Open-addressed issue-port hash sized to load factor ≤ ½ (at most one
     # distinct issue cycle per instruction).
     limit = 2 * (trace.n + 2)
-    payload.ib_mask = (1 << (limit - 1).bit_length()) - 1
-    payload.plans = {}
-    payload.replays = {}
-    _TRACE_PAYLOADS[key] = payload
-    weakref.finalize(trace, _TRACE_PAYLOADS.pop, key, None)
-    return payload
+    inputs.ib_mask = (1 << (limit - 1).bit_length()) - 1
+    return inputs
 
 
-def _plan_tables(
-    payload: _TracePayload, plan_cls: bytes, plan_stp: Dict[int, int]
-) -> Tuple[bytes, "array"]:
-    """Dense single-target table for one (plan_cls, plan_stp) pair."""
-    key = (id(plan_cls), id(plan_stp))
-    entry = payload.plans.get(key)
-    if entry is None:
-        dense = array("q", b"\xff" * (8 * (payload.max_pc + 2)))
-        for pc, stp in plan_stp.items():
-            dense[pc] = stp
-        # Strong refs keep both id() keys valid for the payload's lifetime.
-        entry = (plan_cls, plan_stp, dense)
-        payload.plans[key] = entry
-    return entry[0], entry[2]
-
-
-def _replay_tables(payload: _TracePayload, state) -> _ReplayTables:
-    targets = state.btu_targets
-    key = id(targets)
-    tables = payload.replays.get(key)
-    if tables is not None:
-        return tables
-    eids, long_flags = state.btu_eids, state.btu_long
-    size = payload.max_pc + 2
-    tables = _ReplayTables()
-    tables.targets = targets
-    tables.tgt_off = array("q", bytes(8 * size))
-    tables.tgt_len = array("q", bytes(8 * size))
-    tables.btu_long = bytearray(size)
-    tables.traced_pcs = array("q", list(targets))
+def replay_inputs(
+    base: TraceInputs, plan_stp: Dict[int, int], btu_data: BtuReplayData
+) -> TraceInputs:
+    """``base`` (whose columns it shares) plus what only trace-replaying
+    specs read: the dense single-target table of ``plan_stp`` and the
+    flattened BTU replay payload."""
+    inputs = copy.copy(base)
+    size = base.max_pc + 2
+    inputs.stp_dense = array("q", b"\xff" * (8 * size))
+    for pc, stp in plan_stp.items():
+        inputs.stp_dense[pc] = stp
+    targets, eids, long_flags = btu_data
+    inputs.tgt_off = array("q", bytes(8 * size))
+    inputs.tgt_len = array("q", bytes(8 * size))
+    inputs.btu_long = array("B", bytes(size))
+    inputs.traced_pcs = array("q", list(targets))
     data: List[int] = []
     edata: List[int] = []
     for pc, tgts in targets.items():
-        tables.tgt_off[pc] = len(data)
-        tables.tgt_len[pc] = len(tgts)
+        inputs.tgt_off[pc] = len(data)
+        inputs.tgt_len[pc] = len(tgts)
         data.extend(tgts)
         if long_flags.get(pc):
-            tables.btu_long[pc] = 1
+            inputs.btu_long[pc] = 1
             edata.extend(eids[pc][: len(tgts)])
         else:
             edata.extend([0] * len(tgts))
-    tables.tgt_data = array("q", data)
-    tables.eid_data = array("q", edata)
-    payload.replays[key] = tables
-    return tables
+    inputs.tgt_data = array("q", data)
+    inputs.eid_data = array("q", edata)
+    return inputs
 
 
 # --------------------------------------------------------------------------- #
@@ -645,20 +597,19 @@ class _Session:
 def _open_session(
     kernel: "NativeKernel",
     trace,
+    inputs: TraceInputs,
     state,
     crypto_pcs: bytes,
     plan_cls: bytes,
-    plan_stp: Dict[int, int],
     flush_interval: Optional[int],
 ) -> _Session:
-    payload = _trace_payload(trace)
     spec = kernel.spec
     table = array("q", state.table)
 
     def sized(name: str) -> int:
         return table[TABLE_SLOT[name]]
 
-    size = payload.max_pc + 2
+    size = inputs.max_pc + 2
     cassandra = spec.kind == "cassandra"
     traced = cassandra and not spec.lite
 
@@ -678,21 +629,21 @@ def _open_session(
         return arr
 
     # ----------------------------- scalars ----------------------------- #
-    a[ARG["n"]] = payload.n
-    a[ARG["num_regs"]] = payload.num_regs
+    a[ARG["n"]] = inputs.n
+    a[ARG["num_regs"]] = inputs.num_regs
     a[ARG["flush_interval"]] = flush_interval or 0
     a[ARG["history"]] = state.history
     a[ARG["crypto_pcs_len"]] = len(crypto_pcs)
     a[ARG["btb_count"]] = len(state.btb)
     a[ARG["rsb_len"]] = len(state.rsb)
-    a[ARG["ib_mask"]] = payload.ib_mask
+    a[ARG["ib_mask"]] = inputs.ib_mask
     a[ARG["table"]] = _addr_of_array(table)
     keep.append(table)
 
     # -------------------------- trace columns -------------------------- #
-    for slot, col in payload.cols.items():
+    for slot, col in inputs.cols.items():
         a[ARG[slot]] = _addr_of_array(col)
-    keep.append(payload)
+    keep.append(inputs)
 
     # ---------------------- per-workload tables ------------------------ #
     if cassandra:
@@ -700,19 +651,15 @@ def _open_session(
         a[ARG["plan_cls"]] = _addr_of_bytes(plan_cls)
         keep.append(crypto_pcs)
         keep.append(plan_cls)
-        if not spec.lite:
-            _, stp_dense = _plan_tables(payload, plan_cls, plan_stp)
-            a[ARG["plan_stp"]] = _addr_of_array(stp_dense)
     if traced:
-        tables = _replay_tables(payload, state)
-        a[ARG["traced_pcs"]] = _addr_of_array(tables.traced_pcs)
-        a[ARG["n_traced"]] = len(tables.traced_pcs)
-        a[ARG["tgt_off"]] = _addr_of_array(tables.tgt_off)
-        a[ARG["tgt_len"]] = _addr_of_array(tables.tgt_len)
-        a[ARG["tgt_data"]] = _addr_of_array(tables.tgt_data)
-        a[ARG["eid_data"]] = _addr_of_array(tables.eid_data)
-        a[ARG["btu_long"]] = _addr_of_bytearray(tables.btu_long, keep)
-        keep.append(tables)
+        a[ARG["plan_stp"]] = _addr_of_array(inputs.stp_dense)
+        a[ARG["traced_pcs"]] = _addr_of_array(inputs.traced_pcs)
+        a[ARG["n_traced"]] = len(inputs.traced_pcs)
+        a[ARG["tgt_off"]] = _addr_of_array(inputs.tgt_off)
+        a[ARG["tgt_len"]] = _addr_of_array(inputs.tgt_len)
+        a[ARG["tgt_data"]] = _addr_of_array(inputs.tgt_data)
+        a[ARG["eid_data"]] = _addr_of_array(inputs.eid_data)
+        a[ARG["btu_long"]] = _addr_of_array(inputs.btu_long)
 
     # ------------------------ mutable state ----------------------------- #
     # L1I / L1D / PHT are the state's own array('q') buffers, mutated in
@@ -774,11 +721,11 @@ def _open_session(
         keep.append(cnt)
 
     # --------------------------- scratch ------------------------------- #
-    a[ARG["reg_ready"]] = _addr_of_array(scratch(payload.num_regs + 2))
+    a[ARG["reg_ready"]] = _addr_of_array(scratch(inputs.num_regs + 2))
     a[ARG["commit_ring"]] = _addr_of_array(scratch(sized("rob_size")))
     a[ARG["si_buf"]] = _addr_of_array(scratch(3 * (sized("sq_size") + 1)))
-    a[ARG["ib_keys"]] = _addr_of_array(scratch(payload.ib_mask + 1))
-    a[ARG["ib_vals"]] = _addr_of_array(scratch(payload.ib_mask + 1))
+    a[ARG["ib_keys"]] = _addr_of_array(scratch(inputs.ib_mask + 1))
+    a[ARG["ib_vals"]] = _addr_of_array(scratch(inputs.ib_mask + 1))
     return session
 
 
@@ -788,8 +735,11 @@ def _open_session(
 class NativeKernel:
     """One compiled kernel behind the python-kernel calling convention.
 
-    ``rows`` is accepted and ignored — the flag premask is compiled into the
-    C loop, so native points skip the batch layer's pre-zipped row tuples
+    ``rows`` is the trace's :class:`TraceInputs` (from :func:`replay_inputs`
+    for a trace-replaying spec, else :func:`trace_inputs`), which the batch
+    layer keeps for the trace's lifetime; ``plan_stp`` is ignored, its dense
+    table being part of those inputs.  The flag premask is compiled into the
+    C loop, so native points skip the python kernels' pre-zipped row tuples
     entirely.
     """
 
@@ -814,8 +764,7 @@ class NativeKernel:
         session = state.native_session
         if session is None or session.trace is not trace:
             session = _open_session(
-                self, trace, state, crypto_pcs, plan_cls, plan_stp,
-                btu_flush_interval,
+                self, trace, rows, state, crypto_pcs, plan_cls, btu_flush_interval
             )
             state.native_session = session
         code = self.fn(session.address)

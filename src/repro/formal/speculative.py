@@ -21,7 +21,7 @@ transmitter values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from repro.arch.executor import ExecutionError, SequentialExecutor
 from repro.arch.observations import Observation, ObservationKind
@@ -73,9 +73,6 @@ class SpeculativeRun:
             for obs in self.observations
             if obs.transient or obs.kind is not ObservationKind.LEAK
         ]
-
-    def transient_observations(self) -> List[HardwareObservation]:
-        return [obs for obs in self.observations if obs.transient]
 
 
 class SpeculativeMachine:

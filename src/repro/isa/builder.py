@@ -23,7 +23,7 @@ Typical use::
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.instructions import Instruction, Opcode
@@ -77,7 +77,6 @@ class ProgramBuilder:
         self._secret_addresses: set[int] = set()
         self._data_cursor = data_base
         self._crypto_depth = 0
-        self._entry_label: Optional[Label] = None
         self._symbols: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -279,12 +278,6 @@ class ProgramBuilder:
         """``memory[addr + offset] = src``."""
         return self.emit(Opcode.STORE, srcs=(src, addr), imm=offset)
 
-    def load_imm_addr(self, dst: str, address: int) -> int:
-        """Load from a constant address (uses a scratch address register)."""
-        scratch = self.reg("addr")
-        self.movi(scratch, address)
-        return self.load(dst, scratch)
-
     # ------------------------------------------------------------------ #
     # Control flow
     # ------------------------------------------------------------------ #
@@ -412,10 +405,6 @@ class ProgramBuilder:
     # ------------------------------------------------------------------ #
     # Build
     # ------------------------------------------------------------------ #
-    def set_entry(self, label: Label) -> None:
-        """Make execution start at ``label`` instead of PC 0."""
-        self._entry_label = label
-
     def build(self, name: Optional[str] = None) -> Program:
         """Resolve labels and produce the final immutable :class:`Program`."""
         if not self._pending:
@@ -442,14 +431,8 @@ class ProgramBuilder:
             instructions.append(instruction)
 
         crypto_regions = _crypto_regions_from_tags(instructions)
-        entry = 0
-        if self._entry_label is not None:
-            if not self._entry_label.placed:
-                raise BuilderError("entry label was never placed")
-            entry = self._entry_label.pc  # type: ignore[assignment]
         return Program(
             instructions,
-            entry=entry,
             initial_memory=dict(self._memory),
             labels=labels,
             crypto_regions=crypto_regions,

@@ -16,11 +16,11 @@ in :mod:`repro.formal.hardware`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.hints import HintTable
-from repro.analysis.representation import BTU_ENTRY_ELEMENTS, HardwareTrace
+from repro.analysis.representation import HardwareTrace
 from repro.uarch.config import BtuConfig
 
 
@@ -108,9 +108,6 @@ class BranchTraceUnit:
     # ------------------------------------------------------------------ #
     def has_trace(self, branch_pc: int) -> bool:
         return branch_pc in self._states
-
-    def is_resident(self, branch_pc: int) -> bool:
-        return branch_pc in self._resident
 
     # ------------------------------------------------------------------ #
     # Crypto fetch flow

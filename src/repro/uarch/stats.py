@@ -54,10 +54,6 @@ class PipelineStats:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def misprediction_rate(self) -> float:
-        return self.bpu_mispredicted / self.branches if self.branches else 0.0
-
     # ``COUNTER_FIELDS`` — the counter names in declaration order (the
     # ``as_dict`` layout) — is attached right after the class body, derived
     # from the dataclass fields so a counter added later participates in

@@ -189,9 +189,10 @@ def test_corrupt_store_is_quarantined_and_recomputed(tmp_path):
 # kill -9 / SIGTERM of `repro serve --state-dir`, then resume
 # --------------------------------------------------------------------------- #
 class ServeProcess:
-    """A ``repro serve --state-dir`` subprocess with captured stdout."""
+    """A ``repro serve --state-dir`` subprocess with captured stdout, leading
+    its own session (and so its own process group)."""
 
-    def __init__(self, state_dir, env=None):
+    def __init__(self, state_dir, env=None, workloads=WORKLOAD, backend="serial", jobs=1):
         self.process = subprocess.Popen(
             [
                 sys.executable,
@@ -201,16 +202,17 @@ class ServeProcess:
                 "--state-dir",
                 state_dir,
                 "--workloads",
-                WORKLOAD,
+                workloads,
                 "--backend",
-                "serial",
+                backend,
                 "--jobs",
-                "1",
+                str(jobs),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             env=env if env is not None else repro_env(),
             text=True,
+            start_new_session=True,
         )
         self.lines = []
         self._reader = threading.Thread(target=self._pump, daemon=True)
@@ -349,6 +351,68 @@ def test_sigterm_drains_cleanly_and_restart_resumes(tmp_path, big_baseline):
     finally:
         if second.process.poll() is None:
             second.kill9()
+
+
+def live_children(pid):
+    """The pids of ``pid``'s live child processes, forked by any of its
+    threads (Linux ``/proc``)."""
+    children = []
+    try:
+        tasks = os.listdir(f"/proc/{pid}/task")
+    except OSError:
+        return children
+    for task in tasks:
+        try:
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                children.extend(int(child) for child in handle.read().split())
+        except OSError:
+            pass
+    return children
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+def test_group_sigterm_drains_a_fork_backend_server(tmp_path):
+    """A SIGTERM to the server's whole process group (a terminal's ^C, a
+    service manager's stop) drains as promptly as one to the server alone:
+    the fork pool's workers lead their own groups, so the signal cannot
+    kill one and strand its share of the pool's work."""
+    server = ServeProcess(
+        str(tmp_path / "state"),
+        workloads=f"{WORKLOAD},Poly1305_ctmul",
+        backend="fork",
+        jobs=2,
+    )
+    # Rounds of a few seconds, so workers are mid-task when signalled even
+    # on a host several times faster than the one this was tuned on.
+    matrix = ScenarioMatrix(designs=("cassandra",), flush_intervals=tuple(range(200, 3800, 50)))
+    try:
+        RemoteServiceClient(server.address).submit(matrix)
+        # Signal mid-task: pool workers take their tasks as they start, so
+        # workers alive this long are computing.
+        deadline = time.monotonic() + 60
+        born = {}
+        while not born or time.monotonic() - min(born.values()) < 0.3:
+            assert time.monotonic() < deadline, "no pool worker lived long enough"
+            now = time.monotonic()
+            born = {pid: born.get(pid, now) for pid in live_children(server.process.pid)}
+            time.sleep(0.005)
+        os.killpg(server.process.pid, signal.SIGTERM)
+        assert server.process.wait(timeout=15) == 0
+        server.wait_for_line("drained, exiting")
+        for pid in born:  # no worker outlives the server
+            while os.path.exists(f"/proc/{pid}"):
+                assert time.monotonic() < deadline, f"pool worker {pid} outlived the server"
+                time.sleep(0.01)
+    finally:
+        if server.process.poll() is None:
+            # A stalled drain: take the server's pool workers down with it.
+            for pid in live_children(server.process.pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            server.kill9()
 
 
 def test_kill9_mid_warehouse_ingest_then_resume_reingests_identical_store(

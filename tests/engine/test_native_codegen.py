@@ -263,7 +263,6 @@ def _fresh_process(monkeypatch):
     native.clear_native_memo()
     monkeypatch.setattr(native, "_LOADED", {})
     monkeypatch.setattr(native, "_LIBS", {})
-    monkeypatch.setattr(native, "_ARTIFACTS", {})
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ with the trace, and bounded past :data:`~repro.engine.warmup.RETAINED_WARM_ENTRI
 import gc
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -32,6 +33,17 @@ NON_RESIDENT = CoreConfig(
     l1d=CacheConfig(16, 8, 1, 5, name="L1D"),
 )
 DESIGNS = ("unsafe-baseline", "spt", "cassandra", "cassandra-lite")
+
+
+TIERS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native.compiler_available(), reason="no working C toolchain"
+        ),
+    ),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -58,18 +70,28 @@ def _points(artifact, configs, **kwargs):
     ]
 
 
+@pytest.mark.parametrize("tier", TIERS)
 def test_a_second_batch_over_a_trace_walks_nothing_and_plans_nothing(
-    artifact, monkeypatch
+    artifact, monkeypatch, tier
 ):
+    monkeypatch.setenv(TIER_ENV, tier)
     trace = _fresh_trace(artifact)
     configs = [replace(NON_RESIDENT, pht_bits=bits) for bits in (14, 12, 10)]
     points = _points(artifact, configs)
     first = BatchStats()
     cold = simulate_batch(None, artifact.bundle, points, trace=trace, batch_stats=first)
     assert first.warmup_component_walks == 1 + 1 + 2 * 3 + 1  # icache dcache bpu btu
+    if tier == "native":
+        assert first.native_points == len(points), native.last_error
 
-    classified, crypto_tables = [], []
+    classified, crypto_tables, native_inputs = [], [], []
     real_classify, real_crypto = batch_module.classify_branch, batch_module.crypto_pc_table
+    for name in ("trace_inputs", "replay_inputs"):
+        real = getattr(native, name)
+        monkeypatch.setattr(
+            native, name,
+            lambda *args, _name=name, _real=real: native_inputs.append(_name) or _real(*args),
+        )
 
     def counting_classify(*args, **kwargs):
         classified.append(args[0])
@@ -84,7 +106,8 @@ def test_a_second_batch_over_a_trace_walks_nothing_and_plans_nothing(
     second = BatchStats()
     warm = simulate_batch(None, artifact.bundle, points, trace=trace, batch_stats=second)
     assert second.warmup_component_walks == 0
-    assert classified == [] and crypto_tables == []
+    assert classified == [] and crypto_tables == [] and native_inputs == []
+    assert second.native_points == first.native_points
     assert [s.as_dict() for s in warm] == [s.as_dict() for s in cold]
 
     # The kept state holds flat snapshots and proofs only, well inside the cap.
@@ -99,14 +122,21 @@ def test_a_second_batch_over_a_trace_walks_nothing_and_plans_nothing(
     assert other.warmup_component_walks > 0
 
 
-def test_the_kept_setup_goes_with_the_trace(artifact):
+@pytest.mark.parametrize("tier", TIERS)
+def test_the_kept_setup_goes_with_the_trace(artifact, monkeypatch, tier):
+    monkeypatch.setenv(TIER_ENV, tier)
     trace = _fresh_trace(artifact)
     key = id(trace)
     simulate_batch(None, artifact.bundle, _points(artifact, [NON_RESIDENT]), trace=trace)
     assert key in batch_module._TRACE_SETUPS
-    del trace
+    tables = batch_module._TRACE_SETUPS[key].tables
+    kept = [weakref.ref(tables[("native", traced)]) for traced in (False, True)
+            if ("native", traced) in tables]
+    assert len(kept) == (2 if tier == "native" else 0)
+    del trace, tables
     gc.collect()
     assert key not in batch_module._TRACE_SETUPS
+    assert all(ref() is None for ref in kept)
 
 
 def test_kept_warm_entries_are_bounded_least_recently_used_first(artifact):
@@ -142,9 +172,11 @@ def test_clear_trace_setups_forgets_every_trace(artifact):
     assert stats.warmup_component_walks > 0
 
 
-def test_threads_batching_one_trace_agree_with_a_lone_batch(artifact):
+@pytest.mark.parametrize("tier", TIERS)
+def test_threads_batching_one_trace_agree_with_a_lone_batch(artifact, monkeypatch, tier):
     """Threads batching one trace share its kept setup while it churns
     past the cap: every result matches a batch that kept nothing."""
+    monkeypatch.setenv(TIER_ENV, tier)
     trace = _fresh_trace(artifact)
     # Distinct L1I latencies are distinct warm keys: more than the cap.
     configs = [
@@ -156,7 +188,11 @@ def test_threads_batching_one_trace_agree_with_a_lone_batch(artifact):
     expected = []
     for part in slices:
         batch_module.clear_trace_setups()
-        sims = simulate_batch(None, artifact.bundle, _points(artifact, part), trace=trace)
+        stats = BatchStats()
+        sims = simulate_batch(
+            None, artifact.bundle, _points(artifact, part), trace=trace, batch_stats=stats
+        )
+        assert stats.native_points == (len(sims) if tier == "native" else 0)
         expected.append([s.as_dict() for s in sims])
     batch_module.clear_trace_setups()
     got, errors = [None] * threads_count, []
@@ -185,17 +221,6 @@ def test_threads_batching_one_trace_agree_with_a_lone_batch(artifact):
     assert errors == []
     assert got == expected
     assert len(batch_module._TRACE_SETUPS[id(trace)].warm) <= RETAINED_WARM_ENTRIES
-
-
-TIERS = [
-    "python",
-    pytest.param(
-        "native",
-        marks=pytest.mark.skipif(
-            not native.compiler_available(), reason="no working C toolchain"
-        ),
-    ),
-]
 
 
 @pytest.mark.parametrize("tier", TIERS)
