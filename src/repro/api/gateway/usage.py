@@ -4,13 +4,19 @@
 :class:`~repro.api.jobs.JobEvent` stream clients see and, for every job
 tagged ``tenant:<id>``:
 
-* on ``queued`` — starts a meter;
+* on ``queued`` — starts a meter (and its wall clock);
+* on ``prepared`` — the job's run begins: opens its compile window;
 * on ``point-done`` / ``cache-hit`` — counts computed vs cached points;
 * on a terminal event — closes the meter into one usage-ledger row:
-  points answered, computed, cache hits, wall seconds, and the delta of
-  the native engine's compile-seconds counter across the job's lifetime
-  (best-effort: concurrent jobs share one process-wide counter, so
-  overlapping compiles attribute to whichever job's window they land in).
+  points answered, computed, cache hits, wall seconds since ``queued``,
+  and the delta of the native engine's compile-seconds counter across
+  the compile window (0 for a job that never ran).
+
+The scheduler runs one job at a time, so a window opened at ``prepared``
+holds only its own job's compiles; a window opened at ``queued`` would
+also claim the compiles of the job running ahead of it.  The counter is
+this process's: compiles in fork-backend workers (a fan-out over several
+workloads) or shard workers never reach it, so they are not billed.
 
 Ordering caveat: ``JobHandle._emit`` sets the finished flag *before*
 listeners run, so a caller unblocked by ``result()`` can observe the
@@ -66,7 +72,8 @@ class _Meter:
     computed: int = 0
     cache_hits: int = 0
     started: float = field(default_factory=time.monotonic)
-    native_seconds_at_start: float = 0.0
+    #: The compile counter when the job's run began (``None`` until then).
+    native_seconds_at_start: Optional[float] = None
 
 
 def _native_compile_seconds() -> float:
@@ -91,10 +98,13 @@ class UsageService:
     # ------------------------------------------------------------------ #
     def on_event(self, event: JobEvent) -> None:
         """The scheduler listener.  A failed ledger write is counted in
-        :attr:`ledger_failures`; any other exception is swallowed by the
-        emitting :class:`JobHandle` (a broken store must not kill jobs)."""
+        :attr:`ledger_failures`; any other exception is logged and dropped
+        by the emitting :class:`JobHandle` (a broken store must not kill
+        jobs)."""
         if event.kind == "queued":
             self._on_queued(event)
+        elif event.kind == "prepared":
+            self._on_prepared(event)
         elif event.kind == "point-done":
             self._bump(event.job_id, computed=1)
         elif event.kind == "cache-hit":
@@ -109,10 +119,14 @@ class UsageService:
             return
         with self._lock:
             self._meters[event.job_id] = _Meter(
-                tenant_id=tenant_id,
-                points=int(payload.get("points", 0)),
-                native_seconds_at_start=_native_compile_seconds(),
+                tenant_id=tenant_id, points=int(payload.get("points", 0))
             )
+
+    def _on_prepared(self, event: JobEvent) -> None:
+        with self._lock:
+            meter = self._meters.get(event.job_id)
+            if meter is not None:
+                meter.native_seconds_at_start = _native_compile_seconds()
 
     def _bump(self, job_id: str, computed: int = 0, cache_hits: int = 0) -> None:
         with self._lock:
@@ -127,6 +141,11 @@ class UsageService:
             meter = self._meters.pop(event.job_id, None)
         if meter is None:
             return
+        compile_seconds = 0.0
+        if meter.native_seconds_at_start is not None:
+            compile_seconds = max(
+                0.0, _native_compile_seconds() - meter.native_seconds_at_start
+            )
         record = UsageRecord(
             tenant_id=meter.tenant_id,
             job_id=event.job_id,
@@ -135,9 +154,7 @@ class UsageService:
             computed=meter.computed,
             cache_hits=meter.cache_hits,
             wall_seconds=max(0.0, time.monotonic() - meter.started),
-            native_compile_seconds=max(
-                0.0, _native_compile_seconds() - meter.native_seconds_at_start
-            ),
+            native_compile_seconds=compile_seconds,
             outcome=event.kind,  # done / failed / cancelled
         )
         try:

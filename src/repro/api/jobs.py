@@ -13,6 +13,7 @@ what ``repro serve`` forwards as Server-Sent Events, one frame per event.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass, field
 from queue import Queue
@@ -25,6 +26,8 @@ from repro.api.results import ResultSet
 
 if TYPE_CHECKING:
     from repro.uarch.core import SimulationResult
+
+logger = logging.getLogger(__name__)
 
 #: Every event kind a job can emit, in rough lifecycle order.
 EVENT_KINDS = (
@@ -230,8 +233,11 @@ class JobHandle:
         for listener in listeners:
             try:
                 listener(event)
-            except Exception:  # noqa: BLE001 - a listener must not kill a job
-                pass
+            except Exception as exc:  # noqa: BLE001 - a listener must not kill a job
+                logger.warning(
+                    "job %s: a listener failed on its %s event: %r",
+                    event.job_id, event.kind, exc, exc_info=True,
+                )
 
     def _finish(self, result: ResultSet) -> None:
         """Record success; the scheduler emits the ``done`` event next."""

@@ -7,7 +7,9 @@ UTF-8 bytes), so the same object that drives an in-process
 :class:`~repro.api.service.SimulationService` call is also the task half of
 the shard backend's wire format and the body of an HTTP job submission.
 The batch engine takes requests as they are: a fork or serial batch reads
-their design, config, flush interval and warm-up passes directly.
+their design, config, flush interval and warm-up passes directly, and
+:meth:`SimulationRequest.key` is what the scheduler keys a point's cached
+result on.
 
 Workloads are named by :class:`WorkloadRef`, which covers both the
 22-workload registry (``WorkloadRef.registry("SHA-256")``) and kernels
@@ -106,12 +108,18 @@ class SimulationRequest:
     # ------------------------------------------------------------------ #
     # Bridges into the execution layers
     # ------------------------------------------------------------------ #
-    def key(self):
-        """The :data:`~repro.experiments.runner.SimulationKey` of this point."""
-        from repro.experiments.runner import simulation_key
+    def key(self) -> Tuple[str, str, Optional[int], int]:
+        """The simulation-cache key of this point, without its workload.
 
-        return simulation_key(
-            self.design, self.config, self.btu_flush_interval, self.warmup_passes
+        Every field that changes the timing result participates: a key of
+        (design, flush interval) alone once returned the first config's
+        result for every later config of a sweep.  The config enters as
+        its (per-config cached) digest, which keeps the key's repr — and
+        so the cache digest hashed from it — short.  The workload enters
+        that digest through its artifacts' content digest.
+        """
+        return (
+            self.design, self.config.digest(), self.btu_flush_interval, self.warmup_passes
         )
 
     def sort_key(self) -> Tuple:

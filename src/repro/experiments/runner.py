@@ -1,18 +1,18 @@
 """Shared experiment infrastructure: build, trace, and simulate workloads.
 
-Artifact preparation (build + sequential execution + Algorithm 2 tracing) and
-timing simulation both memoize their results in the artifact cache of
-:mod:`repro.pipeline` (memory-only without a disk root).  The simulation cache
-key covers *every* argument that changes the outcome — design, core
-configuration, BTU flush interval, and warmup passes — so sweeping a parameter
-never returns a stale result from an earlier point.
+Artifact preparation (build + sequential execution + Algorithm 2 tracing)
+memoizes its results in the artifact cache of :mod:`repro.pipeline`
+(memory-only without a disk root).  Timing simulation computes here, in
+:meth:`WorkloadArtifacts.simulate_batch`; its results are probed in and
+persisted to that cache by the scheduler (:mod:`repro.api.scheduler`),
+keyed on :meth:`~repro.api.request.SimulationRequest.key`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.stats import BranchAnalysisStats, stats_from_bundle
 from repro.analysis.tracegen import TraceBundle, TraceParameters, generate_trace_bundle
@@ -21,7 +21,6 @@ from repro.crypto.programs.common import KernelProgram
 from repro.crypto.workloads import QUICK_WORKLOADS, get_workload  # noqa: F401 - re-exported
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.lowering import LOWERING_FORMAT_VERSION, LoweredTrace, lower_execution
-from repro.uarch.config import CoreConfig, GOLDEN_COVE_LIKE
 from repro.uarch.core import SimulationResult
 from repro.uarch.defenses import (
     CassandraLitePolicy,
@@ -48,9 +47,6 @@ DESIGN_BUILDERS: Dict[str, Callable[[Optional[TraceBundle]], DefensePolicy]] = {
     "cassandra+prospect": lambda bundle: CassandraProspectPolicy(bundle),
 }
 
-#: A simulation-cache key: (design, config digest, flush interval, warmups).
-SimulationKey = Tuple[str, str, Optional[int], int]
-
 
 def lowered_trace_digest(content_digest: str) -> str:
     """The ``lowered-trace`` cache digest of a workload's content digest.
@@ -61,42 +57,6 @@ def lowered_trace_digest(content_digest: str) -> str:
     from repro.pipeline.hashing import stable_digest
 
     return stable_digest(content_digest, ("lowered-trace", LOWERING_FORMAT_VERSION))
-
-
-def simulation_key(
-    design: str,
-    config: CoreConfig = GOLDEN_COVE_LIKE,
-    btu_flush_interval: Optional[int] = None,
-    warmup_passes: int = 1,
-) -> SimulationKey:
-    """The memoization key for one simulation point.
-
-    Every argument that affects the timing result participates: the historic
-    key of (design, flush interval) alone silently returned the first
-    config's result for every subsequent config in a sweep.  The config
-    enters as its digest (cached per config), which keeps the key's repr —
-    and hence :meth:`WorkloadArtifacts.simulation_digest` — short.
-    """
-    return (design, config.digest(), btu_flush_interval, warmup_passes)
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One simulation point of a workload batch (no workload attached)."""
-
-    design: str
-    config: CoreConfig = GOLDEN_COVE_LIKE
-    btu_flush_interval: Optional[int] = None
-    warmup_passes: int = 1
-
-    def key(self) -> SimulationKey:
-        return simulation_key(
-            self.design, self.config, self.btu_flush_interval, self.warmup_passes
-        )
-
-
-#: What :meth:`WorkloadArtifacts.simulate_batch` accepts as a point.
-Point = Union[DesignPoint, "SimulationRequest"]
 
 
 @dataclass
@@ -128,27 +88,11 @@ class WorkloadArtifacts:
     cache: "ArtifactCache" = field(repr=False)
     content_digest: str = field(repr=False)
 
-    def simulate(
-        self,
-        design: str,
-        config: CoreConfig = GOLDEN_COVE_LIKE,
-        btu_flush_interval: Optional[int] = None,
-        warmup_passes: int = 1,
-    ) -> SimulationResult:
-        """One design point: its cached result, or computed and persisted."""
-        point = DesignPoint(design, config, btu_flush_interval, warmup_passes)
-        digest = self.simulation_digest(point)
-        result = self.cache.get("simulation", self.name, digest)
-        if result is None:
-            [result] = self.simulate_batch([point])
-            self.cache.put("simulation", self.name, digest, result)
-        return result
-
-    def simulation_digest(self, point: Point) -> str:
+    def simulation_digest(self, request: "SimulationRequest") -> str:
         """The artifact-cache digest of one simulation point."""
         from repro.pipeline.hashing import stable_digest
 
-        return stable_digest(self.content_digest, point.key())
+        return stable_digest(self.content_digest, request.key())
 
     def recorded_result(self) -> ExecutionResult:
         """``result`` with its lowered trace and on-demand records,
@@ -187,30 +131,29 @@ class WorkloadArtifacts:
 
     def simulate_batch(
         self,
-        points: Sequence[Point],
+        requests: Sequence["SimulationRequest"],
         batch_stats: Optional[BatchStats] = None,
     ) -> List[SimulationResult]:
-        """Simulate design points over one shared lowering and warm state.
+        """Simulate requests over one shared lowering and warm state.
 
-        ``points`` are :class:`DesignPoint`\\ s or
-        :class:`~repro.api.request.SimulationRequest`\\ s (of this workload);
-        only their design, config, flush interval and warm-up passes count.
-        Returns one result per point, in point order.
+        ``requests`` are :class:`~repro.api.request.SimulationRequest`\\ s
+        of this workload; only their design, config, flush interval and
+        warm-up passes count.  Returns one result per request, in order.
 
         Every point is computed: nothing is probed or persisted here.  The
         points run through :func:`repro.engine.batch.simulate_batch`, which
         shares the columnar trace, the per-workload setup, and the warm-up
-        component snapshots across them.  Results are bit-identical to
-        calling :meth:`simulate` per point.
+        component snapshots across them.  A point's result does not depend
+        on the other points of its batch.
         """
         specs = [
             PointSpec(
-                policy=DESIGN_BUILDERS[point.design](self.bundle),
-                config=point.config,
-                btu_flush_interval=point.btu_flush_interval,
-                warmup_passes=point.warmup_passes,
+                policy=DESIGN_BUILDERS[request.design](self.bundle),
+                config=request.config,
+                btu_flush_interval=request.btu_flush_interval,
+                warmup_passes=request.warmup_passes,
             )
-            for point in points
+            for request in requests
         ]
         needs_records = any(spec.policy.engine_spec() is None for spec in specs)
         return simulate_batch(

@@ -72,8 +72,9 @@ class WarehouseIngestor:
         self.ingested = 0
 
     def on_event(self, event: JobEvent) -> None:
-        """The scheduler listener.  Exceptions are swallowed by the
-        emitting :class:`JobHandle` (a broken store must not kill jobs)."""
+        """The scheduler listener.  Exceptions are logged and dropped by
+        the emitting :class:`JobHandle` (a broken store must not kill
+        jobs): the point's row is lost, its warning names the job."""
         if event.kind == "queued":
             payload = event.payload or {}
             with self._lock:

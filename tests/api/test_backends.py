@@ -141,7 +141,7 @@ def test_shard_worker_runs_task_in_process():
     )
     results = run_task(task)
     assert len(results) == 2
-    expected = [artifact.simulate(r.design) for r in requests]
+    expected = artifact.simulate_batch(requests)
     for ours, theirs in zip(results, expected):
         assert ours.stats.as_dict() == theirs.stats.as_dict()
 

@@ -7,10 +7,16 @@ store is fsync-per-commit), revocation really revoking, and the
 write dies before its commit.
 """
 
+import time
+
 import pytest
 
+from repro.api import SimulationRequest, SimulationService
+from repro.api.backends import SerialBackend
 from repro.api.gateway.admin import admin_main
 from repro.api.gateway.store import KEY_PREFIX, GatewayStore, UsageRecord
+from repro.api.gateway.usage import UsageService, tenant_tag
+from repro.engine import native
 from repro.testing import Fault, FaultPlan, InjectedFault, activate
 
 
@@ -106,6 +112,46 @@ def test_usage_totals_and_window(store):
     assert retry == pytest.approx(500.0)
     # An empty window is free.
     assert store.points_in_window(tenant.tenant_id, 50.0, now=now) == (0, 0.0)
+
+
+class CompilingBackend(SerialBackend):
+    """Serial, and every ``execute`` adds 1.0 s to the native compile counter."""
+
+    def execute(self, artifacts, requests, jobs):
+        native.compile_seconds += 1.0
+        return super().execute(artifacts, requests, jobs)
+
+
+def test_each_job_is_billed_only_its_own_compiles(store, monkeypatch):
+    """Jobs queued behind one another used to claim each other's compiles:
+    the metering window opened at ``queued``, not when the job's run began.
+    A job cancelled before it ran compiled nothing."""
+    monkeypatch.setattr(native, "compile_seconds", native.compile_seconds)
+    usage = UsageService(store)
+    tenants = [store.create_tenant(name).tenant_id for name in ("first", "second", "idle")]
+    service = SimulationService(names=["ChaCha20_ct"], backend=CompilingBackend())
+    try:
+        service.scheduler.add_listener(usage.on_event)
+        service.scheduler.pause()
+        handles = [
+            service.submit(
+                SimulationRequest("ChaCha20_ct", design), tags=(tenant_tag(tenant),)
+            )
+            for tenant, design in zip(tenants, ("unsafe-baseline", "cassandra", "spt"))
+        ]
+        handles[-1].cancel()
+        service.scheduler.resume()
+        # Ledger rows land on the scheduler thread, after the job's answer.
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            if all(store.usage_totals(tenant)["jobs"] == 1 for tenant in tenants):
+                break
+            time.sleep(0.02)
+    finally:
+        service.close()
+    billed = [store.usage_totals(tenant)["native_compile_seconds"] for tenant in tenants]
+    assert billed == [1.0, 1.0, 0.0]
+    assert usage.ledger_failures == 0
 
 
 # --------------------------------------------------------------------------- #

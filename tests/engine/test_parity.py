@@ -14,15 +14,11 @@ the golden model directly.
 
 import pytest
 
+from repro.api import SimulationRequest, SimulationService
 from repro.engine import native
 from repro.engine.batch import BatchStats, PointSpec, simulate_batch
 from repro.engine.kernels import TIER_ENV
-from repro.experiments.runner import (
-    DESIGN_BUILDERS,
-    QUICK_WORKLOADS,
-    DesignPoint,
-    prepare_workload,
-)
+from repro.experiments.runner import DESIGN_BUILDERS, QUICK_WORKLOADS, prepare_workload
 from repro.uarch.config import BtuConfig, CacheConfig, CoreConfig
 from repro.uarch.core import CoreModel
 
@@ -204,18 +200,22 @@ def test_batch_matches_reference_on_odd_geometry(quick_artifacts, monkeypatch, t
 
 
 def test_artifact_simulate_routes_through_engine_and_matches(quick_artifacts):
-    """The WorkloadArtifacts batch and per-point paths return the same bits."""
+    """The WorkloadArtifacts batch, a one-point batch and the service
+    return the same bits."""
     art = quick_artifacts[QUICK_WORKLOADS[1]]
-    points = [DesignPoint(design=design) for design in ALL_DESIGNS]
-    results = art.simulate_batch(points)
-    assert len(results) == len(points)
-    for point, result in zip(points, results):
-        reference = legacy_simulate(art, point.design)
-        assert_bit_identical(reference, result, f"artifact/{point.design}")
-        # The per-point accessor computes the same bits, then is a cache hit.
-        single = art.simulate(point.design)
-        assert_bit_identical(reference, single, f"simulate/{point.design}")
-        assert art.simulate(point.design) is single
+    requests = [SimulationRequest(art.name, design) for design in ALL_DESIGNS]
+    results = art.simulate_batch(requests)
+    assert len(results) == len(requests)
+    with SimulationService(names=[art.name], cache=art.cache, backend="serial") as service:
+        for request, result in zip(requests, results):
+            reference = legacy_simulate(art, request.design)
+            assert_bit_identical(reference, result, f"artifact/{request.design}")
+            [alone] = art.simulate_batch([request])
+            assert_bit_identical(reference, alone, f"alone/{request.design}")
+            # The service computes the same bits, then is a cache hit.
+            served = service.run(request).get(request)
+            assert_bit_identical(reference, served, f"service/{request.design}")
+            assert service.run(request).get(request) is served
 
 
 def test_custom_policy_subclass_falls_back_to_reference(quick_artifacts):

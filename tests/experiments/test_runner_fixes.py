@@ -1,27 +1,44 @@
 """Regression tests for the runner bug fixes.
 
-Covers the three historic defects: the ``simulate()`` cache key ignoring
+Covers the three historic defects: the simulation cache key ignoring
 ``config``/``warmup_passes`` (a config sweep silently returned the first
 config's result for every point), ``format_table`` crashing on an empty row
 list, and ``geometric_mean`` silently discarding negative inputs.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.runner import format_table, geometric_mean, simulation_key
+from repro.api import SimulationRequest, SimulationService, WorkloadRef
+from repro.experiments.runner import format_table, geometric_mean
 from repro.uarch.config import CoreConfig, GOLDEN_COVE_LIKE
 
 
 # --------------------------------------------------------------------------- #
-# simulate() cache key
+# The simulation cache key
 # --------------------------------------------------------------------------- #
+WORKLOAD = "ChaCha20_ct"
 SMALL_CORE = CoreConfig(rob_size=32, fetch_width=2, decode_width=2, issue_width=2, commit_width=2)
 
 
-def test_simulate_not_stale_across_configs(chacha_artifact):
+@pytest.fixture(scope="module")
+def service():
+    """Probes and persists every point in its memory-only artifact cache."""
+    service = SimulationService(names=[WORKLOAD], jobs=1, backend="serial")
+    yield service
+    service.close()
+
+
+def served(service, design, **fields):
+    request = SimulationRequest(WORKLOAD, design, **fields)
+    return service.run(request).get(request)
+
+
+def test_simulate_not_stale_across_configs(service):
     """A non-default CoreConfig must produce its own, config-specific result."""
-    default = chacha_artifact.simulate("unsafe-baseline")
-    small = chacha_artifact.simulate("unsafe-baseline", config=SMALL_CORE)
+    default = served(service, "unsafe-baseline")
+    small = served(service, "unsafe-baseline", config=SMALL_CORE)
     assert small is not default
     # A 2-wide, 32-entry-ROB core must be substantially slower than the
     # 8-wide Golden-Cove-like default on the same dynamic stream.
@@ -30,28 +47,30 @@ def test_simulate_not_stale_across_configs(chacha_artifact):
     assert default.config == GOLDEN_COVE_LIKE
 
 
-def test_simulate_memoizes_per_full_argument_set(chacha_artifact):
-    first = chacha_artifact.simulate("unsafe-baseline", config=SMALL_CORE)
-    again = chacha_artifact.simulate("unsafe-baseline", config=SMALL_CORE)
+def test_simulate_memoizes_per_full_argument_set(service):
+    first = served(service, "unsafe-baseline", config=SMALL_CORE)
+    again = served(service, "unsafe-baseline", config=SMALL_CORE)
     assert again is first  # memo hit
-    cold = chacha_artifact.simulate("unsafe-baseline", config=SMALL_CORE, warmup_passes=0)
+    cold = served(service, "unsafe-baseline", config=SMALL_CORE, warmup_passes=0)
     assert cold is not first  # warmup participates in the key
 
 
-def test_simulate_flush_interval_in_key(chacha_artifact):
-    plain = chacha_artifact.simulate("cassandra")
-    flushed = chacha_artifact.simulate("cassandra", btu_flush_interval=200)
+def test_simulate_flush_interval_in_key(service):
+    plain = served(service, "cassandra")
+    flushed = served(service, "cassandra", btu_flush_interval=200)
     assert flushed is not plain
     assert flushed.cycles >= plain.cycles
 
 
 def test_simulation_key_covers_every_argument():
-    base = simulation_key("cassandra")
-    assert simulation_key("cassandra") == base
-    assert simulation_key("spt") != base
-    assert simulation_key("cassandra", config=SMALL_CORE) != base
-    assert simulation_key("cassandra", btu_flush_interval=100) != base
-    assert simulation_key("cassandra", warmup_passes=2) != base
+    base = SimulationRequest(WORKLOAD, "cassandra")
+    assert SimulationRequest(WORKLOAD, "cassandra").key() == base.key()
+    assert replace(base, design="spt").key() != base.key()
+    assert replace(base, config=SMALL_CORE).key() != base.key()
+    assert replace(base, btu_flush_interval=100).key() != base.key()
+    assert replace(base, warmup_passes=2).key() != base.key()
+    # The workload enters the cache digest through its artifacts instead.
+    assert replace(base, workload=WorkloadRef.registry("SHA-256")).key() == base.key()
 
 
 # --------------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.tracegen import TraceParameters
+from repro.api import SimulationRequest, SimulationService
 from repro.crypto.workloads import get_workload
 from repro.experiments.runner import prepare_workload
 from repro.pipeline import (
@@ -49,27 +50,41 @@ def test_cold_vs_warm_round_trip(artifact_cache, tmp_path):
     assert _bundles_equivalent(cold.bundle, warm.bundle)
     assert cold.result.instruction_count == warm.result.instruction_count
     # The timing simulation over the reloaded artifacts is bit-identical.
-    assert warm.simulate("cassandra").cycles == cold.simulate("cassandra").cycles
+    request = SimulationRequest(WORKLOAD, "cassandra")
+    [warm_result] = warm.simulate_batch([request])
+    [cold_result] = cold.simulate_batch([request])
+    assert warm_result.cycles == cold_result.cycles
+
+
+def _service(cache):
+    return SimulationService(names=[WORKLOAD], cache=cache, backend="serial")
+
+
+def _served(service, design):
+    """One point through ``service``: probed in its cache, else computed
+    and persisted."""
+    request = SimulationRequest(WORKLOAD, design)
+    return service.run(request).get(request)
 
 
 def test_simulation_results_persist_across_processes(artifact_cache):
-    first = prepare_workload(WORKLOAD, cache=artifact_cache)
-    cycles = first.simulate("cassandra").cycles
+    with _service(artifact_cache) as first:
+        cycles = _served(first, "cassandra").cycles
     # workload payload + lowered trace + simulation
     assert artifact_cache.entry_count() == 3
 
     warm_cache = ArtifactCache(root=artifact_cache.root)
-    warm = prepare_workload(WORKLOAD, cache=warm_cache)
-    result = warm.simulate("cassandra")
-    assert result.cycles == cycles
-    # artifact payload + simulation payload (the lowered trace is not even
-    # loaded: the memoized simulation short-circuits before lowering).
-    assert warm_cache.stats.hits == 2
+    with _service(warm_cache) as warm:
+        assert _served(warm, "cassandra").cycles == cycles
+        # artifact payload + simulation payload (the lowered trace is not
+        # even loaded: the persisted simulation short-circuits before
+        # lowering).
+        assert warm_cache.stats.hits == 2
 
-    # A simulation point outside the persisted set reuses the lowered trace
-    # from disk instead of re-lowering.
-    warm.simulate("unsafe-baseline")
-    assert warm_cache.stats.hits == 3
+        # A simulation point outside the persisted set reuses the lowered
+        # trace from disk instead of re-lowering.
+        _served(warm, "unsafe-baseline")
+        assert warm_cache.stats.hits == 3
 
 
 def test_trace_parameter_change_misses(artifact_cache):

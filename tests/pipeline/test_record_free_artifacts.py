@@ -11,23 +11,18 @@ import shutil
 
 import pytest
 
-from repro.api import WorkloadRef
+from repro.api import SimulationRequest, WorkloadRef
 from repro.crypto.programs.common import KernelProgram
 from repro.crypto.workloads import get_workload
 from repro.engine import lowering
-from repro.experiments.runner import (
-    DESIGN_BUILDERS,
-    DesignPoint,
-    artifacts_for_kernel,
-    prepare_workload,
-)
+from repro.experiments.runner import DESIGN_BUILDERS, artifacts_for_kernel, prepare_workload
 from repro.pipeline import ArtifactCache
 from repro.pipeline.parallel import prepare_kernels_parallel
 from repro.uarch.core import CoreModel
 from repro.uarch.defenses import CassandraPolicy
 
 WORKLOAD = "Poly1305_ctmul"
-POINTS = [DesignPoint("unsafe-baseline"), DesignPoint("cassandra")]
+POINTS = [SimulationRequest(WORKLOAD, design) for design in ("unsafe-baseline", "cassandra")]
 
 
 @pytest.fixture()
@@ -108,7 +103,7 @@ def test_missing_lowered_trace_reexecutes_once(artifact_cache, counted_kernel_ru
     assert [sim.as_dict() for sim in warm_results] == cold
     assert warm_cache.stats.quarantined == (1 if damage == "corrupt" else 0)
     # The rebuilt lowering is stored again, and nothing re-executes twice.
-    warm.simulate("spt")
+    warm.simulate_batch([SimulationRequest(WORKLOAD, "spt")])
     assert counted_kernel_runs == [WORKLOAD]
     assert os.path.exists(_entry(artifact_cache.root, "lowered-trace"))
 
@@ -126,7 +121,7 @@ def test_policy_without_engine_spec_on_record_free_artifact(
     assert CustomCassandra(warm.bundle).engine_spec() is None
     counted_kernel_runs.clear()
 
-    simulation = warm.simulate("custom")
+    [simulation] = warm.simulate_batch([SimulationRequest(WORKLOAD, "custom")])
     assert counted_kernel_runs == [WORKLOAD]
 
     fresh = warm.kernel.run(0)
@@ -168,7 +163,7 @@ def test_parallel_preparation_ships_record_free_results_and_lowered_traces(
     shipped = {artifact.name: artifact.lowered_trace() for artifact in artifacts}
     for artifact in artifacts:
         assert not artifact.result.has_records
-        artifact.simulate("cassandra")
+        artifact.simulate_batch([SimulationRequest(artifact.name, "cassandra")])
     # The workers lowered the shipped traces (and persisted them); the
     # parent neither lowered nor re-executed.
     assert lowered_in_parent == []

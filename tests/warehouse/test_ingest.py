@@ -1,6 +1,7 @@
 """Warehouse ingest: the event-stream listener and the JSON backfill."""
 
 import json
+import logging
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from repro.api.jobs import JobEvent
 from repro.api.request import SimulationRequest
 from repro.engine import native
 from repro.engine.kernels import TIER_ENV
+from repro.testing import Fault, FaultPlan, activate
 from repro.warehouse import (
     FINGERPRINT_ENV,
     Query,
@@ -92,6 +94,28 @@ def test_untagged_job_has_no_tenant(tmp_path, service):
     (row,) = store.select()
     assert row.tags == ()
     assert row.tenant is None
+    store.close()
+
+
+def test_a_failed_upsert_is_logged_not_silent(tmp_path, service, caplog):
+    """A listener that raises loses its row, but the loss names the job,
+    the event and the error in a warning instead of vanishing."""
+    store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
+    attach_ingestor(service, store, fingerprint="fp-live")
+    plan = FaultPlan.scripted(Fault("warehouse-write", 0, "crash"))
+    with caplog.at_level(logging.WARNING, logger="repro.api.jobs"):
+        with activate(plan) as active:
+            handle = service.submit(MATRIX)
+            handle.result(timeout=60)
+            # The second point lands after the first one's failure.
+            wait_for_rows(store, 1)
+    assert [fault.site for fault in active.fired] == ["warehouse-write"]
+    assert store.count() == 1
+    [lost] = [record for record in caplog.records if record.name == "repro.api.jobs"]
+    message = lost.getMessage()
+    assert handle.job_id in message
+    assert "point-done" in message
+    assert "InjectedFault" in message
     store.close()
 
 
