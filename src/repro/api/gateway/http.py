@@ -527,12 +527,12 @@ class GatewayServer:
         request.close_connection = True
         # Each JobEvent maps 1:1 to an SSE frame: the monotonic seq is the
         # event id (what a reconnecting client echoes as Last-Event-ID),
-        # the kind is the event name, the JSON dict is the data line.
+        # the kind is the event name, the event's compact JSON is the data line.
         for event in handle.events(after_seq=after_seq):
             frame = (
                 f"id: {event.seq}\n"
                 f"event: {event.kind}\n"
-                f"data: {json.dumps(event.as_dict(), sort_keys=True)}\n\n"
+                f"data: {event.to_json()}\n\n"
             )
             request.wfile.write(frame.encode("utf-8"))
             request.wfile.flush()

@@ -8,7 +8,8 @@ back immediately and observe the job through a stream of typed
 :meth:`JobHandle.result`.  Events are JSON-round-trippable
 (:meth:`JobEvent.as_dict` / :meth:`JobEvent.from_dict`), so the same
 stream a local :class:`~repro.api.scheduler.Scheduler` emits in-process is
-what ``repro serve`` forwards as Server-Sent Events, one frame per event.
+what ``repro serve`` forwards as Server-Sent Events, one frame per event
+(:meth:`JobEvent.to_json` is the frame's data line).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import (
 
 from repro.api.request import SimulationRequest
 from repro.api.results import ResultSet
+from repro.uarch.config import compact_json
 
 if TYPE_CHECKING:
     from repro.uarch.core import SimulationResult
@@ -76,6 +78,17 @@ class JobEvent:
             "request": self.request.as_dict() if self.request is not None else None,
             "payload": self.payload,
         }
+
+    def to_json(self) -> str:
+        """:meth:`as_dict` as compact sorted JSON, byte for byte (an SSE
+        frame's data line).  The keys before ``request`` are encoded in one
+        C call, the request's own :meth:`SimulationRequest.to_json` is
+        spliced after them, and only the integer ``seq`` follows."""
+        head = compact_json(
+            {"job": self.job_id, "kind": self.kind, "payload": self.payload}
+        )
+        request = self.request.to_json() if self.request is not None else "null"
+        return f'{head[:-1]},"request":{request},"seq":{compact_json(self.seq)}}}'
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobEvent":

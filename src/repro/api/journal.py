@@ -2,8 +2,8 @@
 
 ``repro serve`` used to hold every queued and partially-complete job in
 memory — a crash lost the sweep.  :class:`JobJournal` makes the job layer
-crash-safe without a database.  Four record kinds are appended as JSON
-lines to ``<state-dir>/journal.jsonl``, each fsync'd before the operation
+crash-safe without a database.  Four record kinds are appended as compact
+JSON lines to ``<state-dir>/journal.jsonl``, each fsync'd before the operation
 it records is considered done:
 
 * ``submit`` — the full JSON-round-trippable
@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.request import SimulationRequest
+from repro.uarch.config import compact_json
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.api.jobs import JobEvent, JobHandle
@@ -203,7 +204,7 @@ class JobJournal:
         with open(temp, "wb") as handle:
             handle.write(_encode(self._lease_record(self.next_seq)))
             for job in self.pending:
-                handle.write(_encode(_submit_record(job.job_id, job.requests, job.priority, job.tags)))
+                handle.write(_submit_record(job.job_id, job.requests, job.priority, job.tags))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, self.path)
@@ -211,12 +212,12 @@ class JobJournal:
     # ------------------------------------------------------------------ #
     # Writing
     # ------------------------------------------------------------------ #
-    def _append(self, record: Dict[str, Any]) -> None:
-        payload = _encode(record)
+    def _append(self, line: bytes) -> None:
+        """Append one encoded record line and fsync it."""
         with self._lock:
             if self._file.closed:  # pragma: no cover - post-close stragglers
                 return
-            self._file.write(payload)
+            self._file.write(line)
             self._file.flush()
             os.fsync(self._file.fileno())
 
@@ -230,7 +231,7 @@ class JobJournal:
         with self._lease_lock:
             if seq >= self._leased:
                 ceiling = seq + LEASE_BLOCK
-                self._append(self._lease_record(ceiling))
+                self._append(_encode(self._lease_record(ceiling)))
                 self._leased = ceiling
 
     def job_submitted(self, handle: "JobHandle") -> None:
@@ -263,11 +264,11 @@ class JobJournal:
             }
             if event.kind == "failed":
                 record["error"] = (event.payload or {}).get("error")
-            self._append(record)
+            self._append(_encode(record))
 
     def checkpoint(self) -> None:
         """Mark a clean shutdown (pending jobs intentionally left pending)."""
-        self._append({"record": "checkpoint", "version": JOURNAL_FORMAT_VERSION})
+        self._append(_encode({"record": "checkpoint", "version": JOURNAL_FORMAT_VERSION}))
 
     def close(self) -> None:
         with self._lock:
@@ -276,7 +277,8 @@ class JobJournal:
 
 
 def _encode(record: Dict[str, Any]) -> bytes:
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    """One journal line: the record as compact sorted JSON."""
+    return (compact_json(record) + "\n").encode("utf-8")
 
 
 def _submit_record(
@@ -284,15 +286,15 @@ def _submit_record(
     requests,
     priority: int,
     tags: Tuple[str, ...],
-) -> Dict[str, Any]:
-    return {
-        "record": "submit",
-        "version": JOURNAL_FORMAT_VERSION,
-        "job": job_id,
-        "priority": priority,
-        "tags": list(tags),
-        "requests": [request.as_dict() for request in requests],
-    }
+) -> bytes:
+    """The encoded ``submit`` line: ``_encode`` of the record dict, with
+    each request's own :meth:`SimulationRequest.to_json` spliced into the
+    ``requests`` slot (it sorts after ``job``, ``priority`` and ``record``
+    and before ``tags`` and ``version``)."""
+    head = compact_json({"job": job_id, "priority": priority, "record": "submit"})
+    tail = compact_json({"tags": list(tags), "version": JOURNAL_FORMAT_VERSION})
+    requests = ",".join(request.to_json() for request in requests)
+    return f'{head[:-1]},"requests":[{requests}],{tail[1:]}\n'.encode("utf-8")
 
 
 def resume_jobs(service: "SimulationService", journal: JobJournal) -> List["JobHandle"]:

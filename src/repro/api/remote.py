@@ -47,6 +47,7 @@ from repro.api.matrix import ScenarioMatrix, expand_many
 from repro.api.request import SimulationRequest
 from repro.api.results import ResultSet
 from repro.api.retry import RetryPolicy
+from repro.uarch.config import compact_json
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.api.service import RequestsLike
@@ -267,14 +268,14 @@ class RemoteServiceClient:
         conn: http.client.HTTPConnection,
         method: str,
         path: str,
-        payload: Optional[Dict[str, Any]] = None,
+        body: Optional[str] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> http.client.HTTPResponse:
+        """Send one request; ``body`` is already-encoded JSON text."""
         headers = dict(headers or {})
-        body = None
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
+        if body is not None:
             headers["Content-Type"] = "application/json"
+            body = body.encode("utf-8")
         conn.request(method, path, body=body, headers=headers)
         return conn.getresponse()
 
@@ -375,16 +376,14 @@ class RemoteServiceClient:
         # so only the dial retries; the request itself is one shot.
         conn = self.retry.call(self._dial, token=f"dial:{self.address}")
         try:
-            response = self._send(
-                conn,
-                "POST",
-                "/v1/jobs",
-                {
-                    "requests": [request.as_dict() for request in requests],
-                    "priority": priority,
-                    "tags": list(tags),
-                },
+            # The requests' own encodings, spliced between the two sorted
+            # neighbours of the ``requests`` key.
+            entries = ",".join(request.to_json() for request in requests)
+            payload = (
+                f'{{"priority":{compact_json(priority)},"requests":[{entries}],'
+                f'"tags":{compact_json(list(tags))}}}'
             )
+            response = self._send(conn, "POST", "/v1/jobs", payload)
             body = response.read()
         finally:
             conn.close()

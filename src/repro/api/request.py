@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
+from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig, compact_json
 
 #: Bump when the JSON layout changes; ``from_json`` rejects other versions,
 #: so a request never deserializes silently wrong across mixed deployments.
@@ -169,7 +169,24 @@ class SimulationRequest:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        """:meth:`as_dict` as compact sorted JSON, byte for byte.
+
+        One C encode of the small fields, with the config's memoized
+        fragment (:meth:`CoreConfig.to_json`) spliced into its slot: in
+        sorted key order ``config`` follows ``btu_flush_interval`` and
+        precedes the rest, so the slot's position is known exactly.
+        """
+        rest = compact_json(
+            {
+                "design": self.design,
+                "version": REQUEST_FORMAT_VERSION,
+                "warmup_passes": self.warmup_passes,
+                "workload": self.workload.as_dict(),
+            }
+        )
+        flush = self.btu_flush_interval
+        flush = "null" if flush is None else compact_json(flush)
+        return f'{{"btu_flush_interval":{flush},"config":{self.config.to_json()},{rest[1:]}'
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationRequest":

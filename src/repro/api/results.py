@@ -254,19 +254,15 @@ class ResultSet:
         Unlike :meth:`to_json` (sorted human-readable rows), this is the
         lossless server→client payload: :meth:`from_wire` rebuilds an
         equivalent :class:`ResultSet` — same entry order, same stats — on
-        the other side of a socket.
+        the other side of a socket.  The text is byte-identical to
+        ``json.dumps`` of the nested dicts (sorted keys, compact), built by
+        joining each entry's request and result encodings.
         """
-        return json.dumps(
-            {
-                "version": WIRE_FORMAT_VERSION,
-                "entries": [
-                    {"request": request.as_dict(), "result": result.as_dict()}
-                    for request, result in self._entries
-                ],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        entries = ",".join(
+            f'{{"request":{request.to_json()},"result":{result.to_json()}}}'
+            for request, result in self._entries
         )
+        return f'{{"entries":[{entries}],"version":{WIRE_FORMAT_VERSION}}}'
 
     @classmethod
     def from_wire(cls, text: str) -> "ResultSet":

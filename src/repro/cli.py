@@ -360,6 +360,8 @@ def _run_server(prog: str, args, open_store=None, **gateway_options) -> int:
         # converges back to the exact store (idempotent upserts).
         warehouse_store = WarehouseStore(args.state_dir)
         attach_ingestor(service, warehouse_store)
+    # Before resume: a resumed job may fork its pool at once.
+    _contain_fork_workers()
     resumed = resume_jobs(service, journal) if journal is not None else []
     return _serve_until_drained(
         prog,
@@ -368,6 +370,52 @@ def _run_server(prog: str, args, open_store=None, **gateway_options) -> int:
         resumed,
         stores=[warehouse_store] if warehouse_store is not None else [],
     )
+
+
+#: ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _contain_fork_workers() -> None:
+    """Register the at-fork hook each worker a server forks runs first.
+
+    Fork-based backend workers must NOT inherit the drain handlers:
+    multiprocessing.Pool.terminate() stops stragglers with SIGTERM, and a
+    worker that swallows that signal into the drain handler never exits —
+    the parent's join() inside Pool.__exit__ then wedges the dispatcher
+    thread (and with it the drain) forever.  Each worker also leads its
+    own process group, so a signal to the server's group (a terminal's ^C,
+    a service manager's stop) reaches only the server, which drains; a
+    worker killed by it would strand its pool task.
+
+    Each worker dies with the server, too: on Linux ``PR_SET_PDEATHSIG``
+    sends it SIGKILL when the thread that forked it exits.  That thread is
+    the scheduler's dispatcher, or the pool's own handler thread replacing
+    a lost worker; both outlive the pool's work, and a ``kill -9`` of the
+    server ends them all, so no worker is left blocked on the pool's task
+    pipe.  The ``getppid`` check covers a server that died before the
+    ``prctl`` took effect.
+    """
+    import ctypes
+    import signal
+
+    libc = ctypes.CDLL(None, use_errno=True) if sys.platform.startswith("linux") else None
+    forker = os.getpid()
+
+    def _in_parent() -> None:
+        nonlocal forker
+        forker = os.getpid()
+
+    def _in_child() -> None:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, signal.SIG_DFL)
+        os.setpgid(0, 0)
+        if libc is not None:
+            libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != forker:
+            os._exit(1)
+
+    os.register_at_fork(before=_in_parent, after_in_child=_in_child)
 
 
 def _serve_until_drained(
@@ -412,20 +460,6 @@ def _serve_until_drained(
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _request_shutdown)
 
-    # Fork-based backend workers must NOT inherit the drain handlers:
-    # multiprocessing.Pool.terminate() stops stragglers with SIGTERM, and
-    # a worker that swallows that signal into _request_shutdown never
-    # exits — the parent's join() inside Pool.__exit__ then wedges the
-    # dispatcher thread (and with it the drain) forever.  Each worker also
-    # leads its own process group, so a signal to the server's group (a
-    # terminal's ^C, a service manager's stop) reaches only the server,
-    # which drains; a worker killed by it would strand its pool task.
-    def _reset_signals_in_child() -> None:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, signal.SIG_DFL)
-        os.setpgid(0, 0)
-
-    os.register_at_fork(after_in_child=_reset_signals_in_child)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

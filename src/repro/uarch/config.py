@@ -10,6 +10,7 @@ three tables with 16 elements per entry (1.74 KiB of storage).
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict
 
@@ -52,7 +53,14 @@ class BtuConfig:
 
 @dataclass(frozen=True)
 class CoreConfig:
-    """The simulated out-of-order core (Golden-Cove-like, Table 3)."""
+    """The simulated out-of-order core (Golden-Cove-like, Table 3).
+
+    Frozen, so everything derived from the fields is computed at most once:
+    :meth:`identity`, :meth:`digest` (cache-key material) and ``hash()``
+    are cached on the instance, and :meth:`to_json` (the wire form) in a
+    bounded module memo keyed by :meth:`digest`.  Equality stays the
+    generated field-by-field comparison.
+    """
 
     # Pipeline widths.
     fetch_width: int = 8
@@ -137,31 +145,59 @@ class CoreConfig:
             object.__setattr__(self, "_digest_cache", value)
             return value
 
+    def __hash__(self) -> int:
+        """``hash(self.identity())``, computed once per instance.
+
+        The generated frozen-dataclass hash rehashed every nested field on
+        each call, and a served point hashes its request (and so its config)
+        a few hundred times.  Equal configs have equal identities, so they
+        still hash equal.  The cached value is per process (tuple hashes are
+        salted), so :meth:`__getstate__` keeps it out of pickles.
+        """
+        try:
+            return object.__getattribute__(self, "_hash_cache")
+        except AttributeError:
+            value = hash(self.identity())
+            object.__setattr__(self, "_hash_cache", value)
+            return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_hash_cache", None)
+        return state
+
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-serializable dict covering every field (nested configs too).
 
         The inverse of :meth:`from_dict`; the pair is what lets a
         :class:`~repro.api.request.SimulationRequest` round-trip through
         JSON (and hence cross process/host boundaries as plain text).
-
-        A served point serializes its config several times (submit record,
-        events, warehouse row, wire) and a run holds few distinct configs, so
-        the field walk runs once per distinct config: the flattened dict is
-        memoized module-wide on :meth:`identity` (not per instance, which
-        would cost memory for every deserialized request a server keeps),
-        and each call returns a fresh copy the caller may mutate.
+        Encoders on the served path use :meth:`to_json` instead.
         """
-        identity = self.identity()
-        flat = _AS_DICT_MEMO.get(identity)
-        if flat is None:
-            flat = config_as_dict(self)
-            if len(_AS_DICT_MEMO) >= _AS_DICT_MEMO_LIMIT:
-                _AS_DICT_MEMO.clear()
-            _AS_DICT_MEMO[identity] = flat
-        return {
-            name: dict(value) if isinstance(value, dict) else value
-            for name, value in flat.items()
-        }
+        return config_as_dict(self)
+
+    def to_json(self) -> str:
+        """:meth:`as_dict` as compact sorted JSON (:data:`compact_json`).
+
+        A served point encodes its config in its journal submit, its events,
+        its warehouse row and its wire result, and a run holds few distinct
+        configs, so the text is built once per distinct config: it is
+        memoized module-wide, not per instance, which would cost memory for
+        every deserialized request a server keeps.  The key is
+        :meth:`digest`, which every scheduled point computes anyway and
+        which, unlike :meth:`identity`, tells ``8`` from ``8.0`` or
+        ``True`` (equal in Python, different in JSON).  Request, result,
+        event and wire encoders splice this fragment into their own
+        encoding instead of re-encoding the fields.
+        """
+        digest = self.digest()
+        text = _JSON_MEMO.get(digest)
+        if text is None:
+            text = compact_json(config_as_dict(self))
+            if len(_JSON_MEMO) >= _JSON_MEMO_LIMIT:
+                _JSON_MEMO.clear()
+            _JSON_MEMO[digest] = text
+        return text
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "CoreConfig":
@@ -169,9 +205,14 @@ class CoreConfig:
         return config_from_dict(cls, payload)
 
 
-#: :meth:`CoreConfig.as_dict` results by config identity (cleared when full).
-_AS_DICT_MEMO: Dict[tuple, Dict[str, Any]] = {}
-_AS_DICT_MEMO_LIMIT = 256
+#: :meth:`CoreConfig.to_json` results by config digest (cleared when full).
+_JSON_MEMO: Dict[str, str] = {}
+_JSON_MEMO_LIMIT = 256
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call: the one encoding every JSON form of a
+#: request, result, event and wire payload uses.
+compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: CoreConfig fields holding nested config dataclasses, and their types.
 _NESTED_CONFIG_FIELDS = {

@@ -25,7 +25,7 @@ from repro.isa.program import Program
 from repro.uarch.bpu import BranchPredictionUnit
 from repro.uarch.btu import BranchTraceUnit
 from repro.uarch.caches import CacheHierarchy, InstructionCache
-from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig
+from repro.uarch.config import GOLDEN_COVE_LIKE, CoreConfig, compact_json
 from repro.uarch.defenses.base import BranchFetchOutcome, DefensePolicy
 from repro.uarch.defenses.unsafe import UnsafeBaseline
 from repro.uarch.stats import PipelineStats
@@ -66,6 +66,19 @@ class SimulationResult:
             "stats": self.stats.as_dict(),
             "config": self.config.as_dict(),
         }
+
+    def to_json(self) -> str:
+        """:meth:`as_dict` as compact sorted JSON, byte for byte: one C
+        encode of the other fields, with the config's memoized fragment
+        spliced in front (``config`` is the first key in sorted order)."""
+        rest = compact_json(
+            {
+                "policy_name": self.policy_name,
+                "program_name": self.program_name,
+                "stats": self.stats.as_dict(),
+            }
+        )
+        return f'{{"config":{self.config.to_json()},{rest[1:]}'
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SimulationResult":

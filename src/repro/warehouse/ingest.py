@@ -3,17 +3,30 @@
 :class:`WarehouseIngestor` is a scheduler listener — the same
 :class:`~repro.api.jobs.JobEvent` hook the gateway's
 :class:`~repro.api.gateway.usage.UsageService` rides — that lands every
-``point-done`` and ``cache-hit`` in the store as it happens.  The scheduler
-hands each of those events the full
-:class:`~repro.uarch.core.SimulationResult` it already holds
-(:attr:`~repro.api.jobs.JobEvent.result`, in process only), so the listener
-neither looks the result up again nor widens the event wire format.
+``point-done`` and ``cache-hit`` in the store.  The scheduler hands each of
+those events the full :class:`~repro.uarch.core.SimulationResult` it
+already holds (:attr:`~repro.api.jobs.JobEvent.result`, in process only),
+so the listener neither looks the result up again nor widens the event
+wire format.
 
-Attach the listener *before* :func:`repro.api.journal.resume_jobs` runs
-(``repro serve --state-dir`` and ``repro gateway`` both do): a resumed
-job's already-completed points replay as ``cache-hit`` events, so a crash
-mid-ingest converges back to the exact store an uninterrupted run produces
-— the store's idempotent upsert makes the replay safe.
+Rows land once per round, not once per point: the listener buffers a
+job's rows and commits them in one :meth:`WarehouseStore.upsert_many`
+when the round's last started point is done (the cache hits answered
+before the first round ride along with it), or, for a job every point of
+which was a cache hit, when its last point is answered.  A listener
+exception is logged by the emitting :class:`~repro.api.jobs.JobHandle`
+with the job id and the event kind, and loses only that round's rows.
+
+Crash contract: every round commits before the job's next round starts
+and before its terminal event, whose ``state`` record the journal writes
+*before* any listener runs — so a job the journal calls finished has all
+its rows in the store, and a ``kill -9`` loses at most the rows of
+rounds whose job is still pending.  Attach the listener *before*
+:func:`repro.api.journal.resume_jobs` runs (``repro serve --state-dir``
+and ``repro gateway`` both do): the resumed job's already-completed
+points replay as ``cache-hit`` events, so the store converges back to the
+exact rows an uninterrupted run produces — the store's idempotent upsert
+makes the replay safe.
 
 :func:`ingest_file` is the batch half: it sniffs and backfills the JSON
 artifacts that predate the warehouse — full-fidelity ``ResultSet.to_wire``
@@ -27,6 +40,7 @@ import json
 import os
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.jobs import JobEvent
@@ -67,25 +81,40 @@ class WarehouseIngestor:
         self.fingerprint = fingerprint or default_fingerprint()
         self.clock = clock
         self._lock = threading.Lock()
-        self._tags: Dict[str, Tuple[str, ...]] = {}
+        self._jobs: Dict[str, _JobRows] = {}
         #: Points landed through this listener, for tests and stats.
         self.ingested = 0
 
     def on_event(self, event: JobEvent) -> None:
         """The scheduler listener.  Exceptions are logged and dropped by
         the emitting :class:`JobHandle` (a broken store must not kill
-        jobs): the point's row is lost, its warning names the job."""
-        if event.kind == "queued":
-            payload = event.payload or {}
+        jobs): the round's rows are lost, its warning names the job."""
+        with self._lock:
+            job = self._jobs.setdefault(event.job_id, _JobRows())
+            if event.kind == "queued":
+                payload = event.payload or {}
+                job.tags = tuple(payload.get("tags") or ())
+                job.points = payload.get("points")
+            elif event.kind == "point-started":
+                job.running += 1
+            elif event.result is not None:  # point-done / cache-hit
+                job.rows.append(self._row(event, job.tags))
+                job.answered += 1
+                job.running -= event.kind == "point-done"
+            if event.terminal:
+                rows = self._jobs.pop(event.job_id).rows
+            elif job.running <= 0 and (
+                event.kind == "point-done" or job.answered == job.points
+            ):
+                rows, job.rows = job.rows, []
+            else:
+                rows = []
+        if rows:
+            self.store.upsert_many(rows)
             with self._lock:
-                self._tags[event.job_id] = tuple(payload.get("tags") or ())
-        elif event.result is not None:  # point-done / cache-hit
-            self._ingest_point(event)
-        elif event.terminal:
-            with self._lock:
-                self._tags.pop(event.job_id, None)
+                self.ingested += len(rows)
 
-    def _ingest_point(self, event: JobEvent) -> None:
+    def _row(self, event: JobEvent, tags: Tuple[str, ...]) -> WarehouseRow:
         from repro.api.gateway.usage import tenant_from_tags
         from repro.engine import native
         from repro.engine.kernels import engine_tier
@@ -96,23 +125,31 @@ class WarehouseIngestor:
         tier = engine_tier()
         if tier == "native" and native.find_toolchain() is None:
             tier = "python"
-        with self._lock:
-            tags = self._tags.get(event.job_id, ())
-        self.store.upsert(
-            WarehouseRow.from_entry(
-                event.request,
-                event.result,
-                fingerprint=self.fingerprint,
-                recorded=self.clock(),
-                engine_tier=tier,
-                job_id=event.job_id,
-                tags=tags,
-                tenant=tenant_from_tags(tags),
-                source=SOURCE_EVENT,
-            )
+        return WarehouseRow.from_entry(
+            event.request,
+            event.result,
+            fingerprint=self.fingerprint,
+            recorded=self.clock(),
+            engine_tier=tier,
+            job_id=event.job_id,
+            tags=tags,
+            tenant=tenant_from_tags(tags),
+            source=SOURCE_EVENT,
         )
-        with self._lock:
-            self.ingested += 1
+
+
+@dataclass
+class _JobRows:
+    """One job's ingest state: its tags and its open round's rows."""
+
+    tags: Tuple[str, ...] = ()
+    #: The job's point count, from its ``queued`` event.
+    points: Optional[int] = None
+    #: Points answered (``point-done`` or ``cache-hit``) so far.
+    answered: int = 0
+    #: Points started and not yet done: the open round's.
+    running: int = 0
+    rows: List[WarehouseRow] = field(default_factory=list)
 
 
 def attach_ingestor(

@@ -18,7 +18,8 @@ Design points:
   ``kill -9``, a backfill run twice) lands on the same row; lossy
   re-ingest never erases full-fidelity JSON (``COALESCE`` keeps it).
 * **WAL mode.**  Readers (queries, views, regression gates) never block
-  the incremental writer riding the scheduler's event stream, and a torn
+  the incremental writer riding the scheduler's event stream (one
+  :meth:`WarehouseStore.upsert_many` commit per job round), and a torn
   final commit after ``kill -9`` simply isn't there on reopen — the
   journal-driven resume re-ingests it, and the upsert makes that replay
   safe.
@@ -166,9 +167,7 @@ class WarehouseRow:
             ipc=round(result.ipc, 4),
             engine_tier=engine_tier,
             request_json=request.to_json(),
-            result_json=json.dumps(
-                result.as_dict(), sort_keys=True, separators=(",", ":")
-            ),
+            result_json=result.to_json(),
             recorded=recorded,
             job_id=job_id,
             tags=tuple(tags),

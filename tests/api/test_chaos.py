@@ -50,6 +50,9 @@ BIG_MATRIX = ScenarioMatrix(
 
 RESULT_TIMEOUT = 300
 
+#: Two workloads: a serial job over them runs two rounds.
+TWO_WORKLOADS = (WORKLOAD, "Poly1305_ctmul")
+
 #: Served runs hold the simulation batch open this long after its commit
 #: (the third cache store: preparation stores the workload's artifacts and
 #: lowered trace first).  The whole batch lands in one commit, so a kill or
@@ -370,10 +373,39 @@ def live_children(pid):
     return children
 
 
-@pytest.mark.skipif(
+def busy_pool_workers(server, deadline):
+    """Submit a long sweep to ``server`` and return its fork-pool workers
+    once they are mid-task: rounds of a few seconds, even on a host several
+    times faster than the one this was tuned on, and pool workers take
+    their tasks as they start, so workers alive 0.3 s are computing."""
+    matrix = ScenarioMatrix(designs=("cassandra",), flush_intervals=tuple(range(200, 3800, 50)))
+    RemoteServiceClient(server.address).submit(matrix)
+    born = {}
+    while not born or time.monotonic() - min(born.values()) < 0.3:
+        assert time.monotonic() < deadline, "no pool worker lived long enough"
+        now = time.monotonic()
+        born = {pid: born.get(pid, now) for pid in live_children(server.process.pid)}
+        time.sleep(0.005)
+    return list(born)
+
+
+def running(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+needs_proc_children = pytest.mark.skipif(
     not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
     reason="needs /proc/<pid>/task/<tid>/children",
 )
+
+
+@needs_proc_children
 def test_group_sigterm_drains_a_fork_backend_server(tmp_path):
     """A SIGTERM to the server's whole process group (a terminal's ^C, a
     service manager's stop) drains as promptly as one to the server alone:
@@ -385,20 +417,9 @@ def test_group_sigterm_drains_a_fork_backend_server(tmp_path):
         backend="fork",
         jobs=2,
     )
-    # Rounds of a few seconds, so workers are mid-task when signalled even
-    # on a host several times faster than the one this was tuned on.
-    matrix = ScenarioMatrix(designs=("cassandra",), flush_intervals=tuple(range(200, 3800, 50)))
+    deadline = time.monotonic() + 60
     try:
-        RemoteServiceClient(server.address).submit(matrix)
-        # Signal mid-task: pool workers take their tasks as they start, so
-        # workers alive this long are computing.
-        deadline = time.monotonic() + 60
-        born = {}
-        while not born or time.monotonic() - min(born.values()) < 0.3:
-            assert time.monotonic() < deadline, "no pool worker lived long enough"
-            now = time.monotonic()
-            born = {pid: born.get(pid, now) for pid in live_children(server.process.pid)}
-            time.sleep(0.005)
+        born = busy_pool_workers(server, deadline)
         os.killpg(server.process.pid, signal.SIGTERM)
         assert server.process.wait(timeout=15) == 0
         server.wait_for_line("drained, exiting")
@@ -415,36 +436,72 @@ def test_group_sigterm_drains_a_fork_backend_server(tmp_path):
             server.kill9()
 
 
+@needs_proc_children
+def test_kill9_of_a_fork_backend_server_takes_its_pool_workers_down(tmp_path):
+    """``kill -9`` of a fork-backend server mid-round leaves no pool worker
+    behind.  The workers are stopped first, so nothing they do themselves
+    can end them: like a worker blocked on the task queue's lock that a
+    killed sibling held (ppid 1, forever), only their parent's death can."""
+    server = ServeProcess(
+        str(tmp_path / "state"),
+        workloads=f"{WORKLOAD},Poly1305_ctmul",
+        backend="fork",
+        jobs=2,
+    )
+    workers = []
+    try:
+        workers = busy_pool_workers(server, time.monotonic() + 60)
+        for pid in workers:
+            os.kill(pid, signal.SIGSTOP)
+        server.kill9()
+        deadline = time.monotonic() + 5
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not [pid for pid in workers if running(pid)], "pool workers outlived the server"
+    finally:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        if server.process.poll() is None:
+            server.kill9()
+
+
 def test_kill9_mid_warehouse_ingest_then_resume_reingests_identical_store(
     tmp_path,
 ):
-    """Die at the Nth warehouse write; the journal-driven resume must
-    re-ingest to the exact store an uninterrupted run produces."""
+    """Die in the second round's warehouse commit; the store holds exactly
+    the first round's rows, and the journal-driven resume must re-ingest
+    to the exact store an uninterrupted run produces."""
     # The uninterrupted reference: the same sweep ingested in-process
-    # under a pinned fingerprint.
+    # under a pinned fingerprint.  The serial backend runs one round per
+    # workload, and each round's rows land in one commit.
     reference_store = WarehouseStore(str(tmp_path / "reference.sqlite3"))
-    service = serial_service()
+    service = serial_service(names=TWO_WORKLOADS)
     attach_ingestor(service, reference_store, fingerprint="chaos-fp")
-    expected = len(service.expand(BIG_MATRIX))
+    requests = service.expand(BIG_MATRIX)
+    first_round = requests[0].workload.name
+    first_rows = sum(request.workload.name == first_round for request in requests)
     service.run(BIG_MATRIX)
     deadline = time.monotonic() + 60
-    while reference_store.count() < expected and time.monotonic() < deadline:
+    while reference_store.count() < len(requests) and time.monotonic() < deadline:
         time.sleep(0.02)
     service.close()
     reference = reference_store.content_rows()
     reference_store.close()
-    assert len(reference) == expected
+    assert len(reference) == len(requests)
+    assert 0 < first_rows < len(requests)
 
     state_dir = str(tmp_path / "state")
     store_path = os.path.join(state_dir, WAREHOUSE_NAME)
-    plan = FaultPlan.scripted(Fault("warehouse-write", 6, "die"))
+    # upsert_many trips the site once per row before it commits, so the
+    # first trip past the first round's rows is the second round's commit.
+    plan = FaultPlan.scripted(Fault("warehouse-write", first_rows, "die"))
     env = repro_env(plan)
     env[FINGERPRINT_ENV] = "chaos-fp"
-    first = ServeProcess(state_dir, env=env)
+    first = ServeProcess(state_dir, env=env, workloads=",".join(TWO_WORKLOADS))
     try:
         client = RemoteServiceClient(first.address)
         handle = client.submit(BIG_MATRIX, tags=("sweep",))
-        # The 7th warehouse write fires `die`: the server stops mid-ingest.
         assert first.process.wait(timeout=RESULT_TIMEOUT) == DIE_STATUS
     finally:
         if first.process.poll() is None:
@@ -452,20 +509,19 @@ def test_kill9_mid_warehouse_ingest_then_resume_reingests_identical_store(
 
     with WarehouseStore(store_path) as partial_store:
         partial = partial_store.content_rows()
-    # Genuinely mid-ingest: some rows landed, the sweep did not finish,
-    # and nothing that landed disagrees with the reference.
-    assert 0 < len(partial) < expected
-    assert set(partial) <= set(reference)
+    # Genuinely mid-ingest, and a round is all or nothing: the store holds
+    # exactly the first round's rows.
+    assert partial == [row for row in reference if row[2] == first_round]
+    assert len(partial) == first_rows
 
     env = repro_env()
     env[FINGERPRINT_ENV] = "chaos-fp"
-    second = ServeProcess(state_dir, env=env)
+    second = ServeProcess(state_dir, env=env, workloads=",".join(TWO_WORKLOADS))
     try:
         assert handle.job_id in second.wait_for_line("resumed")
         attached = RemoteServiceClient(second.address).attach(handle.job_id)
         attached.result(timeout=RESULT_TIMEOUT)
-        # The ingest listener trails the result by a beat — poll for
-        # convergence to the byte-exact reference rows.
+        # Poll for convergence to the byte-exact reference rows.
         deadline = time.monotonic() + 60
         rows = []
         while time.monotonic() < deadline:

@@ -86,6 +86,43 @@ def test_replayed_points_are_idempotent(tmp_path, service):
     store.close()
 
 
+def test_each_round_lands_in_one_commit_before_the_job_ends(tmp_path, service):
+    """One upsert_many per round; the last round's lands before the job's
+    terminal event, which the journal records before listeners see it (a
+    crash in between must not strand a finished job's rows)."""
+    store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
+    commits = []
+    upsert_many = store.upsert_many
+    store.upsert_many = lambda rows: commits.append(upsert_many(rows))
+    # Ahead of the ingestor, as the journal's state record is.
+    at_end = []
+    service.scheduler.add_listener(
+        lambda event: at_end.append(store.count()) if event.terminal else None
+    )
+    attach_ingestor(service, store, fingerprint="fp-live")
+    two_rounds = ScenarioMatrix(
+        workloads=(WORKLOAD, "Poly1305_ctmul"), designs=("unsafe-baseline", "cassandra")
+    )
+
+    def run_to_its_end():
+        ended = len(at_end)
+        service.run(two_rounds)
+        # Listeners see the terminal event after result() returns.
+        deadline = time.monotonic() + 60.0
+        while len(at_end) == ended and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    run_to_its_end()
+    # The serial backend runs one round per workload.
+    assert commits == [2, 2]
+    assert at_end == [4]
+    # A rerun is all cache hits: one commit, again before the job ends.
+    run_to_its_end()
+    assert commits == [2, 2, 4]
+    assert at_end == [4, 4]
+    store.close()
+
+
 def test_untagged_job_has_no_tenant(tmp_path, service):
     store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
     attach_ingestor(service, store, fingerprint="fp-live")
@@ -98,22 +135,29 @@ def test_untagged_job_has_no_tenant(tmp_path, service):
 
 
 def test_a_failed_upsert_is_logged_not_silent(tmp_path, service, caplog):
-    """A listener that raises loses its row, but the loss names the job,
-    the event and the error in a warning instead of vanishing."""
+    """A round whose commit raises loses its rows, but the loss names the
+    job, the event that flushed the round and the error in a warning
+    instead of vanishing; the job's next round still lands."""
     store = WarehouseStore(str(tmp_path / "wh.sqlite3"))
     attach_ingestor(service, store, fingerprint="fp-live")
+    # Two workloads: the serial backend runs one round per workload.
+    two_rounds = ScenarioMatrix(
+        workloads=(WORKLOAD, "Poly1305_ctmul"), designs=("unsafe-baseline", "cassandra")
+    )
     plan = FaultPlan.scripted(Fault("warehouse-write", 0, "crash"))
     with caplog.at_level(logging.WARNING, logger="repro.api.jobs"):
         with activate(plan) as active:
-            handle = service.submit(MATRIX)
+            handle = service.submit(two_rounds)
             handle.result(timeout=60)
-            # The second point lands after the first one's failure.
-            wait_for_rows(store, 1)
+            # The second round lands after the first one's failure.
+            wait_for_rows(store, 2)
     assert [fault.site for fault in active.fired] == ["warehouse-write"]
-    assert store.count() == 1
+    assert {row.workload for row in store.select()} == {"Poly1305_ctmul"}
+    assert store.count() == 2
     [lost] = [record for record in caplog.records if record.name == "repro.api.jobs"]
     message = lost.getMessage()
     assert handle.job_id in message
+    # A round commits at its last point-done.
     assert "point-done" in message
     assert "InjectedFault" in message
     store.close()
@@ -164,21 +208,29 @@ def test_point_event_carries_its_result_into_the_store(tmp_path, answered, monke
     ingestor = WarehouseIngestor(store, fingerprint="fp-ev", clock=lambda: 42.0)
     request, result = next(iter(answered))
     tags = (TENANT_TAG_PREFIX + "acme",)
-    ingestor.on_event(JobEvent("queued", "job-7", 1, payload={"tags": list(tags)}))
+    ingestor.on_event(
+        JobEvent("queued", "job-7", 1, payload={"points": 1, "tags": list(tags)})
+    )
+    ingestor.on_event(JobEvent("point-started", "job-7", 2, request=request))
     done = JobEvent(
-        "point-done", "job-7", 2, request=request,
+        "point-done", "job-7", 3, request=request,
         payload={"cycles": result.cycles}, result=result,
     )
     # The result rides in process only: the wire form is unchanged.
     assert set(done.as_dict()) == {"kind", "job", "seq", "request", "payload"}
     assert JobEvent.from_dict(done.as_dict()) == done
     ingestor.on_event(done)
-    assert store.select() == [
+    # The round's last point-done commits it, before the job's terminal
+    # event (which the journal records first) reaches any listener.
+    expected = [
         WarehouseRow.from_entry(
             request, result, fingerprint="fp-ev", recorded=42.0,
             engine_tier="python", job_id="job-7", tags=tags, tenant="acme",
         )
     ]
+    assert store.select() == expected
+    ingestor.on_event(JobEvent("done", "job-7", 4, payload={"points": 1}))
+    assert store.select() == expected
     assert ingestor.ingested == 1
     store.close()
 
