@@ -177,9 +177,6 @@ class Scheduler:
         """Observe every event of every job (the CLI progress line hook)."""
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: Callable[[JobEvent], None]) -> None:
-        self._listeners.remove(listener)
-
     def pause(self) -> None:
         """Stop starting new jobs (running jobs finish; submits still queue)."""
         with self._work:

@@ -372,27 +372,20 @@ def simulate_batch(
             point_config.store_latency,
             point_config.branch_resolve_latency,
         )
-        rob = point_config.rob_size
-        split = batch_shared.get(("rows", tab, mask, rob))
-        if split is None:
-            rows = batch_shared.get(("rows", tab, mask))
-            if rows is None:
-                rows = list(
-                    zip(
-                        trace.dst,
-                        trace.src0,
-                        trace.src1,
-                        trace.src2,
-                        shared_mfl_col(mask),
-                        shared_lat_col(point_config),
-                    )
+        rows = batch_shared.get(("rows", tab, mask))
+        if rows is None:
+            rows = list(
+                zip(
+                    trace.dst,
+                    trace.src0,
+                    trace.src1,
+                    trace.src2,
+                    shared_mfl_col(mask),
+                    shared_lat_col(point_config),
                 )
-                batch_shared[("rows", tab, mask)] = rows
-            # Pre-split at the ROB boundary: the kernels' head loop carries
-            # no occupancy check, the tail loop reads it unconditionally.
-            split = (rows[: rob], rows[rob:])
-            batch_shared[("rows", tab, mask, rob)] = split
-        return split  # type: ignore[return-value]
+            )
+            batch_shared[("rows", tab, mask)] = rows
+        return rows  # type: ignore[return-value]
 
     def shared_base_counts() -> Dict[str, int]:
         counts = tables.get("base")
@@ -454,15 +447,13 @@ def simulate_batch(
 
     def shared_plan(
         lite: bool, point_config: CoreConfig
-    ) -> Tuple[bytes, Dict[int, int], Tuple[int, int, int, int], int]:
+    ) -> Tuple[bytes, Dict[int, int], Tuple[int, int, int, int]]:
         """The static per-PC fetch-flow plan and its occurrence counts.
 
         ``classify_branch`` reads only hints and the immutable replay
         payload, so the class of every static branch — and hence the number
         of dynamic branches taking each flow — is a trace property shared
-        by every point of the same (kind, lite) family.  The final element
-        is the number of *distinct* traced static branches, which licenses
-        the kernels' BTU no-eviction elision when it fits the BTU.
+        by every point of the same (kind, lite) family.
         """
         plan = tables.get(("plan", lite))
         if plan is None:
@@ -471,7 +462,6 @@ def simulate_batch(
             plan_cls = bytearray(trace.max_pc + 2)
             plan_stp: Dict[int, int] = {}
             occ = [0, 0, 0, 0]
-            traced_static = 0
             seen = set()
             for pc, fl in zip(trace.pcs, trace.flags):
                 if fl & 4:  # F_BRANCH
@@ -481,12 +471,10 @@ def simulate_batch(
                             pc, fl, crypto_pcs, hint_table, btu_targets, lite
                         )
                         plan_cls[pc] = cls
-                        if cls == 2:
-                            traced_static += 1
                         if stp is not None:
                             plan_stp[pc] = stp
                     occ[plan_cls[pc]] += 1
-            plan = (bytes(plan_cls), plan_stp, tuple(occ), traced_static)
+            plan = (bytes(plan_cls), plan_stp, tuple(occ))
             plan = tables.setdefault(("plan", lite), plan)
         return plan  # type: ignore[return-value]
 
@@ -582,23 +570,11 @@ def simulate_batch(
             btu_data = shared_btu_data(point_config) if cassandra else None
             crypto_pcs = shared_crypto_pcs() if cassandra else b""
             if cassandra:
-                plan_cls, plan_stp, plan_occ, traced_static = shared_plan(
-                    spec.lite, point_config
-                )
+                plan_cls, plan_stp, _occ = shared_plan(spec.lite, point_config)
             else:
                 plan_cls, plan_stp = b"", {}
-                traced_static = 0
             state = FlatState(point_config, btu_data)
             flush_active = flush_interval is not None
-            # With no flush active and every traced branch fitting the
-            # BTU, residency can never evict and the kernel elides the
-            # LRU list.
-            btu_elide = (
-                cassandra
-                and not spec.lite
-                and not flush_active
-                and traced_static <= point_config.btu.entries
-            )
             # The native tier serves a point all-or-nothing: mixing a
             # native warm pass with a python measured pass (or vice
             # versa) would leave one side reading state the other only
@@ -612,7 +588,6 @@ def simulate_batch(
                     flush_active,
                     icache_resident=icache_ok,
                     dcache_resident=dcache_ok,
-                    btu_elide=btu_elide,
                     cache_dir=cache_dir,
                 )
                 if kernel is not None and (flush_private or forwarding_private):
@@ -660,7 +635,6 @@ def simulate_batch(
                     flush_active,
                     icache_resident=icache_ok,
                     dcache_resident=dcache_ok,
-                    btu_elide=btu_elide,
                 )
             start = time.perf_counter()
             counters = kernel(

@@ -72,7 +72,7 @@ from repro.uarch.defenses.base import EnginePolicySpec
 #: Bumped whenever the argument layout or prelude changes incompatibly —
 #: part of the compiled-artifact cache key, so stale ``.so`` files can never
 #: be loaded against a new ABI.
-C_ABI_VERSION = 5
+C_ABI_VERSION = 6
 
 #: Scalar slots (plain int64 values).  ``history``, ``btb_head`` /
 #: ``btb_count``, ``rsb_head`` / ``rsb_len`` and ``res_len`` are read at
@@ -89,7 +89,6 @@ _SCALARS = (
     "rsb_head",
     "rsb_len",
     "res_len",
-    "n_traced",
     "ib_mask",
     "err_a",
     "err_b",
@@ -115,7 +114,6 @@ _POINTERS = (
     "crypto_pcs",  # uint8
     "plan_cls",  # uint8
     "plan_stp",  # dense int64, -1 = absent
-    "traced_pcs",
     "tgt_off",
     "tgt_len",
     "tgt_data",
@@ -182,7 +180,6 @@ def c_kernel_source(
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
-    btu_elide: bool = False,
     collect_stats: bool = True,
 ) -> str:
     """The complete C translation unit for one kernel shape.
@@ -195,7 +192,6 @@ def c_kernel_source(
         flush_active,
         icache_resident=icache_resident,
         dcache_resident=dcache_resident,
-        btu_elide=btu_elide,
         collect_stats=collect_stats,
     )
     return _PRELUDE + "\n" + render(
@@ -225,7 +221,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     Mirrors :func:`repro.engine.ir.build_kernel_ir` stage by stage — same
     Guard placement, same config locals bound from the point's config
     table — over the C data-structure mappings described in the module
-    docstring.  One build serves all 2⁵ feature points.
+    docstring.  One build serves all 2⁴ feature points.
     """
     cassandra = spec.kind == "cassandra"
     lite = spec.lite
@@ -336,18 +332,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                 f"const int64_t *eid_data = PI64({_a('eid_data')});",
                 f"const uint8_t *btu_long = PU8({_a('btu_long')});",
                 "int64_t pos, extra, tl, tidx, target, eid;",
-            )
-        )
-        body.append(
-            Guard(
-                "btu_elide",
-                (),
-                tuple(
-                    lines(
-                        f"int64_t *res_buf = PI64({_a('res_buf')});",
-                        f"int64_t res_len = {_a('res_len')};",
-                    )
-                ),
+                f"int64_t *res_buf = PI64({_a('res_buf')});",
+                f"int64_t res_len = {_a('res_len')};",
             )
         )
     body.extend(
@@ -356,6 +342,9 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             f"int64_t *reg_ready = PI64({_a('reg_ready')}) + 1;",
             f"memset(reg_ready - 1, 0, (size_t)({_a('num_regs')} + 2)"
             " * sizeof(int64_t));",
+            # Each instruction's ROB bound is the commit cycle of the one
+            # ``rob_size`` back; the ring starts zeroed, so the first
+            # ``rob_size`` instructions read a bound of 0, which never binds.
             f"int64_t *commit_ring = PI64({_a('commit_ring')});",
             "memset(commit_ring, 0, (size_t)rob_size * sizeof(int64_t));",
             f"int64_t *ib_keys = PI64({_a('ib_keys')});",
@@ -374,8 +363,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             "int64_t committed_this_cycle = 0;",
             "int64_t window_resolve_cycle = 0;",
             "int64_t index = 0;",
-            # The tail loop's commit-ring slot: index % rob_size, kept as a
-            # wrapping counter so the loop divides nothing.
+            # The commit-ring slot: index % rob_size, kept as a wrapping
+            # counter so the loop divides nothing.
             "int64_t ri = 0;",
             "int64_t dst, s0, s1, s2, fl, lat;",
             "int64_t pc = 0, npc, bc, ready, t, i, line, seg_end, tag;",
@@ -477,18 +466,14 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         )
         return [Guard("icache_resident", tuple(resident), tuple(full))]
 
-    def dispatch_stage(rob_active: bool) -> List[Stmt]:
-        out: List[Stmt] = [L("ready = fetch_cycle + frontend_depth;")]
-        if rob_active:
-            out.extend(
-                lines(
-                    "bound = commit_ring[ri];",
-                    "if (bound > ready) {",
-                    "    ready = bound;",
-                    "}",
-                )
-            )
-        return out
+    def dispatch_stage() -> List[Stmt]:
+        return lines(
+            "ready = fetch_cycle + frontend_depth;",
+            "bound = commit_ring[ri];",
+            "if (bound > ready) {",
+            "    ready = bound;",
+            "}",
+        )
 
     def operand_stage() -> List[Stmt]:
         return lines(
@@ -677,7 +662,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         out.append(L("}"))
         return out
 
-    def issue_commit_stage(latency: str, rob_active: bool) -> List[Stmt]:
+    def issue_commit_stage(latency: str) -> List[Stmt]:
         """Issue bandwidth, register write-back, and commit bandwidth.
 
         The python tier's ``issue_busy`` defaultdict becomes an open-addressed
@@ -691,7 +676,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             "}",
             "busy = ib_vals[ib_h];",
         )
-        out = lines(
+        return lines(
             "issue_cycle = ready;",
             *probe,
             "while (busy >= issue_width) {",
@@ -713,21 +698,13 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             "    commit_cycle = last_commit_cycle;",
             "    committed_this_cycle += 1;",
             "}",
+            "commit_ring[ri] = commit_cycle;",
+            "ri += 1;",
+            "if (ri == rob_size) {",
+            "    ri = 0;",
+            "}",
+            "index += 1;",
         )
-        if rob_active:
-            out.extend(
-                lines(
-                    "commit_ring[ri] = commit_cycle;",
-                    "ri += 1;",
-                    "if (ri == rob_size) {",
-                    "    ri = 0;",
-                    "}",
-                )
-            )
-        else:
-            out.extend(lines("commit_ring[index] = commit_cycle;"))
-        out.extend(lines("index += 1;"))
-        return out
 
     def store_stage() -> List[Stmt]:
         """Store install + store-queue update under a single F_STORE test.
@@ -1057,33 +1034,21 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                 )
             )
         if traced:
-            # No eviction is possible under elision and no flush is active,
-            # so "replay position advanced" is the whole residency model.
-            elide_arm: List[Stmt] = lines(
-                "} else if (cls == 2) {",
-                "    pos = btu_pos[pc];",
-                "    if (pos) {",
-                "        extra = 0;",
-                "    } else {",
+            # The residency model over the session-owned LRU buffer.
+            base.extend(
+                lines(
+                    "} else if (cls == 2) {",
+                    "    extra = 0;",
+                    "    i = seg_find(res_buf, 0, res_len, pc);",
+                    "    if (i >= 0) {",
+                    "        memmove(res_buf + i, res_buf + i + 1,"
+                    " (size_t)(res_len - 1 - i) * sizeof(int64_t));",
+                    "        res_buf[res_len - 1] = pc;",
+                    "    } else {",
+                )
             )
-            elide_arm.append(Block((stat("n_btu_misses += 1;"),), 2))
-            elide_arm.append(
-                Block(tuple(lines("extra = btu_miss_latency;")), 2)
-            )
-            elide_arm.append(L("    }"))
-            # Full residency model over the session-owned LRU buffer.
-            full_arm: List[Stmt] = lines(
-                "} else if (cls == 2) {",
-                "    extra = 0;",
-                "    i = seg_find(res_buf, 0, res_len, pc);",
-                "    if (i >= 0) {",
-                "        memmove(res_buf + i, res_buf + i + 1,"
-                " (size_t)(res_len - 1 - i) * sizeof(int64_t));",
-                "        res_buf[res_len - 1] = pc;",
-                "    } else {",
-            )
-            full_arm.append(Block((stat("n_btu_misses += 1;"),), 2))
-            full_arm.append(
+            base.append(Block((stat("n_btu_misses += 1;"),), 2))
+            base.append(
                 Block(
                     tuple(
                         lines(
@@ -1100,9 +1065,8 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                     2,
                 )
             )
-            full_arm.append(L("    }"))
-            full_arm.append(Block(tuple(lines("pos = btu_pos[pc];")), 1))
-            base.append(Guard("btu_elide", tuple(elide_arm), tuple(full_arm)))
+            base.append(L("    }"))
+            base.append(Block(tuple(lines("pos = btu_pos[pc];")), 1))
             replay: List[Stmt] = lines(
                 "tl = tgt_len[pc];",
                 "tidx = pos % tl;",
@@ -1144,23 +1108,30 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         return [L("if (fl & 4) {"), Block(tuple(base), 1), L("}")]  # F_BRANCH
 
     # -------------------------- instruction body ---------------------------- #
-    def instruction_body(rob_active: bool) -> List[Stmt]:
-        out: List[Stmt] = []
+    def instruction_body() -> List[Stmt]:
+        out: List[Stmt] = lines(
+            "dst = dst_col[index];",
+            "s0 = s0_col[index];",
+            "s1 = s1_col[index];",
+            "s2 = s2_col[index];",
+            f"fl = fl_col[index] & {flag_mask};",
+            "lat = lat_tab[lc_col[index]];",
+        )
         out.extend(fetch_stage())
-        out.extend(dispatch_stage(rob_active))
+        out.extend(dispatch_stage())
         out.append(L("if (fl) {"))
         slow: List[Stmt] = [L("dispatch_cycle = ready;")]
         slow.extend(operand_stage())
         slow.append(L("exec_latency = lat;"))
         slow.extend(mem_gate_stage())
         slow.append(L("i0 = index;"))
-        slow.extend(issue_commit_stage("exec_latency", rob_active))
+        slow.extend(issue_commit_stage("exec_latency"))
         slow.extend(store_stage())
         slow.extend(branch_stage())
         out.append(Block(tuple(slow), 1))
         out.append(L("} else {"))
         fast: List[Stmt] = list(operand_stage())
-        fast.extend(issue_commit_stage("lat", rob_active))
+        fast.extend(issue_commit_stage("lat"))
         out.append(Block(tuple(fast), 1))
         out.append(L("}"))
         out.append(
@@ -1178,29 +1149,10 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         )
         return out
 
-    def row_loads() -> List[Stmt]:
-        return lines(
-            "dst = dst_col[index];",
-            "s0 = s0_col[index];",
-            "s1 = s1_col[index];",
-            "s2 = s2_col[index];",
-            f"fl = fl_col[index] & {flag_mask};",
-            "lat = lat_tab[lc_col[index]];",
-        )
-
-    # The head loop needs no ROB-occupancy bound (nothing has committed
-    # ``rob_size`` back yet); the tail reads it unconditionally.  ``fl`` is
-    # the premasked flags word: zero means "pure ALU work", the fast path.
-    body.append(L("const int64_t head_end = n < rob_size ? n : rob_size;"))
-    body.append(L("while (index < head_end) {"))
-    body.append(
-        Block(tuple(row_loads() + instruction_body(rob_active=False)), 1)
-    )
-    body.append(L("}"))
+    # ``fl`` is the premasked flags word: zero means "pure ALU work", the
+    # fast path.
     body.append(L("while (index < n) {"))
-    body.append(
-        Block(tuple(row_loads() + instruction_body(rob_active=True)), 1)
-    )
+    body.append(Block(tuple(instruction_body()), 1))
     body.append(L("}"))
 
     # ------------------------------ epilogue -------------------------------- #
@@ -1216,13 +1168,7 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         )
     )
     if traced:
-        body.append(
-            Guard(
-                "btu_elide",
-                (),
-                tuple(lines(f"{_a('res_len')} = res_len;")),
-            )
-        )
+        body.append(L(f"{_a('res_len')} = res_len;"))
 
     def counter_set(name: str, value: str) -> Line:
         return L(f"{_a('counter_' + name)} = {value};")
@@ -1273,29 +1219,9 @@ def build_c_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             (counter_set("l1d_miss", "l1d_miss"),),
         )
     )
-    # Occupancy = branches looked up and never evicted/flushed; in the
-    # elided variant that is exactly "replay position advanced".
-    if traced:
-        occ_elide: List[Stmt] = lines(
-            f"const int64_t *traced_pcs = PI64({_a('traced_pcs')});",
-            f"const int64_t n_traced = {_a('n_traced')};",
-            "t = 0;",
-            "for (k = 0; k < n_traced; k++) {",
-            "    if (btu_pos[traced_pcs[k]]) {",
-            "        t += 1;",
-            "    }",
-            "}",
-        )
-        occ_elide.append(counter_set("btu_occupancy", "t"))
-        return_block.append(
-            Guard(
-                "btu_elide",
-                tuple(occ_elide),
-                (counter_set("btu_occupancy", "res_len"),),
-            )
-        )
-    else:
-        return_block.append(counter_set("btu_occupancy", "0"))
+    return_block.append(
+        counter_set("btu_occupancy", "res_len" if traced else "0")
+    )
     body.append(Guard("stats", tuple(return_block)))
     body.append(L("return 0;"))
 

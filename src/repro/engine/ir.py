@@ -16,13 +16,13 @@ widths, latencies and sizes are locals the kernel binds from the point's
 config table (:data:`~repro.engine.state.TABLE_FIELDS`) in its prologue.
 One node kind carries the specialization decisions: :class:`Guard`, a
 generation-time conditional on one boolean *feature* (``flush`` /
-``icache_resident`` / ``dcache_resident`` / ``btu_elide`` / ``stats``),
-resolved by :func:`specialize`.  :func:`stat` builds the common
+``icache_resident`` / ``dcache_resident`` / ``stats``), resolved by
+:func:`specialize`.  :func:`stat` builds the common
 ``Guard("stats", ...)`` — statements that exist only in
 statistics-collecting kernels (warm-up kernels drop them).
 
 :func:`build_kernel_ir` constructs one tree per policy spec — the tree
-still contains every Guard variant, so one build serves all 2⁵
+still contains every Guard variant, so one build serves all 2⁴
 specializations — and :func:`lower_kernel` runs :func:`specialize` for
 one :class:`KernelFeatures` point and checks its postcondition: no Guard
 nodes remain.
@@ -41,7 +41,7 @@ from repro.engine.state import TABLE_NAMES
 from repro.uarch.defenses.base import EnginePolicySpec
 
 #: The boolean features a :class:`Guard` may test.
-FEATURES = ("flush", "icache_resident", "dcache_resident", "btu_elide", "stats")
+FEATURES = ("flush", "icache_resident", "dcache_resident", "stats")
 
 
 # --------------------------------------------------------------------------- #
@@ -101,14 +101,12 @@ class KernelFeatures:
 
     Derivation (not construction) is the API: :meth:`derive` applies the
     same semantics the string generator enforced — only trace-replaying
-    (non-lite Cassandra) kernels have observable flush behaviour, and the
-    BTU elision is only legal for a traced kernel without flushes.
+    (non-lite Cassandra) kernels have observable flush behaviour.
     """
 
     flush: bool
     icache_resident: bool
     dcache_resident: bool
-    btu_elide: bool
     stats: bool
 
     @classmethod
@@ -118,18 +116,13 @@ class KernelFeatures:
         flush_active: bool,
         icache_resident: bool = False,
         dcache_resident: bool = False,
-        btu_elide: bool = False,
         collect_stats: bool = True,
     ) -> "KernelFeatures":
         traced = spec.kind == "cassandra" and not spec.lite
-        flush = bool(flush_active) and traced
-        if btu_elide and (not traced or flush):
-            raise ValueError("btu_elide requires a traced kernel without flushes")
         return cls(
-            flush=flush,
+            flush=bool(flush_active) and traced,
             icache_resident=bool(icache_resident),
             dcache_resident=bool(dcache_resident),
-            btu_elide=bool(btu_elide),
             stats=bool(collect_stats),
         )
 
@@ -138,7 +131,6 @@ class KernelFeatures:
             "flush": self.flush,
             "icache_resident": self.icache_resident,
             "dcache_resident": self.dcache_resident,
-            "btu_elide": self.btu_elide,
             "stats": self.stats,
         }
 
@@ -207,7 +199,7 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     resolved at build time — it changes which code exists.  Geometry,
     widths, latencies and sizes are not: the kernel binds them to locals
     from the point's config table (:data:`~repro.engine.state.TABLE_FIELDS`)
-    in its prologue, so one kernel serves every config.  The five boolean
+    in its prologue, so one kernel serves every config.  The four boolean
     axes stay in the tree as Guard variants, so one build serves
     every :class:`KernelFeatures` point.
     """
@@ -284,15 +276,16 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                 "btu_targets = state.btu_targets",
                 "btu_eids = state.btu_eids",
                 "btu_long = state.btu_long",
+                "btu_resident = state.btu_resident",
             )
-        )
-        body.append(
-            Guard("btu_elide", (), tuple(lines("btu_resident = state.btu_resident")))
         )
     body.extend(
         lines(
             # One extra slot: dst == -1 writes reg_ready[-1] (never read).
             "reg_ready = [0] * (trace.num_regs + 1)",
+            # Each instruction's ROB bound is the commit cycle of the one
+            # ``rob_size`` back; the ring starts zeroed, so the first
+            # ``rob_size`` instructions read a bound of 0, which never binds.
             "commit_ring = [0] * rob_size",
             "store_inflight = {}",
             "si_get = store_inflight.get",
@@ -306,8 +299,8 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             "committed_this_cycle = 0",
             "window_resolve_cycle = 0",
             "index = 0",
-            # The tail loop's commit-ring slot: index % rob_size, kept as a
-            # wrapping counter so the loop divides nothing.
+            # The commit-ring slot: index % rob_size, kept as a wrapping
+            # counter so the loop divides nothing.
             "ri = 0",
         )
     )
@@ -326,7 +319,6 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         body.append(stat("n_integrity = 0"))
     if traced:
         body.append(stat("n_btu_misses = n_btu_prefetches = 0"))
-    body.extend(lines("rows_head, rows_tail = rows"))
 
     # --------------------------- stage builders ---------------------------- #
     def fetch_stage() -> List[Stmt]:
@@ -374,22 +366,15 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         )
         return [Guard("icache_resident", tuple(resident), tuple(full))]
 
-    def dispatch_stage(rob_active: bool) -> List[Stmt]:
+    def dispatch_stage() -> List[Stmt]:
         # ``ready`` starts as the dispatch cycle (fetch + frontend depth,
-        # bounded by ROB occupancy).  The head loop covers the first
-        # ``rob_size`` instructions, where the bound cannot apply and the
-        # ring index is just ``index``; the tail reads the bound
-        # unconditionally through the wrapping ring slot ``ri``.
-        out: List[Stmt] = [L("ready = fetch_cycle + frontend_depth")]
-        if rob_active:
-            out.extend(
-                lines(
-                    "bound = commit_ring[ri]",
-                    "if bound > ready:",
-                    "    ready = bound",
-                )
-            )
-        return out
+        # bounded by ROB occupancy, read through the ring slot ``ri``).
+        return lines(
+            "ready = fetch_cycle + frontend_depth",
+            "bound = commit_ring[ri]",
+            "if bound > ready:",
+            "    ready = bound",
+        )
 
     def operand_stage() -> List[Stmt]:
         return lines(
@@ -515,9 +500,9 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         out.append(Block(tuple(inner), 1))
         return out
 
-    def issue_commit_stage(latency: str, rob_active: bool) -> List[Stmt]:
+    def issue_commit_stage(latency: str) -> List[Stmt]:
         """Issue bandwidth, register write-back, and commit bandwidth."""
-        out = lines(
+        return lines(
             "issue_cycle = ready",
             "busy = issue_busy[issue_cycle]",
             "while busy >= issue_width:",
@@ -536,20 +521,12 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             "else:",
             "    commit_cycle = last_commit_cycle",
             "    committed_this_cycle += 1",
+            "commit_ring[ri] = commit_cycle",
+            "ri += 1",
+            "if ri == rob_size:",
+            "    ri = 0",
+            "index += 1",
         )
-        if rob_active:
-            out.extend(
-                lines(
-                    "commit_ring[ri] = commit_cycle",
-                    "ri += 1",
-                    "if ri == rob_size:",
-                    "    ri = 0",
-                )
-            )
-        else:
-            out.extend(lines("commit_ring[index] = commit_cycle"))
-        out.extend(lines("index += 1"))
-        return out
 
     def store_stage() -> List[Stmt]:
         """Store install + store-queue update under a single F_STORE test.
@@ -786,35 +763,21 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         else:
             base.append(Block(tuple(lines("pass")), 1))
         if traced:
-            # No eviction is possible (distinct traced branches fit the
-            # BTU) and no flush is active, so a branch misses exactly
-            # once — on its first lookup, recognizable as replay
-            # position zero — and the LRU residency list needs no
-            # maintenance at all.
-            elide_arm: List[Stmt] = lines(
-                "elif cls == 2:",
-                "    pos = btu_pos[pc]",
-                "    if pos:",
-                "        extra = 0",
-                "    else:",
-            )
-            elide_arm.append(Block((stat("n_btu_misses += 1"),), 2))
-            elide_arm.append(
-                Block(tuple(lines("extra = btu_miss_latency")), 2)
-            )
-            # Full residency model; evictions drop the LRU entry (the
+            # The residency model; evictions drop the LRU entry (the
             # reference also checkpoints the victim, which kernels omit
             # as unobservable).
-            full_arm: List[Stmt] = lines(
-                "elif cls == 2:",
-                "    extra = 0",
-                "    if pc in btu_resident:",
-                "        btu_resident.remove(pc)",
-                "        btu_resident.append(pc)",
-                "    else:",
+            base.extend(
+                lines(
+                    "elif cls == 2:",
+                    "    extra = 0",
+                    "    if pc in btu_resident:",
+                    "        btu_resident.remove(pc)",
+                    "        btu_resident.append(pc)",
+                    "    else:",
+                )
             )
-            full_arm.append(Block((stat("n_btu_misses += 1"),), 2))
-            full_arm.append(
+            base.append(Block((stat("n_btu_misses += 1"),), 2))
+            base.append(
                 Block(
                     tuple(
                         lines(
@@ -827,8 +790,7 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
                     2,
                 )
             )
-            full_arm.append(Block(tuple(lines("pos = btu_pos[pc]")), 1))
-            base.append(Guard("btu_elide", tuple(elide_arm), tuple(full_arm)))
+            base.append(Block(tuple(lines("pos = btu_pos[pc]")), 1))
             replay: List[Stmt] = lines(
                 "targets = btu_targets[pc]",
                 "tidx = pos % len(targets)",
@@ -869,23 +831,23 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
     # issue/commit blocks are duplicated into both arms so the fast path
     # carries no dead assignments (``dispatch_cycle`` and ``exec_latency``
     # exist only where the memory stage can read them).
-    def instruction_body(rob_active: bool) -> List[Stmt]:
+    def instruction_body() -> List[Stmt]:
         out: List[Stmt] = []
         out.extend(fetch_stage())
-        out.extend(dispatch_stage(rob_active))
+        out.extend(dispatch_stage())
         out.append(L("if fl:"))
         slow: List[Stmt] = [L("dispatch_cycle = ready")]
         slow.extend(operand_stage())
         slow.append(L("exec_latency = lat"))
         slow.extend(mem_gate_stage())
         slow.append(L("i0 = index"))
-        slow.extend(issue_commit_stage("exec_latency", rob_active))
+        slow.extend(issue_commit_stage("exec_latency"))
         slow.extend(store_stage())
         slow.extend(branch_stage())
         out.append(Block(tuple(slow), 1))
         out.append(L("else:"))
         fast: List[Stmt] = list(operand_stage())
-        fast.extend(issue_commit_stage("lat", rob_active))
+        fast.extend(issue_commit_stage("lat"))
         out.append(Block(tuple(fast), 1))
         # The reference also checkpoints every resident branch on a flush;
         # only the residency clear is observable (it re-triggers misses).
@@ -903,17 +865,13 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
         )
         return out
 
-    # ``rows`` arrives pre-split at the ROB boundary: the head loop needs no
-    # ROB-occupancy bound (nothing has committed ``rob_size`` back yet), the
-    # tail reads it unconditionally.  Both unpack pre-zipped 6-tuples of the
-    # per-instruction-hot columns; PC / next-PC / address / branch-class
-    # columns are indexed on demand in the slow paths.  ``fl`` is the
-    # premasked flags word (see :func:`repro.engine.kernels.relevant_flag_mask`):
-    # zero means "pure ALU work", the loop's fast path.
-    body.append(L("for dst, s0, s1, s2, fl, lat in rows_head:"))
-    body.append(Block(tuple(instruction_body(rob_active=False)), 1))
-    body.append(L("for dst, s0, s1, s2, fl, lat in rows_tail:"))
-    body.append(Block(tuple(instruction_body(rob_active=True)), 1))
+    # ``rows`` are pre-zipped 6-tuples of the per-instruction-hot columns;
+    # PC / next-PC / address / branch-class columns are indexed on demand in
+    # the slow paths.  ``fl`` is the premasked flags word (see
+    # :func:`repro.engine.kernels.relevant_flag_mask`): zero means "pure ALU
+    # work", the loop's fast path.
+    body.append(L("for dst, s0, s1, s2, fl, lat in rows:"))
+    body.append(Block(tuple(instruction_body()), 1))
 
     # ------------------------------ epilogue -------------------------------- #
     body.append(L("state.history = history"))
@@ -963,18 +921,9 @@ def build_kernel_ir(spec: EnginePolicySpec) -> List[Stmt]:
             (counter_line("l1d_miss", "l1d_miss"),),
         )
     )
-    # Occupancy = branches looked up and never evicted/flushed; in the
-    # elided variant that is exactly "replay position advanced".
-    if traced:
-        return_block.append(
-            Guard(
-                "btu_elide",
-                (counter_line("btu_occupancy", "sum(1 for v in btu_pos.values() if v)"),),
-                (counter_line("btu_occupancy", "len(btu_resident)"),),
-            )
-        )
-    else:
-        return_block.append(counter_line("btu_occupancy", "0"))
+    return_block.append(
+        counter_line("btu_occupancy", "len(btu_resident)" if traced else "0")
+    )
     return_block.append(L("}"))
     body.append(
         Guard("stats", tuple(return_block), tuple(lines("return None")))

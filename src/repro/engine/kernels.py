@@ -52,8 +52,8 @@ batch-facing helpers (branch classification, flag premasks, the dynamic
 counter contract).
 
 Compiled kernels are cached per process keyed by the shape: the spec plus
-its derived :class:`~repro.engine.ir.KernelFeatures` (flush, residency, BTU
-elision, stats).  The ``REPRO_ENGINE_TIER`` environment variable selects
+its derived :class:`~repro.engine.ir.KernelFeatures` (flush, residency,
+stats).  The ``REPRO_ENGINE_TIER`` environment variable selects
 the execution tier (``native`` / ``python`` — see :func:`engine_tier`).
 """
 
@@ -183,7 +183,6 @@ def kernel_source(
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
-    btu_elide: bool = False,
     collect_stats: bool = True,
 ) -> str:
     """Render the specialized kernel source for one shape.
@@ -203,7 +202,6 @@ def kernel_source(
         flush_active,
         icache_resident=icache_resident,
         dcache_resident=dcache_resident,
-        btu_elide=btu_elide,
         collect_stats=collect_stats,
     )
     return render(lower_kernel(build_kernel_ir(spec), features))
@@ -223,7 +221,6 @@ def get_kernel(
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
-    btu_elide: bool = False,
     collect_stats: bool = True,
 ) -> Callable:
     """The compiled kernel for one shape; generated at most once.
@@ -244,7 +241,6 @@ def get_kernel(
             flush_active,
             icache_resident=icache_resident,
             dcache_resident=dcache_resident,
-            btu_elide=btu_elide,
             collect_stats=collect_stats,
         ),
     )
@@ -252,12 +248,7 @@ def get_kernel(
     if fn is None:
         global compile_count
         source = kernel_source(
-            spec,
-            flush_active,
-            icache_resident,
-            dcache_resident,
-            btu_elide,
-            collect_stats,
+            spec, flush_active, icache_resident, dcache_resident, collect_stats
         )
         namespace = {
             "ReplayMismatchError": ReplayMismatchError,

@@ -384,7 +384,6 @@ def get_native_kernel(
     flush_active: bool,
     icache_resident: bool = False,
     dcache_resident: bool = False,
-    btu_elide: bool = False,
     collect_stats: bool = True,
     cache_dir: Optional[str] = None,
 ) -> Optional["NativeKernel"]:
@@ -413,7 +412,6 @@ def get_native_kernel(
         flush_active,
         icache_resident=icache_resident,
         dcache_resident=dcache_resident,
-        btu_elide=btu_elide,
         collect_stats=collect_stats,
     )
     key = (spec, features, toolchain.fingerprint)
@@ -426,7 +424,6 @@ def get_native_kernel(
             flush_active,
             icache_resident=icache_resident,
             dcache_resident=dcache_resident,
-            btu_elide=btu_elide,
             collect_stats=collect_stats,
         )
         render_count += 1
@@ -562,7 +559,6 @@ def replay_inputs(
     inputs.tgt_off = array("q", bytes(8 * size))
     inputs.tgt_len = array("q", bytes(8 * size))
     inputs.btu_long = array("B", bytes(size))
-    inputs.traced_pcs = array("q", list(targets))
     data: List[int] = []
     edata: List[int] = []
     for pc, tgts in targets.items():
@@ -653,8 +649,6 @@ def _open_session(
         keep.append(plan_cls)
     if traced:
         a[ARG["plan_stp"]] = _addr_of_array(inputs.stp_dense)
-        a[ARG["traced_pcs"]] = _addr_of_array(inputs.traced_pcs)
-        a[ARG["n_traced"]] = len(inputs.traced_pcs)
         a[ARG["tgt_off"]] = _addr_of_array(inputs.tgt_off)
         a[ARG["tgt_len"]] = _addr_of_array(inputs.tgt_len)
         a[ARG["tgt_data"]] = _addr_of_array(inputs.tgt_data)

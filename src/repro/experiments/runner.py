@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.stats import BranchAnalysisStats, stats_from_bundle
-from repro.analysis.tracegen import TraceBundle, TraceParameters, generate_trace_bundle
+from repro.analysis.tracegen import TraceBundle, generate_trace_bundle
 from repro.arch.executor import ExecutionResult
 from repro.crypto.programs.common import KernelProgram
 from repro.crypto.workloads import QUICK_WORKLOADS, get_workload  # noqa: F401 - re-exported
@@ -172,29 +172,28 @@ def artifacts_for_kernel(
     suite: str,
     name: Optional[str] = None,
     cache: Optional["ArtifactCache"] = None,
-    trace_params: Optional[TraceParameters] = None,
 ) -> WorkloadArtifacts:
     """Functionally execute and trace-analyse an already-built kernel.
 
     The expensive products (the sequential :class:`ExecutionResult`,
     record-free, and the :class:`TraceBundle`) are loaded from / stored to
     the content-addressed artifact cache (a memory-only one when ``cache``
-    is not given), keyed on the program content, the confidential-input
-    set, and the trace parameters.  The kernel's correctness check always re-runs, so a stale
-    or corrupt cache entry cannot silently poison an experiment.  A cold
+    is not given), keyed on the program content and the confidential-input
+    set (see :func:`~repro.pipeline.parallel.workload_artifact_digest`).
+    The kernel's correctness check always re-runs, so a stale or corrupt
+    cache entry cannot silently poison an experiment.  A cold
     preparation executes each input exactly once: the verified run of
     ``inputs[0]`` is Algorithm 2's primary execution, the returned artifacts
     keep it, and its lowered trace is persisted next to the record-free
     result.
     """
     name = name or kernel.name
-    params = trace_params or TraceParameters()
 
     from repro.pipeline.artifacts import ArtifactCache
     from repro.pipeline.parallel import workload_artifact_digest
 
     cache = cache if cache is not None else ArtifactCache(root=None)
-    digest = workload_artifact_digest(kernel, params)
+    digest = workload_artifact_digest(kernel)
     payload = cache.get("workload-artifacts", name, digest)
     if payload is not None:
         result, bundle = payload
@@ -208,13 +207,7 @@ def artifacts_for_kernel(
         # neither pay for Algorithm 2 nor leave a junk entry on disk.
         if not kernel.verify(result):
             raise RuntimeError(f"workload {name!r} failed its correctness check")
-        bundle = generate_trace_bundle(
-            kernel.program,
-            kernel.inputs,
-            crypto_only=params.crypto_only,
-            max_k=params.max_k,
-            primary=result,
-        )
+        bundle = generate_trace_bundle(kernel.program, kernel.inputs, primary=result)
         cache.put("workload-artifacts", name, digest, (result.without_records(), bundle))
         cache.put("lowered-trace", name, lowered_trace_digest(digest), lower_execution(result))
     return WorkloadArtifacts(
@@ -230,9 +223,7 @@ def artifacts_for_kernel(
 
 
 def prepare_workload(
-    name: str,
-    cache: Optional["ArtifactCache"] = None,
-    trace_params: Optional[TraceParameters] = None,
+    name: str, cache: Optional["ArtifactCache"] = None
 ) -> WorkloadArtifacts:
     """Build, functionally execute, and trace-analyse one registry workload.
 
@@ -247,7 +238,6 @@ def prepare_workload(
         suite=workload.suite,
         name=name,
         cache=cache,
-        trace_params=trace_params,
     )
 
 

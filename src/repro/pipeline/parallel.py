@@ -65,18 +65,18 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return None
 
 
-def workload_artifact_digest(kernel, params: TraceParameters) -> str:
+def workload_artifact_digest(kernel) -> str:
     """The content digest a prepared workload is cached under.
 
-    Covers the program content, the confidential-input set, the trace
-    parameters, and the ``repro`` source tree itself — a code edit is a
-    cache miss, never a stale hit.  Simulation digests derive from this one,
+    Covers the program content, the confidential-input set, Algorithm 2's
+    (default) trace parameters, and the ``repro`` source tree itself — a
+    code edit is a cache miss, never a stale hit.  Simulation digests derive from this one,
     so they inherit the same invalidation.
     """
     return stable_digest(
         program_fingerprint(kernel.program),
         inputs_fingerprint(kernel.inputs),
-        params.identity(),
+        TraceParameters().identity(),
         code_fingerprint(),
     )
 
@@ -117,7 +117,7 @@ def build_kernel(ref: "WorkloadRef"):
     return builder(ref)
 
 
-def _prepare_kernel_task(task: Tuple["WorkloadRef", Optional[str], TraceParameters]):
+def _prepare_kernel_task(task: Tuple["WorkloadRef", Optional[str]]):
     """Prepare one ref; returns ``(name, record-free result, bundle, trace bytes)``.
 
     A worker that executed the kernel ships the trace its run lowered
@@ -125,27 +125,19 @@ def _prepare_kernel_task(task: Tuple["WorkloadRef", Optional[str], TraceParamete
     ``workload-artifacts`` hit there is no run and the trace bytes are
     ``None`` — the parent loads the entry only if a point misses.
     """
-    ref, cache_root, params = task
-    artifact = _prepare_ref(ref, cache=ArtifactCache(root=cache_root), params=params)
+    ref, cache_root = task
+    artifact = _prepare_ref(ref, cache=ArtifactCache(root=cache_root))
     result = artifact.result
     trace_bytes = artifact.lowered_trace().to_bytes() if result.has_records else None
     return ref.name, result.without_records(), artifact.bundle, trace_bytes
 
 
-def _prepare_ref(
-    ref: "WorkloadRef",
-    cache: ArtifactCache,
-    params: TraceParameters,
-) -> WorkloadArtifacts:
+def _prepare_ref(ref: "WorkloadRef", cache: ArtifactCache) -> WorkloadArtifacts:
     """Build + execute + trace one ref through the shared cache path."""
     if ref.kind == "registry":
-        return prepare_workload(ref.name, cache=cache, trace_params=params)
+        return prepare_workload(ref.name, cache=cache)
     return artifacts_for_kernel(
-        build_kernel(ref),
-        suite=ref.suite or ref.kind,
-        name=ref.name,
-        cache=cache,
-        trace_params=params,
+        build_kernel(ref), suite=ref.suite or ref.kind, name=ref.name, cache=cache
     )
 
 
@@ -153,7 +145,6 @@ def prepare_kernels_parallel(
     refs: Sequence["WorkloadRef"],
     cache: ArtifactCache,
     jobs: int = 0,
-    trace_params: Optional[TraceParameters] = None,
 ) -> List[WorkloadArtifacts]:
     """Prepare registry and non-registry workload refs across worker processes.
 
@@ -171,13 +162,12 @@ def prepare_kernels_parallel(
         # Worker payloads come back keyed by name; a duplicate would seed
         # one ref's artifacts under another ref's digest without error.
         raise ValueError("workload refs must have unique names")
-    params = trace_params or TraceParameters()
     jobs = jobs or default_jobs()
     context = _fork_context()
     if jobs <= 1 or len(refs) <= 1 or context is None:
-        return [_prepare_ref(ref, cache=cache, params=params) for ref in refs]
+        return [_prepare_ref(ref, cache=cache) for ref in refs]
 
-    tasks = [(ref, cache.root, params) for ref in refs]
+    tasks = [(ref, cache.root) for ref in refs]
     with context.Pool(processes=min(jobs, len(tasks))) as pool:
         payloads = pool.map(_prepare_kernel_task, tasks, chunksize=1)
 
@@ -186,12 +176,12 @@ def prepare_kernels_parallel(
     # so a second disk write here would be pure waste.
     for name, result, bundle, trace_bytes in payloads:
         kernel = build_kernel(by_name[name])
-        digest = workload_artifact_digest(kernel, params)
+        digest = workload_artifact_digest(kernel)
         cache.memoize("workload-artifacts", name, digest, (result, bundle))
         if trace_bytes is not None:
             trace = LoweredTrace.from_bytes(trace_bytes)
             cache.memoize("lowered-trace", name, lowered_trace_digest(digest), trace)
-    return [_prepare_ref(ref, cache=cache, params=params) for ref in refs]
+    return [_prepare_ref(ref, cache=cache) for ref in refs]
 
 
 # --------------------------------------------------------------------------- #

@@ -7,8 +7,8 @@ emitter (both emitters lower the same specialized IR point).  A shape's
 source does not depend on the config, so no case names one.
 The set is chosen so every specialization axis is visible in at least one
 snapshot: BPU vs Cassandra vs lite kind, gate masks, forwarding off, an
-active flush check, the residency-proved cache-free variants, the BTU
-no-eviction elision, and the stats-free warm-up body.
+active flush check, the residency-proved cache-free variants, and the
+stats-free warm-up body.
 
 Regenerate after an *intentional* emitter change with::
 
@@ -36,13 +36,9 @@ GOLDEN_CASES = {
     ),
     "cassandra-default": (EnginePolicySpec(kind="cassandra"), {}),
     "cassandra-flush": (EnginePolicySpec(kind="cassandra"), {"flush_active": True}),
-    "cassandra-resident-elide": (
+    "cassandra-resident": (
         EnginePolicySpec(kind="cassandra"),
-        {
-            "icache_resident": True,
-            "dcache_resident": True,
-            "btu_elide": True,
-        },
+        {"icache_resident": True, "dcache_resident": True},
     ),
     "cassandra-lite-warm": (
         EnginePolicySpec(kind="cassandra", lite=True),

@@ -180,13 +180,6 @@ def test_flush_check_compiled_only_when_active():
     assert "next_btu_flush" in with_flush
 
 
-def test_btu_elide_requires_traced_flushless_kernel():
-    with pytest.raises(ValueError):
-        kernel_source(EnginePolicySpec(kind="bpu"), False, btu_elide=True)
-    with pytest.raises(ValueError):
-        kernel_source(EnginePolicySpec(kind="cassandra"), True, btu_elide=True)
-
-
 def test_warm_kernels_carry_no_counters():
     warm = kernel_source(EnginePolicySpec(kind="cassandra"), False, collect_stats=False)
     assert "return None" in warm

@@ -40,17 +40,6 @@ def test_derive_flush_requires_traced_kernel():
         assert not KernelFeatures.derive(spec, flush_active=True).flush
 
 
-@pytest.mark.parametrize("spec", [BPU, LITE])
-def test_derive_rejects_elide_without_trace(spec):
-    with pytest.raises(ValueError, match="btu_elide"):
-        KernelFeatures.derive(spec, flush_active=False, btu_elide=True)
-
-
-def test_derive_rejects_elide_under_flush():
-    with pytest.raises(ValueError, match="btu_elide"):
-        KernelFeatures.derive(CASSANDRA, flush_active=True, btu_elide=True)
-
-
 def test_guard_rejects_unknown_feature():
     with pytest.raises(ValueError, match="unknown kernel feature"):
         Guard("warp_drive", then=(L("pass"),))
@@ -108,7 +97,7 @@ def test_emitter_refuses_unlowered_nodes():
 
 
 def test_lower_kernel_output_is_fully_resolved():
-    features = KernelFeatures.derive(CASSANDRA, flush_active=False, btu_elide=True)
+    features = KernelFeatures.derive(CASSANDRA, flush_active=False)
     lowered = lower_kernel(build_kernel_ir(CASSANDRA), features)
     assert guard_features(lowered) == []
     # The result is genuinely renderable and compilable.

@@ -7,7 +7,7 @@ Three layers of pinning beneath the behavioural parity suites:
   ``PYTHONPATH=src:tests python -m engine.golden_cases`` after an
   *intentional* codegen change);
 * **full-product compilability** — every kernel variant across the policy
-  family × flush × residency × elide × stats product must parse
+  family × flush × residency × stats product must parse
   (``ast.parse``) and byte-compile, and basic structural invariants of the
   specialization must hold (dead policy code absent, residency deleting
   cache models, stats variants dropping counters);
@@ -63,27 +63,21 @@ BURNT = re.compile(r"\b(512|300|114|200|1280|30720|4096|1023|16383)\b")
 
 def _variants():
     for sname, spec in SPECS.items():
-        traced = spec.kind == "cassandra" and not spec.lite
-        for flush, ic, dc, elide, stats in itertools.product(
-            (False, True), repeat=5
-        ):
-            if elide and (not traced or flush):
-                continue  # rejected by KernelFeatures.derive
-            yield sname, spec, flush, ic, dc, elide, stats
+        for flush, ic, dc, stats in itertools.product((False, True), repeat=4):
+            yield sname, spec, flush, ic, dc, stats
 
 
 def test_every_variant_parses_and_compiles():
     count = 0
-    for sname, spec, flush, ic, dc, elide, stats in _variants():
+    for sname, spec, flush, ic, dc, stats in _variants():
         source = kernel_source(
             spec,
             flush_active=flush,
             icache_resident=ic,
             dcache_resident=dc,
-            btu_elide=elide,
             collect_stats=not stats,
         )
-        label = f"{sname} flush={flush} ic={ic} dc={dc} elide={elide}"
+        label = f"{sname} flush={flush} ic={ic} dc={dc}"
         tree = ast.parse(source)
         # Exactly one top-level function named `kernel`.
         assert [n.name for n in tree.body if isinstance(n, ast.FunctionDef)] == [
@@ -94,8 +88,8 @@ def test_every_variant_parses_and_compiles():
         count += 1
     # The product is the suite's coverage claim; a silent shrink (e.g. a
     # variant axis wired to a constant) should fail loudly:
-    # 3 traced specs × 24 legal axis combos + 4 others × 16.
-    assert count == 3 * 24 + 4 * 16
+    # 7 specs × 16 axis combos.
+    assert count == 7 * 16
 
 
 def configs_batch(execution, bundle, configs, **kwargs):

@@ -6,7 +6,7 @@ Mirrors ``test_kernel_codegen.py`` for the native tier's emitter:
   and pinned byte-for-byte (``tests/engine/golden/<name>.c.txt``; regenerate
   with ``PYTHONPATH=src:tests python -m engine.golden_cases``);
 * **full-product emit** — every variant of the policy family × flush ×
-  residency × elide × stats product must render (this leg needs no
+  residency × stats product must render (this leg needs no
   compiler, so it also guards the stdlib-only environments);
 * **full-product syntax sweep** — the unique translation units of that
   product must pass ``cc -fsyntax-only -Wall -Werror``, bar the unused
@@ -50,29 +50,28 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-def _render(spec, flush, ic, dc, elide, stats):
+def _render(spec, flush, ic, dc, stats):
     return c_kernel_source(
         spec,
         flush_active=flush,
         icache_resident=ic,
         dcache_resident=dc,
-        btu_elide=elide,
         collect_stats=not stats,
     )
 
 
 def test_every_variant_renders():
     count = 0
-    for sname, spec, flush, ic, dc, elide, stats in _variants():
-        source = _render(spec, flush, ic, dc, elide, stats)
-        label = f"{sname} flush={flush} ic={ic} dc={dc} elide={elide}"
+    for sname, spec, flush, ic, dc, stats in _variants():
+        source = _render(spec, flush, ic, dc, stats)
+        label = f"{sname} flush={flush} ic={ic} dc={dc}"
         assert "int64_t kernel(int64_t *a)" in source, label
         assert source.count("int64_t kernel") == 1, label
         assert not BURNT.findall(source), label
         count += 1
     # Same coverage claim as the python sweep: a silent shrink of the
     # variant product should fail loudly.
-    assert count == 3 * 24 + 4 * 16
+    assert count == 7 * 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,8 +80,8 @@ def _unique_sources():
     can fold to identical units (e.g. the flush axis is forced off for
     non-traced specs)."""
     unique = {}
-    for _sname, spec, flush, ic, dc, elide, stats in _variants():
-        source = _render(spec, flush, ic, dc, elide, stats)
+    for _sname, spec, flush, ic, dc, stats in _variants():
+        source = _render(spec, flush, ic, dc, stats)
         unique.setdefault(source_digest(source), source)
     return tuple(unique.values())
 

@@ -12,6 +12,8 @@ the generated kernels every other tier falls back to, so they stay pinned to
 the golden model directly.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import SimulationRequest, SimulationService
@@ -168,21 +170,48 @@ ODD_CONFIG = CoreConfig(
 )
 
 
+#: ROB sizes ``scale * n + offset`` around a short trace's length ``n``
+#: (Poly1305_ctmul, 685 instructions): the bound binds at every instruction
+#: (1), at the last one only (n-1), or never (n, n+1, 2n).  Kernels run one
+#: loop whose zeroed commit ring makes the first ``rob_size`` bounds 0.
+ROB_BOUNDARY = {"1": (0, 1), "n-1": (1, -1), "n": (1, 0), "n+1": (1, 1), "2n": (2, 0)}
+
+
 @pytest.mark.parametrize(
-    "tier, flush", [("python", None), ("python", 300), ("native", 300)]
+    "tier, flush, rob",
+    [
+        pytest.param(tier, flush, None, id=f"{tier}-{flush}")
+        for tier, flush in (("python", None), ("python", 300), ("native", 300))
+    ]
+    + [
+        pytest.param(tier, None, rob, id=f"{tier}-rob={rob}")
+        for tier in ("python", "native")
+        for rob in ROB_BOUNDARY
+    ],
 )
-def test_batch_matches_reference_on_odd_geometry(quick_artifacts, monkeypatch, tier, flush):
-    """Both tiers stay exact when no geometry is a power of two.  (The
-    flush interval only reaches the Cassandra kernels, so the native leg
-    compiles the default shape of every other design alongside.)"""
+def test_batch_matches_reference_on_odd_geometry(
+    quick_artifacts, monkeypatch, tier, flush, rob
+):
+    """Both tiers stay exact when no geometry is a power of two, and at
+    every ROB size around a trace's length.  (The flush interval only
+    reaches the Cassandra kernels, so the native leg compiles the default
+    shape of every other design alongside.)"""
     if tier == "native" and not native.compiler_available():
         pytest.skip("no working C toolchain")
     monkeypatch.setenv(TIER_ENV, tier)
-    art = quick_artifacts[QUICK_WORKLOADS[0]]
+    if rob is None:
+        art = quick_artifacts[QUICK_WORKLOADS[0]]
+        config = ODD_CONFIG
+    else:
+        art = quick_artifacts["Poly1305_ctmul"]
+        scale, offset = ROB_BOUNDARY[rob]
+        config = replace(
+            ODD_CONFIG, rob_size=scale * art.lowered_trace().n + offset
+        )
     specs = [
         PointSpec(
             policy=DESIGN_BUILDERS[design](art.bundle),
-            config=ODD_CONFIG,
+            config=config,
             btu_flush_interval=flush,
         )
         for design in ALL_DESIGNS
@@ -195,8 +224,10 @@ def test_batch_matches_reference_on_odd_geometry(quick_artifacts, monkeypatch, t
     served = stats.native_points if tier == "native" else stats.kernel_points
     assert served == len(specs)
     for design, simulation in zip(ALL_DESIGNS, simulations):
-        reference = legacy_simulate(art, design, config=ODD_CONFIG, flush=flush)
-        assert_bit_identical(reference, simulation, f"{design}/odd/{tier}/{flush}")
+        reference = legacy_simulate(art, design, config=config, flush=flush)
+        assert_bit_identical(
+            reference, simulation, f"{design}/odd/{tier}/{flush}/rob={rob}"
+        )
 
 
 def test_artifact_simulate_routes_through_engine_and_matches(quick_artifacts):

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.tracegen import TraceParameters
 from repro.api import SimulationRequest, SimulationService
 from repro.crypto.workloads import get_workload
 from repro.experiments.runner import prepare_workload
@@ -87,20 +86,10 @@ def test_simulation_results_persist_across_processes(artifact_cache):
         assert warm_cache.stats.hits == 3
 
 
-def test_trace_parameter_change_misses(artifact_cache):
-    prepare_workload(WORKLOAD, cache=artifact_cache)
-    assert artifact_cache.stats.stores == 2
-    prepare_workload(WORKLOAD, cache=artifact_cache, trace_params=TraceParameters(max_k=8))
-    # Different parameters are a different artifact, not a stale hit
-    # (each preparation stores its payload and its lowered trace).
-    assert artifact_cache.stats.stores == 4
-    assert artifact_cache.entry_count() == 4
-
-
 def test_corrupt_entry_is_a_miss_and_heals(artifact_cache):
     prepare_workload(WORKLOAD, cache=artifact_cache)
     kernel = get_workload(WORKLOAD).kernel()
-    digest = workload_artifact_digest(kernel, TraceParameters())
+    digest = workload_artifact_digest(kernel)
     path = artifact_cache.path_for("workload-artifacts", WORKLOAD, digest)
     with open(path, "wb") as handle:
         handle.write(b"not a pickle")

@@ -145,7 +145,6 @@ def test_lowered_trace_bytes_roundtrip():
 
 
 def test_code_fingerprint_is_stable_and_in_digests():
-    from repro.analysis.tracegen import TraceParameters
     from repro.crypto.workloads import get_workload
     from repro.pipeline.hashing import code_fingerprint
     from repro.pipeline.parallel import workload_artifact_digest
@@ -154,5 +153,5 @@ def test_code_fingerprint_is_stable_and_in_digests():
     assert first == code_fingerprint()
     assert len(first) == 24 and int(first, 16) >= 0
     kernel = get_workload(NAMES[0]).kernel()
-    digest = workload_artifact_digest(kernel, TraceParameters())
-    assert digest == workload_artifact_digest(kernel, TraceParameters())
+    digest = workload_artifact_digest(kernel)
+    assert digest == workload_artifact_digest(kernel)
